@@ -8,6 +8,16 @@
 #include "avd/obs/trace.hpp"
 
 namespace avd::core {
+namespace {
+
+/// render_scene under its own span, so the tracer and /profilez attribute
+/// render time instead of folding it into the caller's self-time.
+img::RgbImage traced_render(const data::SceneSpec& scene) {
+  const obs::ScopedSpan span("render_scene", "core/detect");
+  return data::render_scene(scene);
+}
+
+}  // namespace
 
 int AdaptiveRunReport::dropped_vehicle_frames() const {
   return static_cast<int>(std::count_if(
@@ -114,7 +124,7 @@ ControlStep AdaptiveSystem::StepSession::control_step(
   step.light_level =
       config.use_image_light_estimate
           ? LightingClassifier::estimate_light_level(
-                img::rgb_to_gray(data::render_scene(meta.scene)))
+                img::rgb_to_gray(traced_render(meta.scene)))
           : meta.light_level;
   step.sensed = classifier_.update(step.light_level);
 
@@ -202,7 +212,7 @@ AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
       // configuration, not by the sensed condition: frames between a
       // condition change and the end of the reconfiguration still run the
       // previous pipeline.
-      const img::RgbImage frame = data::render_scene(meta.scene);
+      const img::RgbImage frame = traced_render(meta.scene);
       if (fr.active_config == "dark") {
         dets = models_.dark.detect(frame);
       } else if (fr.active_config == "countryside" &&

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "avd/datasets/sensor_noise.hpp"
 #include "avd/image/draw.hpp"
 
 namespace avd::data {
@@ -196,20 +197,6 @@ void draw_distractors(RgbImage& frame, const SceneSpec& spec,
   for (const StreakSpec& s : spec.streaks) img::fill_rect(frame, s.box, s.color);
 }
 
-void add_noise(RgbImage& frame, double sigma, std::uint64_t seed) {
-  if (sigma <= 0.0) return;
-  ml::Rng rng(seed);
-  auto jitter = [&](img::ImageU8& plane) {
-    for (auto& v : plane.pixels()) {
-      const int n = static_cast<int>(std::lround(rng.gaussian(0.0, sigma)));
-      v = static_cast<std::uint8_t>(std::clamp(static_cast<int>(v) + n, 0, 255));
-    }
-  };
-  jitter(frame.r());
-  jitter(frame.g());
-  jitter(frame.b());
-}
-
 }  // namespace
 
 std::pair<img::Rect, img::Rect> VehicleSpec::taillight_boxes() const {
@@ -246,7 +233,7 @@ img::RgbImage render_scene(const SceneSpec& spec) {
   for (const ClutterSpec& c : spec.foreground_clutter)
     img::fill_rect(frame, c.box, shade(c.color, std::max(amb.ambient, 0.06)));
 
-  add_noise(frame, amb.noise_sigma, spec.noise_seed);
+  add_sensor_noise(frame, amb.noise_sigma, spec.noise_seed);
   return frame;
 }
 

@@ -183,8 +183,16 @@ bool OpsServer::start() {
 
 void OpsServer::stop() {
   if (!running_.load()) return;
-  stop_requested_.store(true);
+  {
+    // Written under the mutex so a handler between its predicate check and
+    // its wait cannot miss the wakeup.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stop_requested_.store(true);
+  }
   queue_cv_.notify_all();
+  // Wakes the acceptor's poll() at once where the platform reports a shut
+  // down listener (Linux does); elsewhere it notices within kAcceptPollMs.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& t : handlers_)
     if (t.joinable()) t.join();
@@ -245,8 +253,10 @@ void OpsServer::handler_loop() {
       pending_.pop_front();
     }
     serve_connection(fd);
-    ::close(fd);
+    // Counted before close(): a client that has read to EOF sees its
+    // response in requests_served().
     requests_served_.fetch_add(1, std::memory_order_relaxed);
+    ::close(fd);
   }
 }
 

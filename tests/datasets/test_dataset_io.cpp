@@ -11,7 +11,11 @@ namespace {
 class DatasetIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "avd_dataset_io").string();
+    // One directory per test: ctest -j runs these tests as parallel processes.
+    dir_ = (std::filesystem::temp_directory_path() /
+            (std::string("avd_dataset_io_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+               .string();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

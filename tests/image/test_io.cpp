@@ -12,7 +12,10 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avd_io_test";
+    // One directory per test: ctest -j runs these tests as parallel processes.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("avd_io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -17,7 +17,11 @@ namespace {
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "avd_persist").string();
+    // One directory per test: ctest -j runs these tests as parallel processes.
+    dir_ = (std::filesystem::temp_directory_path() /
+            (std::string("avd_persist_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+               .string();
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -75,6 +75,19 @@ TEST(OpsServer, StartStopIdempotentOnEphemeralPort) {
   server.stop();
 }
 
+TEST(OpsServer, StartStopStressNeverHangs) {
+  // stop() right after start() races handlers into their first wait: the
+  // stop flag must be published under the queue mutex or a handler that
+  // has just checked the predicate sleeps through the wakeup and join()
+  // blocks forever.
+  OpsServer server;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(server.start()) << "iteration " << i;
+    server.stop();
+    ASSERT_FALSE(server.running()) << "iteration " << i;
+  }
+}
+
 TEST(OpsServer, BindFailureReturnsFalse) {
   OpsServer first;
   ASSERT_TRUE(first.start());
