@@ -12,11 +12,16 @@
 //                     "better": "higher"|"lower"}
 //     },
 //     "checks": {"<acceptance check>": true|false},
-//     "notes": {"<key>": "<string>"}
+//     "notes": {"<key>": "<string>", "host.<field>": "<string>", ...}
 //   }
 // Parses with obs::json (tests/bench rely on this). Metric names use dotted
 // lowercase; checks are the bench's acceptance criteria, so a report with
 // every check true is a passing bench.
+//
+// Every report's notes carry the host it was measured on: host.nproc,
+// host.cpu_model, host.compiler, host.build_type and host.git_sha (the
+// checkout's HEAD when the bench ran). scripts/bench_diff compares the first
+// four and treats a comparison across hosts as informational.
 //
 // Output directory: $AVD_BENCH_DIR when set, else the working directory.
 #pragma once
@@ -27,12 +32,51 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace avd::bench {
 
+/// First line of `command`'s standard output, or "unknown".
+inline std::string first_output_line(const char* command) {
+  std::string line;
+  if (FILE* pipe = popen(command, "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) line = buf;
+    pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
+    line.pop_back();
+  return line.empty() ? "unknown" : line;
+}
+
+/// The host fields every report's notes carry (see the header comment).
+inline std::map<std::string, std::string> host_fingerprint() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t start = colon == std::string::npos
+                                  ? std::string::npos
+                                  : line.find_first_not_of(" \t", colon + 1);
+    if (start != std::string::npos) cpu_model = line.substr(start);
+    break;
+  }
+  return {
+      {"host.nproc", std::to_string(std::thread::hardware_concurrency())},
+      {"host.cpu_model", cpu_model},
+      {"host.compiler", AVD_BENCH_COMPILER},
+      {"host.build_type", AVD_BENCH_BUILD_TYPE},
+      {"host.git_sha",
+       first_output_line("git -C \"" AVD_BENCH_SOURCE_DIR
+                         "\" rev-parse --short=12 HEAD 2>/dev/null")},
+  };
+}
+
 class BenchReport {
  public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
+  explicit BenchReport(std::string name)
+      : name_(std::move(name)), notes_(host_fingerprint()) {}
 
   void metric(const std::string& name, double value, const std::string& unit,
               const std::string& better = "higher") {

@@ -11,6 +11,9 @@
 #   scripts/check.sh --tsan-only
 #   scripts/check.sh --chaos-only   # just the chaos lane (fault injection +
 #                                   # admission + overload suites under TSan)
+#   scripts/check.sh --asan         # just the kernel sanitizer lane (image,
+#                                   # HOG, detect and dataset suites under
+#                                   # ASan + UBSan + libstdc++ assertions)
 #
 # The TSan pass builds into build-tsan/ (kept out of git by .gitignore) with
 # -DAVD_SANITIZE=thread and runs only the test binaries whose code runs
@@ -23,6 +26,31 @@ TSAN_ONLY=0
 CHAOS_ONLY=0
 [[ "${1:-}" == "--tsan-only" ]] && TSAN_ONLY=1
 [[ "${1:-}" == "--chaos-only" ]] && CHAOS_ONLY=1
+ASAN_ONLY=0
+[[ "${1:-}" == "--asan" ]] && ASAN_ONLY=1
+
+# The kernel sanitizer lane: the pixel kernels index rows, planes and lookup
+# tables through computed offsets, so the suites that drive them (image, HOG,
+# the detectors, dataset rendering) run under AddressSanitizer, UBSan with
+# every report fatal, and libstdc++'s bounds assertions. Its own build tree,
+# build-asan/ (kept out of git by .gitignore), and its own CI job.
+if [[ "$ASAN_ONLY" -eq 1 ]]; then
+  echo "== ASan+UBSan: configure + build (build-asan/) =="
+  cmake -B build-asan -S . -DAVD_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    >/dev/null
+  cmake --build build-asan -j "$JOBS" \
+    --target test_image test_hog test_detect test_datasets
+  export ASAN_OPTIONS="halt_on_error=1"
+  export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
+  for t in test_image test_hog test_detect test_datasets; do
+    echo "== ASan+UBSan: $t =="
+    "./build-asan/tests/$t"
+  done
+  echo "== kernel sanitizer lane passed =="
+  exit 0
+fi
 
 # The chaos lane: every fault-injection, admission and overload-path test,
 # under ThreadSanitizer. Deliberately its own lane (and its own CI job) —

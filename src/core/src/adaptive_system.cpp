@@ -17,6 +17,20 @@ img::RgbImage traced_render(const data::SceneSpec& scene) {
   return data::render_scene(scene);
 }
 
+/// rgb_to_gray under its own span (the ledger's image.grey layer).
+img::ImageU8 traced_grey(const img::RgbImage& frame) {
+  const obs::ScopedSpan span("grey", "core/detect");
+  return img::rgb_to_gray(frame);
+}
+
+/// match_detections under its own span (the ledger's detect.match layer).
+det::MatchResult traced_match(const std::vector<det::Detection>& dets,
+                              const std::vector<img::Rect>& truth,
+                              double iou) {
+  const obs::ScopedSpan span("match", "core/detect");
+  return det::match_detections(dets, truth, iou);
+}
+
 }  // namespace
 
 int AdaptiveRunReport::dropped_vehicle_frames() const {
@@ -87,7 +101,7 @@ std::vector<det::Detection> AdaptiveSystem::detect_vehicles(
     const img::RgbImage& frame, data::LightingCondition condition) const {
   if (condition == data::LightingCondition::Dark)
     return models_.dark.detect(frame);
-  const img::ImageU8 gray = img::rgb_to_gray(frame);
+  const img::ImageU8 gray = traced_grey(frame);
   return det::detect_multiscale(gray, models_.vehicle_model_for(condition),
                                 config_.sliding);
 }
@@ -124,7 +138,7 @@ ControlStep AdaptiveSystem::StepSession::control_step(
   step.light_level =
       config.use_image_light_estimate
           ? LightingClassifier::estimate_light_level(
-                img::rgb_to_gray(traced_render(meta.scene)))
+                traced_grey(traced_render(meta.scene)))
           : meta.light_level;
   step.sensed = classifier_.update(step.light_level);
 
@@ -220,7 +234,7 @@ AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
         // The countryside configuration runs both classifiers behind one
         // shared HOG front end — the software mirror of the hardware block
         // sharing in soc::countryside_blocks().
-        const img::ImageU8 gray = img::rgb_to_gray(frame);
+        const img::ImageU8 gray = traced_grey(frame);
         const det::HogSvmModel* shared_models[] = {
             &models_.vehicle_model_for(fr.sensed), &models_.animal};
         const auto all =
@@ -236,9 +250,9 @@ AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
         for (const data::AnimalSpec& a : meta.scene.animals)
           animal_truth.push_back(a.body);
         fr.animal_match =
-            det::match_detections(animal_dets, animal_truth, config_.match_iou);
+            traced_match(animal_dets, animal_truth, config_.match_iou);
       } else {
-        const img::ImageU8 gray = img::rgb_to_gray(frame);
+        const img::ImageU8 gray = traced_grey(frame);
         dets = det::detect_multiscale(gray, models_.vehicle_model_for(fr.sensed),
                                       sliding);
       }
@@ -247,7 +261,7 @@ AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
     std::vector<img::Rect> truth;
     for (const data::VehicleSpec& v : meta.scene.vehicles)
       truth.push_back(v.body);
-    fr.vehicle_match = det::match_detections(dets, truth, config_.match_iou);
+    fr.vehicle_match = traced_match(dets, truth, config_.match_iou);
   }
   return fr;
 }

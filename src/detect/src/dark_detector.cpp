@@ -203,7 +203,9 @@ std::vector<TaillightDetection> DarkVehicleDetector::detect_taillights(
     const std::size_t lanes =
         2 * (static_cast<std::size_t>(pool_->thread_count()) + 1);
     const std::size_t target = (total_windows + lanes - 1) / lanes;
-    chunk = std::clamp(target, std::size_t{32}, chunk);
+    // At least 32 windows per chunk, but never past the batch_windows cap
+    // (std::clamp with a cap below 32 would be undefined).
+    chunk = std::min(std::max(target, std::size_t{32}), chunk);
   }
   const int n_chunks =
       total_windows == 0 ? 0

@@ -180,11 +180,26 @@ std::vector<Detection> detect_multiscale_multi(
         {{"level", level.index},
          {"width", level.size.width},
          {"height", level.size.height}});
-    const hog::CellGrid grid = level_cell_grid(frame, level, shared);
+    // The ledger's layers, each under its own span: pyramid resize (levels
+    // past 0), cell grid, block grid. The resized level is freed as soon as
+    // its cell grid exists.
+    hog::CellGrid grid;
+    {
+      img::ImageU8 resized;
+      if (level.index != 0) {
+        const obs::ScopedSpan resize_span("pyramid_resize", "detect/hogsvm");
+        resized = img::resize_bilinear(frame, level.size);
+      }
+      const obs::ScopedSpan cells_span("cell_grid", "detect/hogsvm");
+      grid = hog::compute_cell_grid(level.index == 0 ? frame : resized, shared);
+    }
     FrontEnd& fe = fronts[static_cast<std::size_t>(i)];
     fe.cells_x = grid.cells_x();
     fe.cells_y = grid.cells_y();
-    fe.blocks = hog::compute_block_grid(grid, shared);
+    {
+      const obs::ScopedSpan blocks_span("block_grid", "detect/hogsvm");
+      fe.blocks = hog::compute_block_grid(grid, shared);
+    }
     fe.blocks_d.reserve(static_cast<std::size_t>(fe.blocks.anchors_x()) *
                         static_cast<std::size_t>(fe.blocks.anchors_y()) *
                         static_cast<std::size_t>(fe.blocks.block_len()));

@@ -1,7 +1,12 @@
 #include "avd/hog/hog.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 
@@ -38,46 +43,93 @@ std::span<const float> CellGrid::cell(int cx, int cy) const {
 
 namespace {
 
-/// Exact per-pixel gradient outputs, tabulated. A central-difference
-/// gradient of a u8 image is an integer pair (gx, gy) in [-255, 255]^2, so
-/// magnitude and orientation take at most 511*511 distinct values. The
-/// table runs the very same float expressions compute_gradients runs, once
-/// per pair at first use — a hit is bit-identical to computing inline, it
-/// just skips the per-pixel sqrt/atan2 (the dominant cost of the HOG front
-/// end). ~2 MB, and natural images cluster around small gradients, so the
-/// hot centre rows stay cached.
-struct GradientLut {
-  static constexpr int kRange = 511;  // gradient values -255..255
-  /// Interleaved {magnitude, orientation_deg} pairs so one pixel's lookup
-  /// touches one cache line, not two arrays.
-  std::vector<float> mag_deg;
+/// What one pixel adds to its cell histogram: `lo` to bin b0, then `hi` to
+/// bin b1.
+struct Vote {
+  float lo;
+  float hi;
+  std::uint16_t b0;
+  std::uint16_t b1;
+};
+static_assert(sizeof(Vote) == 12);
 
-  GradientLut() : mag_deg(2 * static_cast<std::size_t>(kRange) * kRange) {
+/// The whole per-pixel vote, tabulated. A central-difference gradient of a
+/// u8 image is an integer pair (gx, gy) in [-255, 255]^2, and a pixel's two
+/// bins and two magnitude shares depend on that pair and the bin count
+/// alone. Each entry runs, once, the float expressions the per-pixel loop
+/// used to run per pixel (sqrt, atan2, the bin position, floor and wrap),
+/// so a lookup is bit-identical to computing inline and leaves the pixel
+/// loop one table read and two adds. 511^2 entries of 12 bytes, 3 MB per
+/// bin count; natural images cluster around small gradients, so the hot
+/// centre rows stay cached.
+class VoteTable {
+ public:
+  static constexpr int kRange = 511;  // gradient values -255..255
+  static constexpr int kMaxBins = std::numeric_limits<std::uint16_t>::max();
+
+  explicit VoteTable(int bins)
+      : votes_(static_cast<std::size_t>(kRange) * kRange) {
     constexpr float kRadToDeg = 180.0f / std::numbers::pi_v<float>;
+    const float bin_width = 180.0f / static_cast<float>(bins);
     std::size_t i = 0;
     for (int dy = -255; dy <= 255; ++dy) {
-      for (int dx = -255; dx <= 255; ++dx, i += 2) {
+      for (int dx = -255; dx <= 255; ++dx, ++i) {
+        // compute_gradients' expressions, kept apart from it so that
+        // function stays an independent oracle for this table.
         const float gx = static_cast<float>(dx);
         const float gy = static_cast<float>(dy);
-        mag_deg[i] = std::sqrt(gx * gx + gy * gy);
+        const float mag = std::sqrt(gx * gx + gy * gy);
         float deg = std::atan2(gy, gx) * kRadToDeg;  // [-180, 180]
         if (deg < 0.0f) deg += 180.0f;               // unsigned orientation
         if (deg >= 180.0f) deg -= 180.0f;
-        mag_deg[i + 1] = deg;
+        // Linear interpolation between the two nearest orientation bin
+        // CENTRES (centre of bin b sits at (b + 0.5) * bin_width). The
+        // unsigned-orientation wraparound pairs the last bin with bin 0:
+        //   deg in [0, bin_width/2)          -> pos in [-0.5, 0), b0 = -1
+        //     wraps to bins-1; mass splits across {bins-1, 0}.   (deg ~ 0)
+        //   deg in [180 - bin_width/2, 180)  -> b0 = bins-1, b1 = bins
+        //     wraps to 0; the same {bins-1, 0} pair.             (deg ~ 180)
+        // The wrap above guarantees deg < 180 (180 - eps may round up to 180.0f
+        // in float, but its wrap-to-zero runs after the +180 shift), so
+        // pos < bins - 0.5 and b0 <= bins - 1 always. The two weights sum to
+        // 1 whatever the boundary, so per-cell histogram mass equals
+        // per-cell gradient mass exactly — tests/hog/test_cell_grid.cpp
+        // asserts both properties at the exact boundary angles.
+        //
+        // The zero gradient (0, 0) gets magnitude 0, so both its shares are
+        // +0.0f. Histograms only ever hold sums of non-negative floats, and
+        // x + 0.0f == x for every such x, so voting it is the same as
+        // skipping it.
+        const float pos = deg / bin_width - 0.5f;
+        int b0 = static_cast<int>(std::floor(pos));
+        const float w1 = pos - static_cast<float>(b0);
+        int b1 = b0 + 1;
+        if (b0 < 0) b0 += bins;
+        if (b1 >= bins) b1 -= bins;
+        votes_[i] = {mag * (1.0f - w1), mag * w1,
+                     static_cast<std::uint16_t>(b0),
+                     static_cast<std::uint16_t>(b1)};
       }
     }
   }
 
-  /// Index of the {mag, deg} pair for gradient (gx, gy).
-  [[nodiscard]] std::size_t index(int gx, int gy) const {
-    return 2 * (static_cast<std::size_t>(gy + 255) * kRange +
-                static_cast<std::size_t>(gx + 255));
+  /// Vote of gradient (gx, gy), both in [-255, 255].
+  [[nodiscard]] const Vote& operator()(int gx, int gy) const {
+    return votes_[static_cast<std::size_t>((gy + 255) * kRange + gx + 255)];
   }
+
+ private:
+  std::vector<Vote> votes_;
 };
 
-const GradientLut& gradient_lut() {
-  static const GradientLut lut;
-  return lut;
+/// The vote table for `bins`, built on first use and kept for the process.
+const VoteTable& vote_table(int bins) {
+  static std::mutex mutex;
+  static std::map<int, std::unique_ptr<const VoteTable>> tables;
+  const std::lock_guard lock(mutex);
+  std::unique_ptr<const VoteTable>& table = tables[bins];
+  if (!table) table = std::make_unique<const VoteTable>(bins);
+  return *table;
 }
 
 }  // namespace
@@ -102,71 +154,51 @@ GradientField compute_gradients(const img::ImageU8& image) {
 }
 
 CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
-  if (params.cell_size <= 0 || params.bins <= 0)
+  if (params.cell_size <= 0 || params.bins <= 0 ||
+      params.bins > VoteTable::kMaxBins)
     throw std::invalid_argument("HOG: bad params");
   const int cells_x = image.width() / params.cell_size;
   const int cells_y = image.height() / params.cell_size;
   CellGrid grid(cells_x, cells_y, params.bins);
   if (cells_x == 0 || cells_y == 0) return grid;
 
-  // Fused gradient + vote: same per-pixel arithmetic as
-  // compute_gradients() followed by the vote below, but the (gx, gy) pair
-  // indexes GradientLut instead of calling sqrt/atan2 per pixel — the
-  // looked-up values are bit-identical by construction
-  // (tests/hog/test_cell_grid.cpp asserts the fused grid equals the
-  // gradient-field vote path float for float).
-  const GradientLut& lut = gradient_lut();
-  const float bin_width = 180.0f / static_cast<float>(params.bins);
-
-  const int usable_w = cells_x * params.cell_size;
-  const int usable_h = cells_y * params.cell_size;
+  // Fused gradient + vote: the (gx, gy) pair of each pixel indexes the vote
+  // table instead of calling sqrt/atan2 and interpolating per pixel. Votes
+  // land in the order of a plain row-major pixel walk, so every histogram
+  // float is bit-identical to voting off compute_gradients()
+  // (tests/hog/test_cell_grid.cpp asserts it float for float).
+  const VoteTable& votes = vote_table(params.bins);
+  const int cs = params.cell_size;
   const int w = image.width();
-  for (int y = 0; y < usable_h; ++y) {
-    const int cy = y / params.cell_size;
-    const std::span<const std::uint8_t> mid = image.row(y);
-    const std::span<const std::uint8_t> up = image.row(y > 0 ? y - 1 : 0);
-    const std::span<const std::uint8_t> down =
-        image.row(y < image.height() - 1 ? y + 1 : image.height() - 1);
-    int cx = 0;
-    int cell_end = params.cell_size;
-    std::span<float> hist = grid.cell(0, cy);
-    for (int x = 0; x < usable_w; ++x) {
-      if (x == cell_end) {
-        ++cx;
-        cell_end += params.cell_size;
-        hist = grid.cell(cx, cy);
-      }
-      const int gx = static_cast<int>(mid[static_cast<std::size_t>(
-                         x < w - 1 ? x + 1 : w - 1)]) -
-                     static_cast<int>(mid[static_cast<std::size_t>(
-                         x > 0 ? x - 1 : 0)]);
-      const int gy = static_cast<int>(down[static_cast<std::size_t>(x)]) -
-                     static_cast<int>(up[static_cast<std::size_t>(x)]);
-      if (gx == 0 && gy == 0) continue;  // magnitude 0: no vote
-      const std::size_t li = lut.index(gx, gy);
-      const float mag = lut.mag_deg[li];
-      // Linear interpolation between the two nearest orientation bin
-      // CENTRES (centre of bin b sits at (b + 0.5) * bin_width). The
-      // unsigned-orientation wraparound pairs the last bin with bin 0:
-      //   deg in [0, bin_width/2)          -> pos in [-0.5, 0), b0 = -1
-      //     wraps to bins-1; mass splits across {bins-1, 0}.   (deg ~ 0)
-      //   deg in [180 - bin_width/2, 180)  -> b0 = bins-1, b1 = bins
-      //     wraps to 0; the same {bins-1, 0} pair.             (deg ~ 180)
-      // compute_gradients guarantees deg < 180 (180 - eps may round up to
-      // 180.0f in float, but its wrap-to-zero runs after the +180 shift), so
-      // pos < bins - 0.5 and b0 <= bins - 1 always. The two weights sum to
-      // 1 whatever the boundary, so per-cell histogram mass equals per-cell
-      // gradient mass exactly — tests/hog/test_cell_grid.cpp asserts both
-      // properties at the exact boundary angles.
-      const float pos = lut.mag_deg[li + 1] / bin_width - 0.5f;
-      int b0 = static_cast<int>(std::floor(pos));
-      const float w1 = pos - static_cast<float>(b0);
-      int b1 = b0 + 1;
-      if (b0 < 0) b0 += params.bins;
-      if (b1 >= params.bins) b1 -= params.bins;
-      hist[b0] += mag * (1.0f - w1);
-      hist[b1] += mag * w1;
+  const int h = image.height();
+  const int usable_w = cells_x * cs;
+  // Columns [1, x_end) read both horizontal neighbours directly. Column 0
+  // and, when the cells reach it, column w - 1 clamp to the border; they are
+  // voted outside the interior loop, in their place in the walk.
+  const int x_end = std::min(usable_w, w - 1);
+  for (int y = 0; y < cells_y * cs; ++y) {
+    const int cy = y / cs;
+    const std::uint8_t* mid = image.row(y).data();
+    const std::uint8_t* up = image.row(y > 0 ? y - 1 : 0).data();
+    const std::uint8_t* down = image.row(y < h - 1 ? y + 1 : h - 1).data();
+    const auto vote = [&](float* hist, int x, int gx) {
+      const Vote& v = votes(gx, static_cast<int>(down[x]) -
+                                    static_cast<int>(up[x]));
+      hist[v.b0] += v.lo;
+      hist[v.b1] += v.hi;
+    };
+    vote(grid.cell(0, cy).data(), 0,
+         static_cast<int>(mid[w > 1 ? 1 : 0]) - static_cast<int>(mid[0]));
+    for (int cx = 0; cx < cells_x; ++cx) {
+      float* hist = grid.cell(cx, cy).data();
+      const int end = std::min((cx + 1) * cs, x_end);
+      for (int x = std::max(cx * cs, 1); x < end; ++x)
+        vote(hist, x,
+             static_cast<int>(mid[x + 1]) - static_cast<int>(mid[x - 1]));
     }
+    if (usable_w == w && w > 1)
+      vote(grid.cell(cells_x - 1, cy).data(), w - 1,
+           static_cast<int>(mid[w - 1]) - static_cast<int>(mid[w - 2]));
   }
   return grid;
 }

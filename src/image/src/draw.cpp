@@ -1,8 +1,9 @@
 #include "avd/image/draw.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
+
+#include "rounding.hpp"
 
 namespace avd::img {
 namespace {
@@ -13,8 +14,8 @@ std::uint8_t sat_add(std::uint8_t a, int b) {
 
 std::uint8_t mix(std::uint8_t a, std::uint8_t b, float alpha) {
   return static_cast<std::uint8_t>(
-      std::lround(static_cast<float>(a) * (1.0f - alpha) +
-                  static_cast<float>(b) * alpha));
+      detail::round_half_away(static_cast<float>(a) * (1.0f - alpha) +
+                              static_cast<float>(b) * alpha));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "rounding.hpp"
+
 namespace avd::img {
 
 ImageU8 median3x3(const ImageU8& src) {
@@ -55,8 +57,7 @@ ImageU8 gaussian_blur(const ImageU8& src, double sigma) {
       for (int i = -radius; i <= radius; ++i)
         acc += kernel[static_cast<std::size_t>(i + radius)] *
                tmp.at_clamped(x, y + i);
-      out(x, y) = static_cast<std::uint8_t>(
-          std::clamp(std::lround(acc), 0L, 255L));
+      out(x, y) = detail::round_to_u8(acc);
     }
   }
   return out;

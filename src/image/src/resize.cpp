@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "rounding.hpp"
+
 namespace avd::img {
 namespace {
 
@@ -37,36 +39,65 @@ ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
   // of the pixel loop. Same per-pixel arithmetic as computing them inline —
   // output bytes are unchanged, the map is just computed once per column
   // instead of once per pixel.
-  std::vector<int> x0c(static_cast<std::size_t>(out_size.width));
-  std::vector<int> x1c(static_cast<std::size_t>(out_size.width));
+  std::vector<std::size_t> x0c(static_cast<std::size_t>(out_size.width));
+  std::vector<std::size_t> x1c(static_cast<std::size_t>(out_size.width));
   std::vector<float> wxs(static_cast<std::size_t>(out_size.width));
   for (int ox = 0; ox < out_size.width; ++ox) {
     const float fx = mx(ox);
     const int x0 = static_cast<int>(std::floor(fx));
-    x0c[static_cast<std::size_t>(ox)] = std::clamp(x0, 0, src.width() - 1);
-    x1c[static_cast<std::size_t>(ox)] = std::clamp(x0 + 1, 0, src.width() - 1);
+    x0c[static_cast<std::size_t>(ox)] =
+        static_cast<std::size_t>(std::clamp(x0, 0, src.width() - 1));
+    x1c[static_cast<std::size_t>(ox)] =
+        static_cast<std::size_t>(std::clamp(x0 + 1, 0, src.width() - 1));
     wxs[static_cast<std::size_t>(ox)] = fx - static_cast<float>(x0);
   }
+
+  // Each output pixel is top + (bot - top) * wy, where top and bot are the
+  // horizontal lerps of source rows y0 and y0 + 1 at its column. Those lerps
+  // depend on the source row alone, so each row's are computed once into a
+  // two-slot cache. Below a 2x downscale consecutive output rows share source
+  // rows (at the pyramid's 1.25x and 1.56x steps 37.5% and 22% of row lookups
+  // hit; past 2x none do). Even without hits, a horizontal pass per source
+  // row and a vertical pass per output row run faster than four gathers per
+  // pixel. The float operations per pixel are the ones an inline computation
+  // runs, in the same order.
+  const std::size_t w = static_cast<std::size_t>(out_size.width);
+  std::vector<float> lerped[2] = {std::vector<float>(w), std::vector<float>(w)};
+  int lerped_row[2] = {-1, -1};
+  // A source row widened to float once, in a loop that vectorises, rather
+  // than twice per output pixel.
+  std::vector<float> src_row(static_cast<std::size_t>(src.width()));
+  // Slot holding source row sy's lerps, computed into the slot other than
+  // `keep` on a miss.
+  const auto lerp_row = [&](int sy, int keep) {
+    for (int s = 0; s < 2; ++s)
+      if (lerped_row[s] == sy) return s;
+    const int s = keep == 0 ? 1 : 0;
+    const std::uint8_t* row = src.row(sy).data();
+    for (std::size_t x = 0; x < src_row.size(); ++x) src_row[x] = row[x];
+    float* h = lerped[s].data();
+    for (std::size_t ox = 0; ox < w; ++ox) {
+      const float p0 = src_row[x0c[ox]];
+      const float p1 = src_row[x1c[ox]];
+      h[ox] = p0 + (p1 - p0) * wxs[ox];
+    }
+    lerped_row[s] = sy;
+    return s;
+  };
 
   for (int oy = 0; oy < out_size.height; ++oy) {
     const float fy = my(oy);
     const int y0 = static_cast<int>(std::floor(fy));
     const float wy = fy - static_cast<float>(y0);
-    const auto r0 = src.row(std::clamp(y0, 0, src.height() - 1));
-    const auto r1 = src.row(std::clamp(y0 + 1, 0, src.height() - 1));
-    auto orow = out.row(oy);
-    for (int ox = 0; ox < out_size.width; ++ox) {
-      const std::size_t sx0 = static_cast<std::size_t>(x0c[static_cast<std::size_t>(ox)]);
-      const std::size_t sx1 = static_cast<std::size_t>(x1c[static_cast<std::size_t>(ox)]);
-      const float wx = wxs[static_cast<std::size_t>(ox)];
-      const float p00 = r0[sx0];
-      const float p10 = r0[sx1];
-      const float p01 = r1[sx0];
-      const float p11 = r1[sx1];
-      const float top = p00 + (p10 - p00) * wx;
-      const float bot = p01 + (p11 - p01) * wx;
-      orow[ox] = static_cast<std::uint8_t>(std::lround(top + (bot - top) * wy));
-    }
+    const int top_slot = lerp_row(std::clamp(y0, 0, src.height() - 1), -1);
+    const int bot_slot =
+        lerp_row(std::clamp(y0 + 1, 0, src.height() - 1), top_slot);
+    const float* top = lerped[top_slot].data();
+    const float* bot = lerped[bot_slot].data();
+    std::uint8_t* orow = out.row(oy).data();
+    for (std::size_t ox = 0; ox < w; ++ox)
+      orow[ox] = static_cast<std::uint8_t>(
+          detail::round_half_away(top[ox] + (bot[ox] - top[ox]) * wy));
   }
   return out;
 }

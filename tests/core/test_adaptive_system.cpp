@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
+#include "avd/obs/trace.hpp"
+
 namespace avd::core {
 namespace {
 
@@ -243,6 +249,53 @@ TEST(AdaptiveSystemDetectors, FullPipelineFindsVehiclesPerCondition) {
   const auto day_dets = system.detect_vehicles(
       data::render_scene(day_scene), data::LightingCondition::Day);
   EXPECT_FALSE(day_dets.empty());
+}
+
+TEST(AdaptiveSystemDetectors, TracedDayFrameSpansEveryLayer) {
+  // One traced day evaluate_frame: every layer of the frame cost ledger that
+  // runs on it records a span beneath the evaluate_frame span.
+  AdaptiveSystemConfig cfg;
+  cfg.run_detectors = true;
+  const AdaptiveSystem system(build_system_models(tiny_budget()), cfg);
+  data::SequenceSpec spec;
+  spec.frame_size = {320, 180};
+  spec.segments = {{LightingCondition::Day, 1}};
+  const data::DriveSequence seq(spec);
+  AdaptiveSystem::StepSession session = system.begin_session();
+  const ControlStep step = session.control_step(seq.frame(0));
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const AdaptiveFrameReport fr = system.evaluate_frame(step, seq.frame(0));
+  tracer.set_enabled(false);
+  const std::vector<obs::SpanRecord> spans = tracer.drain();
+  ASSERT_TRUE(fr.vehicle_processed);
+  ASSERT_EQ(fr.active_config, "day-dusk");
+
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  std::uint64_t root = 0;
+  for (const obs::SpanRecord& s : spans) {
+    by_id[s.span_id] = &s;
+    if (std::string(s.name) == "evaluate_frame") root = s.span_id;
+  }
+  ASSERT_NE(root, 0u) << "no evaluate_frame span";
+  std::set<std::string> beneath;
+  for (const obs::SpanRecord& s : spans) {
+    for (std::uint64_t p = s.parent_span_id; p != 0;) {
+      if (p == root) {
+        beneath.insert(s.name);
+        break;
+      }
+      const auto it = by_id.find(p);
+      p = it == by_id.end() ? 0 : it->second->parent_span_id;
+    }
+  }
+  for (const char* layer :
+       {"render_scene", "grey", "detect_multiscale", "hog_front_end",
+        "pyramid_resize", "cell_grid", "block_grid", "scan_band", "nms",
+        "match"})
+    EXPECT_EQ(beneath.count(layer), 1u) << layer;
 }
 
 }  // namespace

@@ -205,6 +205,9 @@ TEST(CellGrid, BadParamsThrow) {
   HogParams p;
   p.cell_size = 0;
   EXPECT_THROW(compute_cell_grid(img::ImageU8(8, 8), p), std::invalid_argument);
+  p = HogParams{};
+  p.bins = 65536;  // past what a vote-table entry can index
+  EXPECT_THROW(compute_cell_grid(img::ImageU8(8, 8), p), std::invalid_argument);
 }
 
 }  // namespace

@@ -57,9 +57,13 @@ TEST(HogGlyphs, GainBrightens) {
   dim.gain = 0.5f;
   GlyphParams bright;
   bright.gain = 4.0f;
+  // Named locals: a range-for over a temporary's pixels() would read the
+  // image after it is destroyed.
+  const img::ImageU8 dim_glyphs = visualize_hog(im, {}, dim);
+  const img::ImageU8 bright_glyphs = visualize_hog(im, {}, bright);
   std::uint64_t dim_sum = 0, bright_sum = 0;
-  for (auto v : visualize_hog(im, {}, dim).pixels()) dim_sum += v;
-  for (auto v : visualize_hog(im, {}, bright).pixels()) bright_sum += v;
+  for (auto v : dim_glyphs.pixels()) dim_sum += v;
+  for (auto v : bright_glyphs.pixels()) bright_sum += v;
   EXPECT_GT(bright_sum, dim_sum);
 }
 
