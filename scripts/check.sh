@@ -14,6 +14,9 @@
 #   scripts/check.sh --asan         # just the kernel sanitizer lane (image,
 #                                   # HOG, detect and dataset suites under
 #                                   # ASan + UBSan + libstdc++ assertions)
+#   scripts/check.sh --stress       # just the repeat-stress lane (runtime,
+#                                   # obs and the pooled HOG scanner under
+#                                   # TSan, each suite run many times over)
 #
 # The TSan pass builds into build-tsan/ (kept out of git by .gitignore) with
 # -DAVD_SANITIZE=thread and runs only the test binaries whose code runs
@@ -28,6 +31,30 @@ CHAOS_ONLY=0
 [[ "${1:-}" == "--chaos-only" ]] && CHAOS_ONLY=1
 ASAN_ONLY=0
 [[ "${1:-}" == "--asan" ]] && ASAN_ONLY=1
+STRESS_ONLY=0
+[[ "${1:-}" == "--stress" ]] && STRESS_ONLY=1
+
+# The repeat-stress lane: a race that fires once in a few hundred runs passes
+# a single TSan pass. So the concurrency-bearing suites (avd::runtime,
+# avd::obs, and the pooled block-grid scanner's MultiModelScanTest) run
+# under ThreadSanitizer with --gtest_repeat, every report fatal, each binary
+# bounded by `timeout` so a hang fails the lane instead of stalling it.
+# Shares build-tsan/ with the TSan lane; its own CI job.
+if [[ "$STRESS_ONLY" -eq 1 ]]; then
+  echo "== stress: configure + build (build-tsan/) =="
+  cmake -B build-tsan -S . -DAVD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-tsan -j "$JOBS" --target test_runtime test_obs test_detect
+  export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
+  echo "== stress: test_runtime x3 =="
+  timeout 1800 ./build-tsan/tests/test_runtime --gtest_repeat=3
+  echo "== stress: test_obs x50 =="
+  timeout 900 ./build-tsan/tests/test_obs --gtest_repeat=50
+  echo "== stress: MultiModelScanTest x20 =="
+  timeout 900 ./build-tsan/tests/test_detect \
+    --gtest_filter='MultiModelScanTest.*' --gtest_repeat=20
+  echo "== stress lane passed =="
+  exit 0
+fi
 
 # The kernel sanitizer lane: the pixel kernels index rows, planes and lookup
 # tables through computed offsets, so the suites that drive them (image, HOG,

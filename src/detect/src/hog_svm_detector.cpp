@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "avd/detect/multi_model_scan.hpp"
 #include "avd/image/resize.hpp"
@@ -51,6 +52,17 @@ HogSvmModel HogSvmModel::load(std::istream& in) {
       magic != "hogsvm")
     throw std::runtime_error("HogSvmModel::load: bad header");
   m.svm = ml::LinearSvm::load(in);
+  // A header can parse and still describe no scannable model: refuse bad
+  // geometry and a weight count that is not the window's descriptor length.
+  std::size_t expected = 0;
+  try {
+    expected = m.hog.descriptor_length(m.window);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("HogSvmModel::load: ") + e.what());
+  }
+  if (m.svm.dimension() != expected)
+    throw std::runtime_error(
+        "HogSvmModel::load: SVM dimension != descriptor length");
   return m;
 }
 

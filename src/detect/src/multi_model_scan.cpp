@@ -25,24 +25,37 @@ constexpr int kBandRows = 8;
 
 /// Windows scored per accumulate_lanes call. The per-window double
 /// accumulator is a serial FP dependency chain (descriptor-order summation
-/// is what makes scores bit-equal to the scalar reference); interleaving 8
-/// independent windows lets those chains overlap in the pipeline without
-/// changing any per-window operation order.
-constexpr int kLanes = 8;
+/// is what makes scores bit-equal to the scalar reference); scoring 8
+/// independent windows together lets those chains advance side by side
+/// without changing any per-window operation order.
+constexpr int kLanes = ml::WeightSlices::kLanes;
 
+/// Every model must be one the scan can index safely: a valid HOG geometry
+/// shared by all models, a cell-aligned window holding at least one block,
+/// and exactly one SVM weight per descriptor element. The block-grid scan
+/// reads weights by block index and divides by the block stride, so a
+/// malformed model would otherwise read out of bounds or trap.
 const hog::HogParams& validate_models(
     std::span<const HogSvmModel* const> models) {
   if (models.empty())
     throw std::invalid_argument("detect_multiscale_multi: no models");
+  if (models.front() == nullptr)
+    throw std::invalid_argument("detect_multiscale_multi: untrained model");
   const hog::HogParams& shared = models.front()->hog;
   for (const HogSvmModel* m : models) {
     if (m == nullptr || !m->svm.trained())
       throw std::invalid_argument("detect_multiscale_multi: untrained model");
+    if (!m->hog.valid())
+      throw std::invalid_argument("detect_multiscale_multi: bad HOG params");
     if (m->hog.cell_size != shared.cell_size || m->hog.bins != shared.bins ||
         m->hog.block_cells != shared.block_cells ||
         m->hog.block_stride_cells != shared.block_stride_cells)
       throw std::invalid_argument(
           "detect_multiscale_multi: models must share HOG geometry");
+    // Throws std::invalid_argument for a misaligned or too-small window.
+    if (m->svm.dimension() != m->hog.descriptor_length(m->window))
+      throw std::invalid_argument(
+          "detect_multiscale_multi: SVM dimension != descriptor length");
   }
   return shared;
 }
@@ -164,10 +177,6 @@ std::vector<Detection> detect_multiscale_multi(
   // --- phase 1: per-level shared front end (resize + cells + blocks) -----
   struct FrontEnd {
     hog::BlockGrid blocks;
-    /// Exact double mirror of `blocks` in the same (ay, ax) layout —
-    /// float->double is lossless, so lane scoring over the mirror is
-    /// bit-equal to streaming the floats, minus the in-loop conversions.
-    std::vector<double> blocks_d;
     int cells_x = 0;
     int cells_y = 0;
   };
@@ -196,17 +205,8 @@ std::vector<Detection> detect_multiscale_multi(
     FrontEnd& fe = fronts[static_cast<std::size_t>(i)];
     fe.cells_x = grid.cells_x();
     fe.cells_y = grid.cells_y();
-    {
-      const obs::ScopedSpan blocks_span("block_grid", "detect/hogsvm");
-      fe.blocks = hog::compute_block_grid(grid, shared);
-    }
-    fe.blocks_d.reserve(static_cast<std::size_t>(fe.blocks.anchors_x()) *
-                        static_cast<std::size_t>(fe.blocks.anchors_y()) *
-                        static_cast<std::size_t>(fe.blocks.block_len()));
-    for (int ay = 0; ay < fe.blocks.anchors_y(); ++ay)
-      for (int ax = 0; ax < fe.blocks.anchors_x(); ++ax)
-        for (const float v : fe.blocks.block(ax, ay))
-          fe.blocks_d.push_back(static_cast<double>(v));
+    const obs::ScopedSpan blocks_span("block_grid", "detect/hogsvm");
+    fe.blocks = hog::compute_block_grid(grid, shared);
   });
 
   // --- phase 2: banded window scoring over the precomputed blocks --------
@@ -273,63 +273,52 @@ std::vector<Detection> detect_multiscale_multi(
       out.dets.push_back(
           {img::scaled(box, level.scale, level.scale), score, m.class_id});
     };
+    // Window block (wbx, wby) of the window at cell (cx, cy) is the grid
+    // block anchored at (cx + wbx * bstride, cy + wby * bstride). Its
+    // element k sits elem_stride * k past the pointer returned here, and
+    // the blocks of the windows at cx + 1, cx + 2, ... follow it directly.
+    const std::size_t elem_stride =
+        static_cast<std::size_t>(fe.blocks.anchors_x());
+    const auto block_at = [&](int cx, int cy, int wbx, int wby) {
+      return fe.blocks.row(cy + wby * bstride, 0) + cx + wbx * bstride;
+    };
+    const auto anchor = [&axs](int xi) {
+      return axs[static_cast<std::size_t>(xi)];
+    };
+    // Blocks stream through each window's accumulator in descriptor order,
+    // so every score is the bit-exact LinearSvm::decision of the window's
+    // (never materialised) descriptor. Windows score kLanes at a time at
+    // kLanes consecutive cell positions, whose blocks are contiguous lanes
+    // of every element row. A run starts at the next anchor, pulled left so
+    // it ends by the row's last position, and emits the anchors it covers:
+    // all eight at stride_cells 1; at coarser strides the lanes between
+    // anchors are scored and dropped, which still costs less than scoring
+    // each anchor alone. Rows with fewer positions than lanes score one
+    // column at a time. Per-lane arithmetic and emission order are the
+    // scalar path's.
+    const int last = axs.back();  // bands exist only for non-empty rows
     for (int ayi = band.ay_begin; ayi < band.ay_end; ++ayi) {
       const int cy = ys[key][static_cast<std::size_t>(ayi)];
-      // Blocks stream through each window's accumulator in descriptor order,
-      // so every score is the bit-exact LinearSvm::decision of the window's
-      // (never materialised) descriptor. Windows are scored kLanes at a time
-      // purely so their serial accumulator chains overlap in the pipeline —
-      // per-lane arithmetic and emission order are the scalar path's.
-      int xi = 0;
-      for (; xi + kLanes <= n_x; xi += kLanes) {
-        double acc[kLanes] = {};
-        const double* vals[kLanes];
-        const double* bd = fe.blocks_d.data();
-        const std::size_t bax = static_cast<std::size_t>(fe.blocks.anchors_x());
-        // Anchor steps are stride_cells everywhere except the edge-clamped
-        // last one, so when first-to-last spacing matches, every lane sits a
-        // constant stride apart in the block grid — no pointer table needed.
-        const int ax0 = axs[static_cast<std::size_t>(xi)];
-        const bool uniform =
-            axs[static_cast<std::size_t>(xi + kLanes - 1)] - ax0 ==
-            (kLanes - 1) * params.stride_cells;
-        const std::size_t lane_stride =
-            static_cast<std::size_t>(params.stride_cells) * block_len;
+      for (int xi = 0; xi < n_x;) {
         std::size_t b = 0;
-        for (int wby = 0; wby < blocks_y; ++wby) {
-          const std::size_t row =
-              static_cast<std::size_t>(cy + wby * bstride) * bax;
-          for (int wbx = 0; wbx < blocks_x; ++wbx, ++b) {
-            const int ox = wbx * bstride;
-            if (uniform) {
-              ws.accumulate_lanes_strided<kLanes>(
-                  b,
-                  bd + (row + static_cast<std::size_t>(ax0 + ox)) * block_len,
-                  lane_stride, acc);
-            } else {
-              for (int j = 0; j < kLanes; ++j)
-                vals[j] =
-                    bd +
-                    (row + static_cast<std::size_t>(
-                               axs[static_cast<std::size_t>(xi + j)] + ox)) *
-                        block_len;
-              ws.accumulate_lanes<kLanes>(b, vals, acc);
-            }
-          }
+        if (last + 1 < kLanes) {
+          const int cx = anchor(xi++);
+          double acc = 0.0;
+          for (int wby = 0; wby < blocks_y; ++wby)
+            for (int wbx = 0; wbx < blocks_x; ++wbx, ++b)
+              ws.accumulate_column(b, block_at(cx, cy, wbx, wby), elem_stride,
+                                   acc);
+          emit(cx, cy, acc);
+          continue;
         }
-        for (int j = 0; j < kLanes; ++j)
-          emit(axs[static_cast<std::size_t>(xi + j)], cy, acc[j]);
-      }
-      for (; xi < n_x; ++xi) {  // scalar tail: < kLanes windows left
-        const int cx = axs[static_cast<std::size_t>(xi)];
-        double acc = 0.0;
-        std::size_t b = 0;
+        const int c0 = std::min(anchor(xi), last - (kLanes - 1));
+        double acc[kLanes] = {};
         for (int wby = 0; wby < blocks_y; ++wby)
           for (int wbx = 0; wbx < blocks_x; ++wbx, ++b)
-            ws.accumulate(b,
-                          fe.blocks.block(cx + wbx * bstride, cy + wby * bstride),
-                          acc);
-        emit(cx, cy, acc);
+            ws.accumulate_lanes(b, block_at(c0, cy, wbx, wby), elem_stride,
+                                acc);
+        for (; xi < n_x && anchor(xi) < c0 + kLanes; ++xi)
+          emit(anchor(xi), cy, acc[anchor(xi) - c0]);
       }
     }
   });

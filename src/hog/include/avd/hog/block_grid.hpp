@@ -15,6 +15,14 @@
 // offsets. Window block (wbx, wby) of a window anchored at cell (cx, cy) is
 // grid block (cx + wbx * block_stride_cells, cy + wby * block_stride_cells).
 //
+// Layout: lane-major per anchor row. Element k of the block anchored at
+// (ax, ay) sits at data[(ay * block_len + k) * anchors_x + ax], so one
+// element of consecutive anchors is contiguous — the operand order of the
+// scanner's eight-window SVM lanes (ml::WeightSlices::accumulate_lanes),
+// which read it in place. Values are stored as doubles, each the exact
+// conversion of the float l2hys_normalise produced (float -> double and back
+// is lossless), so the scanner needs no second copy to score from.
+//
 // Equivalence guarantee: a block's stored vector is bit-identical to what
 // window_descriptor would have produced for that block (same gather order,
 // same l2hys arithmetic) — tests/hog/test_block_grid.cpp enforces this, and
@@ -35,19 +43,34 @@ class BlockGrid {
   /// smaller than one block).
   [[nodiscard]] int anchors_x() const { return anchors_x_; }
   [[nodiscard]] int anchors_y() const { return anchors_y_; }
-  /// Floats per block: block_cells^2 * bins.
+  /// Values per block: block_cells^2 * bins, cell histograms in
+  /// (cell_y, cell_x) order — the window_descriptor layout.
   [[nodiscard]] int block_len() const { return block_len_; }
 
-  /// The normalised block anchored at cell (ax, ay): block_len floats, cell
-  /// histograms in (cell_y, cell_x) order — the window_descriptor layout.
-  [[nodiscard]] std::span<float> block(int ax, int ay);
-  [[nodiscard]] std::span<const float> block(int ax, int ay) const;
+  /// Element k of the block anchored at cell (ax, ay).
+  [[nodiscard]] double at(int ax, int ay, int k) const {
+    return data_[offset(ay, k) + static_cast<std::size_t>(ax)];
+  }
+  /// Element k of every block in anchor row ay: anchors_x consecutive
+  /// values, one per anchor. Rows k and k + 1 are anchors_x apart.
+  [[nodiscard]] double* row(int ay, int k) {
+    return data_.data() + offset(ay, k);
+  }
+  [[nodiscard]] const double* row(int ay, int k) const {
+    return data_.data() + offset(ay, k);
+  }
 
  private:
+  [[nodiscard]] std::size_t offset(int ay, int k) const {
+    const auto len = static_cast<std::size_t>(block_len_);
+    return (static_cast<std::size_t>(ay) * len + static_cast<std::size_t>(k)) *
+           static_cast<std::size_t>(anchors_x_);
+  }
+
   int anchors_x_ = 0;
   int anchors_y_ = 0;
   int block_len_ = 0;
-  std::vector<float> data_;
+  std::vector<double> data_;
 };
 
 /// Normalise every block of `grid` once. O(cells) memory and work, after

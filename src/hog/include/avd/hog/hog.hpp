@@ -18,13 +18,23 @@ namespace avd::hog {
 
 /// HOG hyper-parameters. Defaults are the classic Dalal-Triggs values.
 struct HogParams {
+  /// Largest bin count: cell-grid votes store bin indices in 16 bits.
+  static constexpr int kMaxBins = 65535;
+
   int cell_size = 8;        ///< pixels per cell side
   int bins = 9;             ///< orientation bins over [0, 180) degrees
   int block_cells = 2;      ///< block is block_cells x block_cells cells
   int block_stride_cells = 1;  ///< block step in cells
   float l2hys_clip = 0.2f;  ///< clipping threshold of L2-hys normalisation
 
-  /// Descriptor length for a window of `size` pixels (must align to cells).
+  /// True when cell_size, block_cells and block_stride_cells are >= 1 and
+  /// bins is in [1, kMaxBins]: the geometry every HOG stage can run with.
+  [[nodiscard]] bool valid() const {
+    return cell_size >= 1 && bins >= 1 && bins <= kMaxBins &&
+           block_cells >= 1 && block_stride_cells >= 1;
+  }
+  /// Descriptor length for a window of `size` pixels (must align to cells
+  /// and hold at least one block; throws std::invalid_argument otherwise).
   [[nodiscard]] std::size_t descriptor_length(img::Size size) const;
   /// Number of blocks along one axis for `cells` cells.
   [[nodiscard]] int blocks_along(int cells) const {
@@ -65,7 +75,13 @@ struct GradientField {
 /// renormalise (with an epsilon so zero-energy blocks stay zero). The single
 /// normalisation primitive shared by window_descriptor and BlockGrid — both
 /// paths must produce bit-identical vectors from the same raw block.
-void l2hys_normalise(std::span<float> block, float clip);
+///
+/// `blocks` holds a run of `count` (1 to 8) equal-length blocks, interleaved
+/// element-major: element k of block j is blocks[k * count + j]. With
+/// count 1 that is one plain block. Each block gets exactly the one-block
+/// float operations in the one-block order; the run's serial sums just
+/// proceed side by side.
+void l2hys_normalise(std::span<float> blocks, float clip, int count = 1);
 
 /// Stage 1: cell histograms with bilinear orientation-bin interpolation.
 [[nodiscard]] CellGrid compute_cell_grid(const img::ImageU8& image,

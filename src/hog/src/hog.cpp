@@ -13,6 +13,7 @@
 namespace avd::hog {
 
 std::size_t HogParams::descriptor_length(img::Size size) const {
+  if (!valid()) throw std::invalid_argument("HOG: bad params");
   if (size.width % cell_size != 0 || size.height % cell_size != 0)
     throw std::invalid_argument("HOG: window not aligned to cell size");
   const int cx = size.width / cell_size;
@@ -65,7 +66,8 @@ static_assert(sizeof(Vote) == 12);
 class VoteTable {
  public:
   static constexpr int kRange = 511;  // gradient values -255..255
-  static constexpr int kMaxBins = std::numeric_limits<std::uint16_t>::max();
+  static_assert(HogParams::kMaxBins ==
+                std::numeric_limits<std::uint16_t>::max());
 
   explicit VoteTable(int bins)
       : votes_(static_cast<std::size_t>(kRange) * kRange) {
@@ -155,7 +157,7 @@ GradientField compute_gradients(const img::ImageU8& image) {
 
 CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
   if (params.cell_size <= 0 || params.bins <= 0 ||
-      params.bins > VoteTable::kMaxBins)
+      params.bins > HogParams::kMaxBins)
     throw std::invalid_argument("HOG: bad params");
   const int cells_x = image.width() / params.cell_size;
   const int cells_y = image.height() / params.cell_size;
@@ -203,16 +205,44 @@ CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
   return grid;
 }
 
-void l2hys_normalise(std::span<float> v, float clip) {
+namespace {
+
+/// l2hys_normalise over N interleaved blocks of `len` elements. Lane j's
+/// sums run over its own elements in element order, so every lane performs
+/// the one-block sequence; the lanes are independent chains the compiler
+/// lays side by side.
+template <int N>
+void l2hys_run(float* v, std::size_t len, float clip) {
   constexpr float kEps = 1e-6f;
-  float norm2 = 0.0f;
-  for (float x : v) norm2 += x * x;
-  float inv = 1.0f / std::sqrt(norm2 + kEps);
-  for (float& x : v) x = std::min(x * inv, clip);
-  norm2 = 0.0f;
-  for (float x : v) norm2 += x * x;
-  inv = 1.0f / std::sqrt(norm2 + kEps);
-  for (float& x : v) x *= inv;
+  float norm2[N] = {};
+  float inv[N];
+  for (std::size_t k = 0; k < len; ++k)
+    for (int j = 0; j < N; ++j) norm2[j] += v[k * N + j] * v[k * N + j];
+  for (int j = 0; j < N; ++j) inv[j] = 1.0f / std::sqrt(norm2[j] + kEps);
+  for (std::size_t k = 0; k < len; ++k)
+    for (int j = 0; j < N; ++j)
+      v[k * N + j] = std::min(v[k * N + j] * inv[j], clip);
+  for (int j = 0; j < N; ++j) norm2[j] = 0.0f;
+  for (std::size_t k = 0; k < len; ++k)
+    for (int j = 0; j < N; ++j) norm2[j] += v[k * N + j] * v[k * N + j];
+  for (int j = 0; j < N; ++j) inv[j] = 1.0f / std::sqrt(norm2[j] + kEps);
+  for (std::size_t k = 0; k < len; ++k)
+    for (int j = 0; j < N; ++j) v[k * N + j] *= inv[j];
+}
+
+}  // namespace
+
+void l2hys_normalise(std::span<float> blocks, float clip, int count) {
+  using Run = void (*)(float*, std::size_t, float);
+  static constexpr Run kRuns[] = {l2hys_run<1>, l2hys_run<2>, l2hys_run<3>,
+                                  l2hys_run<4>, l2hys_run<5>, l2hys_run<6>,
+                                  l2hys_run<7>, l2hys_run<8>};
+  if (count < 1 || count > 8)
+    throw std::invalid_argument("l2hys_normalise: bad block run");
+  const auto n = static_cast<std::size_t>(count);
+  if (blocks.size() % n != 0)
+    throw std::invalid_argument("l2hys_normalise: bad block run");
+  kRuns[count - 1](blocks.data(), blocks.size() / n, clip);
 }
 
 void window_descriptor(const CellGrid& grid, const HogParams& params, int cell_x,

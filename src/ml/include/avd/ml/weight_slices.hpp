@@ -50,74 +50,32 @@ class WeightSlices {
   void accumulate(std::size_t block, std::span<const float> values,
                   double& acc) const;
 
-  /// N-window variant: for each lane j, acc[j] += the dot of slice(block)
-  /// against values[j], every lane accumulated left to right. values[j]
-  /// must point at block_length() doubles that are EXACT conversions of the
-  /// block's floats (float -> double is lossless), matching the weights'
-  /// own pre-converted double copy — so every product and sum is bit-equal
-  /// to accumulate()'s float-operand sequence, and lane scores stay
-  /// bit-equal to LinearSvm::decision. The payoff is mechanical, not
-  /// numerical: lanes are independent dependency chains the CPU overlaps
-  /// (the per-window accumulator is otherwise serial-latency bound), and
-  /// pre-converted operands drop the two float->double converts per
-  /// multiply-add. No length check (hot path).
-  template <int N>
-  void accumulate_lanes(std::size_t block, const double* const* values,
-                        double* acc) const {
-    static_assert(N > 0 && N % 4 == 0, "lanes must come in fours");
-    const double* w = weights_d_.data() + block * block_len_;
-    for (int j = 0; j < N; j += 4) {
-      double a0 = acc[j], a1 = acc[j + 1], a2 = acc[j + 2], a3 = acc[j + 3];
-      const double* p0 = values[j];
-      const double* p1 = values[j + 1];
-      const double* p2 = values[j + 2];
-      const double* p3 = values[j + 3];
-      for (std::size_t i = 0; i < block_len_; ++i) {
-        const double wi = w[i];
-        a0 += wi * p0[i];
-        a1 += wi * p1[i];
-        a2 += wi * p2[i];
-        a3 += wi * p3[i];
-      }
-      acc[j] = a0;
-      acc[j + 1] = a1;
-      acc[j + 2] = a2;
-      acc[j + 3] = a3;
-    }
-  }
+  /// Windows scored per accumulate_lanes call.
+  static constexpr int kLanes = 8;
 
-  /// accumulate_lanes for lanes at a constant pointer stride: lane j reads
-  /// base + j * stride. The dense scan's common case — consecutive window
-  /// anchors read consecutive grid blocks — needs no per-lane pointer table.
-  /// Identical arithmetic to accumulate_lanes, element for element.
-  template <int N>
-  void accumulate_lanes_strided(std::size_t block, const double* base,
-                                std::size_t stride, double* acc) const {
-    static_assert(N > 0 && N % 4 == 0, "lanes must come in fours");
-    const double* w = weights_d_.data() + block * block_len_;
-    for (int j = 0; j < N; j += 4, base += 4 * stride) {
-      double a0 = acc[j], a1 = acc[j + 1], a2 = acc[j + 2], a3 = acc[j + 3];
-      const double* p0 = base;
-      const double* p1 = base + stride;
-      const double* p2 = base + 2 * stride;
-      const double* p3 = base + 3 * stride;
-      for (std::size_t i = 0; i < block_len_; ++i) {
-        const double wi = w[i];
-        a0 += wi * p0[i];
-        a1 += wi * p1[i];
-        a2 += wi * p2[i];
-        a3 += wi * p3[i];
-      }
-      acc[j] = a0;
-      acc[j + 1] = a1;
-      acc[j + 2] = a2;
-      acc[j + 3] = a3;
-    }
-  }
+  /// Eight-window variant over lane-major operands: for each lane j,
+  /// acc[j] += the dot of slice(block) against lane j, whose element i is
+  /// base[i * elem_stride + j]. The operands must be EXACT double
+  /// conversions of the block's floats (float -> double is lossless),
+  /// matching the weights' own pre-converted double copy, so every product
+  /// and sum is bit-equal to accumulate()'s float-operand sequence and lane
+  /// scores stay bit-equal to LinearSvm::decision. The payoff is mechanical,
+  /// not numerical: the eight per-window accumulator chains (each serial,
+  /// latency bound on its own) advance together, one weight broadcast
+  /// against four packed pairs of lanes per element, and the in-loop
+  /// float -> double conversions are gone. No length check (hot path).
+  void accumulate_lanes(std::size_t block, const double* base,
+                        std::size_t elem_stride, double* acc) const;
+
+  /// One-lane form of accumulate_lanes: acc += the dot of slice(block)
+  /// against base[i * elem_stride]. For rows with fewer window positions
+  /// than lanes. Identical per-lane arithmetic.
+  void accumulate_column(std::size_t block, const double* base,
+                         std::size_t elem_stride, double& acc) const;
 
  private:
   std::span<const float> weights_;
-  std::vector<double> weights_d_;  ///< exact double copy for accumulate_lanes
+  std::vector<double> weights_d_;  ///< exact double copy for the lane forms
   float bias_ = 0.0f;
   std::size_t block_len_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "avd/ml/weight_slices.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace avd::ml {
@@ -21,6 +22,52 @@ void WeightSlices::accumulate(std::size_t block, std::span<const float> values,
   const std::span<const float> w = slice(block);
   for (std::size_t i = 0; i < block_len_; ++i)
     acc += static_cast<double>(w[i]) * static_cast<double>(values[i]);
+}
+
+namespace {
+
+/// Two doubles, packed: one SSE2 register at the x86-64 baseline.
+using Pair = double __attribute__((vector_size(16)));
+
+Pair load(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);  // unaligned load (movupd)
+  return v;
+}
+
+void store(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+}  // namespace
+
+void WeightSlices::accumulate_lanes(std::size_t block, const double* base,
+                                    std::size_t elem_stride,
+                                    double* acc) const {
+  static_assert(kLanes == 8, "four packed pairs of lanes");
+  const double* w = weights_d_.data() + block * block_len_;
+  // Four named accumulators so they live in registers, not on the stack.
+  Pair a0 = load(acc), a1 = load(acc + 2), a2 = load(acc + 4),
+       a3 = load(acc + 6);
+  for (std::size_t i = 0; i < block_len_; ++i, base += elem_stride) {
+    // A true broadcast: forming it as w[i] + {0, 0} would turn a -0.0
+    // weight into +0.0 and flip the sign of zero products.
+    const Pair wi = {w[i], w[i]};
+    a0 += wi * load(base);
+    a1 += wi * load(base + 2);
+    a2 += wi * load(base + 4);
+    a3 += wi * load(base + 6);
+  }
+  store(acc, a0);
+  store(acc + 2, a1);
+  store(acc + 4, a2);
+  store(acc + 6, a3);
+}
+
+void WeightSlices::accumulate_column(std::size_t block, const double* base,
+                                     std::size_t elem_stride,
+                                     double& acc) const {
+  const double* w = weights_d_.data() + block * block_len_;
+  for (std::size_t i = 0; i < block_len_; ++i, base += elem_stride)
+    acc += w[i] * *base;
 }
 
 }  // namespace avd::ml

@@ -99,6 +99,35 @@ TEST_F(HogSvmDetectorTest, LoadBadHeaderThrows) {
   EXPECT_THROW(HogSvmModel::load(ss), std::runtime_error);
 }
 
+TEST_F(HogSvmDetectorTest, LoadRejectsMalformedGeometry) {
+  // Files whose header parses but describes no scannable model: the scan
+  // would index past the weights or divide by a zero block stride.
+  const auto weights = [](int n) {
+    std::string w;
+    for (int i = 0; i < n; ++i) w += i == 0 ? "0.5" : " 0.5";
+    return w;
+  };
+  for (const std::string& file : {
+           // 360 weights where a 64x64 window needs 1764.
+           "hogsvm short 64 64 0 8 9 2 1 0.2\nsvm 360 0.1\n" + weights(360),
+           // Zero block stride.
+           "hogsvm nostride 64 64 0 8 9 2 0 0.2\nsvm 1764 0.1\n" +
+               weights(1764),
+           // Zero cell size, zero bins, zero block size.
+           "hogsvm nocell 64 64 0 0 9 2 1 0.2\nsvm 4 0.1\n" + weights(4),
+           "hogsvm nobins 64 64 0 8 0 2 1 0.2\nsvm 4 0.1\n" + weights(4),
+           "hogsvm noblock 64 64 0 8 9 0 1 0.2\nsvm 4 0.1\n" + weights(4),
+           // Window not a multiple of the cell size.
+           "hogsvm ragged 60 64 0 8 9 2 1 0.2\nsvm 4 0.1\n" + weights(4)}) {
+    std::stringstream ss(file);
+    EXPECT_THROW(HogSvmModel::load(ss), std::runtime_error)
+        << file.substr(0, file.find('\n'));
+  }
+  std::stringstream ok("hogsvm fine 64 64 0 8 9 2 1 0.2\nsvm 1764 0.1\n" +
+                       weights(1764));
+  EXPECT_EQ(HogSvmModel::load(ok).svm.dimension(), 1764u);
+}
+
 TEST_F(HogSvmDetectorTest, MultiscaleFindsCenteredVehicle) {
   // Build a frame with one large vehicle; the detector must find it.
   data::SceneGenerator gen(data::LightingCondition::Day, 55);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "../support/pinned_frames.hpp"
 #include "avd/image/color.hpp"
 #include "avd/runtime/thread_pool.hpp"
 
@@ -16,6 +20,20 @@ void expect_identical(const std::vector<Detection>& a,
     EXPECT_EQ(a[i].score, b[i].score) << "detection " << i;  // bit-equal
     EXPECT_EQ(a[i].class_id, b[i].class_id) << "detection " << i;
   }
+}
+
+/// FNV-1a over every detection's box, score bits and class, in output order.
+std::uint64_t detection_hash(const std::vector<Detection>& dets) {
+  test_support::Fnv1a h;
+  for (const Detection& d : dets) {
+    const std::int32_t ints[] = {d.box.x, d.box.y, d.box.width, d.box.height,
+                                 d.class_id};
+    std::uint8_t bytes[sizeof ints + sizeof d.score];
+    std::memcpy(bytes, ints, sizeof ints);
+    std::memcpy(bytes + sizeof ints, &d.score, sizeof d.score);
+    h.bytes(bytes);
+  }
+  return h.h;
 }
 
 std::vector<Detection> filter_class(const std::vector<Detection>& dets,
@@ -167,6 +185,34 @@ TEST_F(MultiModelScanTest, RejectsEmptyAndUntrained) {
       std::invalid_argument);
 }
 
+TEST_F(MultiModelScanTest, RejectsMalformedModels) {
+  // Models the block-grid scan cannot index safely are refused before any
+  // scanning, on both scan paths, instead of reading past the weights or
+  // dividing by a zero block stride.
+  HogSvmModel short_weights = vehicle();
+  short_weights.svm = ml::LinearSvm(std::vector<float>(360, 0.5f), 0.1f);
+  HogSvmModel no_stride = vehicle();
+  no_stride.hog.block_stride_cells = 0;
+  HogSvmModel ragged = vehicle();
+  ragged.window = {60, 64};
+  HogSvmModel tiny = vehicle();
+  tiny.window = {8, 8};
+  HogSvmModel no_bins = vehicle();
+  no_bins.hog.bins = 0;
+  const img::ImageU8 frame(128, 128);
+  for (const HogSvmModel* bad :
+       {&short_weights, &no_stride, &ragged, &tiny, &no_bins}) {
+    const HogSvmModel* alone[] = {bad};
+    const HogSvmModel* paired[] = {&vehicle(), bad};
+    EXPECT_THROW((void)detect_multiscale_multi(frame, alone, {}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)detect_multiscale_multi(frame, paired, {}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)detect_multiscale_multi_reference(frame, alone, {}),
+                 std::invalid_argument);
+  }
+}
+
 TEST(WindowAnchorPositions, CoversTheEdgeWhenStrideDivides) {
   EXPECT_EQ(window_anchor_positions(16, 8, 2),
             (std::vector<int>{0, 2, 4, 6, 8}));
@@ -271,6 +317,61 @@ TEST_F(MultiModelScanTest, FindsVehicleFlushAgainstFrameBorder) {
   EXPECT_EQ(match.true_positives, 1);
   expect_identical(dets,
                    detect_multiscale_multi_reference(gray, models, params));
+}
+
+TEST_F(MultiModelScanTest, DetectionHashesPinned) {
+  // Detections of the fixture frames at a low threshold, hashed box, score
+  // bits and class. The literals were captured from the block-major scanner
+  // the lane-major block grid replaced; every bit must still match.
+  const HogSvmModel* models[] = {&vehicle(), &animal()};
+  SlidingWindowParams params;
+  params.score_threshold = -0.5;
+  runtime::ThreadPool pool(4);
+  params.pool = &pool;
+
+  const img::ImageU8 mixed =
+      img::rgb_to_gray(data::render_scene(mixed_scene()));
+  const auto mixed_dets = detect_multiscale_multi(mixed, models, params);
+  EXPECT_EQ(mixed_dets.size(), 22u);
+  EXPECT_EQ(detection_hash(mixed_dets), 17377289002810461967ULL);
+
+  data::SceneSpec off = mixed_scene();
+  off.frame_size = {250, 150};
+  off.vehicles[0].body = {30, 60, 70, 56};
+  off.animals[0].body = {150, 70, 64, 48};
+  const img::ImageU8 off_gray = img::rgb_to_gray(data::render_scene(off));
+  params.stride_cells = 2;
+  EXPECT_EQ(detection_hash(detect_multiscale_multi(off_gray, models, params)),
+            1779859795247470902ULL);
+  params.stride_cells = 3;
+  EXPECT_EQ(detection_hash(detect_multiscale_multi(off_gray, models, params)),
+            16249182977318137040ULL);
+}
+
+TEST_F(MultiModelScanTest, FullHdDetectionHashesPinned) {
+  // One rendered 1920x1080 day frame through vehicle, animal and pedestrian
+  // models: many full eight-window runs per row, several block geometries.
+  data::PedestrianPatchSpec pspec;
+  pspec.n_positive = pspec.n_negative = 60;
+  HogSvmTrainOptions popts;
+  popts.class_id = kClassPedestrian;
+  const HogSvmModel ped = train_hog_svm(
+      data::make_pedestrian_patches(pspec), "pedestrian", popts);
+
+  data::SceneGenerator gen(data::LightingCondition::Day, 1303);
+  const img::ImageU8 gray = img::rgb_to_gray(
+      data::render_scene(gen.random_scene({1920, 1080}, 3, 2)));
+  const HogSvmModel* models[] = {&vehicle(), &animal(), &ped};
+  SlidingWindowParams params;
+  params.score_threshold = 0.0;
+  runtime::ThreadPool pool(4);
+  params.pool = &pool;
+  const auto dets = detect_multiscale_multi(gray, models, params);
+  EXPECT_EQ(dets.size(), 292u);
+  EXPECT_EQ(detection_hash(dets), 18087247891717376866ULL);
+  params.stride_cells = 2;
+  EXPECT_EQ(detection_hash(detect_multiscale_multi(gray, models, params)),
+            2747099992358437905ULL);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "avd/ml/svm.hpp"
@@ -49,61 +52,92 @@ TEST(WeightSlices, StreamedAccumulationIsBitExactDecision) {
   EXPECT_EQ(streamed, svm.decision(x));
 }
 
-TEST(WeightSlices, LaneAccumulationBitExactPerLane) {
-  // accumulate_lanes scores several windows at once so their accumulator
-  // chains overlap, and it reads exact double conversions of the float
-  // operands; each lane must still produce the scalar path's result — lane
-  // j's streamed score equals decision(x_j) bit for bit.
-  constexpr int kLanes = 8;
-  const LinearSvm svm = make_svm(36 * 49, 0.5f);
-  const WeightSlices slices(svm, 36);
-  std::vector<std::vector<float>> windows(kLanes);
-  std::vector<std::vector<double>> windows_d(kLanes);
-  for (int j = 0; j < kLanes; ++j) {
-    windows[j].resize(svm.dimension());
-    for (std::size_t i = 0; i < windows[j].size(); ++i)
-      windows[j][i] =
-          static_cast<float>((i * 7919 + static_cast<std::size_t>(j) * 31) %
-                             1000) /
-          999.0f;
-    windows_d[j].assign(windows[j].begin(), windows[j].end());
-  }
+/// Eight windows' descriptors and their lane-major double copy: lane j,
+/// element i at flat[i * elem_stride + j], as the block grid stores them.
+struct LaneMajorWindows {
+  std::vector<std::vector<float>> windows;
+  std::vector<double> flat;
 
-  double acc[kLanes] = {};
-  const double* vals[kLanes];
-  for (std::size_t b = 0; b < slices.block_count(); ++b) {
-    for (int j = 0; j < kLanes; ++j) vals[j] = windows_d[j].data() + b * 36;
-    slices.accumulate_lanes<kLanes>(b, vals, acc);
+  LaneMajorWindows(std::size_t dim, std::size_t stride, std::size_t seed)
+      : windows(WeightSlices::kLanes), flat(dim * stride, -1.0) {
+    for (std::size_t j = 0; j < windows.size(); ++j) {
+      windows[j].resize(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        windows[j][i] =
+            static_cast<float>((i * 7919 + j * 31 + seed) % 1000) / 999.0f;
+        flat[i * stride + j] = windows[j][i];  // exact float -> double
+      }
+    }
   }
-  for (int j = 0; j < kLanes; ++j)
-    EXPECT_EQ(acc[j] + slices.bias(), svm.decision(windows[j])) << "lane " << j;
+};
+
+/// Scores eight windows stored lane-major with element rows `stride`
+/// apart and checks every lane against LinearSvm::decision, bit for bit.
+void expect_lanes_bit_exact(std::size_t stride, float bias) {
+  const LinearSvm svm = make_svm(36 * 49, bias);
+  const WeightSlices slices(svm, 36);
+  const LaneMajorWindows data(svm.dimension(), stride, stride);
+  double acc[WeightSlices::kLanes] = {};
+  for (std::size_t b = 0; b < slices.block_count(); ++b)
+    slices.accumulate_lanes(b, data.flat.data() + b * 36 * stride, stride,
+                            acc);
+  for (int j = 0; j < WeightSlices::kLanes; ++j)
+    EXPECT_EQ(acc[j] + slices.bias(), svm.decision(data.windows[j]))
+        << "stride " << stride << " lane " << j;
+}
+
+TEST(WeightSlices, LaneAccumulationBitExactPerLane) {
+  // accumulate_lanes scores eight windows at once so their accumulator
+  // chains overlap, and it reads exact double conversions of the float
+  // operands in place from lane-major rows; each lane must still produce
+  // the scalar path's result — lane j's streamed score equals decision(x_j)
+  // bit for bit.
+  expect_lanes_bit_exact(WeightSlices::kLanes, 0.5f);
 }
 
 TEST(WeightSlices, StridedLaneAccumulationBitExactPerLane) {
-  // The constant-stride fast path (consecutive scan anchors) must produce
-  // the same bits as the pointer-table variant and the scalar decision.
-  constexpr int kLanes = 8;
+  // Element rows wider than the eight lanes, as in a block grid whose
+  // anchor rows hold more than eight anchors: same bits, and the columns
+  // past the lanes stay unread.
+  expect_lanes_bit_exact(21, -0.125f);
+}
+
+TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
+  // The one-lane form the scan uses for rows narrower than eight window
+  // positions: each column of lane-major data scores its own window exactly.
   const LinearSvm svm = make_svm(36 * 49, -0.125f);
   const WeightSlices slices(svm, 36);
-  const std::size_t dim = svm.dimension();
-  std::vector<std::vector<float>> windows(kLanes);
-  std::vector<double> flat(kLanes * dim);  // lane j at flat[j * dim]
-  for (int j = 0; j < kLanes; ++j) {
-    windows[j].resize(dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      windows[j][i] =
-          static_cast<float>((i * 271 + static_cast<std::size_t>(j) * 97) %
-                             1000) /
-          999.0f;
-      flat[static_cast<std::size_t>(j) * dim + i] = windows[j][i];
-    }
+  const std::size_t stride = 13;
+  const LaneMajorWindows data(svm.dimension(), stride, 5);
+  for (int j = 0; j < WeightSlices::kLanes; ++j) {
+    double acc = 0.0;
+    for (std::size_t b = 0; b < slices.block_count(); ++b)
+      slices.accumulate_column(b, data.flat.data() + b * 36 * stride + j,
+                               stride, acc);
+    EXPECT_EQ(acc + slices.bias(), svm.decision(data.windows[j]))
+        << "lane " << j;
   }
+}
 
-  double acc[kLanes] = {};
-  for (std::size_t b = 0; b < slices.block_count(); ++b)
-    slices.accumulate_lanes_strided<kLanes>(b, flat.data() + b * 36, dim, acc);
-  for (int j = 0; j < kLanes; ++j)
-    EXPECT_EQ(acc[j] + slices.bias(), svm.decision(windows[j])) << "lane " << j;
+TEST(WeightSlices, LaneFormsKeepSignedZeros) {
+  // -0.0 weights must multiply as -0.0: a lane accumulator that starts at
+  // -0.0 and only ever adds -0.0 products stays -0.0, as accumulate()'s
+  // does. A broadcast formed as w + 0.0 would make it +0.0.
+  const LinearSvm svm(std::vector<float>(36, -0.0f), 0.0f);
+  const WeightSlices slices(svm, 36);
+  const LaneMajorWindows data(36, 8, 3);
+  double lanes[WeightSlices::kLanes];
+  std::fill(std::begin(lanes), std::end(lanes), -0.0);
+  slices.accumulate_lanes(0, data.flat.data(), 8, lanes);
+  for (int j = 0; j < WeightSlices::kLanes; ++j) {
+    double scalar = -0.0;
+    slices.accumulate(0, data.windows[j], scalar);
+    double column = -0.0;
+    slices.accumulate_column(0, data.flat.data() + j, 8, column);
+    EXPECT_TRUE(std::signbit(scalar)) << "lane " << j;
+    EXPECT_EQ(std::signbit(lanes[j]), std::signbit(scalar)) << "lane " << j;
+    EXPECT_EQ(std::signbit(column), std::signbit(scalar)) << "lane " << j;
+  }
 }
 
 TEST(WeightSlices, RejectsUntrainedSvm) {
