@@ -66,9 +66,18 @@ void BM_Stage2_Downsample(benchmark::State& state) {
 }
 BENCHMARK(BM_Stage2_Downsample)->Unit(benchmark::kMillisecond);
 
+// Stages 1 and 2 as DarkVehicleDetector::preprocess runs them: one streaming
+// pass from RGB to the OR-pooled 640x360 mask, byte-identical to the two
+// rows above chained.
+void BM_Stage1to2_FusedMask(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(avd::img::taillight_roi_mask(frame(), {}, 3));
+  }
+}
+BENCHMARK(BM_Stage1to2_FusedMask)->Unit(benchmark::kMillisecond);
+
 void BM_Stage3_Closing(benchmark::State& state) {
-  const avd::img::ImageU8 ds = avd::img::downsample_or(
-      avd::img::taillight_roi_mask(avd::img::rgb_to_ycbcr(frame())), 3);
+  const avd::img::ImageU8 ds = avd::img::taillight_roi_mask(frame(), {}, 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(avd::img::close(ds, {3, 3}));
   }

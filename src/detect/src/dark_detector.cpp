@@ -6,9 +6,7 @@
 #include <functional>
 #include <stdexcept>
 
-#include "avd/image/color.hpp"
 #include "avd/image/filter.hpp"
-#include "avd/image/resize.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/trace.hpp"
 #include "avd/runtime/thread_pool.hpp"
@@ -102,27 +100,19 @@ DarkVehicleDetector::DarkVehicleDetector(ml::Dbn taillight_dbn,
     throw std::invalid_argument("DarkVehicleDetector: pairing SVM dimension");
   if (config_.downsample_factor <= 0)
     throw std::invalid_argument("DarkVehicleDetector: bad downsample factor");
+  if (config_.window_stride <= 0)
+    throw std::invalid_argument("DarkVehicleDetector: bad window stride");
+  if (!config_.closing.valid())
+    throw std::invalid_argument("DarkVehicleDetector: bad closing element");
 }
 
 img::ImageU8 DarkVehicleDetector::preprocess(const img::RgbImage& frame) const {
   const obs::ScopedSpan span("threshold_morphology", "detect/dark");
-  // Fig. 4: split chroma & luminance, threshold each, AND.
-  const img::YcbcrImage ycc = img::rgb_to_ycbcr(frame);
-  img::ImageU8 mask = img::taillight_roi_mask(ycc, config_.threshold);
-
-  // Downsample with OR pooling: a lit pixel anywhere in the block keeps the
+  // Fig. 4: split chroma & luminance, threshold each, AND, and downsample
+  // with OR pooling in one pass: a lit pixel anywhere in a block keeps the
   // block lit, so distant 1-2 px taillights survive the resolution drop.
-  if (config_.downsample_factor > 1 &&
-      mask.width() % config_.downsample_factor == 0 &&
-      mask.height() % config_.downsample_factor == 0) {
-    mask = img::downsample_or(mask, config_.downsample_factor);
-  } else if (config_.downsample_factor > 1) {
-    // Non-divisible frames: nearest-neighbour fallback keeps binary values.
-    mask = img::resize_nearest(
-        mask, {std::max(1, mask.width() / config_.downsample_factor),
-               std::max(1, mask.height() / config_.downsample_factor)});
-  }
-
+  img::ImageU8 mask = img::taillight_roi_mask(frame, config_.threshold,
+                                              config_.downsample_factor);
   if (config_.median_prefilter) mask = img::median3x3(mask);
   return img::close(mask, config_.closing);
 }

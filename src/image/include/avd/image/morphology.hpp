@@ -15,6 +15,10 @@ struct StructuringElement {
 
   [[nodiscard]] int radius_x() const { return width / 2; }
   [[nodiscard]] int radius_y() const { return height / 2; }
+  /// Both dimensions positive and odd; the operations below throw otherwise.
+  [[nodiscard]] bool valid() const {
+    return width > 0 && height > 0 && width % 2 == 1 && height % 2 == 1;
+  }
 };
 
 /// Binary dilation: output pixel set if any input pixel under the SE is set.

@@ -44,4 +44,17 @@ struct TaillightThresholdParams {
 [[nodiscard]] ImageU8 taillight_roi_mask(const YcbcrImage& ycc,
                                          const TaillightThresholdParams& p = {});
 
+/// The dark front end in one streaming pass: byte-identical to
+/// `taillight_roi_mask(rgb_to_ycbcr(rgb), p)` reduced by `factor`, with
+/// `downsample_or` when both dimensions divide by `factor` and otherwise
+/// with `resize_nearest` to max(1, w / factor) x max(1, h / factor).
+/// Each pixel's bright AND red test runs on the unrounded BT.601 sums, and
+/// no YCbCr planes or full-resolution mask are built; the nearest fallback
+/// reads only the pixels it samples. factor 1 returns the full mask.
+/// Throws std::invalid_argument for factor <= 0, and for an empty frame
+/// that does not divide by `factor`.
+[[nodiscard]] ImageU8 taillight_roi_mask(const RgbImage& rgb,
+                                         const TaillightThresholdParams& p,
+                                         int factor);
+
 }  // namespace avd::img

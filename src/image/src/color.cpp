@@ -2,27 +2,19 @@
 
 #include <cstddef>
 
+#include "bt601.hpp"
 #include "rounding.hpp"
 
 namespace avd::img {
 namespace {
 
+using detail::cb_f;
+using detail::cr_f;
+using detail::luma_f;
 using detail::round_to_u8;
 
-// The BT.601 expressions, shared by the scalar conversions and the plane
-// loops so both run the same float operations in the same order. The plane
-// loops walk raw pointers over whole planes (rows are contiguous), one
-// output plane per loop, so each vectorises.
-inline float luma_f(int r, int g, int b) {
-  return 0.299f * r + 0.587f * g + 0.114f * b;
-}
-inline float cb_f(int r, int g, int b) {
-  return 128.0f - 0.168736f * r - 0.331264f * g + 0.5f * b;
-}
-inline float cr_f(int r, int g, int b) {
-  return 128.0f + 0.5f * r - 0.418688f * g - 0.081312f * b;
-}
-
+// The plane loops walk raw pointers over whole planes (rows are contiguous),
+// one output plane per loop, so each vectorises.
 template <float (*Channel)(int, int, int)>
 void convert_plane(const RgbImage& rgb, ImageU8& out) {
   const std::uint8_t* r = rgb.r().pixels().data();

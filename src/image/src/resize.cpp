@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "rounding.hpp"
+#include "sampling.hpp"
 
 namespace avd::img {
 namespace {
@@ -107,6 +108,15 @@ RgbImage resize_bilinear(const RgbImage& src, Size out_size) {
           resize_bilinear(src.b(), out_size)};
 }
 
+std::vector<int> detail::nearest_source_indices(int src_len, int out_len) {
+  const LinearMap map{static_cast<float>(src_len) / out_len};
+  std::vector<int> indices(static_cast<std::size_t>(out_len));
+  for (int o = 0; o < out_len; ++o)
+    indices[static_cast<std::size_t>(o)] = std::clamp(
+        static_cast<int>(std::floor(map(o) + 0.5f)), 0, src_len - 1);
+  return indices;
+}
+
 ImageU8 resize_nearest(const ImageU8& src, Size out_size) {
   check_out_size(out_size);
   if (src.empty()) throw std::invalid_argument("resize: empty source");
@@ -116,18 +126,15 @@ ImageU8 resize_nearest(const ImageU8& src, Size out_size) {
   // top-left mapping (ox * sw / ow) sampled up to half a source pixel to the
   // upper-left of bilinear, so a nearest-resized mask drifted relative to
   // the bilinear-resized frame it annotates.
-  const LinearMap mx{static_cast<float>(src.width()) / out_size.width};
-  const LinearMap my{static_cast<float>(src.height()) / out_size.height};
+  const std::vector<int> xs =
+      detail::nearest_source_indices(src.width(), out_size.width);
+  const std::vector<int> ys =
+      detail::nearest_source_indices(src.height(), out_size.height);
   for (int oy = 0; oy < out_size.height; ++oy) {
-    const int sy = std::clamp(
-        static_cast<int>(std::floor(my(oy) + 0.5f)), 0, src.height() - 1);
-    auto srow = src.row(sy);
+    auto srow = src.row(ys[static_cast<std::size_t>(oy)]);
     auto orow = out.row(oy);
-    for (int ox = 0; ox < out_size.width; ++ox) {
-      const int sx = std::clamp(
-          static_cast<int>(std::floor(mx(ox) + 0.5f)), 0, src.width() - 1);
-      orow[ox] = srow[sx];
-    }
+    for (int ox = 0; ox < out_size.width; ++ox)
+      orow[ox] = srow[xs[static_cast<std::size_t>(ox)]];
   }
   return out;
 }

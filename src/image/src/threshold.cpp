@@ -1,6 +1,12 @@
 #include "avd/image/threshold.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "bt601.hpp"
+#include "sampling.hpp"
 
 namespace avd::img {
 namespace {
@@ -8,6 +14,42 @@ namespace {
 void check_same_size(const ImageU8& a, const ImageU8& b, const char* what) {
   if (a.size() != b.size())
     throw std::invalid_argument(std::string(what) + ": size mismatch");
+}
+
+// The gates of TaillightThresholdParams restated on the unrounded BT.601
+// sums, so no pixel is rounded. For integer L in [1, 255],
+// round_to_u8(v) >= L holds exactly when v >= L - 0.5f; for integer C in
+// [0, 254], round_to_u8(v) <= C holds exactly when v < C + 0.5f (both
+// bounds are exact floats). The gates that pass every byte (L = 0,
+// C = 255) become infinite bounds, which pass every finite sum.
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+struct SumBounds {
+  explicit SumBounds(const TaillightThresholdParams& p)
+      : luma_lo(p.luma_min == 0 ? -kInf : p.luma_min - 0.5f),
+        cr_lo(p.cr_min == 0 ? -kInf : p.cr_min - 0.5f),
+        cb_hi(p.cb_max == 255 ? kInf : p.cb_max + 0.5f) {}
+
+  float luma_lo;  ///< bright: luma sum >= luma_lo
+  float cr_lo;    ///< red: cr sum >= cr_lo
+  float cb_hi;    ///< not blue: cb sum < cb_hi
+
+  [[nodiscard]] bool hit(int r, int g, int b) const {
+    return (detail::luma_f(r, g, b) >= luma_lo) &
+           (detail::cr_f(r, g, b) >= cr_lo) & (detail::cb_f(r, g, b) < cb_hi);
+  }
+};
+
+// hits[x] |= hit at pixel x, for one source row; bitwise ops keep the loop
+// branch-free, so it vectorises.
+void or_row_hits(const RgbImage& rgb, int y, const SumBounds& bounds,
+                 std::uint8_t* hits) {
+  const std::uint8_t* r = rgb.r().row(y).data();
+  const std::uint8_t* g = rgb.g().row(y).data();
+  const std::uint8_t* b = rgb.b().row(y).data();
+  const int w = rgb.width();
+  for (int x = 0; x < w; ++x)
+    hits[x] |= static_cast<std::uint8_t>(bounds.hit(r[x], g[x], b[x]));
 }
 
 }  // namespace
@@ -77,6 +119,54 @@ ImageU8 taillight_roi_mask(const YcbcrImage& ycc, const TaillightThresholdParams
       const bool bright = ly[x] >= p.luma_min;
       const bool red = cr[x] >= p.cr_min && cb[x] <= p.cb_max;
       o[x] = (bright && red) ? 255 : 0;
+    }
+  }
+  return out;
+}
+
+ImageU8 taillight_roi_mask(const RgbImage& rgb, const TaillightThresholdParams& p,
+                           int factor) {
+  if (factor <= 0)
+    throw std::invalid_argument("taillight_roi_mask: factor must be positive");
+  const SumBounds bounds(p);
+  const int w = rgb.width();
+  const int h = rgb.height();
+
+  if (w % factor != 0 || h % factor != 0) {
+    // Nearest fallback: evaluate only the pixels the resize would keep.
+    if (rgb.empty())
+      throw std::invalid_argument("taillight_roi_mask: empty frame");
+    ImageU8 out(std::max(1, w / factor), std::max(1, h / factor));
+    const std::vector<int> xs = detail::nearest_source_indices(w, out.width());
+    const std::vector<int> ys = detail::nearest_source_indices(h, out.height());
+    for (int oy = 0; oy < out.height(); ++oy) {
+      const int sy = ys[static_cast<std::size_t>(oy)];
+      auto r = rgb.r().row(sy);
+      auto g = rgb.g().row(sy);
+      auto b = rgb.b().row(sy);
+      auto o = out.row(oy);
+      for (int ox = 0; ox < out.width(); ++ox) {
+        const int sx = xs[static_cast<std::size_t>(ox)];
+        o[ox] = bounds.hit(r[sx], g[sx], b[sx]) ? 255 : 0;
+      }
+    }
+    return out;
+  }
+
+  // OR pooling: each group of `factor` source rows is ORed into one row of
+  // hits, then each run of `factor` hits becomes one output pixel.
+  ImageU8 out(w / factor, h / factor);
+  std::vector<std::uint8_t> hits(static_cast<std::size_t>(w));
+  for (int oy = 0; oy < out.height(); ++oy) {
+    std::fill(hits.begin(), hits.end(), std::uint8_t{0});
+    for (int dy = 0; dy < factor; ++dy)
+      or_row_hits(rgb, oy * factor + dy, bounds, hits.data());
+    auto o = out.row(oy);
+    const std::uint8_t* run = hits.data();
+    for (int ox = 0; ox < out.width(); ++ox, run += factor) {
+      std::uint8_t any = 0;
+      for (int dx = 0; dx < factor; ++dx) any |= run[dx];
+      o[ox] = any != 0 ? 255 : 0;
     }
   }
   return out;

@@ -194,6 +194,34 @@ TEST_F(DarkDetectorTest, DownsampleFactorValidation) {
       std::invalid_argument);
 }
 
+TEST_F(DarkDetectorTest, WindowStrideValidation) {
+  // A non-positive stride yields no window anchors, so every blob would be
+  // scored on zero windows and the detector would find nothing, silently.
+  for (const int stride : {0, -2}) {
+    DarkDetectorConfig bad;
+    bad.window_stride = stride;
+    EXPECT_THROW(
+        DarkVehicleDetector(detector().dbn(), detector().pairing_svm(), bad),
+        std::invalid_argument)
+        << "stride " << stride;
+  }
+}
+
+TEST_F(DarkDetectorTest, ClosingElementValidation) {
+  // An even or non-positive closing element would throw from img::close on
+  // every frame; the constructor refuses it up front.
+  for (const img::StructuringElement se :
+       {img::StructuringElement{2, 3}, img::StructuringElement{3, 4},
+        img::StructuringElement{0, 3}, img::StructuringElement{3, -1}}) {
+    DarkDetectorConfig bad;
+    bad.closing = se;
+    EXPECT_THROW(
+        DarkVehicleDetector(detector().dbn(), detector().pairing_svm(), bad),
+        std::invalid_argument)
+        << "closing " << se.width << "x" << se.height;
+  }
+}
+
 TEST_F(DarkDetectorTest, NonDivisibleFrameStillWorks) {
   // 479x271 is not divisible by 3: the nearest-neighbour fallback must kick
   // in and the pipeline must not throw.

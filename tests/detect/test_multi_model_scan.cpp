@@ -2,15 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
-
 #include "../support/pinned_frames.hpp"
 #include "avd/image/color.hpp"
 #include "avd/runtime/thread_pool.hpp"
 
 namespace avd::det {
 namespace {
+
+using test_support::detection_hash;
 
 void expect_identical(const std::vector<Detection>& a,
                       const std::vector<Detection>& b) {
@@ -20,20 +19,6 @@ void expect_identical(const std::vector<Detection>& a,
     EXPECT_EQ(a[i].score, b[i].score) << "detection " << i;  // bit-equal
     EXPECT_EQ(a[i].class_id, b[i].class_id) << "detection " << i;
   }
-}
-
-/// FNV-1a over every detection's box, score bits and class, in output order.
-std::uint64_t detection_hash(const std::vector<Detection>& dets) {
-  test_support::Fnv1a h;
-  for (const Detection& d : dets) {
-    const std::int32_t ints[] = {d.box.x, d.box.y, d.box.width, d.box.height,
-                                 d.class_id};
-    std::uint8_t bytes[sizeof ints + sizeof d.score];
-    std::memcpy(bytes, ints, sizeof ints);
-    std::memcpy(bytes + sizeof ints, &d.score, sizeof d.score);
-    h.bytes(bytes);
-  }
-  return h.h;
 }
 
 std::vector<Detection> filter_class(const std::vector<Detection>& dets,

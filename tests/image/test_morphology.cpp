@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "avd/image/threshold.hpp"
 
 namespace avd::img {
@@ -127,7 +130,9 @@ TEST_P(MorphologyProperty, DilationIsExtensive) {
   const ImageU8 out = dilate(src, {3, 3});
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x)
-      if (src(x, y)) EXPECT_EQ(out(x, y), 255);
+      if (src(x, y)) {
+        EXPECT_EQ(out(x, y), 255);
+      }
 }
 
 TEST_P(MorphologyProperty, ErosionIsAntiExtensive) {
@@ -135,7 +140,9 @@ TEST_P(MorphologyProperty, ErosionIsAntiExtensive) {
   const ImageU8 out = erode(src, {3, 3});
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x)
-      if (!src(x, y)) EXPECT_EQ(out(x, y), 0);
+      if (!src(x, y)) {
+        EXPECT_EQ(out(x, y), 0);
+      }
 }
 
 TEST_P(MorphologyProperty, ClosingIsIdempotent) {
@@ -150,6 +157,123 @@ TEST_P(MorphologyProperty, OpeningIsIdempotent) {
 
 INSTANTIATE_TEST_SUITE_P(Patterns, MorphologyProperty,
                          ::testing::Values(0, 1, 2, 3, 4));
+
+// --- The byte-wise passes the packed morphology replaced, as its oracle ----
+
+// Rectangular SEs are separable: a horizontal 1xW pass followed by a vertical
+// Hx1 pass. `Any` selects dilation (true = any set) vs erosion (false = all set).
+template <bool Any>
+ImageU8 reference_horizontal_pass(const ImageU8& src, int rx) {
+  ImageU8 out(src.size());
+  for (int y = 0; y < src.height(); ++y) {
+    auto s = src.row(y);
+    auto o = out.row(y);
+    for (int x = 0; x < src.width(); ++x) {
+      bool hit = !Any;
+      for (int dx = -rx; dx <= rx; ++dx) {
+        const int xx = x + dx;
+        const bool set = xx >= 0 && xx < src.width() && s[xx] != 0;
+        if constexpr (Any) {
+          if (set) {
+            hit = true;
+            break;
+          }
+        } else {
+          if (!set) {
+            hit = false;
+            break;
+          }
+        }
+      }
+      o[x] = hit ? 255 : 0;
+    }
+  }
+  return out;
+}
+
+template <bool Any>
+ImageU8 reference_vertical_pass(const ImageU8& src, int ry) {
+  ImageU8 out(src.size());
+  for (int y = 0; y < src.height(); ++y) {
+    auto o = out.row(y);
+    for (int x = 0; x < src.width(); ++x) {
+      bool hit = !Any;
+      for (int dy = -ry; dy <= ry; ++dy) {
+        const int yy = y + dy;
+        const bool set = yy >= 0 && yy < src.height() && src(x, yy) != 0;
+        if constexpr (Any) {
+          if (set) {
+            hit = true;
+            break;
+          }
+        } else {
+          if (!set) {
+            hit = false;
+            break;
+          }
+        }
+      }
+      o[x] = hit ? 255 : 0;
+    }
+  }
+  return out;
+}
+
+ImageU8 reference_dilate(const ImageU8& mask, StructuringElement se) {
+  return reference_vertical_pass<true>(
+      reference_horizontal_pass<true>(mask, se.radius_x()), se.radius_y());
+}
+
+ImageU8 reference_erode(const ImageU8& mask, StructuringElement se) {
+  return reference_vertical_pass<false>(
+      reference_horizontal_pass<false>(mask, se.radius_x()), se.radius_y());
+}
+
+/// A mask with each pixel set with probability `density`, set pixels taking
+/// random values in [1, 255] (any non-zero byte counts as set).
+ImageU8 random_mask(int w, int h, double density, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::bernoulli_distribution set(density);
+  std::uniform_int_distribution<int> value(1, 255);
+  ImageU8 mask(w, h);
+  for (std::uint8_t& v : mask.pixels())
+    v = set(rng) ? static_cast<std::uint8_t>(value(rng)) : 0;
+  return mask;
+}
+
+// Packed dilate/erode/close/open against the byte-wise oracle, over random
+// masks of every width class the packing cares about: one word or less, a
+// word boundary on either side, several words, and the 640-wide dark mask.
+class PackedMorphology : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackedMorphology, MatchesByteWiseOracle) {
+  const int w = GetParam();
+  const StructuringElement ses[] = {{1, 1}, {3, 3}, {5, 3}, {3, 5},
+                                    {7, 1}, {1, 7}, {129, 3}};
+  std::uint32_t seed = static_cast<std::uint32_t>(w) * 1000;
+  for (const int h : {1, 2, 3, 360}) {
+    for (const double density : {0.0, 0.05, 0.5, 1.0}) {
+      const ImageU8 mask = random_mask(w, h, density, ++seed);
+      for (const StructuringElement se : ses) {
+        const ImageU8 dilated = reference_dilate(mask, se);
+        const ImageU8 eroded = reference_erode(mask, se);
+        const auto where = [&] {
+          return ::testing::Message()
+                 << w << "x" << h << " density " << density << " se "
+                 << se.width << "x" << se.height;
+        };
+        ASSERT_EQ(dilate(mask, se), dilated) << where();
+        ASSERT_EQ(erode(mask, se), eroded) << where();
+        ASSERT_EQ(close(mask, se), reference_erode(dilated, se)) << where();
+        ASSERT_EQ(open(mask, se), reference_dilate(eroded, se)) << where();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, PackedMorphology,
+                         ::testing::Values(1, 2, 63, 64, 65, 127, 128, 129,
+                                           640, 641));
 
 }  // namespace
 }  // namespace avd::img

@@ -1,7 +1,8 @@
-// Fixed rendered frames and an FNV-1a checksum for the pixel-kernel pins.
+// Fixed rendered frames and FNV-1a checksums for the pixel-kernel pins.
 //
 // The pin tests (tests/image/test_kernel_pins.cpp,
-// tests/hog/test_cell_grid_pins.cpp) hash what the front-end kernels make of
+// tests/hog/test_cell_grid_pins.cpp, tests/detect/test_dark_pins.cpp and the
+// detection-hash pins) hash what the front-end kernels and detectors make of
 // these frames and compare against literals captured before the kernels were
 // last rewritten. A kernel change that moves a single output byte or
 // histogram float bit fails them. Rendering is built from IEEE basic
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "avd/datasets/scene.hpp"
+#include "avd/detect/detection.hpp"
 #include "avd/image/image.hpp"
 #include "avd/image/pyramid.hpp"
 
@@ -44,6 +46,20 @@ inline std::uint64_t checksum(const img::ImageU8& image) {
   return Fnv1a{}.bytes(image.pixels()).h;
 }
 
+/// FNV-1a over every detection's box, score bits and class, in output order.
+inline std::uint64_t detection_hash(const std::vector<det::Detection>& dets) {
+  Fnv1a h;
+  for (const det::Detection& d : dets) {
+    const std::int32_t ints[] = {d.box.x, d.box.y, d.box.width, d.box.height,
+                                 d.class_id};
+    std::uint8_t bytes[sizeof ints + sizeof d.score];
+    std::memcpy(bytes, ints, sizeof ints);
+    std::memcpy(bytes + sizeof ints, &d.score, sizeof d.score);
+    h.bytes(bytes);
+  }
+  return h.h;
+}
+
 /// One 640x360 day frame: 2 vehicles, 1 pedestrian.
 inline img::RgbImage pinned_day_frame() {
   data::SceneGenerator gen(data::LightingCondition::Day, 1301);
@@ -54,6 +70,13 @@ inline img::RgbImage pinned_day_frame() {
 inline img::RgbImage pinned_dark_frame() {
   data::SceneGenerator gen(data::LightingCondition::Dark, 1302);
   return data::render_scene(gen.random_scene({640, 360}, 2, 0));
+}
+
+/// One 1920x1080 dark frame: 3 vehicles with lit taillights. Divides by the
+/// dark detector's downsample factor, unlike the 640x360 frames.
+inline img::RgbImage pinned_dark_frame_1080() {
+  data::SceneGenerator gen(data::LightingCondition::Dark, 1304);
+  return data::render_scene(gen.random_scene({1920, 1080}, 3, 0));
 }
 
 /// Sizes of the default 6-level pyramid of a frame, level 0 included.
