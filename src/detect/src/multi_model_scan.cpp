@@ -25,7 +25,7 @@ constexpr int kBandRows = 8;
 
 /// Windows scored per accumulate_lanes call. The per-window double
 /// accumulator is a serial FP dependency chain (descriptor-order summation
-/// is what makes scores bit-equal to the scalar reference); scoring 8
+/// is what makes scores bit-equal to the scalar reference); scoring 16
 /// independent windows together lets those chains advance side by side
 /// without changing any per-window operation order.
 constexpr int kLanes = ml::WeightSlices::kLanes;
@@ -287,37 +287,37 @@ std::vector<Detection> detect_multiscale_multi(
     };
     // Blocks stream through each window's accumulator in descriptor order,
     // so every score is the bit-exact LinearSvm::decision of the window's
-    // (never materialised) descriptor. Windows score kLanes at a time at
-    // kLanes consecutive cell positions, whose blocks are contiguous lanes
+    // (never materialised) descriptor. Windows score `lanes` at a time at
+    // `lanes` consecutive cell positions, whose blocks are contiguous lanes
     // of every element row. A run starts at the next anchor, pulled left so
     // it ends by the row's last position, and emits the anchors it covers:
-    // all eight at stride_cells 1; at coarser strides the lanes between
+    // all of them at stride_cells 1; at coarser strides the lanes between
     // anchors are scored and dropped, which still costs less than scoring
-    // each anchor alone. Rows with fewer positions than lanes score one
-    // column at a time. Per-lane arithmetic and emission order are the
-    // scalar path's.
+    // each anchor alone. Rows with fewer positions than kLanes run eight
+    // lanes, or one column at a time below that. Per-lane arithmetic and
+    // emission order are the scalar path's.
     const int last = axs.back();  // bands exist only for non-empty rows
+    const int lanes = last + 1 >= kLanes       ? kLanes
+                      : last + 1 >= kLanes / 2 ? kLanes / 2
+                                               : 1;
     for (int ayi = band.ay_begin; ayi < band.ay_end; ++ayi) {
       const int cy = ys[key][static_cast<std::size_t>(ayi)];
       for (int xi = 0; xi < n_x;) {
-        std::size_t b = 0;
-        if (last + 1 < kLanes) {
-          const int cx = anchor(xi++);
-          double acc = 0.0;
-          for (int wby = 0; wby < blocks_y; ++wby)
-            for (int wbx = 0; wbx < blocks_x; ++wbx, ++b)
-              ws.accumulate_column(b, block_at(cx, cy, wbx, wby), elem_stride,
-                                   acc);
-          emit(cx, cy, acc);
-          continue;
-        }
-        const int c0 = std::min(anchor(xi), last - (kLanes - 1));
+        const int c0 = std::min(anchor(xi), last - (lanes - 1));
         double acc[kLanes] = {};
-        for (int wby = 0; wby < blocks_y; ++wby)
-          for (int wbx = 0; wbx < blocks_x; ++wbx, ++b)
-            ws.accumulate_lanes(b, block_at(c0, cy, wbx, wby), elem_stride,
-                                acc);
-        for (; xi < n_x && anchor(xi) < c0 + kLanes; ++xi)
+        std::size_t b = 0;
+        for (int wby = 0; wby < blocks_y; ++wby) {
+          for (int wbx = 0; wbx < blocks_x; ++wbx, ++b) {
+            const double* lane0 = block_at(c0, cy, wbx, wby);
+            if (lanes == kLanes)
+              ws.accumulate_lanes(b, lane0, elem_stride, acc);
+            else if (lanes == kLanes / 2)
+              ws.accumulate_half_lanes(b, lane0, elem_stride, acc);
+            else
+              ws.accumulate_column(b, lane0, elem_stride, acc[0]);
+          }
+        }
+        for (; xi < n_x && anchor(xi) < c0 + lanes; ++xi)
           emit(anchor(xi), cy, acc[anchor(xi) - c0]);
       }
     }

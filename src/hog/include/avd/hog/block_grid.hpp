@@ -18,7 +18,7 @@
 // Layout: lane-major per anchor row. Element k of the block anchored at
 // (ax, ay) sits at data[(ay * block_len + k) * anchors_x + ax], so one
 // element of consecutive anchors is contiguous — the operand order of the
-// scanner's eight-window SVM lanes (ml::WeightSlices::accumulate_lanes),
+// scanner's sixteen-window SVM lanes (ml::WeightSlices::accumulate_lanes),
 // which read it in place. Values are stored as doubles, each the exact
 // conversion of the float l2hys_normalise produced (float -> double and back
 // is lossless), so the scanner needs no second copy to score from.
@@ -29,15 +29,18 @@
 // the scanner's bit-exactness against the scalar reference rests on it.
 #pragma once
 
+#include <memory>
+
 #include "avd/hog/hog.hpp"
 
 namespace avd::hog {
 
 /// Every L2-hys-normalised block of a cell grid, each computed once.
+/// Move-only: a pyramid level's grid is built once and scored in place.
 class BlockGrid {
  public:
+  /// An empty grid: no anchors.
   BlockGrid() = default;
-  BlockGrid(int anchors_x, int anchors_y, int block_len);
 
   /// Block anchors along x/y: cells - block_cells + 1 (0 when the grid is
   /// smaller than one block).
@@ -54,13 +57,19 @@ class BlockGrid {
   /// Element k of every block in anchor row ay: anchors_x consecutive
   /// values, one per anchor. Rows k and k + 1 are anchors_x apart.
   [[nodiscard]] double* row(int ay, int k) {
-    return data_.data() + offset(ay, k);
+    return data_.get() + offset(ay, k);
   }
   [[nodiscard]] const double* row(int ay, int k) const {
-    return data_.data() + offset(ay, k);
+    return data_.get() + offset(ay, k);
   }
 
  private:
+  friend BlockGrid compute_block_grid(const CellGrid& grid,
+                                      const HogParams& params);
+  /// Storage for every block, left uninitialised: compute_block_grid writes
+  /// each element exactly once, so zero-filling it first would be wasted.
+  BlockGrid(int anchors_x, int anchors_y, int block_len);
+
   [[nodiscard]] std::size_t offset(int ay, int k) const {
     const auto len = static_cast<std::size_t>(block_len_);
     return (static_cast<std::size_t>(ay) * len + static_cast<std::size_t>(k)) *
@@ -70,7 +79,7 @@ class BlockGrid {
   int anchors_x_ = 0;
   int anchors_y_ = 0;
   int block_len_ = 0;
-  std::vector<double> data_;
+  std::unique_ptr<double[]> data_;
 };
 
 /// Normalise every block of `grid` once. O(cells) memory and work, after

@@ -16,7 +16,8 @@ BlockGrid::BlockGrid(int anchors_x, int anchors_y, int block_len)
     : anchors_x_(anchors_x),
       anchors_y_(anchors_y),
       block_len_(block_len),
-      data_(static_cast<std::size_t>(anchors_x) * anchors_y * block_len, 0.0) {}
+      data_(std::make_unique_for_overwrite<double[]>(
+          static_cast<std::size_t>(anchors_x) * anchors_y * block_len)) {}
 
 BlockGrid compute_block_grid(const CellGrid& grid, const HogParams& params) {
   if (params.block_cells <= 0)

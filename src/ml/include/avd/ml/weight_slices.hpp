@@ -51,25 +51,39 @@ class WeightSlices {
                   double& acc) const;
 
   /// Windows scored per accumulate_lanes call.
-  static constexpr int kLanes = 8;
+  static constexpr int kLanes = 16;
 
-  /// Eight-window variant over lane-major operands: for each lane j,
+  /// Sixteen-window variant over lane-major operands: for each lane j,
   /// acc[j] += the dot of slice(block) against lane j, whose element i is
   /// base[i * elem_stride + j]. The operands must be EXACT double
   /// conversions of the block's floats (float -> double is lossless),
   /// matching the weights' own pre-converted double copy, so every product
   /// and sum is bit-equal to accumulate()'s float-operand sequence and lane
   /// scores stay bit-equal to LinearSvm::decision. The payoff is mechanical,
-  /// not numerical: the eight per-window accumulator chains (each serial,
+  /// not numerical: the sixteen per-window accumulator chains (each serial,
   /// latency bound on its own) advance together, one weight broadcast
-  /// against four packed pairs of lanes per element, and the in-loop
-  /// float -> double conversions are gone. No length check (hot path).
+  /// against every register of lanes per element, and the in-loop
+  /// float -> double conversions are gone. The body is picked once per
+  /// process: AVX2 (four registers of four lanes) where the CPU has it, the
+  /// SSE2 baseline (eight pairs) elsewhere; both give the same bits. No
+  /// length check (hot path).
   void accumulate_lanes(std::size_t block, const double* base,
-                        std::size_t elem_stride, double* acc) const;
+                        std::size_t elem_stride, double* acc) const {
+    lanes_(weights_d_.data() + block * block_len_, block_len_, base,
+           elem_stride, acc);
+  }
+
+  /// Eight-lane half of accumulate_lanes (acc[0..7] only), for rows with
+  /// fewer window positions than kLanes but at least kLanes / 2.
+  void accumulate_half_lanes(std::size_t block, const double* base,
+                             std::size_t elem_stride, double* acc) const {
+    half_lanes_(weights_d_.data() + block * block_len_, block_len_, base,
+                elem_stride, acc);
+  }
 
   /// One-lane form of accumulate_lanes: acc += the dot of slice(block)
   /// against base[i * elem_stride]. For rows with fewer window positions
-  /// than lanes. Identical per-lane arithmetic.
+  /// than kLanes / 2. Identical per-lane arithmetic.
   void accumulate_column(std::size_t block, const double* base,
                          std::size_t elem_stride, double& acc) const;
 
@@ -78,6 +92,14 @@ class WeightSlices {
   std::vector<double> weights_d_;  ///< exact double copy for the lane forms
   float bias_ = 0.0f;
   std::size_t block_len_ = 0;
+
+  using LaneKernel = void (*)(const double* w, std::size_t len,
+                              const double* base, std::size_t elem_stride,
+                              double* acc);
+  /// The lane body for `lanes` (kLanes or kLanes / 2) on this CPU.
+  static LaneKernel lane_kernel(int lanes);
+  LaneKernel lanes_ = lane_kernel(kLanes);
+  LaneKernel half_lanes_ = lane_kernel(kLanes / 2);
 };
 
 }  // namespace avd::ml

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "lane_kernels.hpp"
+
 namespace avd::ml {
 
 WeightSlices::WeightSlices(const LinearSvm& svm, std::size_t block_len)
@@ -24,42 +26,87 @@ void WeightSlices::accumulate(std::size_t block, std::span<const float> values,
     acc += static_cast<double>(w[i]) * static_cast<double>(values[i]);
 }
 
+namespace detail {
 namespace {
 
 /// Two doubles, packed: one SSE2 register at the x86-64 baseline.
 using Pair = double __attribute__((vector_size(16)));
+/// Four doubles, packed: one AVX register.
+using Quad = double __attribute__((vector_size(32)));
 
-Pair load(const double* p) {
-  Pair v;
-  std::memcpy(&v, p, sizeof v);  // unaligned load (movupd)
-  return v;
+/// The loop every lane body runs, over Lanes / width accumulators of vector
+/// type V. Always inlined, so each body compiles it for its own ISA; the
+/// unrolled accumulator array lives in registers, not on the stack.
+template <class V, int Lanes>
+[[gnu::always_inline]] inline void lane_loop(const double* w, std::size_t len,
+                                             const double* base,
+                                             std::size_t elem_stride,
+                                             double* acc) {
+  constexpr int kWidth = sizeof(V) / sizeof(double);
+  constexpr int kRegs = Lanes / kWidth;
+  static_assert(kRegs * kWidth == Lanes, "whole registers of lanes");
+  V a[kRegs];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRegs; ++r)
+    std::memcpy(&a[r], acc + r * kWidth, sizeof(V));  // unaligned load
+  for (std::size_t i = 0; i < len; ++i, base += elem_stride) {
+    // Scalar times vector is a true broadcast of w[i]; forming it as
+    // w[i] + {0, ...} would turn a -0.0 weight into +0.0 and flip the sign
+    // of zero products.
+#pragma GCC unroll 8
+    for (int r = 0; r < kRegs; ++r) {
+      V x;
+      std::memcpy(&x, base + r * kWidth, sizeof(V));
+      a[r] += w[i] * x;
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRegs; ++r)
+    std::memcpy(acc + r * kWidth, &a[r], sizeof(V));
 }
-
-void store(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
 
 }  // namespace
 
-void WeightSlices::accumulate_lanes(std::size_t block, const double* base,
-                                    std::size_t elem_stride,
-                                    double* acc) const {
-  static_assert(kLanes == 8, "four packed pairs of lanes");
-  const double* w = weights_d_.data() + block * block_len_;
-  // Four named accumulators so they live in registers, not on the stack.
-  Pair a0 = load(acc), a1 = load(acc + 2), a2 = load(acc + 4),
-       a3 = load(acc + 6);
-  for (std::size_t i = 0; i < block_len_; ++i, base += elem_stride) {
-    // A true broadcast: forming it as w[i] + {0, 0} would turn a -0.0
-    // weight into +0.0 and flip the sign of zero products.
-    const Pair wi = {w[i], w[i]};
-    a0 += wi * load(base);
-    a1 += wi * load(base + 2);
-    a2 += wi * load(base + 4);
-    a3 += wi * load(base + 6);
-  }
-  store(acc, a0);
-  store(acc + 2, a1);
-  store(acc + 4, a2);
-  store(acc + 6, a3);
+template <int Lanes>
+void lanes_sse2(const double* w, std::size_t len, const double* base,
+                std::size_t elem_stride, double* acc) {
+  lane_loop<Pair, Lanes>(w, len, base, elem_stride, acc);
+}
+
+template <int Lanes>
+void lanes_avx2(const double* w, std::size_t len, const double* base,
+                std::size_t elem_stride, double* acc) {
+  lane_loop<Quad, Lanes>(w, len, base, elem_stride, acc);
+}
+
+template void lanes_sse2<8>(const double*, std::size_t, const double*,
+                            std::size_t, double*);
+template void lanes_sse2<16>(const double*, std::size_t, const double*,
+                             std::size_t, double*);
+template void lanes_avx2<8>(const double*, std::size_t, const double*,
+                            std::size_t, double*);
+template void lanes_avx2<16>(const double*, std::size_t, const double*,
+                             std::size_t, double*);
+
+bool cpu_has_avx2() {
+  // A function-local static: initialised once, thread-safely, on first use,
+  // after __builtin_cpu_init has filled the CPU model even if that first use
+  // runs during static initialisation.
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+}
+
+}  // namespace detail
+
+WeightSlices::LaneKernel WeightSlices::lane_kernel(int lanes) {
+  const bool avx2 = detail::cpu_has_avx2();
+  if (lanes == kLanes)
+    return avx2 ? detail::lanes_avx2<kLanes> : detail::lanes_sse2<kLanes>;
+  return avx2 ? detail::lanes_avx2<kLanes / 2>
+              : detail::lanes_sse2<kLanes / 2>;
 }
 
 void WeightSlices::accumulate_column(std::size_t block, const double* base,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../support/pinned_frames.hpp"
 #include "avd/image/color.hpp"
 #include "avd/runtime/thread_pool.hpp"
@@ -304,6 +306,41 @@ TEST_F(MultiModelScanTest, FindsVehicleFlushAgainstFrameBorder) {
                    detect_multiscale_multi_reference(gray, models, params));
 }
 
+TEST_F(MultiModelScanTest, NarrowRowsMatchReferenceAtEveryStride) {
+  // Crops of the mixed frame whose level-0 rows hold 1, 8, 15, 16 and 17
+  // window positions: the one-column form, the eight-lane half, and
+  // sixteen-lane runs with and without a pulled-left tail (smaller pyramid
+  // levels add narrower rows still). No threshold and no suppression, so
+  // every window's score is compared bit for bit, pooled and not.
+  const img::ImageU8 mixed =
+      img::rgb_to_gray(data::render_scene(mixed_scene()));
+  const HogSvmModel* models[] = {&vehicle()};
+  const int cell = vehicle().hog.cell_size;
+  const int window_cells = vehicle().window.width / cell;
+  runtime::ThreadPool pool(4);
+  SlidingWindowParams params;
+  params.score_threshold = -std::numeric_limits<double>::infinity();
+  params.nms_iou = 1.0;
+  for (const int positions : {1, 8, 15, 16, 17}) {
+    const img::ImageU8 gray =
+        mixed.crop({8, 40, (positions + window_cells - 1) * cell, 88});
+    for (const int stride : {1, 2, 3}) {
+      params.stride_cells = stride;
+      params.pool = nullptr;
+      const auto reference =
+          detect_multiscale_multi_reference(gray, models, params);
+      ASSERT_FALSE(reference.empty());
+      SCOPED_TRACE(testing::Message() << positions << " positions, stride "
+                                      << stride);
+      expect_identical(detect_multiscale_multi(gray, models, params),
+                       reference);
+      params.pool = &pool;
+      expect_identical(detect_multiscale_multi(gray, models, params),
+                       reference);
+    }
+  }
+}
+
 TEST_F(MultiModelScanTest, DetectionHashesPinned) {
   // Detections of the fixture frames at a low threshold, hashed box, score
   // bits and class. The literals were captured from the block-major scanner
@@ -335,7 +372,7 @@ TEST_F(MultiModelScanTest, DetectionHashesPinned) {
 
 TEST_F(MultiModelScanTest, FullHdDetectionHashesPinned) {
   // One rendered 1920x1080 day frame through vehicle, animal and pedestrian
-  // models: many full eight-window runs per row, several block geometries.
+  // models: many full sixteen-window runs per row, several block geometries.
   data::PedestrianPatchSpec pspec;
   pspec.n_positive = pspec.n_negative = 60;
   HogSvmTrainOptions popts;

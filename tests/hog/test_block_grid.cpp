@@ -39,12 +39,14 @@ constexpr int kRunWidths[] = {16, 48, 64, 72, 80, 104, 136, 144, 160};
 
 TEST(BlockGrid, BlockIsL2HysOfGatheredCells) {
   // A stored block must be exactly l2hys_normalise() of its cells gathered
-  // in (cell_y, cell_x) order — the window_descriptor layout.
+  // in (cell_y, cell_x) order — the window_descriptor layout. Every anchor
+  // is checked: the grid's storage starts uninitialised, so this also shows
+  // compute_block_grid writes every element.
   const HogParams p;
   for (const int width : kRunWidths) {
     const CellGrid grid = compute_cell_grid(textured(width, 64, 3), p);
     const BlockGrid blocks = compute_block_grid(grid, p);
-    for (int ay : {0, 2, blocks.anchors_y() - 1}) {
+    for (int ay = 0; ay < blocks.anchors_y(); ++ay) {
       for (int ax = 0; ax < blocks.anchors_x(); ++ax) {
         std::vector<float> manual;
         for (int by = 0; by < p.block_cells; ++by)

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iterator>
+#include <string>
 #include <vector>
 
+#include "../../src/ml/src/lane_kernels.hpp"
 #include "avd/ml/svm.hpp"
 
 namespace avd::ml {
@@ -52,7 +55,7 @@ TEST(WeightSlices, StreamedAccumulationIsBitExactDecision) {
   EXPECT_EQ(streamed, svm.decision(x));
 }
 
-/// Eight windows' descriptors and their lane-major double copy: lane j,
+/// kLanes windows' descriptors and their lane-major double copy: lane j,
 /// element i at flat[i * elem_stride + j], as the block grid stores them.
 struct LaneMajorWindows {
   std::vector<std::vector<float>> windows;
@@ -71,35 +74,92 @@ struct LaneMajorWindows {
   }
 };
 
-/// Scores eight windows stored lane-major with element rows `stride`
+/// One lane form under test: adds block `block`'s dot products into
+/// acc[0..lanes), either through WeightSlices or by calling a lane body
+/// directly on the block's weights.
+using ScoreLanes =
+    std::function<void(const WeightSlices& slices, std::size_t block,
+                       const double* base, std::size_t stride, double* acc)>;
+
+const ScoreLanes kDispatchedLanes = [](const WeightSlices& slices,
+                                       std::size_t block, const double* base,
+                                       std::size_t stride, double* acc) {
+  slices.accumulate_lanes(block, base, stride, acc);
+};
+const ScoreLanes kDispatchedHalfLanes = [](const WeightSlices& slices,
+                                           std::size_t block,
+                                           const double* base,
+                                           std::size_t stride, double* acc) {
+  slices.accumulate_half_lanes(block, base, stride, acc);
+};
+
+using LaneFn = void (*)(const double*, std::size_t, const double*,
+                        std::size_t, double*);
+
+ScoreLanes body_form(LaneFn body) {
+  return [body](const WeightSlices& slices, std::size_t block,
+                const double* base, std::size_t stride, double* acc) {
+    const std::span<const float> w = slices.slice(block);
+    const std::vector<double> wd(w.begin(), w.end());  // exact float->double
+    body(wd.data(), wd.size(), base, stride, acc);
+  };
+}
+
+/// Scores `lanes` windows stored lane-major with element rows `stride`
 /// apart and checks every lane against LinearSvm::decision, bit for bit.
-void expect_lanes_bit_exact(std::size_t stride, float bias) {
+void expect_lanes_bit_exact(const ScoreLanes& score, int lanes,
+                            std::size_t stride, float bias) {
   const LinearSvm svm = make_svm(36 * 49, bias);
   const WeightSlices slices(svm, 36);
   const LaneMajorWindows data(svm.dimension(), stride, stride);
   double acc[WeightSlices::kLanes] = {};
   for (std::size_t b = 0; b < slices.block_count(); ++b)
-    slices.accumulate_lanes(b, data.flat.data() + b * 36 * stride, stride,
-                            acc);
-  for (int j = 0; j < WeightSlices::kLanes; ++j)
+    score(slices, b, data.flat.data() + b * 36 * stride, stride, acc);
+  for (int j = 0; j < lanes; ++j)
     EXPECT_EQ(acc[j] + slices.bias(), svm.decision(data.windows[j]))
         << "stride " << stride << " lane " << j;
+  for (int j = lanes; j < WeightSlices::kLanes; ++j)
+    EXPECT_EQ(acc[j], 0.0) << "lane " << j << " is past the form's lanes";
+}
+
+/// -0.0 weights must multiply as -0.0: a lane accumulator that starts at
+/// -0.0 and only ever adds -0.0 products stays -0.0, as accumulate()'s
+/// does. A broadcast formed as w + 0.0 would make it +0.0.
+void expect_signed_zeros_kept(const ScoreLanes& score, int lanes) {
+  const LinearSvm svm(std::vector<float>(36, -0.0f), 0.0f);
+  const WeightSlices slices(svm, 36);
+  const std::size_t stride = WeightSlices::kLanes;
+  const LaneMajorWindows data(36, stride, 3);
+  double acc[WeightSlices::kLanes];
+  std::fill(std::begin(acc), std::end(acc), -0.0);
+  score(slices, 0, data.flat.data(), stride, acc);
+  for (int j = 0; j < lanes; ++j) {
+    double scalar = -0.0;
+    slices.accumulate(0, data.windows[j], scalar);
+    EXPECT_TRUE(std::signbit(scalar)) << "lane " << j;
+    EXPECT_EQ(std::signbit(acc[j]), std::signbit(scalar)) << "lane " << j;
+  }
 }
 
 TEST(WeightSlices, LaneAccumulationBitExactPerLane) {
-  // accumulate_lanes scores eight windows at once so their accumulator
+  // accumulate_lanes scores sixteen windows at once so their accumulator
   // chains overlap, and it reads exact double conversions of the float
   // operands in place from lane-major rows; each lane must still produce
   // the scalar path's result — lane j's streamed score equals decision(x_j)
-  // bit for bit.
-  expect_lanes_bit_exact(WeightSlices::kLanes, 0.5f);
+  // bit for bit. Same for the eight-lane half.
+  expect_lanes_bit_exact(kDispatchedLanes, WeightSlices::kLanes,
+                         WeightSlices::kLanes, 0.5f);
+  expect_lanes_bit_exact(kDispatchedHalfLanes, WeightSlices::kLanes / 2,
+                         WeightSlices::kLanes, 0.5f);
 }
 
 TEST(WeightSlices, StridedLaneAccumulationBitExactPerLane) {
-  // Element rows wider than the eight lanes, as in a block grid whose
-  // anchor rows hold more than eight anchors: same bits, and the columns
+  // Element rows wider than the lanes, as in a block grid whose anchor rows
+  // hold more anchors than one call scores: same bits, and the columns
   // past the lanes stay unread.
-  expect_lanes_bit_exact(21, -0.125f);
+  expect_lanes_bit_exact(kDispatchedLanes, WeightSlices::kLanes, 21, -0.125f);
+  expect_lanes_bit_exact(kDispatchedHalfLanes, WeightSlices::kLanes / 2, 21,
+                         -0.125f);
 }
 
 TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
@@ -107,7 +167,7 @@ TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
   // positions: each column of lane-major data scores its own window exactly.
   const LinearSvm svm = make_svm(36 * 49, -0.125f);
   const WeightSlices slices(svm, 36);
-  const std::size_t stride = 13;
+  const std::size_t stride = 21;
   const LaneMajorWindows data(svm.dimension(), stride, 5);
   for (int j = 0; j < WeightSlices::kLanes; ++j) {
     double acc = 0.0;
@@ -120,25 +180,58 @@ TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
 }
 
 TEST(WeightSlices, LaneFormsKeepSignedZeros) {
-  // -0.0 weights must multiply as -0.0: a lane accumulator that starts at
-  // -0.0 and only ever adds -0.0 products stays -0.0, as accumulate()'s
-  // does. A broadcast formed as w + 0.0 would make it +0.0.
-  const LinearSvm svm(std::vector<float>(36, -0.0f), 0.0f);
-  const WeightSlices slices(svm, 36);
-  const LaneMajorWindows data(36, 8, 3);
-  double lanes[WeightSlices::kLanes];
-  std::fill(std::begin(lanes), std::end(lanes), -0.0);
-  slices.accumulate_lanes(0, data.flat.data(), 8, lanes);
-  for (int j = 0; j < WeightSlices::kLanes; ++j) {
-    double scalar = -0.0;
-    slices.accumulate(0, data.windows[j], scalar);
-    double column = -0.0;
-    slices.accumulate_column(0, data.flat.data() + j, 8, column);
-    EXPECT_TRUE(std::signbit(scalar)) << "lane " << j;
-    EXPECT_EQ(std::signbit(lanes[j]), std::signbit(scalar)) << "lane " << j;
-    EXPECT_EQ(std::signbit(column), std::signbit(scalar)) << "lane " << j;
-  }
+  expect_signed_zeros_kept(kDispatchedLanes, WeightSlices::kLanes);
+  expect_signed_zeros_kept(kDispatchedHalfLanes, WeightSlices::kLanes / 2);
+  const ScoreLanes column = [](const WeightSlices& slices, std::size_t block,
+                               const double* base, std::size_t stride,
+                               double* acc) {
+    for (int j = 0; j < WeightSlices::kLanes; ++j)
+      slices.accumulate_column(block, base + j, stride, acc[j]);
+  };
+  expect_signed_zeros_kept(column, WeightSlices::kLanes);
 }
+
+/// Each ISA body of the lane kernel, run directly whatever this host's
+/// WeightSlices picked, so both are checked in one binary.
+struct LaneBody {
+  const char* name;
+  int lanes;
+  bool needs_avx2;
+  LaneFn fn;
+};
+
+class LaneBodies : public ::testing::TestWithParam<LaneBody> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx2 && !detail::cpu_has_avx2())
+      GTEST_SKIP() << "this CPU has no AVX2, so its lane body cannot run";
+  }
+};
+
+TEST_P(LaneBodies, BitExactPerLane) {
+  expect_lanes_bit_exact(body_form(GetParam().fn), GetParam().lanes,
+                         WeightSlices::kLanes, 0.5f);
+}
+
+TEST_P(LaneBodies, StridedBitExactPerLane) {
+  expect_lanes_bit_exact(body_form(GetParam().fn), GetParam().lanes, 21,
+                         -0.125f);
+}
+
+TEST_P(LaneBodies, KeepSignedZeros) {
+  expect_signed_zeros_kept(body_form(GetParam().fn), GetParam().lanes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryIsa, LaneBodies,
+    ::testing::Values(
+        LaneBody{"Sse2x16", 16, false, detail::lanes_sse2<16>},
+        LaneBody{"Sse2x8", 8, false, detail::lanes_sse2<8>},
+        LaneBody{"Avx2x16", 16, true, detail::lanes_avx2<16>},
+        LaneBody{"Avx2x8", 8, true, detail::lanes_avx2<8>}),
+    [](const ::testing::TestParamInfo<LaneBody>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(WeightSlices, RejectsUntrainedSvm) {
   EXPECT_THROW(WeightSlices(LinearSvm(), 36), std::invalid_argument);
