@@ -59,15 +59,16 @@ struct HogSvmTrainOptions {
 
 /// Multi-scale sliding-window detection parameters.
 struct SlidingWindowParams {
-  double scale_step = 1.25;     ///< pyramid ratio between levels
-  int max_levels = 6;
-  int stride_cells = 1;         ///< window step in cells
+  double scale_step = 1.25;     ///< pyramid ratio between levels (> 1)
+  int max_levels = 6;           ///< >= 1
+  int stride_cells = 1;         ///< window step in cells (>= 1)
   double score_threshold = 0.3; ///< min decision value to emit a detection
   double nms_iou = 0.4;
-  /// Scan parallelism: pyramid levels and row bands are dispatched onto this
-  /// pool (nullptr = scan on the calling thread). Detections are identical
-  /// for every pool size — tasks merge in canonical scan order, never in
-  /// completion order. Share ONE pool across every scanning call site (the
+  /// Scan parallelism: pyramid levels are dispatched onto this pool, one
+  /// task per level, each streaming its blocks through its own ring of
+  /// block rows (nullptr = scan on the calling thread). Detections are
+  /// identical for every pool size — tasks merge in canonical scan order,
+  /// never in completion order. Share ONE pool across every scanning call site (the
   /// runtime's detect workers included, StreamServerConfig::scan_pool); the
   /// scanner never spawns threads of its own. Not owned.
   runtime::ThreadPool* pool = nullptr;

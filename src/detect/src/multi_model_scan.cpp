@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 
 #include "avd/hog/block_grid.hpp"
@@ -16,11 +15,10 @@
 namespace avd::det {
 namespace {
 
-/// Rows of window anchors per scan task. Small enough that a single pyramid
-/// level splits across the pool, large enough that a task amortises its
-/// dispatch. Fixed (never derived from thread count or timing) so the task
-/// decomposition — and therefore the merged detection order — is a pure
-/// function of the inputs.
+/// Anchor rows per strip: a level is normalised and scored kBandRows rows of
+/// window tops at a time, so its block ring holds the tallest window's span
+/// plus kBandRows - 1 rows. Fixed (never derived from thread count or
+/// timing), so the work a scan does is a pure function of its inputs.
 constexpr int kBandRows = 8;
 
 /// Windows scored per accumulate_lanes call. The per-window double
@@ -67,10 +65,17 @@ struct PyramidLevel {
 };
 
 /// The pyramid schedule, identical for both scan paths: shrink by scale_step
-/// until no model's window fits.
+/// until no model's window fits. Refuses the settings that would scan
+/// nothing, rescan level 0 or upsample, by img::Pyramid's rules.
 std::vector<PyramidLevel> plan_pyramid(
     const img::ImageU8& frame, std::span<const HogSvmModel* const> models,
     const SlidingWindowParams& params) {
+  if (params.stride_cells < 1)
+    throw std::invalid_argument("detect_multiscale: stride_cells must be >= 1");
+  if (params.max_levels < 1)
+    throw std::invalid_argument("detect_multiscale: max_levels must be >= 1");
+  if (!(params.scale_step > 1.0))  // NaN included
+    throw std::invalid_argument("detect_multiscale: scale_step must exceed 1");
   std::vector<PyramidLevel> levels;
   double scale = 1.0;
   for (int level = 0; level < params.max_levels;
@@ -148,52 +153,51 @@ std::vector<Detection> detect_multiscale_multi(
   const hog::HogParams& shared = validate_models(models);
   const std::vector<PyramidLevel> levels = plan_pyramid(frame, models, params);
   const int n_levels = static_cast<int>(levels.size());
+  const std::size_t n_models = models.size();
+  const int bstride = shared.block_stride_cells;
 
   // Every model classifies from the same normalised blocks; its weight
   // vector, sliced per block, turns a window score into a streamed sum of
-  // per-block dot products.
-  const std::size_t block_len = static_cast<std::size_t>(shared.block_cells) *
-                                shared.block_cells * shared.bins;
+  // per-block dot products. A window reads blocks from `span` block rows.
+  const int block_len = shared.block_cells * shared.block_cells * shared.bins;
   std::vector<ml::WeightSlices> slices;
-  slices.reserve(models.size());
-  for (const HogSvmModel* m : models) slices.emplace_back(m->svm, block_len);
+  slices.reserve(n_models);
+  int max_span = 0;
+  for (const HogSvmModel* m : models) {
+    slices.emplace_back(m->svm, static_cast<std::size_t>(block_len));
+    const int span =
+        (shared.blocks_along(m->window.height / shared.cell_size) - 1) *
+            bstride + 1;
+    max_span = std::max(max_span, span);
+  }
 
-  // Tasks run either inline (no pool) or cooperatively on the shared pool.
-  // Either way results land in index-addressed slots, so the merged output
-  // is the canonical (level, model, band, row, column) order — identical
-  // detections for every thread count.
-  const auto run_tasks = [&params](int count,
-                                   const std::function<void(int)>& fn) {
-    if (params.pool != nullptr && count > 1) {
-      params.pool->run_indexed(count, fn);
-    } else {
-      for (int i = 0; i < count; ++i) fn(i);
-    }
+  // One task per level, run inline (no pool) or cooperatively on the shared
+  // pool. Each writes its own slot, so the merged output is the canonical
+  // (level, model, row, column) order — identical for every thread count.
+  struct LevelResult {
+    std::vector<std::vector<Detection>> dets;  ///< per model
+    std::uint64_t windows = 0;
+    std::uint64_t blocks = 0;
   };
-  // Tasks may run on pool threads: re-install this frame's trace context so
-  // per-level spans stay children of the detect_multiscale span.
+  std::vector<LevelResult> results(levels.size());
+  // Pool threads re-install this frame's trace context, so every level's
+  // spans stay children of the detect_multiscale span.
   const obs::TraceContext scan_ctx = scan_span.context();
-
-  // --- phase 1: per-level shared front end (resize + cells + blocks) -----
-  struct FrontEnd {
-    hog::BlockGrid blocks;
-    int cells_x = 0;
-    int cells_y = 0;
-  };
-  std::vector<FrontEnd> fronts(levels.size());
-  run_tasks(n_levels, [&](int i) {
+  const auto scan_level = [&](int i) {
     const obs::TraceScope scope(scan_ctx);
     const PyramidLevel& level = levels[static_cast<std::size_t>(i)];
-    const obs::ScopedSpan span(
-        "hog_front_end", "detect/hogsvm",
-        {{"level", level.index},
-         {"width", level.size.width},
-         {"height", level.size.height}});
+    LevelResult& out = results[static_cast<std::size_t>(i)];
+    out.dets.resize(n_models);
     // The ledger's layers, each under its own span: pyramid resize (levels
-    // past 0), cell grid, block grid. The resized level is freed as soon as
-    // its cell grid exists.
+    // past 0) and cell grid, then per strip block rows and window scores.
+    // The resized level is freed as soon as its cell grid exists.
     hog::CellGrid grid;
     {
+      const obs::ScopedSpan span(
+          "hog_front_end", "detect/hogsvm",
+          {{"level", level.index},
+           {"width", level.size.width},
+           {"height", level.size.height}});
       img::ImageU8 resized;
       if (level.index != 0) {
         const obs::ScopedSpan resize_span("pyramid_resize", "detect/hogsvm");
@@ -202,89 +206,35 @@ std::vector<Detection> detect_multiscale_multi(
       const obs::ScopedSpan cells_span("cell_grid", "detect/hogsvm");
       grid = hog::compute_cell_grid(level.index == 0 ? frame : resized, shared);
     }
-    FrontEnd& fe = fronts[static_cast<std::size_t>(i)];
-    fe.cells_x = grid.cells_x();
-    fe.cells_y = grid.cells_y();
-    const obs::ScopedSpan blocks_span("block_grid", "detect/hogsvm");
-    fe.blocks = hog::compute_block_grid(grid, shared);
-  });
+    // Some model's window fits the level, so it holds at least one block.
+    const int anchors_x = grid.cells_x() - shared.block_cells + 1;
+    const int anchors_y = grid.cells_y() - shared.block_cells + 1;
+    const int ring_rows = std::min(anchors_y, max_span + kBandRows - 1);
+    hog::BlockGrid ring(anchors_x, ring_rows, block_len);
+    out.blocks = static_cast<std::uint64_t>(anchors_x) *
+                 static_cast<std::uint64_t>(anchors_y);
 
-  // --- phase 2: banded window scoring over the precomputed blocks --------
-  struct Band {
-    int level = 0;           ///< index into levels/fronts
-    std::size_t model = 0;   ///< index into models/slices
-    int ay_begin = 0;        ///< anchor-row range [ay_begin, ay_end)
-    int ay_end = 0;
-  };
-  // Anchor lists per (level, model); bands built in canonical scan order.
-  std::vector<std::vector<int>> xs(levels.size() * models.size());
-  std::vector<std::vector<int>> ys(levels.size() * models.size());
-  std::vector<Band> bands;
-  for (int li = 0; li < n_levels; ++li) {
-    for (std::size_t mi = 0; mi < models.size(); ++mi) {
-      const std::size_t key = static_cast<std::size_t>(li) * models.size() + mi;
-      const int cells_w = models[mi]->window.width / shared.cell_size;
-      const int cells_h = models[mi]->window.height / shared.cell_size;
-      const FrontEnd& fe = fronts[static_cast<std::size_t>(li)];
-      xs[key] =
-          window_anchor_positions(fe.cells_x, cells_w, params.stride_cells);
-      ys[key] =
-          window_anchor_positions(fe.cells_y, cells_h, params.stride_cells);
-      if (xs[key].empty() || ys[key].empty()) continue;
-      const int rows = static_cast<int>(ys[key].size());
-      for (int begin = 0; begin < rows; begin += kBandRows)
-        bands.push_back({li, mi, begin, std::min(begin + kBandRows, rows)});
+    // Every model's window anchors, and its next window top to score.
+    std::vector<std::vector<int>> xs(n_models), ys(n_models);
+    std::vector<std::size_t> next_top(n_models, 0);
+    for (std::size_t mi = 0; mi < n_models; ++mi) {
+      xs[mi] = window_anchor_positions(
+          grid.cells_x(), models[mi]->window.width / shared.cell_size,
+          params.stride_cells);
+      ys[mi] = window_anchor_positions(
+          grid.cells_y(), models[mi]->window.height / shared.cell_size,
+          params.stride_cells);
+      if (xs[mi].empty()) ys[mi].clear();
     }
-  }
+    std::vector<const double*> block_rows(static_cast<std::size_t>(max_span));
+    const std::size_t elem_stride = static_cast<std::size_t>(anchors_x);
 
-  struct BandResult {
-    std::vector<Detection> dets;
-    std::uint64_t windows = 0;
-  };
-  std::vector<BandResult> results(bands.size());
-  run_tasks(static_cast<int>(bands.size()), [&](int t) {
-    const obs::TraceScope scope(scan_ctx);
-    const Band& band = bands[static_cast<std::size_t>(t)];
-    const PyramidLevel& level = levels[static_cast<std::size_t>(band.level)];
-    const obs::ScopedSpan span(
-        "scan_band", "detect/hogsvm",
-        {{"level", level.index},
-         {"model", static_cast<std::int64_t>(band.model)},
-         {"rows", band.ay_end - band.ay_begin}});
-    const FrontEnd& fe = fronts[static_cast<std::size_t>(band.level)];
-    const HogSvmModel& m = *models[band.model];
-    const ml::WeightSlices& ws = slices[band.model];
-    const std::size_t key =
-        static_cast<std::size_t>(band.level) * models.size() + band.model;
-    const int blocks_x =
-        shared.blocks_along(m.window.width / shared.cell_size);
-    const int blocks_y =
-        shared.blocks_along(m.window.height / shared.cell_size);
-    BandResult& out = results[static_cast<std::size_t>(t)];
-    const int bstride = shared.block_stride_cells;
-    const std::vector<int>& axs = xs[key];
-    const int n_x = static_cast<int>(axs.size());
-    const auto emit = [&](int cx, int cy, double acc) {
-      const double score = acc + ws.bias();
-      ++out.windows;
-      if (score < params.score_threshold) return;
-      const img::Rect box{cx * shared.cell_size, cy * shared.cell_size,
-                          m.window.width, m.window.height};
-      out.dets.push_back(
-          {img::scaled(box, level.scale, level.scale), score, m.class_id});
-    };
-    // Window block (wbx, wby) of the window at cell (cx, cy) is the grid
-    // block anchored at (cx + wbx * bstride, cy + wby * bstride). Its
-    // element k sits elem_stride * k past the pointer returned here, and
-    // the blocks of the windows at cx + 1, cx + 2, ... follow it directly.
-    const std::size_t elem_stride =
-        static_cast<std::size_t>(fe.blocks.anchors_x());
-    const auto block_at = [&](int cx, int cy, int wbx, int wby) {
-      return fe.blocks.row(cy + wby * bstride, 0) + cx + wbx * bstride;
-    };
-    const auto anchor = [&axs](int xi) {
-      return axs[static_cast<std::size_t>(xi)];
-    };
+    // Score model mi's windows whose top row is cy. Window block (wbx, wby)
+    // of the window at cell (cx, cy) is the block anchored at
+    // (cx + wbx * bstride, cy + wby * bstride), in ring slot
+    // (cy + wby * bstride) % ring_rows. Its element k sits elem_stride * k
+    // past it, and the blocks of the windows at cx + 1, ... follow it.
+    //
     // Blocks stream through each window's accumulator in descriptor order,
     // so every score is the bit-exact LinearSvm::decision of the window's
     // (never materialised) descriptor. Windows score `lanes` at a time at
@@ -296,19 +246,31 @@ std::vector<Detection> detect_multiscale_multi(
     // each anchor alone. Rows with fewer positions than kLanes run eight
     // lanes, or one column at a time below that. Per-lane arithmetic and
     // emission order are the scalar path's.
-    const int last = axs.back();  // bands exist only for non-empty rows
-    const int lanes = last + 1 >= kLanes       ? kLanes
-                      : last + 1 >= kLanes / 2 ? kLanes / 2
-                                               : 1;
-    for (int ayi = band.ay_begin; ayi < band.ay_end; ++ayi) {
-      const int cy = ys[key][static_cast<std::size_t>(ayi)];
+    const auto score_row = [&](std::size_t mi, int cy) {
+      const HogSvmModel& m = *models[mi];
+      const ml::WeightSlices& ws = slices[mi];
+      const int blocks_x =
+          shared.blocks_along(m.window.width / shared.cell_size);
+      const int blocks_y =
+          shared.blocks_along(m.window.height / shared.cell_size);
+      for (int wby = 0; wby < blocks_y; ++wby)
+        block_rows[static_cast<std::size_t>(wby)] =
+            ring.row((cy + wby * bstride) % ring_rows, 0);
+      const std::vector<int>& axs = xs[mi];
+      const int n_x = static_cast<int>(axs.size());
+      const int last = axs.back();
+      const int lanes = last + 1 >= kLanes       ? kLanes
+                        : last + 1 >= kLanes / 2 ? kLanes / 2
+                                                 : 1;
       for (int xi = 0; xi < n_x;) {
-        const int c0 = std::min(anchor(xi), last - (lanes - 1));
+        const int c0 = std::min(axs[static_cast<std::size_t>(xi)],
+                                last - (lanes - 1));
         double acc[kLanes] = {};
         std::size_t b = 0;
         for (int wby = 0; wby < blocks_y; ++wby) {
+          const double* row = block_rows[static_cast<std::size_t>(wby)] + c0;
           for (int wbx = 0; wbx < blocks_x; ++wbx, ++b) {
-            const double* lane0 = block_at(c0, cy, wbx, wby);
+            const double* lane0 = row + wbx * bstride;
             if (lanes == kLanes)
               ws.accumulate_lanes(b, lane0, elem_stride, acc);
             else if (lanes == kLanes / 2)
@@ -317,30 +279,65 @@ std::vector<Detection> detect_multiscale_multi(
               ws.accumulate_column(b, lane0, elem_stride, acc[0]);
           }
         }
-        for (; xi < n_x && anchor(xi) < c0 + lanes; ++xi)
-          emit(anchor(xi), cy, acc[anchor(xi) - c0]);
+        for (; xi < n_x && axs[static_cast<std::size_t>(xi)] < c0 + lanes;
+             ++xi) {
+          const int cx = axs[static_cast<std::size_t>(xi)];
+          const double score = acc[cx - c0] + ws.bias();
+          ++out.windows;
+          if (score < params.score_threshold) continue;
+          const img::Rect box{cx * shared.cell_size, cy * shared.cell_size,
+                              m.window.width, m.window.height};
+          out.dets[mi].push_back(
+              {img::scaled(box, level.scale, level.scale), score, m.class_id});
+        }
       }
-    }
-  });
+    };
 
-  // --- merge (canonical task order) + NMS ---------------------------------
+    // Strips of kBandRows window tops. Before a strip scores, the ring holds
+    // block rows [top, top + ring_rows) — every row its windows read — and
+    // each row is normalised once, overwriting one no later strip reads.
+    int filled = 0;
+    for (int top = 0; top < anchors_y; top += kBandRows) {
+      const int bottom = top + kBandRows;
+      const int want = std::min(anchors_y, top + ring_rows);
+      if (want > filled) {
+        const obs::ScopedSpan blocks_span(
+            "block_grid", "detect/hogsvm",
+            {{"level", level.index}, {"rows", want - filled}});
+        hog::normalise_block_rows(grid, shared, filled, want, ring);
+        filled = want;
+      }
+      const obs::ScopedSpan span("scan_band", "detect/hogsvm",
+                                 {{"level", level.index}, {"top", top}});
+      for (std::size_t mi = 0; mi < n_models; ++mi)
+        for (std::size_t& t = next_top[mi];
+             t < ys[mi].size() && ys[mi][t] < bottom; ++t)
+          score_row(mi, ys[mi][t]);
+    }
+  };
+  if (params.pool != nullptr && n_levels > 1) {
+    params.pool->run_indexed(n_levels, scan_level);
+  } else {
+    for (int i = 0; i < n_levels; ++i) scan_level(i);
+  }
+
+  // --- merge (canonical level, model order) + NMS --------------------------
   std::vector<Detection> raw;
   std::uint64_t windows_scanned = 0;
-  for (BandResult& r : results) {
-    windows_scanned += r.windows;
-    raw.insert(raw.end(), r.dets.begin(), r.dets.end());
-  }
   std::uint64_t blocks_normalised = 0;
-  for (const FrontEnd& fe : fronts)
-    blocks_normalised += static_cast<std::uint64_t>(fe.blocks.anchors_x()) *
-                         static_cast<std::uint64_t>(fe.blocks.anchors_y());
+  for (LevelResult& r : results) {
+    windows_scanned += r.windows;
+    blocks_normalised += r.blocks;
+    for (std::vector<Detection>& dets : r.dets)
+      raw.insert(raw.end(), dets.begin(), dets.end());
+  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   registry.counter("detect.hogsvm.frames").inc();
   registry.counter("detect.hogsvm.levels").inc(
       static_cast<std::uint64_t>(levels.size()));
   registry.counter("detect.hogsvm.scan_tasks").inc(
-      static_cast<std::uint64_t>(bands.size()));
+      static_cast<std::uint64_t>(levels.size()));
   registry.counter("detect.hogsvm.blocks_normalised").inc(blocks_normalised);
   registry.counter("detect.hogsvm.windows_scanned").inc(windows_scanned);
   registry.counter("detect.hogsvm.raw_detections").inc(raw.size());

@@ -1,13 +1,19 @@
-// Precomputed normalised block grid: HOG stage 2 hoisted out of the window
-// loop.
+// Normalised HOG blocks: HOG stage 2 hoisted out of the window loop.
 //
 // window_descriptor() re-runs L2-hys on every overlapping block of every
 // window it assembles; in a dense sliding-window scan each block is shared by
 // up to block-count-per-window windows, so the same normalisation ran ~49
-// times (default 64x64 window) per block. A BlockGrid normalises every block
-// of a pyramid level exactly once — the software twin of the paper's
-// "normalised HOG memory" stage, which also writes each normalised block to
-// block RAM once and lets every downstream classifier read it.
+// times (default 64x64 window) per block. normalise_block_rows() normalises
+// each block of a row of anchors exactly once — the software twin of the
+// paper's "normalised HOG memory" stage, which writes each normalised block
+// to block RAM once and lets every downstream classifier read it.
+//
+// A BlockGrid holds rows of blocks. compute_block_grid() fills one with every
+// row of a pyramid level; the scanner (avd/detect/multi_model_scan.hpp)
+// instead keeps a ring of a few rows, writing anchor row ay to slot
+// ay % anchors_y(), so a level's blocks never exist all at once — as in the
+// hardware, whose normalised HOG memory holds a few rows of blocks, never a
+// frame of them. Both run the same row normaliser.
 //
 // Blocks are anchored at EVERY cell position (stride-1 anchors), not just at
 // multiples of block_stride_cells: a window whose top-left cell is not a
@@ -15,13 +21,13 @@
 // offsets. Window block (wbx, wby) of a window anchored at cell (cx, cy) is
 // grid block (cx + wbx * block_stride_cells, cy + wby * block_stride_cells).
 //
-// Layout: lane-major per anchor row. Element k of the block anchored at
-// (ax, ay) sits at data[(ay * block_len + k) * anchors_x + ax], so one
-// element of consecutive anchors is contiguous — the operand order of the
-// scanner's sixteen-window SVM lanes (ml::WeightSlices::accumulate_lanes),
-// which read it in place. Values are stored as doubles, each the exact
-// conversion of the float l2hys_normalise produced (float -> double and back
-// is lossless), so the scanner needs no second copy to score from.
+// Layout: lane-major per row. Element k of the block at anchor ax in row
+// slot y sits at data[(y * block_len + k) * anchors_x + ax], so one element of
+// consecutive anchors is contiguous — the operand order of the scanner's
+// sixteen-window SVM lanes (ml::WeightSlices::accumulate_lanes), which read
+// it in place. Values are stored as doubles, each the exact conversion of
+// the float l2hys_normalise produced (float -> double and back is lossless),
+// so the scanner needs no second copy to score from.
 //
 // Equivalence guarantee: a block's stored vector is bit-identical to what
 // window_descriptor would have produced for that block (same gather order,
@@ -35,22 +41,29 @@
 
 namespace avd::hog {
 
-/// Every L2-hys-normalised block of a cell grid, each computed once.
-/// Move-only: a pyramid level's grid is built once and scored in place.
+/// Rows of L2-hys-normalised blocks: every row of a cell grid
+/// (compute_block_grid) or a ring of a few (normalise_block_rows).
+/// Move-only: blocks are written once and scored in place.
 class BlockGrid {
  public:
   /// An empty grid: no anchors.
   BlockGrid() = default;
+  /// Storage for `anchors_y` rows of `anchors_x` blocks of `block_len`
+  /// values, left uninitialised: normalise_block_rows writes each element
+  /// of a row it fills exactly once, so zero-filling would be wasted.
+  /// Throws std::invalid_argument for a negative size.
+  BlockGrid(int anchors_x, int anchors_y, int block_len);
 
-  /// Block anchors along x/y: cells - block_cells + 1 (0 when the grid is
-  /// smaller than one block).
+  /// Block anchors along x, and rows held along y. For compute_block_grid's
+  /// grid both are cells - block_cells + 1 (0 when the grid is smaller than
+  /// one block).
   [[nodiscard]] int anchors_x() const { return anchors_x_; }
   [[nodiscard]] int anchors_y() const { return anchors_y_; }
   /// Values per block: block_cells^2 * bins, cell histograms in
   /// (cell_y, cell_x) order — the window_descriptor layout.
   [[nodiscard]] int block_len() const { return block_len_; }
 
-  /// Element k of the block anchored at cell (ax, ay).
+  /// Element k of the block anchored at cell (ax, ay) (row slot ay).
   [[nodiscard]] double at(int ax, int ay, int k) const {
     return data_[offset(ay, k) + static_cast<std::size_t>(ax)];
   }
@@ -64,12 +77,6 @@ class BlockGrid {
   }
 
  private:
-  friend BlockGrid compute_block_grid(const CellGrid& grid,
-                                      const HogParams& params);
-  /// Storage for every block, left uninitialised: compute_block_grid writes
-  /// each element exactly once, so zero-filling it first would be wasted.
-  BlockGrid(int anchors_x, int anchors_y, int block_len);
-
   [[nodiscard]] std::size_t offset(int ay, int k) const {
     const auto len = static_cast<std::size_t>(block_len_);
     return (static_cast<std::size_t>(ay) * len + static_cast<std::size_t>(k)) *
@@ -82,8 +89,18 @@ class BlockGrid {
   std::unique_ptr<double[]> data_;
 };
 
-/// Normalise every block of `grid` once. O(cells) memory and work, after
-/// which any window descriptor (or sliced dot product) is pure reads.
+/// Normalise the blocks of anchor rows [ay_begin, ay_end) of `grid`, writing
+/// row ay to slot ay % rows.anchors_y() of `rows` — a ring when `rows` holds
+/// fewer rows than the grid has. `rows` must be as wide as the grid has
+/// anchors along x and hold blocks of block_cells^2 * bins values, and the
+/// range must lie within the grid's anchor rows; otherwise
+/// std::invalid_argument.
+void normalise_block_rows(const CellGrid& grid, const HogParams& params,
+                          int ay_begin, int ay_end, BlockGrid& rows);
+
+/// Normalise every block of `grid` once: normalise_block_rows over every
+/// anchor row into a grid of them all. O(cells) memory and work, after which
+/// any window descriptor (or sliced dot product) is pure reads.
 [[nodiscard]] BlockGrid compute_block_grid(const CellGrid& grid,
                                            const HogParams& params);
 

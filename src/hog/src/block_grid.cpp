@@ -10,6 +10,12 @@ namespace {
 /// every element row.
 constexpr int kRun = 8;
 
+std::size_t element_count(int anchors_x, int anchors_y, int block_len) {
+  if (anchors_x < 0 || anchors_y < 0 || block_len < 0)
+    throw std::invalid_argument("BlockGrid: negative size");
+  return static_cast<std::size_t>(anchors_x) * anchors_y * block_len;
+}
+
 }  // namespace
 
 BlockGrid::BlockGrid(int anchors_x, int anchors_y, int block_len)
@@ -17,24 +23,30 @@ BlockGrid::BlockGrid(int anchors_x, int anchors_y, int block_len)
       anchors_y_(anchors_y),
       block_len_(block_len),
       data_(std::make_unique_for_overwrite<double[]>(
-          static_cast<std::size_t>(anchors_x) * anchors_y * block_len)) {}
+          element_count(anchors_x, anchors_y, block_len))) {}
 
-BlockGrid compute_block_grid(const CellGrid& grid, const HogParams& params) {
+void normalise_block_rows(const CellGrid& grid, const HogParams& params,
+                          int ay_begin, int ay_end, BlockGrid& rows) {
   if (params.block_cells <= 0)
     throw std::invalid_argument("BlockGrid: bad block size");
   const int ax_count = grid.cells_x() - params.block_cells + 1;
   const int ay_count = grid.cells_y() - params.block_cells + 1;
-  const int block_len = params.block_cells * params.block_cells * grid.bins();
-  if (ax_count <= 0 || ay_count <= 0) return {};
+  const int bins = grid.bins();
+  const int block_len = params.block_cells * params.block_cells * bins;
+  if (ay_begin < 0 || ay_begin > ay_end || ay_end > std::max(ay_count, 0))
+    throw std::invalid_argument("BlockGrid: anchor rows outside the grid");
+  if (ay_begin == ay_end) return;
+  if (rows.anchors_x() != ax_count || rows.anchors_y() <= 0 ||
+      rows.block_len() != block_len)
+    throw std::invalid_argument("BlockGrid: rows do not fit the grid");
 
-  BlockGrid blocks(ax_count, ay_count, block_len);
   // kRun consecutive anchors at a time, interleaved the way l2hys_normalise
   // takes a run: element k of the run's block j at run[k * kRun + j]. A
   // row's last run may hold fewer anchors; its spare lanes stay zero, which
   // normalises to zero and is never stored.
-  const int bins = grid.bins();
   std::vector<float> run(static_cast<std::size_t>(kRun) * block_len);
-  for (int ay = 0; ay < ay_count; ++ay) {
+  for (int ay = ay_begin; ay < ay_end; ++ay) {
+    const int slot = ay % rows.anchors_y();
     for (int ax0 = 0; ax0 < ax_count; ax0 += kRun) {
       const int n = std::min(kRun, ax_count - ax0);
       if (n < kRun) std::fill(run.begin(), run.end(), 0.0f);
@@ -50,12 +62,23 @@ BlockGrid compute_block_grid(const CellGrid& grid, const HogParams& params) {
       }
       l2hys_normalise(run, params.l2hys_clip, kRun);
       for (int k = 0; k < block_len; ++k) {
-        double* out = blocks.row(ay, k) + ax0;
+        double* out = rows.row(slot, k) + ax0;
         const float* src = run.data() + static_cast<std::size_t>(k) * kRun;
         for (int j = 0; j < n; ++j) out[j] = src[j];  // exact widening
       }
     }
   }
+}
+
+BlockGrid compute_block_grid(const CellGrid& grid, const HogParams& params) {
+  if (params.block_cells <= 0)
+    throw std::invalid_argument("BlockGrid: bad block size");
+  const int ax_count = grid.cells_x() - params.block_cells + 1;
+  const int ay_count = grid.cells_y() - params.block_cells + 1;
+  if (ax_count <= 0 || ay_count <= 0) return {};
+  BlockGrid blocks(ax_count, ay_count,
+                   params.block_cells * params.block_cells * grid.bins());
+  normalise_block_rows(grid, params, 0, ay_count, blocks);
   return blocks;
 }
 

@@ -200,6 +200,52 @@ TEST_F(MultiModelScanTest, RejectsMalformedModels) {
   }
 }
 
+TEST_F(MultiModelScanTest, RejectsStrideBelowOne) {
+  // stride_cells 0 used to scan no windows and return nothing.
+  const HogSvmModel* models[] = {&vehicle()};
+  const img::ImageU8 frame(128, 128);
+  for (const int stride : {0, -1}) {
+    SlidingWindowParams params;
+    params.stride_cells = stride;
+    EXPECT_THROW((void)detect_multiscale_multi(frame, models, params),
+                 std::invalid_argument);
+    EXPECT_THROW((void)detect_multiscale_multi_reference(frame, models, params),
+                 std::invalid_argument);
+  }
+}
+
+TEST_F(MultiModelScanTest, RejectsMaxLevelsBelowOne) {
+  // max_levels 0 used to plan an empty pyramid and return nothing.
+  const HogSvmModel* models[] = {&vehicle()};
+  const img::ImageU8 frame(128, 128);
+  for (const int levels : {0, -3}) {
+    SlidingWindowParams params;
+    params.max_levels = levels;
+    EXPECT_THROW((void)detect_multiscale_multi(frame, models, params),
+                 std::invalid_argument);
+    EXPECT_THROW((void)detect_multiscale_multi_reference(frame, models, params),
+                 std::invalid_argument);
+  }
+}
+
+TEST_F(MultiModelScanTest, RejectsScaleStepNotAboveOne) {
+  // scale_step 1 used to rescan level 0 max_levels times, and a step below
+  // 1 upsampled; NaN compares false against everything and is refused too.
+  const HogSvmModel* models[] = {&vehicle()};
+  const img::ImageU8 frame(128, 128);
+  for (const double step :
+       {1.0, 0.8, 0.0, -1.25, std::numeric_limits<double>::quiet_NaN()}) {
+    SlidingWindowParams params;
+    params.scale_step = step;
+    EXPECT_THROW((void)detect_multiscale_multi(frame, models, params),
+                 std::invalid_argument)
+        << step;
+    EXPECT_THROW((void)detect_multiscale_multi_reference(frame, models, params),
+                 std::invalid_argument)
+        << step;
+  }
+}
+
 TEST(WindowAnchorPositions, CoversTheEdgeWhenStrideDivides) {
   EXPECT_EQ(window_anchor_positions(16, 8, 2),
             (std::vector<int>{0, 2, 4, 6, 8}));
@@ -337,6 +383,60 @@ TEST_F(MultiModelScanTest, NarrowRowsMatchReferenceAtEveryStride) {
       params.pool = &pool;
       expect_identical(detect_multiscale_multi(gray, models, params),
                        reference);
+    }
+  }
+}
+
+TEST_F(MultiModelScanTest, BlockRingMatchesReferenceInEveryCombination) {
+  // Vehicle 64x64, animal 64x48 and pedestrian 32x64 together: the ring is
+  // sized by the tallest window, so it is taller than the animal's and the
+  // pedestrian's spans. Models with block stride 1 and 2, window strides 1
+  // to 3, inline and pooled. The tallest span is 7 block rows at either
+  // block stride, so the ring holds 14. Level 0 of the 256x160 frame has 19
+  // anchor rows (three strips, the ring wraps); its top level, 84x52, has 5,
+  // and every level of the 256x96 crop has fewer than 14. No threshold and
+  // no suppression, so every window's score is compared bit for bit.
+  const img::ImageU8 mixed =
+      img::rgb_to_gray(data::render_scene(mixed_scene()));
+  const img::ImageU8 frames[] = {mixed, mixed.crop({0, 40, 256, 96})};
+  runtime::ThreadPool pool(4);
+  SlidingWindowParams params;
+  params.score_threshold = -std::numeric_limits<double>::infinity();
+  params.nms_iou = 1.0;
+  for (const int block_stride : {1, 2}) {
+    HogSvmTrainOptions opts;
+    opts.hog.block_stride_cells = block_stride;
+    data::VehiclePatchSpec vspec;
+    vspec.n_positive = vspec.n_negative = 40;
+    data::AnimalPatchSpec aspec;
+    aspec.n_positive = aspec.n_negative = 40;
+    data::PedestrianPatchSpec pspec;
+    pspec.n_positive = pspec.n_negative = 40;
+    const HogSvmModel v =
+        train_hog_svm(data::make_vehicle_patches(vspec), "vehicle", opts);
+    opts.class_id = kClassAnimal;
+    const HogSvmModel a =
+        train_hog_svm(data::make_animal_patches(aspec), "animal", opts);
+    opts.class_id = kClassPedestrian;
+    const HogSvmModel p =
+        train_hog_svm(data::make_pedestrian_patches(pspec), "pedestrian", opts);
+    const HogSvmModel* models[] = {&v, &a, &p};
+    for (const img::ImageU8& gray : frames) {
+      for (const int stride : {1, 2, 3}) {
+        params.stride_cells = stride;
+        params.pool = nullptr;
+        const auto reference =
+            detect_multiscale_multi_reference(gray, models, params);
+        ASSERT_FALSE(reference.empty());
+        SCOPED_TRACE(testing::Message()
+                     << "block stride " << block_stride << ", "
+                     << gray.height() << " rows, stride " << stride);
+        expect_identical(detect_multiscale_multi(gray, models, params),
+                         reference);
+        params.pool = &pool;
+        expect_identical(detect_multiscale_multi(gray, models, params),
+                         reference);
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <utility>
 
 namespace avd::hog {
 namespace {
@@ -171,6 +173,55 @@ TEST(BlockGrid, BitIdenticalWithStride2Blocks) {
       }
     }
   }
+}
+
+TEST(BlockGrid, RingRowsMatchFullGridRows) {
+  // The scanner's ring: rows written out of slot order into a ring of four,
+  // wrapping, each byte-identical to compute_block_grid's row.
+  for (const int bins : {9, 6}) {
+    for (const int block_cells : {2, 3}) {
+      HogParams p;
+      p.bins = bins;
+      p.block_cells = block_cells;
+      const CellGrid grid = compute_cell_grid(textured(104, 96, bins), p);
+      const BlockGrid full = compute_block_grid(grid, p);
+      ASSERT_GE(full.anchors_y(), 9);
+      BlockGrid ring(full.anchors_x(), 4, full.block_len());
+      const std::size_t row_bytes = sizeof(double) * full.block_len() *
+                                    static_cast<std::size_t>(full.anchors_x());
+      for (const auto& [begin, end] :
+           {std::pair{6, 9}, std::pair{0, 1}, std::pair{3, 6},
+            std::pair{1, 3}, std::pair{full.anchors_y() - 4, full.anchors_y()},
+            std::pair{5, 5}}) {
+        normalise_block_rows(grid, p, begin, end, ring);
+        for (int ay = begin; ay < end; ++ay)
+          EXPECT_EQ(std::memcmp(ring.row(ay % 4, 0), full.row(ay, 0),
+                                row_bytes),
+                    0)
+              << "bins " << bins << " block " << block_cells << " row " << ay;
+      }
+    }
+  }
+}
+
+TEST(BlockGrid, RowNormaliserRefusesRowsThatDoNotFit) {
+  const HogParams p;
+  const CellGrid grid = compute_cell_grid(textured(96, 64), p);  // 11x7
+  BlockGrid ring(11, 3, 36);
+  EXPECT_NO_THROW(normalise_block_rows(grid, p, 0, 7, ring));
+  EXPECT_THROW(normalise_block_rows(grid, p, 0, 8, ring),
+               std::invalid_argument);
+  EXPECT_THROW(normalise_block_rows(grid, p, -1, 2, ring),
+               std::invalid_argument);
+  EXPECT_THROW(normalise_block_rows(grid, p, 3, 2, ring),
+               std::invalid_argument);
+  BlockGrid narrow(10, 3, 36);
+  EXPECT_THROW(normalise_block_rows(grid, p, 0, 1, narrow),
+               std::invalid_argument);
+  BlockGrid short_blocks(11, 3, 27);
+  EXPECT_THROW(normalise_block_rows(grid, p, 0, 1, short_blocks),
+               std::invalid_argument);
+  EXPECT_THROW(BlockGrid(11, -1, 36), std::invalid_argument);
 }
 
 TEST(BlockGrid, OutOfRangeWindowThrows) {

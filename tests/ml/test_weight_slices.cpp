@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,11 @@ struct LaneBody {
   bool needs_avx2;
   LaneFn fn;
 };
+
+// Prints the case by name: gtest's default dumps the struct's bytes, whose
+// pointers move with address-space randomisation, so the discovered test
+// names would change from one build to the next.
+void PrintTo(const LaneBody& body, std::ostream* os) { *os << body.name; }
 
 class LaneBodies : public ::testing::TestWithParam<LaneBody> {
  protected:
