@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo check: the tier-1 build + test gate (with a disassembly check that the
-# AVX2 SVM lane kernel in libavd_ml.a holds no fused multiply-add, which would
-# change score bits), then a ThreadSanitizer build of
+# Repo check: the tier-1 build + test gate (with scripts/check_no_fma.sh, a
+# disassembly check that no AVX2 kernel body in libavd_ml.a or libavd_image.a
+# holds a fused multiply-add, which would change score or pixel bits), then a
+# ThreadSanitizer build of
 # the concurrency-bearing tests (avd::runtime, avd::obs — including the
 # labeled registry, trace sampler, flight recorder, ops server and sample
 # profiler suites — and the shared EventLog), then a profiling smoke test
@@ -106,16 +107,8 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   echo "== tier-1: build =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS"
-  echo "== tier-1: no FMA in the AVX2 lane kernel =="
-  # Each SVM lane is a multiply then an add, so scores are bit-equal to
-  # LinearSvm::decision and the detection-hash pins hold on every host. A
-  # compiler that contracted the AVX2 body into vfmadd would break that
-  # silently on AVX2 hosts only. Fails too if no AVX2 body is found.
-  objdump -d -C --no-show-raw-insn build/src/ml/libavd_ml.a | awk '
-    /^[0-9a-f]+ <.*>:$/ { avx2 = /lanes_avx2</; bodies += avx2; next }
-    avx2 && /vfn?m(add|sub)/ { print "FMA in AVX2 lane kernel:", $0; bad = 1 }
-    END { if (!bodies) print "no AVX2 lane kernel in libavd_ml.a"
-          exit bad || !bodies }'
+  echo "== tier-1: no FMA in any AVX2 kernel body =="
+  scripts/check_no_fma.sh build
   echo "== tier-1: ctest =="
   (cd build && ctest --output-on-failure -j "$JOBS")
 fi

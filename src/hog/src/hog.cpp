@@ -9,6 +9,7 @@
 #include <mutex>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 namespace avd::hog {
 
@@ -59,8 +60,10 @@ static_assert(sizeof(Vote) == 12);
 /// bins and two magnitude shares depend on that pair and the bin count
 /// alone. Each entry runs, once, the float expressions the per-pixel loop
 /// used to run per pixel (sqrt, atan2, the bin position, floor and wrap),
-/// so a lookup is bit-identical to computing inline and leaves the pixel
-/// loop one table read and two adds. 511^2 entries of 12 bytes, 3 MB per
+/// so a lookup is bit-identical to computing inline. compute_cell_grid's
+/// pass 1 turns each pixel's pair into its entry's index (index(), row
+/// gy + 255, column gx + 255), and pass 2 is one table read and two adds
+/// per pixel. 511^2 entries of 12 bytes, 3 MB per
 /// bin count; natural images cluster around small gradients, so the hot
 /// centre rows stay cached.
 class VoteTable {
@@ -115,10 +118,13 @@ class VoteTable {
     }
   }
 
-  /// Vote of gradient (gx, gy), both in [-255, 255].
-  [[nodiscard]] const Vote& operator()(int gx, int gy) const {
-    return votes_[static_cast<std::size_t>((gy + 255) * kRange + gx + 255)];
+  /// Index of the vote of gradient (gx, gy), both in [-255, 255].
+  [[nodiscard]] static constexpr std::int32_t index(int gx, int gy) {
+    return (gy + 255) * kRange + gx + 255;
   }
+
+  /// Entry index(gx, gy) is the vote of gradient (gx, gy).
+  [[nodiscard]] const Vote* data() const { return votes_.data(); }
 
  private:
   std::vector<Vote> votes_;
@@ -164,43 +170,48 @@ CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
   CellGrid grid(cells_x, cells_y, params.bins);
   if (cells_x == 0 || cells_y == 0) return grid;
 
-  // Fused gradient + vote: the (gx, gy) pair of each pixel indexes the vote
-  // table instead of calling sqrt/atan2 and interpolating per pixel. Votes
-  // land in the order of a plain row-major pixel walk, so every histogram
-  // float is bit-identical to voting off compute_gradients()
+  // Gradient + vote through the vote table instead of sqrt/atan2 and the
+  // interpolation per pixel. Per pixel row, pass 1 writes every pixel's
+  // table index into `idx`: integer work on neighbouring bytes, which the
+  // compiler vectorises. Pass 2 votes them in pixel order, so votes land in
+  // the order of a plain row-major pixel walk and every histogram float is
+  // bit-identical to voting off compute_gradients()
   // (tests/hog/test_cell_grid.cpp asserts it float for float).
-  const VoteTable& votes = vote_table(params.bins);
+  const Vote* votes = vote_table(params.bins).data();
   const int cs = params.cell_size;
   const int w = image.width();
   const int h = image.height();
   const int usable_w = cells_x * cs;
   // Columns [1, x_end) read both horizontal neighbours directly. Column 0
-  // and, when the cells reach it, column w - 1 clamp to the border; they are
-  // voted outside the interior loop, in their place in the walk.
+  // and, when the cells reach it, column w - 1 clamp to the border.
   const int x_end = std::min(usable_w, w - 1);
+  std::vector<std::int32_t> idx(static_cast<std::size_t>(usable_w));
   for (int y = 0; y < cells_y * cs; ++y) {
-    const int cy = y / cs;
     const std::uint8_t* mid = image.row(y).data();
     const std::uint8_t* up = image.row(y > 0 ? y - 1 : 0).data();
     const std::uint8_t* down = image.row(y < h - 1 ? y + 1 : h - 1).data();
-    const auto vote = [&](float* hist, int x, int gx) {
-      const Vote& v = votes(gx, static_cast<int>(down[x]) -
-                                    static_cast<int>(up[x]));
-      hist[v.b0] += v.lo;
-      hist[v.b1] += v.hi;
+    const auto index = [&](int x, int gx) {
+      return VoteTable::index(
+          gx, static_cast<int>(down[x]) - static_cast<int>(up[x]));
     };
-    vote(grid.cell(0, cy).data(), 0,
-         static_cast<int>(mid[w > 1 ? 1 : 0]) - static_cast<int>(mid[0]));
-    for (int cx = 0; cx < cells_x; ++cx) {
-      float* hist = grid.cell(cx, cy).data();
-      const int end = std::min((cx + 1) * cs, x_end);
-      for (int x = std::max(cx * cs, 1); x < end; ++x)
-        vote(hist, x,
-             static_cast<int>(mid[x + 1]) - static_cast<int>(mid[x - 1]));
-    }
+    idx[0] = index(0, static_cast<int>(mid[w > 1 ? 1 : 0]) -
+                          static_cast<int>(mid[0]));
+    for (int x = 1; x < x_end; ++x)
+      idx[x] = index(x, static_cast<int>(mid[x + 1]) -
+                            static_cast<int>(mid[x - 1]));
     if (usable_w == w && w > 1)
-      vote(grid.cell(cells_x - 1, cy).data(), w - 1,
-           static_cast<int>(mid[w - 1]) - static_cast<int>(mid[w - 2]));
+      idx[w - 1] = index(w - 1, static_cast<int>(mid[w - 1]) -
+                                    static_cast<int>(mid[w - 2]));
+    float* hist = grid.cell(0, y / cs).data();
+    const std::int32_t* ix = idx.data();
+    for (int cx = 0; cx < cells_x; ++cx, hist += params.bins) {
+      for (int k = 0; k < cs; ++k) {
+        // A copy, so the compiler need not reload it after the first add.
+        const Vote v = votes[*ix++];
+        hist[v.b0] += v.lo;
+        hist[v.b1] += v.hi;
+      }
+    }
   }
   return grid;
 }

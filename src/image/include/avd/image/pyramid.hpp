@@ -1,8 +1,8 @@
-// Image scale pyramid.
-//
-// Both multi-scale detectors resize the frame level by level; this type
-// computes the levels once so several consumers (the multi-model scanner,
-// visualisation, benchmarking) can share them.
+// Image scale pyramid: every level resized from the base image and held at
+// once. Only tests build one. The multi-scale scanner plans its own levels
+// (plan_pyramid in src/detect: the same level sizes and scale_step rules)
+// and resizes each level from the frame inside that level's task, freeing
+// it once its cell grid exists.
 #pragma once
 
 #include <vector>
@@ -26,7 +26,8 @@ class Pyramid {
  public:
   Pyramid() = default;
   /// Build by repeated bilinear resampling of `base`. Level 0 shares the
-  /// base image unscaled. Throws for scale_step <= 1 or empty base.
+  /// base image unscaled. Throws std::invalid_argument for an empty base, a
+  /// scale_step not above 1 (NaN included) or max_levels < 1.
   Pyramid(const ImageU8& base, const PyramidParams& params = {});
 
   [[nodiscard]] std::size_t levels() const { return levels_.size(); }

@@ -1,8 +1,8 @@
 #include "avd/image/color.hpp"
 
-#include <cstddef>
-
+#include "avd/cpu.hpp"
 #include "bt601.hpp"
+#include "pixel_kernels.hpp"
 #include "rounding.hpp"
 
 namespace avd::img {
@@ -13,17 +13,14 @@ using detail::cr_f;
 using detail::luma_f;
 using detail::round_to_u8;
 
-// The plane loops walk raw pointers over whole planes (rows are contiguous),
-// one output plane per loop, so each vectorises.
+// One output plane per call, over raw plane pointers (rows are contiguous),
+// through the SSE2 or AVX2 body picked once per process.
 template <float (*Channel)(int, int, int)>
 void convert_plane(const RgbImage& rgb, ImageU8& out) {
-  const std::uint8_t* r = rgb.r().pixels().data();
-  const std::uint8_t* g = rgb.g().pixels().data();
-  const std::uint8_t* b = rgb.b().pixels().data();
-  std::uint8_t* o = out.pixels().data();
-  const std::size_t n = out.pixel_count();
-  for (std::size_t i = 0; i < n; ++i)
-    o[i] = round_to_u8(Channel(r[i], g[i], b[i]));
+  static const auto body = cpu_has_avx2() ? detail::plane_avx2<Channel>
+                                          : detail::plane_sse2<Channel>;
+  body(rgb.r().pixels().data(), rgb.g().pixels().data(),
+       rgb.b().pixels().data(), out.pixels().data(), out.pixel_count());
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ namespace avd::img {
 
 Pyramid::Pyramid(const ImageU8& base, const PyramidParams& params) {
   if (base.empty()) throw std::invalid_argument("Pyramid: empty base image");
-  if (params.scale_step <= 1.0)
+  if (!(params.scale_step > 1.0))  // NaN included
     throw std::invalid_argument("Pyramid: scale_step must exceed 1");
   if (params.max_levels <= 0)
     throw std::invalid_argument("Pyramid: max_levels must be positive");

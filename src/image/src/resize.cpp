@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "rounding.hpp"
+#include "avd/cpu.hpp"
+#include "pixel_kernels.hpp"
 #include "sampling.hpp"
 
 namespace avd::img {
@@ -26,7 +28,8 @@ struct LinearMap {
 
 }  // namespace
 
-ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
+ImageU8 detail::resize_bilinear(const ImageU8& src, Size out_size,
+                                const ResizeBody& body) {
   check_out_size(out_size);
   if (src.empty()) throw std::invalid_argument("resize: empty source");
   if (src.size() == out_size) return src;
@@ -39,17 +42,21 @@ ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
   // indices (with at_clamped's border clamp baked in) and lerp weights out
   // of the pixel loop. Same per-pixel arithmetic as computing them inline —
   // output bytes are unchanged, the map is just computed once per column
-  // instead of once per pixel.
-  std::vector<std::size_t> x0c(static_cast<std::size_t>(out_size.width));
-  std::vector<std::size_t> x1c(static_cast<std::size_t>(out_size.width));
-  std::vector<float> wxs(static_cast<std::size_t>(out_size.width));
+  // instead of once per pixel. The maps are int32, the gathers' index type,
+  // padded to whole registers of lanes with index 0 and weight 0, so a
+  // padding lane reads pixel 0, inside the row, and its lerp is never
+  // stored to the output.
+  const std::size_t w = static_cast<std::size_t>(out_size.width);
+  const std::size_t padded =
+      (w + kResizeLanes - 1) / kResizeLanes * kResizeLanes;
+  std::vector<std::int32_t> x0c(padded, 0);
+  std::vector<std::int32_t> x1c(padded, 0);
+  std::vector<float> wxs(padded, 0.0f);
   for (int ox = 0; ox < out_size.width; ++ox) {
     const float fx = mx(ox);
     const int x0 = static_cast<int>(std::floor(fx));
-    x0c[static_cast<std::size_t>(ox)] =
-        static_cast<std::size_t>(std::clamp(x0, 0, src.width() - 1));
-    x1c[static_cast<std::size_t>(ox)] =
-        static_cast<std::size_t>(std::clamp(x0 + 1, 0, src.width() - 1));
+    x0c[static_cast<std::size_t>(ox)] = std::clamp(x0, 0, src.width() - 1);
+    x1c[static_cast<std::size_t>(ox)] = std::clamp(x0 + 1, 0, src.width() - 1);
     wxs[static_cast<std::size_t>(ox)] = fx - static_cast<float>(x0);
   }
 
@@ -62,26 +69,20 @@ ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
   // row and a vertical pass per output row run faster than four gathers per
   // pixel. The float operations per pixel are the ones an inline computation
   // runs, in the same order.
-  const std::size_t w = static_cast<std::size_t>(out_size.width);
-  std::vector<float> lerped[2] = {std::vector<float>(w), std::vector<float>(w)};
+  std::vector<float> lerped[2] = {std::vector<float>(padded),
+                                  std::vector<float>(padded)};
   int lerped_row[2] = {-1, -1};
-  // A source row widened to float once, in a loop that vectorises, rather
-  // than twice per output pixel.
-  std::vector<float> src_row(static_cast<std::size_t>(src.width()));
+  // A source row widened to float once, rather than twice per output pixel.
+  std::vector<float> wide(static_cast<std::size_t>(src.width()));
   // Slot holding source row sy's lerps, computed into the slot other than
   // `keep` on a miss.
   const auto lerp_row = [&](int sy, int keep) {
     for (int s = 0; s < 2; ++s)
       if (lerped_row[s] == sy) return s;
     const int s = keep == 0 ? 1 : 0;
-    const std::uint8_t* row = src.row(sy).data();
-    for (std::size_t x = 0; x < src_row.size(); ++x) src_row[x] = row[x];
-    float* h = lerped[s].data();
-    for (std::size_t ox = 0; ox < w; ++ox) {
-      const float p0 = src_row[x0c[ox]];
-      const float p1 = src_row[x1c[ox]];
-      h[ox] = p0 + (p1 - p0) * wxs[ox];
-    }
+    body.lerp_source_row(src.row(sy).data(), wide.size(), wide.data(),
+                         x0c.data(), x1c.data(), wxs.data(), padded,
+                         lerped[s].data());
     lerped_row[s] = sy;
     return s;
   };
@@ -93,14 +94,16 @@ ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
     const int top_slot = lerp_row(std::clamp(y0, 0, src.height() - 1), -1);
     const int bot_slot =
         lerp_row(std::clamp(y0 + 1, 0, src.height() - 1), top_slot);
-    const float* top = lerped[top_slot].data();
-    const float* bot = lerped[bot_slot].data();
-    std::uint8_t* orow = out.row(oy).data();
-    for (std::size_t ox = 0; ox < w; ++ox)
-      orow[ox] = static_cast<std::uint8_t>(
-          detail::round_half_away(top[ox] + (bot[ox] - top[ox]) * wy));
+    body.lerp_output_row(lerped[top_slot].data(), lerped[bot_slot].data(), wy,
+                         w, out.row(oy).data());
   }
   return out;
+}
+
+ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
+  static const detail::ResizeBody& body =
+      cpu_has_avx2() ? detail::kResizeAvx2 : detail::kResizeSse2;
+  return detail::resize_bilinear(src, out_size, body);
 }
 
 RgbImage resize_bilinear(const RgbImage& src, Size out_size) {

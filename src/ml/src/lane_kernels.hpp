@@ -10,8 +10,9 @@
 // operation sequence of accumulate() and LinearSvm::decision for that lane.
 // The bodies differ only in how many lanes one register holds. Neither may
 // contract a step into a fused multiply-add (that skips the product's
-// rounding): the AVX2 clone's target leaves FMA out, and scripts/check.sh
-// fails the build if its disassembly holds any vfmadd/vfmsub/vfnmadd.
+// rounding): the AVX2 clone's target leaves FMA out, and
+// scripts/check_no_fma.sh fails if its disassembly holds any
+// vfmadd/vfmsub/vfnmadd.
 #pragma once
 
 #include <cstddef>
@@ -26,15 +27,12 @@ void lanes_sse2(const double* w, std::size_t len, const double* base,
 
 /// The same loop over Lanes / 4 AVX registers of four lanes each. Compiled
 /// for AVX2 whatever the build flags, so it may run only where
-/// cpu_has_avx2() holds. Instantiated for Lanes = 8 and 16.
+/// avd::cpu_has_avx2() holds. Instantiated for Lanes = 8 and 16.
 template <int Lanes>
 __attribute__((target("avx2"))) void lanes_avx2(const double* w,
                                                 std::size_t len,
                                                 const double* base,
                                                 std::size_t elem_stride,
                                                 double* acc);
-
-/// Whether this CPU (and OS) can run AVX2 code. Asked once, then cached.
-[[nodiscard]] bool cpu_has_avx2();
 
 }  // namespace avd::ml::detail

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "avd/cpu.hpp"
 #include "lane_kernels.hpp"
 
 namespace avd::ml {
@@ -88,21 +89,10 @@ template void lanes_avx2<8>(const double*, std::size_t, const double*,
 template void lanes_avx2<16>(const double*, std::size_t, const double*,
                              std::size_t, double*);
 
-bool cpu_has_avx2() {
-  // A function-local static: initialised once, thread-safely, on first use,
-  // after __builtin_cpu_init has filled the CPU model even if that first use
-  // runs during static initialisation.
-  static const bool avx2 = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return avx2;
-}
-
 }  // namespace detail
 
 WeightSlices::LaneKernel WeightSlices::lane_kernel(int lanes) {
-  const bool avx2 = detail::cpu_has_avx2();
+  const bool avx2 = cpu_has_avx2();
   if (lanes == kLanes)
     return avx2 ? detail::lanes_avx2<kLanes> : detail::lanes_sse2<kLanes>;
   return avx2 ? detail::lanes_avx2<kLanes / 2>

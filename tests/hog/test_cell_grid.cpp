@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
+#include "../support/pinned_frames.hpp"
 #include "avd/hog/hog.hpp"
+#include "avd/image/color.hpp"
 
 namespace avd::hog {
 namespace {
@@ -150,19 +154,9 @@ TEST(CellGrid, VerticalRampLandsExactlyInMiddleBin) {
     if (b != 4) EXPECT_FLOAT_EQ(h[b], 0.0f) << "bin " << b;
 }
 
-TEST(CellGrid, FusedLutGridMatchesGradientFieldVotePath) {
-  // compute_cell_grid fuses the gradient stage with the vote loop through a
-  // (gx, gy) lookup table instead of materialising a GradientField and
-  // calling sqrt/atan2 per pixel. The table stores exactly what
-  // compute_gradients computes, so the fused grid must equal a grid voted
-  // straight off the gradient field — float for float, not approximately.
-  img::ImageU8 im(50, 42);
-  for (int y = 0; y < 42; ++y)
-    for (int x = 0; x < 50; ++x)
-      im(x, y) = static_cast<std::uint8_t>((x * 53 + y * 19 + x * y) % 256);
-  const HogParams params;
-  const CellGrid fused = compute_cell_grid(im, params);
-
+/// The cell grid voted straight off compute_gradients, pixel by pixel in
+/// row-major order: the oracle the fused vote table reproduces.
+CellGrid voted_off_gradients(const img::ImageU8& im, const HogParams& params) {
   const GradientField grad = compute_gradients(im);
   CellGrid voted(im.width() / params.cell_size, im.height() / params.cell_size,
                  params.bins);
@@ -182,15 +176,78 @@ TEST(CellGrid, FusedLutGridMatchesGradientFieldVotePath) {
       hist[b1] += mag * w1;
     }
   }
+  return voted;
+}
 
+/// Every histogram float of compute_cell_grid equals the oracle's.
+void expect_fused_equals_oracle(const img::ImageU8& im, const HogParams& params,
+                                const std::string& what) {
+  const CellGrid fused = compute_cell_grid(im, params);
+  const CellGrid voted = voted_off_gradients(im, params);
+  ASSERT_EQ(fused.cells_x(), voted.cells_x()) << what;
+  ASSERT_EQ(fused.cells_y(), voted.cells_y()) << what;
   for (int cy = 0; cy < fused.cells_y(); ++cy)
     for (int cx = 0; cx < fused.cells_x(); ++cx) {
       const auto a = fused.cell(cx, cy);
       const auto b = voted.cell(cx, cy);
       for (int bin = 0; bin < params.bins; ++bin)
-        EXPECT_EQ(a[bin], b[bin])
-            << "cell (" << cx << "," << cy << ") bin " << bin;
+        ASSERT_EQ(a[bin], b[bin])
+            << what << " cell (" << cx << "," << cy << ") bin " << bin;
     }
+}
+
+/// Pixels that reach both ends of the gradient range, flat runs and ramps.
+img::ImageU8 edge_test_image(int w, int h, std::uint32_t seed) {
+  img::ImageU8 im(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      seed = seed * 1664525u + 1013904223u;
+      const std::uint32_t r = seed >> 24;
+      im(x, y) = static_cast<std::uint8_t>(
+          r < 64 ? 0 : (r < 128 ? 255 : (r < 160 ? x * 23 + y : r)));
+    }
+  }
+  return im;
+}
+
+TEST(CellGrid, FusedLutGridMatchesGradientFieldVotePath) {
+  // compute_cell_grid fuses the gradient stage with the vote loop through a
+  // (gx, gy) lookup table instead of materialising a GradientField and
+  // calling sqrt/atan2 per pixel. The table stores exactly what
+  // compute_gradients computes, so the fused grid must equal a grid voted
+  // straight off the gradient field — float for float, not approximately.
+  img::ImageU8 im(50, 42);
+  for (int y = 0; y < 42; ++y)
+    for (int x = 0; x < 50; ++x)
+      im(x, y) = static_cast<std::uint8_t>((x * 53 + y * 19 + x * y) % 256);
+  expect_fused_equals_oracle(im, HogParams{}, "50x42 pattern");
+
+  expect_fused_equals_oracle(
+      img::rgb_to_gray(test_support::pinned_day_frame()), HogParams{},
+      "day frame");
+
+  // Edge shapes of the two-pass walk. Widths 1 and 2 clamp both horizontal
+  // neighbours; 7-17 put the clamped last column inside and outside the
+  // usable cells and cover every vector tail of the index pass. Bins 1 has
+  // b0 == b1, so one bin takes both shares.
+  const int widths[] = {1, 2, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17};
+  for (const int bins : {1, 2, 9, 18}) {
+    for (const int cell : {1, 2, 3}) {
+      for (const int w : widths) {
+        for (int h = 1; h <= 3; ++h) {
+          HogParams params;
+          params.bins = bins;
+          params.cell_size = cell;
+          const auto seed = static_cast<std::uint32_t>(bins * 131 + w * 7 + h);
+          expect_fused_equals_oracle(
+              edge_test_image(w, h, seed), params,
+              "bins " + std::to_string(bins) + " cell " +
+                  std::to_string(cell) + " " + std::to_string(w) + "x" +
+                  std::to_string(h));
+        }
+      }
+    }
+  }
 }
 
 TEST(CellGrid, CustomBinCount) {

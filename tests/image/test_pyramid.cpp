@@ -68,6 +68,13 @@ TEST(Pyramid, InvalidParamsThrow) {
                std::invalid_argument);
   EXPECT_THROW(Pyramid(gradient(8, 8), {1.5, 0, {4, 4}}),
                std::invalid_argument);
+  // NaN compares false with everything, so a `<= 1` check let it through:
+  // one silent level, or a misleading resize error with no minimum size.
+  const double nan = std::nan("");
+  EXPECT_THROW(Pyramid(gradient(64, 64), {nan, 3, {16, 16}}),
+               std::invalid_argument);
+  EXPECT_THROW(Pyramid(gradient(64, 64), {nan, 3, {0, 0}}),
+               std::invalid_argument);
 }
 
 TEST(Pyramid, RangeForIteration) {

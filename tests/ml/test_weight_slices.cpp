@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../../src/ml/src/lane_kernels.hpp"
+#include "avd/cpu.hpp"
 #include "avd/ml/svm.hpp"
 
 namespace avd::ml {
@@ -209,7 +210,7 @@ void PrintTo(const LaneBody& body, std::ostream* os) { *os << body.name; }
 class LaneBodies : public ::testing::TestWithParam<LaneBody> {
  protected:
   void SetUp() override {
-    if (GetParam().needs_avx2 && !detail::cpu_has_avx2())
+    if (GetParam().needs_avx2 && !cpu_has_avx2())
       GTEST_SKIP() << "this CPU has no AVX2, so its lane body cannot run";
   }
 };
