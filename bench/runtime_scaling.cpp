@@ -183,8 +183,8 @@ int main() {
               0.0, false);
   }
 
-  // Stage metrics for one loaded configuration, through the runtime's
-  // JSON summary (the same numbers ride soc::write_chrome_trace).
+  // One more loaded configuration, then the per-stage registry series
+  // (runtime.stage.*{stage=}), which count every serve in this process.
   {
     avd::core::AdaptiveSystemConfig cfg;
     cfg.run_detectors = false;
@@ -194,16 +194,27 @@ int main() {
     sc.simulated_accel_ms = 4.0;
     avd::runtime::StreamServer server(system, sc);
     (void)server.serve_sequences(make_streams(4, 25));
-    std::printf("stage metrics (4 streams x 4 workers):\n%s\n",
-                avd::runtime::metrics_to_json(server.metrics()).c_str());
   }
+  avd::obs::MetricsRegistry& registry = avd::obs::MetricsRegistry::global();
+  std::printf("stage metrics (every serve above):\n");
+  for (const char* stage : {"ingest", "control", "detect", "report"}) {
+    const avd::obs::Labels labels = {{"stage", stage}};
+    const avd::obs::HistogramSummary lat =
+        registry.histogram("runtime.stage.latency_ns", labels).summary();
+    std::printf("  %-8s processed=%-6llu p50=%.3fms p99=%.3fms\n", stage,
+                static_cast<unsigned long long>(
+                    registry.counter("runtime.stage.processed", labels)
+                        .value()),
+                static_cast<double>(lat.p50_ns) / 1e6,
+                static_cast<double>(lat.p99_ns) / 1e6);
+  }
+  std::printf("\n");
   // Tail latency over every frame the benchmark served, from the always-on
   // telemetry histogram the runtime feeds per frame. This is the headline
   // latency number scripts/bench_diff guards against regressions.
   const double p99_ms =
-      static_cast<double>(avd::obs::MetricsRegistry::global()
-                              .histogram("runtime.frame.latency_ns")
-                              .percentile_ns(0.99)) /
+      static_cast<double>(
+          registry.histogram("runtime.frame.latency_ns").percentile_ns(0.99)) /
       1e6;
   std::printf("frame latency p99 (all served frames): %.3f ms\n\n", p99_ms);
   report.metric("runtime.frame.latency_p99_ms", p99_ms, "ms", "lower");

@@ -2,14 +2,16 @@
 //
 // Serves four concurrent scripted drives (different seeds, one passing
 // through countryside) through the adaptive pipeline with a 4-worker detect
-// pool, prints per-stream adaptive summaries and per-stage latency metrics,
-// then exports worker timeline + metrics as a Chrome/Perfetto trace.
+// pool, prints per-stream adaptive summaries and per-stage metrics from the
+// registry, then exports the traced serve as a Chrome/Perfetto trace.
 //
 //   build/examples/multi_stream_serve [trace.json]
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "avd/obs/metrics.hpp"
+#include "avd/obs/trace.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/runtime/thread_pool.hpp"
 #include "avd/soc/trace_export.hpp"
@@ -65,8 +67,11 @@ int main(int argc, char** argv) {
 
   std::printf("serving %zu streams (%d frames each) with %d detect workers...\n\n",
               streams.size(), streams[0].frame_count(), sc.detect_workers);
+  avd::obs::Tracer& tracer = avd::obs::Tracer::global();
+  tracer.set_enabled(true);
   const std::vector<avd::runtime::StreamResult> results =
       server.serve_sequences(streams);
+  tracer.set_enabled(false);
 
   std::printf("%6s %7s %9s %8s %13s %13s %7s\n", "stream", "frames",
               "reconfigs", "dropped", "availability", "bp-dropped", "recall");
@@ -81,26 +86,34 @@ int main(int argc, char** argv) {
                 truth > 0 ? 100.0 * match.true_positives / truth : 0.0);
   }
 
+  // Per-stage series live in the process-wide registry; this process runs
+  // one serve, so they hold exactly its frames.
   std::printf("\nper-stage metrics:\n");
-  for (const avd::runtime::StageSnapshot& s : server.metrics().snapshot()) {
-    std::printf("  %-8s processed=%-5llu dropped=%-3llu queue_hw=%-3zu "
-                "p50=%-8.2fms p95=%-8.2fms p99=%-8.2fms\n",
-                s.stage.c_str(),
-                static_cast<unsigned long long>(s.processed),
-                static_cast<unsigned long long>(s.dropped),
-                s.queue_high_water, static_cast<double>(s.p50_ns) / 1e6,
-                static_cast<double>(s.p95_ns) / 1e6,
-                static_cast<double>(s.p99_ns) / 1e6);
+  avd::obs::MetricsRegistry& registry = avd::obs::MetricsRegistry::global();
+  for (const char* stage : {"ingest", "control", "detect", "report"}) {
+    const avd::obs::Labels labels = {{"stage", stage}};
+    const avd::obs::HistogramSummary lat =
+        registry.histogram("runtime.stage.latency_ns", labels).summary();
+    std::printf("  %-8s processed=%-5llu queue_hw=%-3.0f p50=%7.2fms "
+                "p95=%7.2fms p99=%7.2fms\n",
+                stage,
+                static_cast<unsigned long long>(
+                    registry.counter("runtime.stage.processed", labels)
+                        .value()),
+                registry.gauge("runtime.stage.queue_high_water", labels)
+                    .value(),
+                static_cast<double>(lat.p50_ns) / 1e6,
+                static_cast<double>(lat.p95_ns) / 1e6,
+                static_cast<double>(lat.p99_ns) / 1e6);
   }
 
-  // Timeline + metrics out through the soc trace path: load the file in
-  // chrome://tracing or ui.perfetto.dev.
-  avd::soc::EventLog trace_log = server.server_log();
-  avd::runtime::append_metrics_events(
-      server.metrics(), avd::soc::TimePoint{0}, trace_log);
-  avd::soc::write_chrome_trace(trace_log, trace_path);
-  std::printf("\nwrote worker/metrics trace to %s (%zu events)\n",
-              trace_path.c_str(), trace_log.size());
+  // The traced serve out through the soc trace path, merged with stream 0's
+  // simulated-time session log: load the file in chrome://tracing or
+  // ui.perfetto.dev.
+  const std::vector<avd::obs::SpanRecord> spans = tracer.drain();
+  avd::soc::write_chrome_trace(results[0].report.log, spans, trace_path);
+  std::printf("\nwrote trace to %s (%zu spans)\n", trace_path.c_str(),
+              spans.size());
 
   // Sanity: stream 0 served concurrently == stream 0 run sequentially.
   const avd::core::AdaptiveRunReport sequential = system.run(streams[0]);

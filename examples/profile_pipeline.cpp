@@ -84,13 +84,13 @@ int main(int argc, char** argv) {
   for (const avd::runtime::StreamResult& r : results)
     frames += r.report.frames.size();
 
-  // --- Merged trace: wall-clock spans + simulated-time server events. ---
+  // --- Merged trace: wall-clock spans + stream 0's simulated-time log. ---
   const std::vector<avd::obs::SpanRecord> spans = tracer.drain();
-  const avd::soc::EventLog server_log = server.server_log();
-  avd::soc::write_chrome_trace(server_log, spans, trace_path);
+  const avd::soc::EventLog& session_log = results[0].report.log;
+  avd::soc::write_chrome_trace(session_log, spans, trace_path);
   std::printf("\nwrote merged trace to %s (%zu spans, %zu events, "
               "%llu dropped)\n",
-              trace_path.c_str(), spans.size(), server_log.size(),
+              trace_path.c_str(), spans.size(), session_log.size(),
               static_cast<unsigned long long>(tracer.dropped()));
 
   // --- Collapsed-stack profile (flamegraph.pl input; CI artifact). -------
@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(profile.samples),
               profile.stacks.size());
 
-  // --- Metrics: stage gauges pushed into the registry, then both dumps. ---
-  avd::runtime::publish_runtime_metrics(server.metrics(), registry);
+  // --- Metrics: the registry (runtime.stage.* included), both dumps. ---
   const std::string metrics_json = registry.to_json();
   std::printf("\nmetrics (JSON):\n%s\n", metrics_json.c_str());
   std::printf("\nmetrics (Prometheus):\n%s", registry.to_prometheus().c_str());

@@ -5,9 +5,11 @@
 # ThreadSanitizer build of
 # the concurrency-bearing tests (avd::runtime, avd::obs — including the
 # labeled registry, trace sampler, flight recorder, ops server and sample
-# profiler suites — and the shared EventLog), then a profiling smoke test
-# that fails on an empty or invalid merged trace, a missing flight bundle,
-# or a missing collapsed profile, then a curl sweep of every live ops
+# profiler suites — soc::EventLog's concurrent-record tests and the pooled
+# scanners), then a profiling smoke test that fails on an empty or invalid
+# merged trace, a missing flight bundle, or a missing collapsed profile, a
+# serving smoke test that fails when a stream served on a shared scan pool
+# diverges from sequential run(), then a curl sweep of every live ops
 # endpoint against a serving process.
 #
 #   scripts/check.sh            # full tier-1 + TSan + profiling smoke
@@ -136,7 +138,8 @@ echo "== smoke: profile_pipeline =="
 # forces an SLO breach and validates the flight-recorder bundle the server
 # dumps next to the trace.
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS" --target profile_pipeline frame_slo_monitor
+cmake --build build -j "$JOBS" --target profile_pipeline frame_slo_monitor \
+  multi_stream_serve
 SMOKE_DIR="$(mktemp -d -t avd_smoke_XXXX)"
 SMOKE_TRACE="$SMOKE_DIR/pipeline_profile.json"
 SMOKE_JSONL="$SMOKE_DIR/frame_slo_telemetry.jsonl"
@@ -147,6 +150,13 @@ ls "$SMOKE_DIR"/flight_bundle_*.json >/dev/null 2>&1 \
   || { echo "smoke: no flight bundle dumped"; exit 1; }
 [[ -s "$SMOKE_DIR/pipeline_profile.collapsed" ]] \
   || { echo "smoke: no collapsed profile written"; exit 1; }
+
+echo "== smoke: multi_stream_serve =="
+# The one program that serves with a scan_pool and cross-stream batching
+# off; it exits non-zero itself when stream 0 diverges from sequential
+# AdaptiveSystem::run().
+./build/examples/multi_stream_serve "$SMOKE_DIR/multi_stream_trace.json" \
+  >/dev/null
 
 echo "== smoke: frame_slo_monitor =="
 # Exits non-zero itself if health states or the telemetry JSONL sink are

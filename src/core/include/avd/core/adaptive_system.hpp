@@ -122,6 +122,23 @@ struct ControlStep {
   soc::FrameRecord record;  ///< schedule decision (config, processed flags)
 };
 
+/// Degraded-fidelity knobs for AdaptiveSystem::evaluate_frame, used by the
+/// serving runtime's degradation ladder. Defaults are the full-fidelity
+/// pass.
+struct EvaluateOptions {
+  /// Scan with these sliding-window params instead of config().sliding
+  /// (the ladder's coarser pyramid). The dark detector's internal scan is
+  /// unaffected. Not owned; may be null.
+  const det::SlidingWindowParams* sliding_override = nullptr;
+  /// Skip the pixel-level scan and use these vehicle detections instead
+  /// (the ladder's tracker-coast path) — the frame is never rendered.
+  /// Not owned; may be null.
+  const std::vector<det::Detection>* provided_detections = nullptr;
+  /// When non-null, receives the vehicle detections the frame produced
+  /// (post-NMS, pre-matching) so the caller can feed its tracker.
+  std::vector<det::Detection>* out_detections = nullptr;
+};
+
 class AdaptiveSystem {
  public:
   AdaptiveSystem(SystemModels models, AdaptiveSystemConfig config = {});
@@ -163,32 +180,13 @@ class AdaptiveSystem {
   /// run() call).
   [[nodiscard]] StepSession begin_session() const { return StepSession(*this); }
 
-  /// Degraded-fidelity knobs for evaluate_frame, used by the serving
-  /// runtime's degradation ladder. Defaults reproduce the plain overload.
-  struct EvaluateOptions {
-    /// Scan with these sliding-window params instead of config().sliding
-    /// (the ladder's coarser pyramid). The dark detector's internal scan is
-    /// unaffected. Not owned; may be null.
-    const det::SlidingWindowParams* sliding_override = nullptr;
-    /// Skip the pixel-level scan and use these vehicle detections instead
-    /// (the ladder's tracker-coast path) — the frame is never rendered.
-    /// Not owned; may be null.
-    const std::vector<det::Detection>* provided_detections = nullptr;
-    /// When non-null, receives the vehicle detections the frame produced
-    /// (post-NMS, pre-matching) so the caller can feed its tracker.
-    std::vector<det::Detection>* out_detections = nullptr;
-  };
-
-  /// Pixel-level pass for one frame given its control outcome. Const and
-  /// thread-safe: a pure function of the trained models, so the runtime's
-  /// detect workers may call it concurrently.
-  [[nodiscard]] AdaptiveFrameReport evaluate_frame(
-      const ControlStep& step, const data::SequenceFrame& meta) const;
-
-  /// Same, with degraded-fidelity options (see EvaluateOptions).
+  /// Pixel-level pass for one frame given its control outcome, optionally
+  /// at degraded fidelity (see EvaluateOptions). Const and thread-safe: a
+  /// pure function of the trained models, so the runtime's detect workers
+  /// may call it concurrently.
   [[nodiscard]] AdaptiveFrameReport evaluate_frame(
       const ControlStep& step, const data::SequenceFrame& meta,
-      const EvaluateOptions& options) const;
+      const EvaluateOptions& options = {}) const;
 
   /// Drive a scripted sequence through the system (sequentially; the
   /// concurrent equivalent is runtime::StreamServer).

@@ -190,11 +190,6 @@ ControlStep AdaptiveSystem::StepSession::control_step(
 }
 
 AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
-    const ControlStep& step, const data::SequenceFrame& meta) const {
-  return evaluate_frame(step, meta, EvaluateOptions{});
-}
-
-AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
     const ControlStep& step, const data::SequenceFrame& meta,
     const EvaluateOptions& options) const {
   const obs::ScopedSpan span("evaluate_frame", "core/detect");

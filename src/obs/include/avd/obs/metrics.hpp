@@ -1,7 +1,7 @@
 // Named metrics: counters, gauges and latency histograms behind one
-// registry, with JSON and Prometheus text exposition — the generalisation of
-// the runtime's per-stage StageMetrics (which keeps its API and publishes
-// into a registry) and the simulation's ARM-performance-counter reads.
+// registry, with JSON and Prometheus text exposition — the one metrics store
+// of the stack (the runtime's per-stage and per-stream series, the
+// detectors' counters, the simulation's ARM-performance-counter reads).
 //
 // Series can carry a label dimension (stream=<id>, later shard=<id>):
 // labels flatten into the registry name via labeled_name(), each labeled

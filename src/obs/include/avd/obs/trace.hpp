@@ -22,8 +22,8 @@
 //    frame's spans therefore form one linked tree across worker threads,
 //    which soc::to_chrome_trace renders as Perfetto flow arcs.
 //  * `drain()` / `snapshot()` collect every thread's spans into one vector.
-//    Like the rest of the repo's instrumentation (EventLog, StageMetrics)
-//    the read side is meant for quiesced writers: join your workers, then
+//    Like the rest of the repo's instrumentation (EventLog, the metrics
+//    registry's histograms) the read side is meant for quiesced writers: join your workers, then
 //    export. Span names/sources must be string literals (or otherwise
 //    outlive the tracer) — records store the pointers, not copies.
 //

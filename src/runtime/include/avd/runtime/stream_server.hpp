@@ -29,6 +29,14 @@
 // they surface as vehicle_processed=false reports (the pedestrian engine,
 // like the paper's static partition, is unaffected), exactly the shape of
 // the paper's reconfiguration frame drop.
+//
+// Metrics: the global obs::MetricsRegistry is the one store. Per stage,
+// runtime.stage.latency_ns (histogram), runtime.stage.processed (counter)
+// and runtime.stage.queue_high_water (gauge, the input queue's depth
+// high-water over the latest serve), labeled stage=ingest|control|detect|
+// report; per stream, the runtime.* series the SLO rules read. Both carry
+// StreamServerConfig::metric_labels. Detect-queue overflows are counted by
+// runtime.backpressure_drops{stream=}.
 #pragma once
 
 #include <atomic>
@@ -42,6 +50,7 @@
 
 #include "avd/core/adaptive_system.hpp"
 #include "avd/obs/flight_recorder.hpp"
+#include "avd/obs/metrics.hpp"
 #include "avd/obs/ops_server.hpp"
 #include "avd/obs/sample_profiler.hpp"
 #include "avd/obs/slo.hpp"
@@ -49,7 +58,6 @@
 #include "avd/runtime/admission.hpp"
 #include "avd/runtime/bounded_queue.hpp"
 #include "avd/runtime/frame_source.hpp"
-#include "avd/runtime/stage_metrics.hpp"
 
 namespace avd::runtime {
 
@@ -270,11 +278,6 @@ class StreamServer {
   [[nodiscard]] std::vector<StreamResult> serve_sequences(
       const std::vector<data::DriveSequence>& sequences);
 
-  /// Per-stage metrics accumulated across serve() calls.
-  [[nodiscard]] const RuntimeMetrics& metrics() const { return metrics_; }
-  /// Worker lifecycle + stream completion events (wall-clock ns timestamps),
-  /// exportable with soc::write_chrome_trace alongside the metrics events.
-  [[nodiscard]] const soc::EventLog& server_log() const { return log_; }
   [[nodiscard]] const StreamServerConfig& config() const { return config_; }
 
   /// Invoked (from the telemetry thread) on every per-stream health
@@ -337,8 +340,6 @@ class StreamServer {
 
   const core::AdaptiveSystem* system_;
   StreamServerConfig config_;
-  RuntimeMetrics metrics_;
-  soc::EventLog log_;
   HealthCallback health_callback_;
   /// Guards the swap of the per-serve observability objects (sampler_,
   /// recorder_, monitors_, stream_health_, fleet_health_) between serve()

@@ -9,16 +9,10 @@
 #include <utility>
 
 #include "avd/obs/build_info.hpp"
+#include "avd/obs/json.hpp"
 #include "avd/obs/metrics.hpp"
 
 namespace avd::runtime {
-namespace {
-
-obs::HealthState worse(obs::HealthState a, obs::HealthState b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-
-}  // namespace
 
 std::uint64_t stable_stream_hash(std::string_view name) noexcept {
   // FNV-1a, 64-bit: offset basis / prime from the reference parameters.
@@ -154,13 +148,13 @@ std::vector<int> ShardedServer::last_assignment() const {
 }
 
 obs::HealthState ShardedServer::fleet_health() const {
-  obs::HealthState worst = obs::HealthState::Healthy;
+  std::vector<obs::HealthState> all;
   std::lock_guard<std::mutex> lock(shards_mutex_);
   for (const auto& shard : shard_servers_) {
     const std::vector<obs::HealthState> states = shard->live_stream_health();
-    worst = worse(worst, obs::worst_of(states));
+    all.insert(all.end(), states.begin(), states.end());
   }
-  return worst;
+  return obs::worst_of(all);
 }
 
 void ShardedServer::update_fleet_pressure() {
@@ -201,6 +195,7 @@ void ShardedServer::install_ops_endpoints() {
   // front door slots straight into a load balancer's readiness probe.
   ops_->handle("/healthz", [this](const obs::HttpRequest&) {
     std::ostringstream os;
+    std::vector<obs::HealthState> all;
     obs::HealthState fleet = obs::HealthState::Healthy;
     {
       std::lock_guard<std::mutex> lock(shards_mutex_);
@@ -209,17 +204,17 @@ void ShardedServer::install_ops_endpoints() {
         const StreamServer& shard = *shard_servers_[m];
         const std::vector<obs::HealthState> states =
             shard.live_stream_health();
-        fleet = worse(fleet, obs::worst_of(states));
+        all.insert(all.end(), states.begin(), states.end());
         AdmissionController* admission = shard.admission();
         if (m != 0) os << ',';
         os << "{\"shard\":" << m << ",\"streams\":[";
         for (std::size_t s = 0; s < states.size(); ++s) {
           if (s != 0) os << ',';
           os << "{\"stream\":\""
-             << (m < shard_stream_names_.size() &&
-                         s < shard_stream_names_[m].size()
-                     ? shard_stream_names_[m][s]
-                     : std::to_string(s))
+             << obs::json::escape(m < shard_stream_names_.size() &&
+                                          s < shard_stream_names_[m].size()
+                                      ? shard_stream_names_[m][s]
+                                      : std::to_string(s))
              << "\",\"state\":\"" << obs::to_string(states[s]) << '"';
           if (admission != nullptr)
             os << ",\"degrade_level\":"
@@ -228,6 +223,7 @@ void ShardedServer::install_ops_endpoints() {
         }
         os << "]}";
       }
+      fleet = obs::worst_of(all);
       os << "],\"fleet\":\"" << obs::to_string(fleet) << "\"}";
     }
     obs::HttpResponse res;
@@ -245,7 +241,8 @@ void ShardedServer::install_ops_endpoints() {
                                       start_time_)
             .count();
     os << "{\"role\":\"sharded-front-door\",\"build\":{\"version\":\""
-       << obs::build_version() << "\",\"mode\":\"" << obs::build_mode()
+       << obs::json::escape(obs::build_version()) << "\",\"mode\":\""
+       << obs::json::escape(obs::build_mode())
        << "\"},\"uptime_seconds\":" << uptime
        << ",\"serves\":" << serve_count_.load()
        << ",\"config\":{\"shards\":" << config_.shards

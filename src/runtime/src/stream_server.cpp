@@ -116,6 +116,21 @@ struct StreamCounters {
   obs::Gauge* degrade_level = nullptr;  ///< runtime.degrade.level{stream=N}
 };
 
+/// One pipeline stage's series, runtime.stage.*{stage=<name>} plus the
+/// server's metric_labels. Resolved once per serve().
+struct StageSeries {
+  obs::Histogram* latency = nullptr;
+  obs::Counter* processed = nullptr;
+  /// Depth high-water of the stage's input queue over the latest serve
+  /// (ingest has none; its gauge stays 0).
+  obs::Gauge* queue_high_water = nullptr;
+
+  void record(Clock::time_point t0) const {
+    latency->record(Clock::now() - t0);
+    processed->inc();
+  }
+};
+
 std::string stream_entity(int stream) {
   return "stream" + std::to_string(stream);
 }
@@ -171,14 +186,6 @@ std::vector<StreamResult> StreamServer::serve(
     fleet_health_ = obs::HealthState::Healthy;
   }
   if (n_streams == 0) return results;
-
-  const Clock::time_point epoch = Clock::now();
-  const auto now_tp = [&epoch] {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - epoch)
-                        .count();
-    return soc::TimePoint{static_cast<std::uint64_t>(ns) * 1000ull};
-  };
 
   obs::Tracer& tracer = obs::Tracer::global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -253,6 +260,18 @@ std::vector<StreamResult> StreamServer::serve(
           ? registry.histogram("runtime.frame.admitted_latency_ns")
           : registry.histogram("runtime.frame.admitted_latency_ns",
                                config_.metric_labels);
+  const auto stage_series = [&](const char* stage) {
+    obs::Labels labels = config_.metric_labels;
+    labels.emplace_back("stage", stage);
+    return StageSeries{
+        &registry.histogram("runtime.stage.latency_ns", labels),
+        &registry.counter("runtime.stage.processed", labels),
+        &registry.gauge("runtime.stage.queue_high_water", labels)};
+  };
+  const StageSeries ingest_stage = stage_series("ingest");
+  const StageSeries control_stage = stage_series("control");
+  const StageSeries detect_stage = stage_series("detect");
+  const StageSeries report_stage = stage_series("report");
 
   // Level-1/2 scans use a coarser pyramid derived from the system's params.
   det::SlidingWindowParams degraded_sliding = system_->config().sliding;
@@ -434,9 +453,7 @@ std::vector<StreamResult> StreamServer::serve(
   // Each frame gets a fresh trace id here: the ingest span is the root of
   // the frame's causal chain, and the FrameTask carries {trace_id,
   // ingest-span id} across the queue so the control span parents on it.
-  const auto ingest_loop = [&](int worker) {
-    log_.record(now_tp(), "runtime/ingest",
-                "worker " + std::to_string(worker) + " start");
+  const auto ingest_loop = [&] {
     for (;;) {
       const std::size_t s = next_source.fetch_add(1);
       if (s >= sources.size()) break;
@@ -485,7 +502,7 @@ std::vector<StreamResult> StreamServer::serve(
           }
         }
         if (!meta) break;
-        metrics_.ingest.record_latency(Clock::now() - t0);
+        ingest_stage.latency->record(Clock::now() - t0);
         if (config_.validate_frames && !std::isfinite(meta->light_level)) {
           // Garbage in, nothing out: refused BEFORE an index is assigned,
           // so the control plane's frame numbering stays dense and healthy
@@ -504,14 +521,12 @@ std::vector<StreamResult> StreamServer::serve(
         control_q.push(std::move(task));
         state.last_progress_ns.store(tracer.now_ns(),
                                      std::memory_order_relaxed);
-        metrics_.ingest.add_processed();
+        ingest_stage.processed->inc();
       }
       state.frames_ingested.store(index);
       state.ingest_done.store(true, std::memory_order_relaxed);
     }
     if (live_ingest.fetch_sub(1) == 1) control_q.close();
-    log_.record(now_tp(), "runtime/ingest",
-                "worker " + std::to_string(worker) + " done");
   };
 
   // --- coast ledger operations (ladder level 2; no-ops when inactive) ---
@@ -552,12 +567,6 @@ std::vector<StreamResult> StreamServer::serve(
     }
     if (advanced) st.coast_cv.notify_all();
   };
-  // A frame that never reaches the detect scan (shed / backpressure-drop)
-  // still advances the tracker frontier — as an empty update, exactly what
-  // the tracker's miss-coasting is for.
-  const auto publish_gap = [&](StreamState& st, int index) {
-    publish_entry(st, index, CoastEntry{});
-  };
   // Wait for the frontier to cross `index`, then take its coasted boxes.
   // Safe: the detect queue is FIFO, so every smaller index of this stream
   // already left it, and every leaving path publishes an entry; waits are
@@ -571,62 +580,39 @@ std::vector<StreamResult> StreamServer::serve(
     return dets;
   };
 
-  // A frame that overflowed the detect queue still produces a report — the
-  // serving-layer twin of the paper's reconfiguration drop: the vehicle
-  // engine misses the frame, the static pedestrian partition does not.
-  const auto emit_dropped = [&](DetectTask&& task) {
+  // A frame that never reaches the scan still produces a report, never a
+  // silent loss: the vehicle engine misses it, the static pedestrian
+  // partition does not. `shed`: refused by admission (the ladder's level 3
+  // or the token bucket), on the control thread so the frame skips the
+  // detect queue entirely. Otherwise it overflowed the detect queue: the
+  // serving-layer twin of the paper's reconfiguration drop. Either way it
+  // advances the coast ledger as an empty update, exactly what the
+  // tracker's miss-coasting is for.
+  const auto emit_unscanned = [&](DetectTask&& task, bool shed) {
     StreamState& st = *streams[static_cast<std::size_t>(task.stream)];
-    st.backpressure_drops.fetch_add(1);
-    metrics_.detect.add_dropped();
+    if (!shed) st.backpressure_drops.fetch_add(1);
     const obs::TraceScope scope(task.trace);
-    obs::ScopedSpan span("drop_frame", "runtime/detect",
-                         {{"stream", task.stream},
-                          {"frame", task.step.index}});
-    core::ControlStep step = task.step;
-    step.record.vehicle_processed = false;
+    obs::ScopedSpan span(
+        shed ? "shed_frame" : "drop_frame",
+        shed ? "runtime/control" : "runtime/detect",
+        {{"stream", task.stream},
+         {"frame", task.step.index},
+         {"level", static_cast<std::int64_t>(task.decision.level)}});
+    task.step.record.vehicle_processed = false;
     ReportTask out;
     out.stream = task.stream;
-    out.report = system_->evaluate_frame(step, task.meta);
+    out.report = system_->evaluate_frame(task.step, task.meta);
     out.report.degrade_level = static_cast<int>(task.decision.level);
     out.trace = span.context();
     out.ingest_ns = task.ingest_ns;
-    out.backpressure_dropped = true;
-    publish_gap(st, task.step.index);
-    report_q.push(std::move(out));
-  };
-
-  // A frame refused by admission: an explicit shed report (the ladder's
-  // level 3 / token-bucket verdict), never a silent loss. Control-thread
-  // side so the frame skips the detect queue entirely — that is the point.
-  const auto emit_shed = [&](int stream, const core::ControlStep& ctrl,
-                             data::SequenceFrame meta,
-                             const obs::TraceContext& parent,
-                             std::uint64_t ingest_ns,
-                             const AdmissionDecision& decision) {
-    StreamState& st = *streams[static_cast<std::size_t>(stream)];
-    const obs::TraceScope scope(parent);
-    obs::ScopedSpan span(
-        "shed_frame", "runtime/control",
-        {{"stream", stream},
-         {"frame", ctrl.index},
-         {"level", static_cast<std::int64_t>(decision.level)}});
-    core::ControlStep step = ctrl;
-    step.record.vehicle_processed = false;
-    ReportTask out;
-    out.stream = stream;
-    out.report = system_->evaluate_frame(step, meta);
-    out.report.degrade_level = static_cast<int>(decision.level);
-    out.trace = span.context();
-    out.ingest_ns = ingest_ns;
-    out.shed = true;
-    publish_gap(st, ctrl.index);
+    out.backpressure_dropped = !shed;
+    out.shed = shed;
+    publish_entry(st, task.step.index, CoastEntry{});
     report_q.push(std::move(out));
   };
 
   // --- stage 2: control (per-stream sequential) ------------------------
-  const auto control_loop = [&](int worker) {
-    log_.record(now_tp(), "runtime/control",
-                "worker " + std::to_string(worker) + " start");
+  const auto control_loop = [&] {
     while (std::optional<FrameTask> task = control_q.pop()) {
       StreamState& state = *streams[static_cast<std::size_t>(task->stream)];
       std::unique_lock<std::mutex> lock(state.mutex);
@@ -646,10 +632,14 @@ std::vector<StreamResult> StreamServer::serve(
                              {{"stream", current.stream},
                               {"frame", current.index}});
         const Clock::time_point t0 = Clock::now();
-        core::ControlStep step = state.session.control_step(current.meta);
-        span.arg("mode", static_cast<std::int64_t>(step.sensed));
-        metrics_.control.record_latency(Clock::now() - t0);
-        metrics_.control.add_processed();
+        DetectTask dt;
+        dt.step = state.session.control_step(current.meta);
+        control_stage.record(t0);
+        span.arg("mode", static_cast<std::int64_t>(dt.step.sensed));
+        dt.stream = current.stream;
+        dt.meta = std::move(current.meta);
+        dt.trace = span.context();
+        dt.ingest_ns = current.ingest_ns;
         ++state.next_index;
         state.last_progress_ns.store(tracer.now_ns(),
                                      std::memory_order_relaxed);
@@ -657,31 +647,22 @@ std::vector<StreamResult> StreamServer::serve(
         // The admission verdict is taken here — per-stream sequential, so
         // a forced level (fault plan) keyed on the frame index yields a
         // deterministic transition sequence.
-        AdmissionDecision decision;
         if (ladder_active) {
           const std::optional<int> forced =
               injector != nullptr
-                  ? injector->forced_degrade_level(current.stream, step.index)
+                  ? injector->forced_degrade_level(dt.stream, dt.step.index)
                   : std::nullopt;
-          decision = admission->decide(current.stream, step.index,
-                                       tracer.now_ns(), forced);
+          dt.decision = admission->decide(dt.stream, dt.step.index,
+                                          tracer.now_ns(), forced);
         }
-        if (!decision.admit) {
-          emit_shed(current.stream, step, std::move(current.meta),
-                    span.context(), current.ingest_ns, decision);
+        if (!dt.decision.admit) {
+          emit_unscanned(std::move(dt), true);
         } else {
-          DetectTask dt;
-          dt.stream = current.stream;
-          dt.step = step;
-          dt.meta = std::move(current.meta);
-          dt.trace = span.context();
-          dt.ingest_ns = current.ingest_ns;
-          dt.decision = decision;
           // The queue hands any dropped task back (the stale one under
           // DropOldest, this one under DropNewest) so no frame vanishes.
           std::optional<DetectTask> displaced;
           detect_q.push(std::move(dt), &displaced);
-          if (displaced) emit_dropped(std::move(*displaced));
+          if (displaced) emit_unscanned(std::move(*displaced), false);
         }
 
         const auto it = state.pending.find(state.next_index);
@@ -691,8 +672,6 @@ std::vector<StreamResult> StreamServer::serve(
       }
     }
     if (live_control.fetch_sub(1) == 1) detect_q.close();
-    log_.record(now_tp(), "runtime/control",
-                "worker " + std::to_string(worker) + " done");
   };
 
   // --- stage 3: detect (parallel, const) -------------------------------
@@ -711,60 +690,46 @@ std::vector<StreamResult> StreamServer::serve(
     const Clock::time_point t0 = Clock::now();
     StreamState& st = *streams[static_cast<std::size_t>(task.stream)];
     const DegradeLevel level = task.decision.level;
+    const bool coast = ladder_active && task.decision.coast;
+    core::EvaluateOptions opts;
+    std::vector<det::Detection> dets;
+    if (coast) {
+      // Level-2 coast: no render, no scan, no simulated accelerator — the
+      // frame's boxes come from the tracker once every earlier frame of the
+      // stream has fed it (see the coast ledger).
+      span.arg("coast", 1);
+      if (!coast_prepublished)
+        publish_entry(st, task.step.index, CoastEntry{true, {}});
+      dets = take_coast(st, task.step.index);
+      opts.provided_detections = &dets;
+    } else if (ladder_active) {
+      // The scan's boxes feed the stream's tracker through the ledger.
+      opts.out_detections = &dets;
+    }
+    if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
+      opts.sliding_override = &degraded_sliding;
     ReportTask out;
     out.stream = task.stream;
     out.trace = span.context();
     out.ingest_ns = task.ingest_ns;
-    if (ladder_active && task.decision.coast) {
-      // Level-2 coast: no render, no scan, no simulated accelerator —
-      // the frame's boxes come from the tracker once every earlier frame
-      // of the stream has fed it (see the coast ledger).
-      span.arg("coast", 1);
-      if (!coast_prepublished)
-        publish_entry(st, task.step.index, CoastEntry{true, {}});
-      const std::vector<det::Detection> dets =
-          take_coast(st, task.step.index);
-      core::AdaptiveSystem::EvaluateOptions opts;
-      opts.provided_detections = &dets;
-      out.report = system_->evaluate_frame(task.step, task.meta, opts);
-      out.report.degrade_level = static_cast<int>(level);
-      out.report.detect_coasted = true;
-    } else if (ladder_active) {
-      core::AdaptiveSystem::EvaluateOptions opts;
-      if (level == DegradeLevel::CoarseScan ||
-          level == DegradeLevel::SkipCoast)
-        opts.sliding_override = &degraded_sliding;
-      std::vector<det::Detection> dets;
-      opts.out_detections = &dets;
-      out.report = system_->evaluate_frame(task.step, task.meta, opts);
-      out.report.degrade_level = static_cast<int>(level);
-      if (config_.simulated_accel_ms > 0.0 &&
-          task.step.record.vehicle_processed) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(
-                config_.simulated_accel_ms));
-      }
-      publish_entry(st, task.step.index,
-                    CoastEntry{false, std::move(dets)});
-    } else {
-      out.report = system_->evaluate_frame(task.step, task.meta);
-      if (config_.simulated_accel_ms > 0.0 &&
-          task.step.record.vehicle_processed) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(
-                config_.simulated_accel_ms));
-      }
-    }
-    if (injector != nullptr) {
-      const double slow_ms =
-          injector->detect_slowdown_ms(task.stream, task.step.index);
-      if (slow_ms > 0.0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(slow_ms));
-    }
+    out.report = system_->evaluate_frame(task.step, task.meta, opts);
+    out.report.degrade_level = static_cast<int>(level);
+    out.report.detect_coasted = coast;
+    // The modelled PL accelerator occupies the worker on frames whose
+    // vehicle engine ran a scan; an injected slowdown on every frame.
+    double sleep_ms = 0.0;
+    if (config_.simulated_accel_ms > 0.0 && !coast &&
+        task.step.record.vehicle_processed)
+      sleep_ms = config_.simulated_accel_ms;
+    if (injector != nullptr)
+      sleep_ms += injector->detect_slowdown_ms(task.stream, task.step.index);
+    if (sleep_ms > 0.0)
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(sleep_ms));
+    if (!coast)
+      publish_entry(st, task.step.index, CoastEntry{false, std::move(dets)});
     st.last_progress_ns.store(tracer.now_ns(), std::memory_order_relaxed);
-    metrics_.detect.record_latency(Clock::now() - t0);
-    metrics_.detect.add_processed();
+    detect_stage.record(t0);
     report_q.push(std::move(out));
   };
 
@@ -772,9 +737,8 @@ std::vector<StreamResult> StreamServer::serve(
   const bool batching = config_.cross_stream_batching &&
                         config_.scan_pool != nullptr &&
                         config_.detect_batch_max > 1;
-  const auto detect_loop = [&](int worker) {
-    log_.record(now_tp(), "runtime/detect",
-                "worker " + std::to_string(worker) + " start");
+  // Takes the worker index run_indexed hands each pooled loop.
+  const auto detect_loop = [&](int) {
     while (std::optional<DetectTask> first = detect_q.pop()) {
       if (!batching) {
         detect_one(*first, false);
@@ -826,13 +790,10 @@ std::vector<StreamResult> StreamServer::serve(
       for (DetectTask& t : coasts) detect_one(t, true);
     }
     if (live_detect.fetch_sub(1) == 1) report_q.close();
-    log_.record(now_tp(), "runtime/detect",
-                "worker " + std::to_string(worker) + " done");
   };
 
   // --- stage 4: report collector ---------------------------------------
   const auto collect_loop = [&] {
-    log_.record(now_tp(), "runtime/report", "collector start");
     while (std::optional<ReportTask> task = report_q.pop()) {
       const obs::TraceScope scope(task->trace);
       obs::ScopedSpan span("collect_report", "runtime/report",
@@ -889,10 +850,8 @@ std::vector<StreamResult> StreamServer::serve(
       stream_filled[index] = true;
       streams[us]->collected.fetch_add(1, std::memory_order_relaxed);
       streams[us]->last_progress_ns.store(now_ns, std::memory_order_relaxed);
-      metrics_.report.record_latency(Clock::now() - t0);
-      metrics_.report.add_processed();
+      report_stage.record(t0);
     }
-    log_.record(now_tp(), "runtime/report", "collector done");
   };
 
   // --- liveness watchdog -----------------------------------------------
@@ -926,9 +885,6 @@ std::vector<StreamResult> StreamServer::serve(
             admission->force_level(s, DegradeLevel::Shed, "watchdog");
             registry.counter("runtime.watchdog_fired", stream_labels(s))
                 .inc();
-            log_.record(now_tp(), "runtime/watchdog",
-                        "stream " + std::to_string(s) +
-                            " wedged; forcing degrade level 3");
           }
         }
       }
@@ -941,9 +897,9 @@ std::vector<StreamResult> StreamServer::serve(
                                            config_.detect_workers) +
                   1);
   for (int i = 0; i < config_.ingest_workers; ++i)
-    workers.emplace_back(ingest_loop, i);
+    workers.emplace_back(ingest_loop);
   for (int i = 0; i < config_.control_workers; ++i)
-    workers.emplace_back(control_loop, i);
+    workers.emplace_back(control_loop);
   if (config_.scan_pool != nullptr && !batching) {
     // Shared-pool mode: one launcher thread publishes the detect loops as an
     // indexed batch on the scanner's pool and helps run them. Ingest,
@@ -971,6 +927,13 @@ std::vector<StreamResult> StreamServer::serve(
     watchdog_stop.store(true, std::memory_order_relaxed);
     watchdog_thread.join();
   }
+
+  control_stage.queue_high_water->set(
+      static_cast<double>(control_q.stats().high_water));
+  detect_stage.queue_high_water->set(
+      static_cast<double>(detect_q.stats().high_water));
+  report_stage.queue_high_water->set(
+      static_cast<double>(report_q.stats().high_water));
 
   // Fold the labeled per-stream series into the fleet base names — even
   // with monitoring disabled, direct post-serve readers of e.g.
@@ -1013,10 +976,6 @@ std::vector<StreamResult> StreamServer::serve(
     }
   }
 
-  // Queue-depth high-water marks become stage attributes.
-  metrics_.control.update_queue_high_water(control_q.stats().high_water);
-  metrics_.detect.update_queue_high_water(detect_q.stats().high_water);
-  metrics_.report.update_queue_high_water(report_q.stats().high_water);
 
   // --- assemble per-stream results -------------------------------------
   for (int s = 0; s < n_streams; ++s) {
@@ -1056,17 +1015,6 @@ std::vector<StreamResult> StreamServer::serve(
       std::lock_guard<std::mutex> lock(obs_mutex_);
       stream_health_[us] = result.health;
     }
-    std::ostringstream os;
-    os << "stream " << s << " complete: " << result.report.frames.size()
-       << " frames, " << result.report.reconfigs.size() << " reconfigs, "
-       << result.backpressure_drops << " backpressure drops";
-    if (admission != nullptr)
-      os << ", " << result.shed_frames << " shed, " << result.coasted_frames
-         << " coasted, degrade level "
-         << static_cast<int>(result.degrade_level);
-    if (config_.slo.enabled)
-      os << ", health " << obs::to_string(result.health);
-    log_.record(now_tp(), "runtime/server", os.str());
   }
   {
     std::lock_guard<std::mutex> lock(obs_mutex_);

@@ -66,6 +66,10 @@ TEST(Histogram, LinearBinsAreExact) {
     EXPECT_EQ(Histogram::bin_index(v), static_cast<int>(v));
     EXPECT_EQ(Histogram::bin_value(static_cast<int>(v)), v);
   }
+  // A small sample's quantile is the sample itself.
+  h.record_ns(7);
+  EXPECT_EQ(h.percentile_ns(0.5), 7u);
+  EXPECT_EQ(h.max_ns(), 7u);
 }
 
 TEST(Histogram, BinRelativeErrorBounded) {
@@ -127,6 +131,27 @@ TEST(Histogram, PercentilesOrderedAndPlausible) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max_ns(), 0u);
   EXPECT_EQ(h.percentile_ns(0.99), 0u);
+}
+
+TEST(Histogram, EmptyHistogramIsZero) {
+  Histogram h;
+  EXPECT_EQ(h.percentile_ns(0.5), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean_ns(), 0.0);
+}
+
+TEST(Histogram, ConcurrentRecordingLosesNothing) {
+  Histogram h;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&h] {
+      for (int i = 0; i < kPerThread; ++i)
+        h.record_ns(static_cast<std::uint64_t>(i % 977) + 1);
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(MetricsRegistry, SameNameSameObject) {

@@ -6,6 +6,7 @@
 // exactly across serves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -343,6 +344,68 @@ TEST_F(FaultInjectionTest, ForcedShedProducesAccountedReports) {
     } else {
       EXPECT_EQ(f.degrade_level, 0) << "frame " << i;
     }
+  }
+}
+
+// Every ladder path of the one detect path against a reference built from
+// the public pieces: one control session, evaluate_frame with the options
+// each level implies, and a tracker fed every frame in index order, as the
+// coast ledger promises. Level 1 scans the coarse pyramid, level 3 sheds
+// (and is no backpressure drop), level 2 coasts on the tracker boxes every
+// earlier frame fed.
+TEST_F(FaultInjectionTest, LadderFramesMatchASequentialReference) {
+  const std::vector<data::DriveSequence> streams = make_streams(1, 5);
+  const int n = streams[0].frame_count();  // 10 frames
+  FaultPlan plan;
+  plan.faults.push_back({FaultKind::ForceDegrade, 0, 2, 2, 1.0});  // coarse
+  plan.faults.push_back({FaultKind::ForceDegrade, 0, 4, 1, 3.0});  // shed
+  plan.faults.push_back({FaultKind::ForceDegrade, 0, 5, 5, 2.0});  // skip-coast
+  FaultInjector injector(plan);
+  StreamServerConfig sc;
+  sc.detect_workers = 3;
+  sc.fault_injector = &injector;
+  StreamServer server(*system_, sc);
+  const std::vector<StreamResult> results = server.serve_sequences(streams);
+  ASSERT_EQ(results[0].report.frames.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(results[0].shed_frames, 1u);
+  EXPECT_EQ(results[0].backpressure_drops, 0u);
+
+  const DegradeLadderConfig& ladder = sc.admission.ladder;
+  det::SlidingWindowParams coarse = system_->config().sliding;
+  coarse.stride_cells *= ladder.coarse_stride_multiplier;
+  coarse.max_levels = std::min(coarse.max_levels, ladder.coarse_max_levels);
+  core::AdaptiveSystem::StepSession session = system_->begin_session();
+  det::IouTracker tracker(ladder.coast_tracker);
+  for (int i = 0; i < n; ++i) {
+    const data::SequenceFrame meta = streams[0].frame(i);
+    core::ControlStep step = session.control_step(meta);
+    const int level = i < 2 ? 0 : i < 4 ? 1 : i == 4 ? 3 : 2;
+    const bool coast = level == 2 && i % ladder.skip_modulus != 0;
+    core::EvaluateOptions opts;
+    std::vector<det::Detection> dets;
+    if (coast) {
+      for (const det::Track& t : tracker.update({})) {
+        det::Detection d;
+        d.box = t.box;
+        d.score = t.last_score;
+        d.class_id = t.class_id;
+        dets.push_back(d);
+      }
+      opts.provided_detections = &dets;
+    } else if (level == 3) {
+      step.record.vehicle_processed = false;
+    } else {
+      if (level > 0) opts.sliding_override = &coarse;
+      opts.out_detections = &dets;
+    }
+    core::AdaptiveFrameReport expected =
+        system_->evaluate_frame(step, meta, opts);
+    expected.degrade_level = level;
+    expected.detect_coasted = coast;
+    if (!coast) tracker.update(dets);
+    expect_frames_identical(
+        results[0].report.frames[static_cast<std::size_t>(i)], expected,
+        "frame " + std::to_string(i));
   }
 }
 

@@ -64,7 +64,9 @@ TracedRun traced_serve() {
   run.results = server.serve_sequences(four_streams(5));
   tracer.set_enabled(false);
   run.spans = tracer.drain();
-  run.chrome_trace = soc::to_chrome_trace(server.server_log(), run.spans);
+  // Stream 0's simulated-time session log rides along with the spans.
+  run.chrome_trace =
+      soc::to_chrome_trace(run.results[0].report.log, run.spans);
   return run;
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "avd/obs/json.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/ops_server.hpp"
 #include "avd/runtime/sharded_server.hpp"
@@ -213,6 +214,48 @@ TEST(ShardedServer, RollupShardMarginalsEqualLeafSums) {
   EXPECT_EQ(again.leaf_sum, frames.leaf_sum);
 }
 
+// Stage series carry the shard label like every other series: each shard's
+// runtime.stage.processed{stage=detect} counts exactly the frames of the
+// streams placed on it, and the shard series sum to the fleet total.
+TEST(ShardedServer, StageSeriesShardMarginalsSumToFleetTotal) {
+  const core::SystemModels models = core::build_system_models(tiny());
+  core::AdaptiveSystem system(models, {});
+
+  ShardedServerConfig fc;
+  fc.shards = 2;
+  fc.shard.detect_workers = 1;
+  ShardedServer front(system, fc);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto detect_processed = [&registry](int shard) {
+    return registry
+        .counter("runtime.stage.processed",
+                 {{"shard", std::to_string(shard)}, {"stage", "detect"}})
+        .value();
+  };
+  // The registry is process-global: read deltas around the serve.
+  const std::uint64_t before[2] = {detect_processed(0), detect_processed(1)};
+  const std::vector<StreamResult> results =
+      front.serve_sequences(drives(4, 3));
+  ASSERT_EQ(results.size(), 4u);
+
+  const std::vector<int> placement = front.last_assignment();
+  std::uint64_t expected[2] = {0, 0};
+  std::uint64_t fleet = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto frames =
+        static_cast<std::uint64_t>(results[i].report.frames.size());
+    expected[placement[i]] += frames;
+    fleet += frames;
+  }
+  std::uint64_t sum = 0;
+  for (int m = 0; m < 2; ++m) {
+    const std::uint64_t delta = detect_processed(m) - before[m];
+    EXPECT_EQ(delta, expected[m]) << "shard " << m;
+    sum += delta;
+  }
+  EXPECT_EQ(sum, fleet);
+}
+
 // The fleet ops surface: ONE front-door listener answers /metricsz with
 // shard=-labeled series whose marginals reconcile against the same scrape's
 // leaves, /healthz with the fleet worst-of, /statusz with the topology.
@@ -272,6 +315,48 @@ TEST(ShardedServer, FrontDoorServesFleetMetricsHealthAndStatus) {
   EXPECT_NE(statusz->body.find("sharded-front-door"), std::string::npos);
   EXPECT_NE(statusz->body.find("\"shards\":2"), std::string::npos);
   EXPECT_NE(statusz->body.find("\"serves\":1"), std::string::npos);
+}
+
+// Stream names are user input: a name holding a quote and a backslash must
+// come back from the front door's /healthz as a string of a document that
+// parses, and /statusz must parse too.
+TEST(ShardedServer, FrontDoorEscapesStreamNames) {
+  const core::SystemModels models = core::build_system_models(tiny());
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = false;
+  core::AdaptiveSystem system(models, cfg);
+
+  ShardedServerConfig fc;
+  fc.shards = 1;
+  fc.shard.detect_workers = 1;
+  fc.ops_enabled = true;
+  fc.ops.port = 0;  // ephemeral
+  ShardedServer front(system, fc);
+  ASSERT_NE(front.ops_server(), nullptr);
+  const std::uint16_t port = front.ops_server()->port();
+
+  const std::string name = "a\"b\\c";
+  std::vector<NamedStream> streams;
+  streams.push_back({name, make_source(drives(1, 2)[0])});
+  ASSERT_EQ(front.serve(std::move(streams)).size(), 1u);
+
+  const auto healthz = obs::http_get(port, "/healthz");
+  ASSERT_TRUE(healthz.has_value());
+  const std::optional<obs::json::Value> doc = obs::json::parse(healthz->body);
+  ASSERT_TRUE(doc.has_value()) << healthz->body;
+  const obs::json::Value* shards = doc->find("shards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_EQ(shards->array.size(), 1u);
+  const obs::json::Value* rows = shards->array[0].find("streams");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->array.size(), 1u);
+  const obs::json::Value* stream = rows->array[0].find("stream");
+  ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(stream->string, name);
+
+  const auto statusz = obs::http_get(port, "/statusz");
+  ASSERT_TRUE(statusz.has_value());
+  EXPECT_TRUE(obs::json::valid(statusz->body)) << statusz->body;
 }
 
 }  // namespace

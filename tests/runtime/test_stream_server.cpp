@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "avd/obs/metrics.hpp"
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/runtime/thread_pool.hpp"
@@ -278,6 +279,11 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
   sc.detect_policy = OverflowPolicy::DropOldest;
   sc.simulated_accel_ms = 2.0;  // starve: detect is 2 ms/frame, control ~µs
   StreamServer server(system, sc);
+  // The registry is process-global: read the drop counter as a delta.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.rollup();
+  const std::uint64_t drops_before =
+      registry.counter("runtime.backpressure_drops").value();
   const auto results = server.serve_sequences(streams);
 
   std::uint64_t total_drops = 0;
@@ -312,7 +318,9 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
         << "stream " << s;
   }
   EXPECT_GT(total_drops, 0u) << "expected the starved pool to shed load";
-  EXPECT_EQ(server.metrics().detect.dropped(), total_drops);
+  EXPECT_EQ(registry.counter("runtime.backpressure_drops").value() -
+                drops_before,
+            total_drops);
 }
 
 TEST(StreamServer, MetricsCoverEveryFrame) {
@@ -328,23 +336,49 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
   StreamServerConfig sc;
   sc.detect_workers = 2;
   StreamServer server(system, sc);
+  // The registry is process-global (earlier serves in this binary count
+  // into the same series), so every check reads a delta around the serve.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto processed = [&registry](const char* stage) {
+    return registry.counter("runtime.stage.processed", {{"stage", stage}})
+        .value();
+  };
+  const auto latency = [&registry](const char* stage) -> obs::Histogram& {
+    return registry.histogram("runtime.stage.latency_ns", {{"stage", stage}});
+  };
+  registry.rollup();
+  const std::uint64_t ingest0 = processed("ingest");
+  const std::uint64_t control0 = processed("control");
+  const std::uint64_t detect0 = processed("detect");
+  const std::uint64_t report0 = processed("report");
+  const std::uint64_t drops0 =
+      registry.counter("runtime.backpressure_drops").value();
+  const std::uint64_t detect_samples0 = latency("detect").count();
+  const std::uint64_t control_samples0 = latency("control").count();
+
   const auto results = server.serve_sequences(streams);
   ASSERT_EQ(results.size(), 4u);
 
-  const RuntimeMetrics& m = server.metrics();
   const auto n = static_cast<std::uint64_t>(total_frames);
-  EXPECT_EQ(m.ingest.processed(), n);
-  EXPECT_EQ(m.control.processed(), n);
-  EXPECT_EQ(m.detect.processed() + m.detect.dropped(), n);
-  EXPECT_EQ(m.report.processed(), n);
-  EXPECT_GT(m.detect.latency().count(), 0u);
-  EXPECT_GT(m.control.snapshot().p95_ns, 0u);
+  EXPECT_EQ(processed("ingest") - ingest0, n);
+  EXPECT_EQ(processed("control") - control0, n);
+  EXPECT_EQ(processed("detect") - detect0 +
+                registry.counter("runtime.backpressure_drops").value() -
+                drops0,
+            n);
+  EXPECT_EQ(processed("report") - report0, n);
+  EXPECT_GT(latency("detect").count() - detect_samples0, 0u);
+  EXPECT_EQ(latency("control").count() - control_samples0, n);
 
-  // Worker lifecycle events were recorded concurrently into the shared log.
-  const soc::EventLog& log = server.server_log();
-  EXPECT_GE(log.size(), 8u);  // starts + dones for every pool at minimum
-  EXPECT_FALSE(log.from("runtime/detect").empty());
-  EXPECT_FALSE(log.from("runtime/server").empty());
+  // Every queue-fed stage saw its input queue hold at least one frame, and
+  // never more than its capacity.
+  for (const char* stage : {"control", "detect", "report"}) {
+    const double hw =
+        registry.gauge("runtime.stage.queue_high_water", {{"stage", stage}})
+            .value();
+    EXPECT_GE(hw, 1.0) << stage;
+    EXPECT_LE(hw, static_cast<double>(sc.queue_capacity)) << stage;
+  }
 }
 
 TEST(StreamServer, EmptyAndSingleFrameStreams) {
