@@ -245,9 +245,14 @@ int main(int argc, char** argv) {
 
     tracer.clear();
     tracer.set_enabled(true);
-    breach_server.serve_sequences(short_streams);
+    const std::vector<avd::runtime::StreamResult> breach_results =
+        breach_server.serve_sequences(short_streams);
     tracer.set_enabled(false);
     tracer.clear();
+    if (breach_results.size() != 1 || breach_results[0].source_failed ||
+        breach_results[0].report.frames.size() !=
+            static_cast<std::size_t>(short_streams[0].frame_count()))
+      fail("forced SLO breach run did not serve its stream to completion");
 
     const std::string& bundle_path = breach_server.last_flight_bundle_path();
     if (bundle_path.empty()) {

@@ -5,9 +5,10 @@
 # ThreadSanitizer build of
 # the concurrency-bearing tests (avd::runtime, avd::obs — including the
 # labeled registry, trace sampler, flight recorder, ops server and sample
-# profiler suites — soc::EventLog's concurrent-record tests and the pooled
-# scanners), then a profiling smoke test that fails on an empty or invalid
-# merged trace, a missing flight bundle, or a missing collapsed profile, a
+# profiler suites — soc::EventLog's concurrent-record tests, the pooled
+# scanners and the concurrent start-up model build), then a profiling smoke
+# test that fails on an empty or invalid merged trace, a missing flight
+# bundle, or a missing collapsed profile, a
 # serving smoke test that fails when a stream served on a shared scan pool
 # diverges from sequential run(), then a curl sweep of every live ops
 # endpoint against a serving process.
@@ -41,14 +42,16 @@ STRESS_ONLY=0
 
 # The repeat-stress lane: a race that fires once in a few hundred runs passes
 # a single TSan pass. So the concurrency-bearing suites (avd::runtime,
-# avd::obs, and the pooled block-grid scanner's MultiModelScanTest) run
-# under ThreadSanitizer with --gtest_repeat, every report fatal, each binary
-# bounded by `timeout` so a hang fails the lane instead of stalling it.
+# avd::obs, the pooled block-grid scanner's MultiModelScanTest and the
+# concurrent model build's SystemModels suites) run under ThreadSanitizer
+# with --gtest_repeat, every report fatal, each binary bounded by `timeout`
+# so a hang fails the lane instead of stalling it.
 # Shares build-tsan/ with the TSan lane; its own CI job.
 if [[ "$STRESS_ONLY" -eq 1 ]]; then
   echo "== stress: configure + build (build-tsan/) =="
   cmake -B build-tsan -S . -DAVD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_runtime test_obs test_detect
+  cmake --build build-tsan -j "$JOBS" --target test_runtime test_obs test_detect \
+    test_core
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   echo "== stress: test_runtime x3 =="
   timeout 1800 ./build-tsan/tests/test_runtime --gtest_repeat=3
@@ -57,6 +60,9 @@ if [[ "$STRESS_ONLY" -eq 1 ]]; then
   echo "== stress: MultiModelScanTest x20 =="
   timeout 900 ./build-tsan/tests/test_detect \
     --gtest_filter='MultiModelScanTest.*' --gtest_repeat=20
+  echo "== stress: SystemModels x10 =="
+  timeout 900 ./build-tsan/tests/test_core \
+    --gtest_filter='SystemModels*' --gtest_repeat=10
   echo "== stress lane passed =="
   exit 0
 fi
@@ -117,7 +123,8 @@ fi
 
 echo "== TSan: configure + build (build-tsan/) =="
 cmake -B build-tsan -S . -DAVD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j "$JOBS" --target test_runtime test_soc test_obs test_detect
+cmake --build build-tsan -j "$JOBS" --target test_runtime test_soc test_obs test_detect \
+  test_core
 
 echo "== TSan: runtime tests =="
 # halt_on_error: any data race fails the run (and hence this script).
@@ -130,6 +137,9 @@ run_chaos_lane
 # a shared ThreadPool must be race-free and deterministic
 # (MultiModelScanTest and DarkScanPool cover pool-vs-reference).
 ./build-tsan/tests/test_detect --gtest_filter='MultiModelScanTest.*:WindowAnchorPositions.*:DarkScanPool.*'
+# build_system_models trains its models as concurrent jobs on a local pool;
+# the SystemModels suites cover the bit-identity pin and the failure path.
+./build-tsan/tests/test_core --gtest_filter='SystemModels*'
 
 echo "== smoke: profile_pipeline =="
 # The example traces a full serving run and exits non-zero itself if the

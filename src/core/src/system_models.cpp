@@ -1,7 +1,46 @@
 #include "avd/core/system_models.hpp"
 
-namespace avd::core {
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <thread>
+#include <vector>
 
+#include "avd/runtime/thread_pool.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+namespace avd::core {
+namespace {
+
+// The training jobs free what they allocated, but glibc keeps each worker
+// thread's freed arena pages resident; hand them back to the OS so the
+// serving process does not carry the build's high-water mark.
+void return_freed_memory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
+
+// The models are independent, so their training runs as concurrent jobs on
+// a pool local to this call. Each job keeps the seed and arguments of the
+// serial build, so every model is bit-identical to training them one after
+// another. The job graph:
+//
+//   dark DBN                                    (the critical path)
+//   day patches  -> day SVM    -+
+//   dusk patches -> dusk SVM   -+-> combined SVM, once both patch sets exist
+//   pedestrian patches -> pedestrian SVM
+//   pairing SVM
+//   animal patches -> animal SVM                (when the budget enables it)
+//
+// The combined SVM runs as the tail of whichever vehicle job finishes its
+// patches second, so no job ever waits on another and the build cannot
+// deadlock, even on a pool with no worker threads.
 SystemModels build_system_models(const TrainingBudget& budget) {
   using data::LightingCondition;
 
@@ -16,17 +55,11 @@ SystemModels build_system_models(const TrainingBudget& budget) {
   dusk_spec.condition = LightingCondition::Dusk;
   dusk_spec.seed = budget.seed + 2;
 
-  const data::PatchDataset day_train = data::make_vehicle_patches(day_spec);
-  const data::PatchDataset dusk_train = data::make_vehicle_patches(dusk_spec);
-  const data::PatchDataset combined_train =
-      data::PatchDataset::concat(day_train, dusk_train);
-
   data::PedestrianPatchSpec ped_spec;
   ped_spec.patch_size = budget.pedestrian_window;
   ped_spec.n_positive = budget.pedestrian_pos;
   ped_spec.n_negative = budget.pedestrian_neg;
   ped_spec.seed = budget.seed + 3;
-  const data::PatchDataset ped_train = data::make_pedestrian_patches(ped_spec);
 
   det::HogSvmTrainOptions vehicle_opts;
   vehicle_opts.svm.seed = budget.seed + 4;
@@ -39,28 +72,72 @@ SystemModels build_system_models(const TrainingBudget& budget) {
   dark_spec.pairing_scenes = budget.pairing_scenes;
   dark_spec.seed = budget.seed + 6;
 
-  SystemModels models{
-      det::train_hog_svm(day_train, "day", vehicle_opts),
-      det::train_hog_svm(dusk_train, "dusk", vehicle_opts),
-      det::train_hog_svm(combined_train, "combined", vehicle_opts),
-      det::train_hog_svm(ped_train, "pedestrian", ped_opts),
-      det::train_dark_detector(dark_spec),
-      det::HogSvmModel{},
-  };
+  // Every job writes only its own model slots.
+  det::HogSvmModel day, dusk, combined, pedestrian, animal;
+  ml::Dbn dbn;
+  ml::LinearSvm pairing_svm;
+  {
+    data::PatchDataset day_train, dusk_train;
+    std::atomic<int> vehicle_sets_pending{2};
+    const auto train_vehicle = [&](const data::VehiclePatchSpec& spec,
+                                   const char* name, data::PatchDataset& train,
+                                   det::HogSvmModel& model) {
+      train = data::make_vehicle_patches(spec);
+      // The second job to get here sees both patch sets.
+      if (--vehicle_sets_pending == 0)
+        combined = det::train_hog_svm(
+            data::PatchDataset::concat(day_train, dusk_train), "combined",
+            vehicle_opts);
+      model = det::train_hog_svm(train, name, vehicle_opts);
+    };
 
-  if (budget.animal_pos > 0 && budget.animal_neg > 0) {
-    data::AnimalPatchSpec animal_spec;
-    animal_spec.patch_size = budget.animal_window;
-    animal_spec.n_positive = budget.animal_pos;
-    animal_spec.n_negative = budget.animal_neg;
-    animal_spec.seed = budget.seed + 7;
-    det::HogSvmTrainOptions animal_opts;
-    animal_opts.svm.seed = budget.seed + 8;
-    animal_opts.class_id = det::kClassAnimal;
-    models.animal = det::train_hog_svm(
-        data::make_animal_patches(animal_spec), "animal", animal_opts);
+    // Longest first: the pool claims jobs in index order.
+    std::vector<std::function<void()>> jobs{
+        [&] { dbn = det::train_taillight_dbn(dark_spec); },
+        [&] { train_vehicle(day_spec, "day", day_train, day); },
+        [&] { train_vehicle(dusk_spec, "dusk", dusk_train, dusk); },
+        [&] {
+          pedestrian = det::train_hog_svm(
+              data::make_pedestrian_patches(ped_spec), "pedestrian", ped_opts);
+        },
+        [&] { pairing_svm = det::train_pairing_svm(dark_spec); },
+    };
+    if (budget.animal_pos > 0 && budget.animal_neg > 0) {
+      jobs.emplace_back([&] {
+        data::AnimalPatchSpec animal_spec;
+        animal_spec.patch_size = budget.animal_window;
+        animal_spec.n_positive = budget.animal_pos;
+        animal_spec.n_negative = budget.animal_neg;
+        animal_spec.seed = budget.seed + 7;
+        det::HogSvmTrainOptions animal_opts;
+        animal_opts.svm.seed = budget.seed + 8;
+        animal_opts.class_id = det::kClassAnimal;
+        animal = det::train_hog_svm(data::make_animal_patches(animal_spec),
+                                    "animal", animal_opts);
+      });
+    }
+
+    // The calling thread runs jobs too, so the pool adds one thread fewer
+    // than the cores it may use. run_indexed joins every job, also when one
+    // throws, and then rethrows the first failure; the pool's destructor
+    // joins its threads before the patch sets go.
+    const int cores =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    runtime::ThreadPool pool(std::min(cores, static_cast<int>(jobs.size())) - 1);
+    pool.run_indexed(static_cast<int>(jobs.size()),
+                     [&](int i) { jobs[static_cast<std::size_t>(i)](); });
   }
-  return models;
+  return_freed_memory();
+
+  return SystemModels{
+      std::move(day),
+      std::move(dusk),
+      std::move(combined),
+      std::move(pedestrian),
+      det::DarkVehicleDetector(std::move(dbn), std::move(pairing_svm),
+                               dark_spec.config),
+      std::move(animal),
+  };
 }
 
 }  // namespace avd::core

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -36,10 +37,14 @@ void HogSvmModel::save(std::ostream& out) const {
     throw std::invalid_argument(
         "HogSvmModel::save: model name must be non-empty and contain no "
         "whitespace (the text format is whitespace-delimited)");
+  // max_digits10 significant digits: every float reloads to the same bits.
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<float>::max_digits10);
   out << "hogsvm " << name << ' ' << window.width << ' ' << window.height << ' '
       << class_id << ' ' << hog.cell_size << ' ' << hog.bins << ' '
       << hog.block_cells << ' ' << hog.block_stride_cells << ' '
       << hog.l2hys_clip << '\n';
+  out.precision(precision);
   svm.save(out);
 }
 

@@ -191,7 +191,15 @@ std::vector<Detection> detect_multiscale_multi(
     // The ledger's layers, each under its own span: pyramid resize (levels
     // past 0) and cell grid, then per strip block rows and window scores.
     // The resized level is freed as soon as its cell grid exists.
-    hog::CellGrid grid;
+    //
+    // The cell grid, the largest buffer of a level (1.17 MB at 1080p level
+    // 0), stays with the thread from scan to scan. Allocated per level per
+    // frame, whether it cost page faults depended on the heap's history:
+    // with no free space inside the heap, glibc trimmed the heap's top and
+    // faulted it in again every frame (DESIGN.md §17). A level task runs to
+    // its end on one thread and starts no other task, so no two levels
+    // share it.
+    thread_local hog::CellGrid grid;
     {
       const obs::ScopedSpan span(
           "hog_front_end", "detect/hogsvm",
@@ -204,7 +212,7 @@ std::vector<Detection> detect_multiscale_multi(
         resized = img::resize_bilinear(frame, level.size);
       }
       const obs::ScopedSpan cells_span("cell_grid", "detect/hogsvm");
-      grid = hog::compute_cell_grid(level.index == 0 ? frame : resized, shared);
+      hog::compute_cell_grid(level.index == 0 ? frame : resized, shared, grid);
     }
     // Some model's window fits the level, so it holds at least one block.
     const int anchors_x = grid.cells_x() - shared.block_cells + 1;

@@ -48,6 +48,10 @@ class CellGrid {
   CellGrid() = default;
   CellGrid(int cells_x, int cells_y, int bins);
 
+  /// Reshape to cells_x x cells_y zeroed histograms, reusing the storage
+  /// when it is large enough.
+  void reset(int cells_x, int cells_y, int bins);
+
   [[nodiscard]] int cells_x() const { return cells_x_; }
   [[nodiscard]] int cells_y() const { return cells_y_; }
   [[nodiscard]] int bins() const { return bins_; }
@@ -86,6 +90,10 @@ void l2hys_normalise(std::span<float> blocks, float clip, int count = 1);
 /// Stage 1: cell histograms with bilinear orientation-bin interpolation.
 [[nodiscard]] CellGrid compute_cell_grid(const img::ImageU8& image,
                                          const HogParams& params = {});
+/// The same histograms, written into `grid` (reset first), so a caller that
+/// scans frame after frame keeps one grid's storage.
+void compute_cell_grid(const img::ImageU8& image, const HogParams& params,
+                       CellGrid& grid);
 
 /// Stage 2: assemble the L2-hys-normalised descriptor of the window whose
 /// top-left cell is (cell_x, cell_y) spanning cells_w x cells_h cells.

@@ -31,6 +31,13 @@ CellGrid::CellGrid(int cells_x, int cells_y, int bins)
       bins_(bins),
       data_(static_cast<std::size_t>(cells_x) * cells_y * bins, 0.0f) {}
 
+void CellGrid::reset(int cells_x, int cells_y, int bins) {
+  cells_x_ = cells_x;
+  cells_y_ = cells_y;
+  bins_ = bins;
+  data_.assign(static_cast<std::size_t>(cells_x) * cells_y * bins, 0.0f);
+}
+
 std::span<float> CellGrid::cell(int cx, int cy) {
   return {data_.data() +
               (static_cast<std::size_t>(cy) * cells_x_ + cx) * bins_,
@@ -162,13 +169,20 @@ GradientField compute_gradients(const img::ImageU8& image) {
 }
 
 CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
+  CellGrid grid;
+  compute_cell_grid(image, params, grid);
+  return grid;
+}
+
+void compute_cell_grid(const img::ImageU8& image, const HogParams& params,
+                       CellGrid& grid) {
   if (params.cell_size <= 0 || params.bins <= 0 ||
       params.bins > HogParams::kMaxBins)
     throw std::invalid_argument("HOG: bad params");
   const int cells_x = image.width() / params.cell_size;
   const int cells_y = image.height() / params.cell_size;
-  CellGrid grid(cells_x, cells_y, params.bins);
-  if (cells_x == 0 || cells_y == 0) return grid;
+  grid.reset(cells_x, cells_y, params.bins);
+  if (cells_x == 0 || cells_y == 0) return;
 
   // Gradient + vote through the vote table instead of sqrt/atan2 and the
   // interpolation per pixel. Per pixel row, pass 1 writes every pixel's
@@ -213,7 +227,6 @@ CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
       }
     }
   }
-  return grid;
 }
 
 namespace {

@@ -53,6 +53,9 @@ class Dbn {
   [[nodiscard]] int classes() const { return classes_; }
   [[nodiscard]] std::size_t hidden_layers() const { return rbms_.size(); }
   [[nodiscard]] const Rbm& rbm(std::size_t i) const { return rbms_[i]; }
+  /// Softmax head: classes x last-hidden weights and one bias per class.
+  [[nodiscard]] const Matrix& head_weights() const { return head_w_; }
+  [[nodiscard]] std::span<const float> head_bias() const { return head_b_; }
 
   /// Class posteriors P(c|x).
   [[nodiscard]] std::vector<float> posterior(std::span<const float> x) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -240,6 +241,9 @@ DbnTrainReport Dbn::train(std::span<const std::vector<float>> data,
 }
 
 void Dbn::save(std::ostream& out) const {
+  // max_digits10 significant digits: every float reloads to the same bits.
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<float>::max_digits10);
   out << "dbn " << layer_sizes_.size() << ' ' << classes_ << '\n';
   for (int s : layer_sizes_) out << s << ' ';
   out << '\n';
@@ -258,6 +262,7 @@ void Dbn::save(std::ostream& out) const {
   out << '\n';
   for (float v : head_b_) out << v << ' ';
   out << '\n';
+  out.precision(precision);
 }
 
 Dbn Dbn::load(std::istream& in) {

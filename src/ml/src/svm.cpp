@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
@@ -21,10 +22,14 @@ double LinearSvm::decision(std::span<const float> x) const {
 }
 
 void LinearSvm::save(std::ostream& out) const {
+  // max_digits10 significant digits: every float reloads to the same bits.
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<float>::max_digits10);
   out << "svm " << weights_.size() << ' ' << bias_ << '\n';
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     out << weights_[i] << (i + 1 == weights_.size() ? '\n' : ' ');
   }
+  out.precision(precision);
 }
 
 LinearSvm LinearSvm::load(std::istream& in) {

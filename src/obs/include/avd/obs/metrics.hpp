@@ -3,11 +3,12 @@
 // of the stack (the runtime's per-stage and per-stream series, the
 // detectors' counters, the simulation's ARM-performance-counter reads).
 //
-// Series can carry a label dimension (stream=<id>, later shard=<id>):
-// labels flatten into the registry name via labeled_name(), each labeled
-// series is an ordinary lock-free metric, and an explicit rollup() folds
-// every label family into the unlabeled series of the same base name so
-// per-stream and fleet views export side by side at O(series) cost.
+// Series can carry label dimensions (stream=<id>, shard=<id>, stage=<name>,
+// ...): labels flatten into the registry name via labeled_name(), each
+// labeled series is an ordinary lock-free metric, and an explicit rollup()
+// folds the population series (stream=, shard=) into the unlabeled series of
+// the same base name so per-stream and fleet views export side by side at
+// O(series) cost.
 //
 // Thread safety: every mutator is a relaxed atomic operation, safe and cheap
 // from any thread. Registry lookups (counter()/gauge()/histogram()) take a
@@ -239,10 +240,14 @@ class MetricsRegistry {
   [[nodiscard]] Histogram& histogram(const std::string& name,
                                      const Labels& labels);
 
-  /// Fold every labeled *leaf* series into the unlabeled series of its base
-  /// name: `runtime.frames{stream="0"}` + `runtime.frames{stream="1"}`
+  /// Fold every population *leaf* series — one whose labels are all
+  /// population labels, stream= and shard= — into the unlabeled series of
+  /// its base name: `runtime.frames{stream="0"}` + `runtime.frames{stream="1"}`
   /// overwrite `runtime.frames` (counters and gauges sum; histograms merge
   /// bins), so exports carry the per-stream and the fleet view side by side.
+  /// A series with any other label (`runtime.stage.processed{stage="detect"}`)
+  /// is never folded: its siblings measure different things, and their sum
+  /// would count one frame once per stage.
   /// Leaves with two or more labels additionally fold into their *parent*
   /// marginal — the series with the last sorted label dropped — so a sharded
   /// fleet's `runtime.frames{shard="0",stream="3"}` leaves also produce

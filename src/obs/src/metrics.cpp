@@ -381,10 +381,31 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 namespace {
 
+// Population labels name who produced a sample (a stream, a shard), so
+// their series add up to a fleet total. Every other label (stage=, layer=,
+// mode=, ...) names a different quantity: the four stage=
+// runtime.stage.processed series each count every frame once, and their sum
+// counts it four times.
+bool is_population_label(const std::string& key) {
+  return key == "shard" || key == "stream";
+}
+
+// A rollup source candidate: a labeled series whose every label is a
+// population label. nullopt for plain names and for any series that carries
+// another label; those are left as they are.
+std::optional<ParsedSeriesName> population_series(std::string_view flat) {
+  std::optional<ParsedSeriesName> parsed = parse_labeled_name(flat);
+  if (parsed && std::all_of(parsed->labels.begin(), parsed->labels.end(),
+                            [](const auto& label) {
+                              return is_population_label(label.first);
+                            }))
+    return parsed;
+  return std::nullopt;
+}
+
 // The flat name of a labeled series with its last (sorted) label dropped —
 // the series' rollup parent ("runtime.frames{shard="0",stream="3"}" ->
-// "runtime.frames{shard="0"}"). Empty labels have no parent (their fold
-// target is the base name).
+// "runtime.frames{shard="0"}").
 std::string parent_name(const ParsedSeriesName& parsed) {
   Labels parent(parsed.labels.begin(), parsed.labels.end() - 1);
   return labeled_name(parsed.base, std::move(parent));
@@ -393,7 +414,7 @@ std::string parent_name(const ParsedSeriesName& parsed) {
 // The rollup fold must be idempotent: /metricsz scrapes and end-of-serve
 // both call rollup(), and a marginal produced by one fold must never be
 // re-summed into the base by the next (the shard=xstream= double-count).
-// Products are recognised structurally, with no stored state: a labeled
+// Products are recognised structurally, with no stored state: a population
 // series is a *product* (and therefore not a source) exactly when some
 // other series of the same section has it as its parent. Leaves — series no
 // one folds into — are the only sources; each leaf contributes to its base
@@ -401,70 +422,60 @@ std::string parent_name(const ParsedSeriesName& parsed) {
 // Consequence (documented on rollup()): do not write directly to a series
 // that is another series' parent, e.g. `x{shard="0"}` next to
 // `x{shard="0",stream="1"}` — rollup overwrites the parent from its leaves.
+// Returns each fold target with the leaves that fold into it.
 template <typename Map>
-std::set<std::string> rollup_products(const Map& section) {
+auto rollup_plan(const Map& section) {
+  using Metric = typename Map::mapped_type::element_type;
+  struct Series {
+    const std::string* name;
+    ParsedSeriesName parsed;
+    const Metric* metric;
+  };
+  std::vector<Series> population;
   std::set<std::string> products;
-  for (const auto& [name, _] : section)
-    if (auto parsed = parse_labeled_name(name))
+  for (const auto& [name, metric] : section)
+    if (auto parsed = population_series(name)) {
       if (parsed->labels.size() >= 2) products.insert(parent_name(*parsed));
-  return products;
+      population.push_back({&name, std::move(*parsed), metric.get()});
+    }
+  std::map<std::string, std::vector<const Metric*>> plan;
+  for (const Series& s : population) {
+    if (products.contains(*s.name)) continue;  // a prior fold's marginal
+    plan[s.parsed.base].push_back(s.metric);
+    if (s.parsed.labels.size() >= 2)
+      plan[parent_name(s.parsed)].push_back(s.metric);
+  }
+  return plan;
+}
+
+// The fold target's entry, created on first fold.
+template <typename Map>
+auto& fold_target(Map& section, const std::string& name) {
+  auto& slot = section[name];
+  if (!slot) slot = std::make_unique<typename Map::mapped_type::element_type>();
+  return *slot;
 }
 
 }  // namespace
 
 void MetricsRegistry::rollup() {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Two passes per section: collect the fold from the labeled leaves first,
-  // then find-or-create the target entries. Inserting targets while
-  // iterating would both invalidate nothing (std::map) and double-count
-  // nothing (bases never parse as labeled, marginal products are excluded
-  // as sources), but the separation keeps the overwrite semantics obvious.
-  {
-    const std::set<std::string> products = rollup_products(counters_);
-    std::map<std::string, std::uint64_t> sums;
-    for (const auto& [name, c] : counters_)
-      if (auto parsed = parse_labeled_name(name)) {
-        if (products.contains(name)) continue;  // a prior fold's marginal
-        sums[parsed->base] += c->value();
-        if (parsed->labels.size() >= 2) sums[parent_name(*parsed)] += c->value();
-      }
-    for (const auto& [base, sum] : sums) {
-      auto& slot = counters_[base];
-      if (!slot) slot = std::make_unique<Counter>();
-      slot->set(sum);
-    }
+  // Each section plans the fold from its leaves before it creates or
+  // overwrites a target, so a target made by this fold is never a source.
+  for (const auto& [target, leaves] : rollup_plan(counters_)) {
+    std::uint64_t sum = 0;
+    for (const Counter* leaf : leaves) sum += leaf->value();
+    fold_target(counters_, target).set(sum);
   }
-  {
-    const std::set<std::string> products = rollup_products(gauges_);
-    std::map<std::string, double> sums;
-    for (const auto& [name, g] : gauges_)
-      if (auto parsed = parse_labeled_name(name)) {
-        if (products.contains(name)) continue;
-        sums[parsed->base] += g->value();
-        if (parsed->labels.size() >= 2) sums[parent_name(*parsed)] += g->value();
-      }
-    for (const auto& [base, sum] : sums) {
-      auto& slot = gauges_[base];
-      if (!slot) slot = std::make_unique<Gauge>();
-      slot->set(sum);
-    }
+  for (const auto& [target, leaves] : rollup_plan(gauges_)) {
+    double sum = 0.0;
+    for (const Gauge* leaf : leaves) sum += leaf->value();
+    fold_target(gauges_, target).set(sum);
   }
-  {
-    const std::set<std::string> products = rollup_products(histograms_);
-    std::map<std::string, std::vector<const Histogram*>> children;
-    for (const auto& [name, h] : histograms_)
-      if (auto parsed = parse_labeled_name(name)) {
-        if (products.contains(name)) continue;
-        children[parsed->base].push_back(h.get());
-        if (parsed->labels.size() >= 2)
-          children[parent_name(*parsed)].push_back(h.get());
-      }
-    for (const auto& [base, kids] : children) {
-      auto& slot = histograms_[base];
-      if (!slot) slot = std::make_unique<Histogram>();
-      slot->reset();
-      for (const Histogram* kid : kids) slot->merge_from(*kid);
-    }
+  for (const auto& [target, leaves] : rollup_plan(histograms_)) {
+    Histogram& merged = fold_target(histograms_, target);
+    merged.reset();
+    for (const Histogram* leaf : leaves) merged.merge_from(*leaf);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "../support/model_bits.hpp"
 #include "avd/image/color.hpp"
 
 namespace avd::det {
@@ -66,10 +67,13 @@ TEST_F(HogSvmDetectorTest, SaveLoadRoundTrip) {
   const HogSvmModel back = HogSvmModel::load(ss);
   EXPECT_EQ(back.name, model().name);
   EXPECT_EQ(back.window, model().window);
+  EXPECT_TRUE(test_support::same_bits(back.svm, model().svm));
+  EXPECT_TRUE(test_support::same_bits({&back.hog.l2hys_clip, 1},
+                                      {&model().hog.l2hys_clip, 1}));
   ml::Rng rng(9);
   const img::ImageU8 patch =
       data::render_vehicle_patch(data::LightingCondition::Day, {64, 64}, rng);
-  EXPECT_NEAR(back.decision(patch), model().decision(patch), 1e-4);
+  EXPECT_EQ(back.decision(patch), model().decision(patch));
 }
 
 TEST_F(HogSvmDetectorTest, SaveRejectsWhitespaceNames) {

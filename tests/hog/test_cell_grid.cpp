@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
+#include <tuple>
 
 #include "../support/pinned_frames.hpp"
 #include "avd/hog/hog.hpp"
@@ -256,6 +258,37 @@ TEST(CellGrid, CustomBinCount) {
   const CellGrid g = compute_cell_grid(img::ImageU8(16, 16), p);
   EXPECT_EQ(g.bins(), 6);
   EXPECT_EQ(g.cell(0, 0).size(), 6u);
+}
+
+TEST(CellGrid, ReusedGridMatchesAFreshOne) {
+  // One grid written over and over, as the scanner's thread-local grid is:
+  // larger, smaller and different-bin images in turn. Every histogram float
+  // must be the one a fresh grid gets, whatever the storage held before.
+  CellGrid reused;
+  int turn = 0;
+  for (const auto& [w, h, bins] :
+       {std::tuple{96, 80, 9}, std::tuple{40, 24, 9}, std::tuple{72, 88, 6},
+        std::tuple{16, 16, 9}, std::tuple{96, 80, 9}}) {
+    img::ImageU8 im(w, h);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x)
+        im(x, y) = static_cast<std::uint8_t>((x * 37 + y * 11 + x * y * turn) % 256);
+    HogParams p;
+    p.bins = bins;
+    compute_cell_grid(im, p, reused);
+    const CellGrid fresh = compute_cell_grid(im, p);
+    ASSERT_EQ(reused.cells_x(), fresh.cells_x());
+    ASSERT_EQ(reused.cells_y(), fresh.cells_y());
+    ASSERT_EQ(reused.bins(), fresh.bins());
+    for (int cy = 0; cy < fresh.cells_y(); ++cy)
+      for (int cx = 0; cx < fresh.cells_x(); ++cx)
+        EXPECT_EQ(std::memcmp(reused.cell(cx, cy).data(),
+                              fresh.cell(cx, cy).data(),
+                              sizeof(float) * fresh.bins()),
+                  0)
+            << "turn " << turn << " cell " << cx << "," << cy;
+    ++turn;
+  }
 }
 
 TEST(CellGrid, BadParamsThrow) {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../support/model_bits.hpp"
 #include "avd/datasets/dataset_io.hpp"
 #include "avd/detect/dark_training.hpp"
 #include "avd/detect/hog_svm_detector.hpp"
@@ -40,14 +41,15 @@ TEST_F(PersistenceTest, HogSvmModelThroughFile) {
   }
   std::ifstream in(dir_ + "/day.hogsvm");
   const det::HogSvmModel reloaded = det::HogSvmModel::load(in);
+  EXPECT_TRUE(test_support::same_bits(reloaded.svm, original.svm));
 
   // Identical patch-level decisions on fresh data.
   data::VehiclePatchSpec fresh = spec;
   fresh.seed = 31415;
   const data::PatchDataset test = data::make_vehicle_patches(fresh);
   for (std::size_t i = 0; i < test.size(); i += 9)
-    EXPECT_NEAR(reloaded.decision(test.patches[i].gray),
-                original.decision(test.patches[i].gray), 1e-4);
+    EXPECT_EQ(reloaded.decision(test.patches[i].gray),
+              original.decision(test.patches[i].gray));
 }
 
 TEST_F(PersistenceTest, DbnThroughFile) {
@@ -62,6 +64,7 @@ TEST_F(PersistenceTest, DbnThroughFile) {
   }
   std::ifstream in(dir_ + "/taillight.dbn");
   const ml::Dbn reloaded = ml::Dbn::load(in);
+  EXPECT_TRUE(test_support::same_bits(reloaded, original));
 
   data::TaillightWindowSpec ws;
   ws.per_class = 20;
@@ -92,6 +95,9 @@ TEST_F(PersistenceTest, DarkDetectorComponentsThroughFiles) {
   std::ifstream sin(dir_ + "/pair.svm");
   const det::DarkVehicleDetector rebuilt(
       ml::Dbn::load(din), ml::LinearSvm::load(sin), original.config());
+  EXPECT_TRUE(test_support::same_bits(rebuilt.dbn(), original.dbn()));
+  EXPECT_TRUE(
+      test_support::same_bits(rebuilt.pairing_svm(), original.pairing_svm()));
 
   data::SceneGenerator gen(data::LightingCondition::Dark, 1);
   for (int i = 0; i < 3; ++i) {
@@ -102,7 +108,7 @@ TEST_F(PersistenceTest, DarkDetectorComponentsThroughFiles) {
     ASSERT_EQ(a.size(), b.size()) << i;
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a[k].box, b[k].box);
-      EXPECT_NEAR(a[k].score, b[k].score, 1e-4);  // text round-trip precision
+      EXPECT_EQ(a[k].score, b[k].score);
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "../support/model_bits.hpp"
+
 namespace avd::ml {
 namespace {
 
@@ -148,12 +150,10 @@ TEST(Dbn, SaveLoadRoundTripPreservesPredictions) {
 
   EXPECT_EQ(back.input_size(), 16);
   EXPECT_EQ(back.classes(), 4);
-  for (std::size_t i = 0; i < 20; ++i) {
-    const auto pa = dbn.posterior(train.inputs[i]);
-    const auto pb = back.posterior(train.inputs[i]);
-    for (std::size_t c = 0; c < pa.size(); ++c)
-      EXPECT_NEAR(pa[c], pb[c], 2e-4);
-  }
+  EXPECT_TRUE(avd::test_support::same_bits(back, dbn));
+  for (std::size_t i = 0; i < 20; ++i)
+    EXPECT_TRUE(avd::test_support::same_bits(back.posterior(train.inputs[i]),
+                                             dbn.posterior(train.inputs[i])));
 }
 
 TEST(Dbn, LoadBadHeaderThrows) {

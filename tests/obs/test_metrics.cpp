@@ -435,6 +435,43 @@ TEST(MetricsRegistry, RollupProducesShardMarginalsAndStaysIdempotent) {
   EXPECT_EQ(reg.counter("frames").value(), 13u);
 }
 
+TEST(MetricsRegistry, RollupFoldsOnlyPopulationLabels) {
+  MetricsRegistry reg;
+  for (const char* stage : {"ingest", "control", "detect", "report"}) {
+    // One server's four stages, each of which saw all 120 frames...
+    reg.counter("stage.processed", {{"stage", stage}}).inc(120);
+    reg.gauge("stage.high_water", {{"stage", stage}}).set(3.0);
+    reg.histogram("stage.latency", {{"stage", stage}}).record_ns(100);
+    // ...and the sharded shape, a shard label beside the stage label.
+    reg.counter("sharded.processed", {{"shard", "0"}, {"stage", stage}})
+        .inc(60);
+  }
+  reg.counter("frames", {{"stream", "0"}}).inc(70);
+  reg.counter("frames", {{"stream", "1"}}).inc(50);
+  reg.rollup();
+  reg.rollup();
+
+  // No base sums the stages (it would read 480 for 120 frames), and the
+  // shard series are not summed over stages into a per-shard marginal.
+  const MetricsSnapshot snap = reg.snapshot();
+  constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+  EXPECT_EQ(snap.counter("stage.processed", kAbsent), kAbsent);
+  EXPECT_EQ(snap.gauge("stage.high_water", -1.0), -1.0);
+  EXPECT_EQ(snap.histogram("stage.latency"), nullptr);
+  EXPECT_EQ(snap.counter("sharded.processed", kAbsent), kAbsent);
+  EXPECT_EQ(snap.counter(labeled_name("sharded.processed", {{"shard", "0"}}),
+                         kAbsent),
+            kAbsent);
+  // The labeled series themselves are untouched, and population labels
+  // still fold.
+  EXPECT_EQ(snap.counter(labeled_name("stage.processed", {{"stage", "detect"}})),
+            120u);
+  EXPECT_EQ(snap.counter(labeled_name("sharded.processed",
+                                      {{"shard", "0"}, {"stage", "detect"}})),
+            60u);
+  EXPECT_EQ(snap.counter("frames"), 120u);
+}
+
 TEST(MetricsRegistry, RollupIdempotentUnderConcurrentScrapes) {
   // Two scrape threads fold repeatedly while writers grow the leaves; after
   // everyone quiesces, one final fold must land exactly on the leaf totals

@@ -381,6 +381,39 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
   }
 }
 
+// Every stage sees every frame, so the four runtime.stage.* series each
+// count all 120 frames. rollup() folds only population labels: there is no
+// fleet base summing the stages (480 for 120 frames).
+TEST(StreamServer, StageSeriesHaveNoBaseSummedOverStages) {
+  const core::SystemModels models = core::build_system_models(tiny());
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = false;
+  core::AdaptiveSystem system(models, cfg);
+
+  const std::vector<data::DriveSequence> streams = four_streams(5);
+  int total_frames = 0;
+  for (const auto& s : streams) total_frames += s.frame_count();
+  ASSERT_EQ(total_frames, 120);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto ingested = [&registry] {
+    return registry.counter("runtime.stage.processed", {{"stage", "ingest"}})
+        .value();
+  };
+  const std::uint64_t ingested0 = ingested();
+  StreamServer server(system, {});
+  const auto results = server.serve_sequences(streams);
+  ASSERT_EQ(results.size(), 4u);
+  registry.rollup();
+
+  EXPECT_EQ(ingested() - ingested0, 120u);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+  EXPECT_EQ(snap.counter("runtime.stage.processed", kAbsent), kAbsent);
+  EXPECT_EQ(snap.histogram("runtime.stage.latency_ns"), nullptr);
+  EXPECT_EQ(snap.gauge("runtime.stage.queue_high_water", -1.0), -1.0);
+}
+
 TEST(StreamServer, EmptyAndSingleFrameStreams) {
   const core::SystemModels models = core::build_system_models(tiny());
   core::AdaptiveSystemConfig cfg;
