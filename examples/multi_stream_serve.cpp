@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
   budget.pairing_scenes = 30;
   const avd::core::SystemModels models = avd::core::build_system_models(budget);
 
-  // One shared pool carries both levels of parallelism: the sliding-window
-  // scanner splits pyramid levels/row bands across it, and the server's
-  // detect stage (scan_pool below) runs its frame workers on it too — no
-  // second thread pool, no oversubscription, identical detections.
+  // One shared pool for every level of parallelism: the sliding-window
+  // scanner splits pyramid levels across it, and the server's detect
+  // workers (scan_pool below) would fan cross-stream batches onto it too.
+  // Batching is off here, so each detect worker takes one frame at a time;
+  // either way, no second thread pool and identical detections.
   avd::runtime::ThreadPool scan_pool(4);
 
   avd::core::AdaptiveSystemConfig cfg;

@@ -55,6 +55,12 @@ if [[ "$STRESS_ONLY" -eq 1 ]]; then
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   echo "== stress: test_runtime x3 =="
   timeout 1800 ./build-tsan/tests/test_runtime --gtest_repeat=3
+  # The detect loop (gather, coast-ledger publish, scan wave on the pool)
+  # under every scheduling the suites drive: batched and not, ladder on.
+  echo "== stress: detect loop x20 =="
+  timeout 3600 ./build-tsan/tests/test_runtime \
+    --gtest_filter='StreamServer.*:FaultInjectionTest.*Ladder*:FaultInjectionTest.ForceDegrade*:ShardedServer.ShardedBatched*' \
+    --gtest_repeat=20
   echo "== stress: test_obs x50 =="
   timeout 900 ./build-tsan/tests/test_obs --gtest_repeat=50
   echo "== stress: MultiModelScanTest x20 =="

@@ -159,27 +159,25 @@ struct StreamServerConfig {
   /// runs at one frame per 20 ms). 0 = off. Used by the scaling bench so
   /// serving concurrency is measurable independent of host CPU count.
   double simulated_accel_ms = 0.0;
-  /// When set, the detect stage's workers run as cooperative tasks on this
-  /// pool instead of dedicated std::threads — install the SAME pool as
+  /// The pool a detect worker fans a gathered batch onto (see
+  /// cross_stream_batching); install the SAME pool as
   /// core::AdaptiveSystemConfig::sliding.pool so frame-level parallelism,
-  /// the HOG scanner's level/band parallelism and the dark scan's blob
-  /// gather + DBN batch scoring all share one set of OS threads
-  /// instead of oversubscribing. The pool is caller-helping, so detect
-  /// throughput never drops below one worker even on a zero-thread pool;
-  /// per-stream results stay bit-identical either way. Not owned.
+  /// the HOG scanner's level parallelism and the dark scan's blob gather +
+  /// DBN batch scoring all share one set of OS threads instead of
+  /// oversubscribing. The pool is caller-helping, so a batch never stalls
+  /// on busy pool threads. Not owned.
   ThreadPool* scan_pool = nullptr;
-  /// Cross-stream detect batching: each detect worker gathers up to
-  /// detect_batch_max queued frames from ALL streams and runs them as one
-  /// indexed batch on `scan_pool`, so a sparse stream never strands detect
-  /// cores behind a busy neighbour. Requires scan_pool (silently off
-  /// without one). Per-stream results stay bit-identical to the sequential
-  /// run (test-enforced): detection is a const per-frame evaluation, and
-  /// coast-ledger tracker updates are serialised by frame index regardless
-  /// of batch completion order. Level-2 coast frames are excluded from
-  /// batches (they block on the ledger frontier) and handled in canonical
-  /// (stream, index) order after the batch.
+  /// Every detect worker is a dedicated thread running one loop: pop a
+  /// frame, gather, run. With this switch on and scan_pool set, the gather
+  /// adds whatever frames are already queued, from ALL streams, up to
+  /// detect_batch_max, and runs the scan frames as one indexed wave on
+  /// scan_pool, so a sparse stream never strands detect cores behind a busy
+  /// neighbour. Otherwise the gather holds one frame. Level-2 coast frames
+  /// run after the scans in canonical (stream, index) order, since they
+  /// wait on the coast ledger's frontier. Per-stream results are
+  /// bit-identical to the sequential run either way (test-enforced).
   bool cross_stream_batching = false;
-  /// Largest detect batch one worker gathers (>= 1).
+  /// Largest gather one detect worker takes (values below 1 act as 1).
   int detect_batch_max = 8;
   /// Extra labels appended to every per-stream labeled series this server
   /// publishes — the sharded front door passes {{"shard","<m>"}} so one
@@ -210,10 +208,6 @@ struct StreamServerConfig {
   WatchdogConfig watchdog;
   /// Retry-with-backoff for sources throwing TransientSourceError.
   SourceRetryConfig source_retry;
-  /// Refuse frames whose light level is non-finite at ingest (before an
-  /// index is assigned, so the control plane's frame numbering stays dense);
-  /// refused frames are counted per stream as garbage_frames.
-  bool validate_frames = true;
   /// Deterministic fault plans for this server's serves (not owned; use one
   /// injector per serve — its counters and retry bookkeeping accumulate).
   /// Sources are wrapped with the plan's source faults, detect workers apply
@@ -286,19 +280,18 @@ class StreamServer {
       std::function<void(int stream, const obs::HealthTransition&)>;
   void set_health_callback(HealthCallback cb) { health_callback_ = std::move(cb); }
 
-  /// Per-stream health after the most recent serve() (empty before any).
-  [[nodiscard]] const std::vector<obs::HealthState>& stream_health() const {
-    return stream_health_;
-  }
   /// Live per-stream health: mid-serve the SLO monitors answer with their
-  /// current state-machine position; between serves (or with monitoring
-  /// disabled) the last serve's verdicts answer. This is what /healthz
-  /// renders, exposed directly so a fronting aggregator (the sharded
-  /// server) can fold shard health without an HTTP hop.
+  /// current state-machine position; between serves their final verdicts
+  /// answer (all HEALTHY with monitoring disabled; empty before any serve).
+  /// This is what /healthz renders, exposed directly so a fronting
+  /// aggregator (the sharded server) can fold shard health without an HTTP
+  /// hop.
   [[nodiscard]] std::vector<obs::HealthState> live_stream_health() const;
-  /// Worst-of rollup of stream_health(): one saturated stream is visible
-  /// here no matter how many healthy neighbours it has.
-  [[nodiscard]] obs::HealthState fleet_health() const { return fleet_health_; }
+  /// Worst-of rollup of live_stream_health(): one saturated stream is
+  /// visible here no matter how many healthy neighbours it has.
+  [[nodiscard]] obs::HealthState fleet_health() const {
+    return obs::worst_of(live_stream_health());
+  }
 
   /// Tail sampler fed by the most recent serve() (nullptr before any).
   /// Retained chains and SpanStats cover that serve's frames.
@@ -341,13 +334,12 @@ class StreamServer {
   const core::AdaptiveSystem* system_;
   StreamServerConfig config_;
   HealthCallback health_callback_;
-  /// Guards the swap of the per-serve observability objects (sampler_,
-  /// recorder_, monitors_, stream_health_, fleet_health_) between serve()
-  /// and the ops handler threads. The objects themselves are internally
+  /// Guards the swap of the per-serve observability objects (admission_,
+  /// sampler_, recorder_, monitors_, stream_count_) between serve() and the
+  /// ops handler threads. The objects themselves are internally
   /// thread-safe; only the pointers/containers need the lock.
   mutable std::mutex obs_mutex_;
-  std::vector<obs::HealthState> stream_health_;
-  obs::HealthState fleet_health_ = obs::HealthState::Healthy;
+  std::size_t stream_count_ = 0;  ///< streams of the latest non-empty serve()
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<obs::TraceSampler> sampler_;
   std::unique_ptr<obs::FlightRecorder> recorder_;

@@ -58,8 +58,11 @@ std::vector<StreamResult> ShardedServer::serve_sequences(
     const std::vector<data::DriveSequence>& sequences) {
   std::vector<NamedStream> streams;
   streams.reserve(sequences.size());
-  for (std::size_t i = 0; i < sequences.size(); ++i)
-    streams.push_back({"s" + std::to_string(i), make_source(sequences[i])});
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    streams.push_back({std::move(name), make_source(sequences[i])});
+  }
   return serve(std::move(streams));
 }
 

@@ -68,7 +68,7 @@ struct StreamState {
   std::map<int, FrameTask> pending;  // out-of-order frames (trace rides along)
   std::atomic<std::uint64_t> backpressure_drops{0};
   std::atomic<std::uint64_t> deadline_misses{0};
-  std::atomic<int> frames_ingested{0};
+  std::atomic<int> frames_ingested{-1};  ///< -1 until its ingest ends
   // Fault / overload accounting (see StreamResult).
   std::atomic<std::uint64_t> garbage_frames{0};
   std::atomic<std::uint64_t> source_retries{0};
@@ -78,7 +78,6 @@ struct StreamState {
   // this stream, and completion markers so a finished stream is never fired.
   std::atomic<std::uint64_t> last_progress_ns{0};
   std::atomic<bool> ingest_started{false};
-  std::atomic<bool> ingest_done{false};
   std::atomic<int> collected{0};
   // --- the coast ledger (ladder level 2) -------------------------------
   // The IouTracker must see every frame of the stream exactly once, in
@@ -119,6 +118,15 @@ struct StreamCounters {
 /// One pipeline stage's series, runtime.stage.*{stage=<name>} plus the
 /// server's metric_labels. Resolved once per serve().
 struct StageSeries {
+  StageSeries(obs::MetricsRegistry& registry, obs::Labels labels,
+              const char* stage) {
+    labels.emplace_back("stage", stage);
+    latency = &registry.histogram("runtime.stage.latency_ns", labels);
+    processed = &registry.counter("runtime.stage.processed", labels);
+    queue_high_water =
+        &registry.gauge("runtime.stage.queue_high_water", labels);
+  }
+
   obs::Histogram* latency = nullptr;
   obs::Counter* processed = nullptr;
   /// Depth high-water of the stage's input queue over the latest serve
@@ -133,6 +141,829 @@ struct StageSeries {
 
 std::string stream_entity(int stream) {
   return "stream" + std::to_string(stream);
+}
+
+/// One serve() call: the staged dataflow of the header comment over its
+/// three queues, with the per-stream state, the metric series, the
+/// degradation ladder and the observability objects it feeds. The member
+/// functions below the constructor are the stages; each runs on its own
+/// threads between launch() and join().
+class ServeRun {
+ public:
+  ServeRun(const core::AdaptiveSystem& system, const StreamServerConfig& config,
+           const StreamServer::HealthCallback& health_callback,
+           std::vector<std::unique_ptr<FrameSource>> sources);
+  ~ServeRun();
+
+  // The observability objects the server keeps after the run, for its
+  // accessors and ops plane. Created here; the server takes them before
+  // launch(), and the run keeps raw pointers.
+  std::unique_ptr<AdmissionController> admission;  ///< null: ladder off
+  std::unique_ptr<obs::TraceSampler> sampler;
+  std::unique_ptr<obs::FlightRecorder> recorder;
+  std::vector<std::unique_ptr<obs::SloMonitor>> monitors;  ///< empty: SLO off
+
+  void launch();
+  void join();
+  /// After join(): queue gauges, the registry rollup, the last telemetry
+  /// window, the tail sampler's ingest and a requested flight bundle.
+  /// Returns the bundle's path, empty when none was written.
+  std::string finalise(std::uint64_t serve_id);
+  std::vector<StreamResult> assemble();
+
+ private:
+  obs::Labels stream_labels(int s) const;
+  StreamState& stream(int s) { return *streams_[static_cast<std::size_t>(s)]; }
+  void build_streams();
+  void build_ladder();
+  void build_monitors(const StreamServer::HealthCallback& health_callback);
+
+  void ingest();
+  void ingest_stream(int s);
+  std::optional<data::SequenceFrame> pull(FrameSource& src, int s);
+  void control();
+  void control_frame(StreamState& state, FrameTask&& task);
+  void detect();
+  void detect_frame(DetectTask& task);
+  void emit_unscanned(DetectTask&& task, bool shed);
+  void publish_entry(StreamState& st, int index, CoastEntry entry);
+  std::vector<det::Detection> take_coast(StreamState& st, int index);
+  void collect();
+  void watchdog();
+
+  const core::AdaptiveSystem& system_;
+  const StreamServerConfig& config_;
+  std::vector<std::unique_ptr<FrameSource>> sources_;
+  const int n_streams_;
+  obs::Tracer& tracer_ = obs::Tracer::global();
+  obs::MetricsRegistry& registry_ = obs::MetricsRegistry::global();
+  const std::uint64_t deadline_ns_;
+  FaultInjector* const injector_;
+  /// The ladder engages when admission control is on, when the watchdog
+  /// needs a lever to pull, or when a fault plan may pin levels. When off
+  /// (the default) every ladder branch is skipped.
+  const bool ladder_active_;
+  /// Level-1/2 scans use a coarser pyramid derived from the system's params.
+  det::SlidingWindowParams degraded_sliding_;
+
+  std::vector<std::unique_ptr<StreamState>> streams_;
+  std::vector<StreamCounters> counters_;
+  /// Latency of admitted (non-shed) frames only: the number the overload
+  /// SLO protects, since shedding keeps THIS under the budget.
+  obs::Histogram& admitted_latency_;
+  const StageSeries ingest_stage_, control_stage_, detect_stage_,
+      report_stage_;
+
+  AdmissionController* admission_ = nullptr;
+  obs::TraceSampler* sampler_ = nullptr;
+  obs::FlightRecorder* recorder_ = nullptr;
+  std::vector<obs::SloMonitor*> monitors_;
+  std::atomic<bool> flight_dump_requested_{false};
+  std::unique_ptr<obs::TelemetryExporter> telemetry_;
+
+  BoundedQueue<FrameTask> control_q_;
+  BoundedQueue<DetectTask> detect_q_;
+  BoundedQueue<ReportTask> report_q_;
+  // Per-frame report slots, written only by the collector thread.
+  std::vector<std::vector<core::AdaptiveFrameReport>> slots_;
+  std::vector<std::vector<bool>> filled_;
+
+  std::atomic<std::size_t> next_source_{0};
+  std::atomic<int> live_ingest_, live_control_, live_detect_;
+  std::atomic<bool> watchdog_stop_{false};
+  std::vector<std::thread> workers_;
+  std::thread watchdog_thread_;
+};
+
+ServeRun::ServeRun(const core::AdaptiveSystem& system,
+                   const StreamServerConfig& config,
+                   const StreamServer::HealthCallback& health_callback,
+                   std::vector<std::unique_ptr<FrameSource>> sources)
+    : system_(system),
+      config_(config),
+      sources_(std::move(sources)),
+      n_streams_(static_cast<int>(sources_.size())),
+      deadline_ns_(static_cast<std::uint64_t>(
+          std::max(0.0, config.slo.frame_budget_ms) * 1e6)),
+      injector_(config.fault_injector),
+      ladder_active_(config.admission.enabled || config.watchdog.enabled ||
+                     config.fault_injector != nullptr),
+      degraded_sliding_(system.config().sliding),
+      admitted_latency_(registry_.histogram(
+          "runtime.frame.admitted_latency_ns", config.metric_labels)),
+      ingest_stage_(registry_, config.metric_labels, "ingest"),
+      control_stage_(registry_, config.metric_labels, "control"),
+      detect_stage_(registry_, config.metric_labels, "detect"),
+      report_stage_(registry_, config.metric_labels, "report"),
+      control_q_(config.queue_capacity, OverflowPolicy::Block),
+      detect_q_(config.queue_capacity, config.detect_policy),
+      report_q_(config.queue_capacity, OverflowPolicy::Block),
+      slots_(sources_.size()),
+      filled_(sources_.size()),
+      live_ingest_(config.ingest_workers),
+      live_control_(config.control_workers),
+      live_detect_(config.detect_workers) {
+  if (injector_ != nullptr)
+    for (int s = 0; s < n_streams_; ++s)
+      sources_[static_cast<std::size_t>(s)] = injector_->wrap(
+          s, std::move(sources_[static_cast<std::size_t>(s)]));
+  degraded_sliding_.stride_cells =
+      std::max(1, degraded_sliding_.stride_cells) *
+      std::max(1, config_.admission.ladder.coarse_stride_multiplier);
+  degraded_sliding_.max_levels =
+      std::min(degraded_sliding_.max_levels,
+               std::max(1, config_.admission.ladder.coarse_max_levels));
+  build_streams();
+
+  // Tail sampler + flight recorder, fresh per serve so their contents
+  // describe exactly this run. The sampler is marked from the collector
+  // mid-run and ingests assembled chains once writers have quiesced; the
+  // recorder also collects telemetry rows and SLO transitions as they
+  // happen.
+  obs::TraceSamplerConfig sc;
+  sc.deadline_ns = deadline_ns_;
+  sc.head_sample_every = config_.slo.trace_head_sample_every;
+  sc.max_retained = config_.slo.trace_max_retained;
+  sampler = std::make_unique<obs::TraceSampler>(sc);
+  sampler_ = sampler.get();
+  obs::FlightRecorderConfig fc;
+  fc.max_frames_per_stream = config_.slo.flight_frames_per_stream;
+  recorder = std::make_unique<obs::FlightRecorder>(fc);
+  recorder_ = recorder.get();
+  std::ostringstream cfg;
+  cfg << "{\"streams\":" << n_streams_
+      << ",\"ingest_workers\":" << config_.ingest_workers
+      << ",\"control_workers\":" << config_.control_workers
+      << ",\"detect_workers\":" << config_.detect_workers
+      << ",\"queue_capacity\":" << config_.queue_capacity
+      << ",\"detect_policy\":\"" << to_string(config_.detect_policy)
+      << "\",\"frame_budget_ms\":" << config_.slo.frame_budget_ms << '}';
+  recorder_->set_config_json(cfg.str());
+
+  if (ladder_active_) build_ladder();
+  if (config_.slo.enabled) build_monitors(health_callback);
+}
+
+// Label set of stream s: the configured extra labels (shard= from the
+// sharded front door) plus stream=<global name> (the local index unless
+// stream_names says otherwise). labeled_name() sorts keys, so insertion
+// order here is irrelevant.
+obs::Labels ServeRun::stream_labels(int s) const {
+  obs::Labels labels = config_.metric_labels;
+  const auto us = static_cast<std::size_t>(s);
+  labels.emplace_back("stream", us < config_.stream_names.size()
+                                    ? config_.stream_names[us]
+                                    : std::to_string(s));
+  return labels;
+}
+
+// Per-stream metrics are labeled series (stream=<id>); the fleet view under
+// the plain base names ("runtime.frames", "runtime.frame.latency_ns") is
+// produced by MetricsRegistry::rollup(), per telemetry sample while serving
+// and unconditionally in finalise().
+void ServeRun::build_streams() {
+  counters_.resize(sources_.size());
+  streams_.reserve(sources_.size());
+  const std::uint64_t serve_start_ns = tracer_.now_ns();
+  for (int s = 0; s < n_streams_; ++s) {
+    streams_.push_back(std::make_unique<StreamState>(
+        system_, config_.admission.ladder.coast_tracker));
+    streams_.back()->last_progress_ns.store(serve_start_ns,
+                                            std::memory_order_relaxed);
+    const obs::Labels labels = stream_labels(s);
+    StreamCounters& c = counters_[static_cast<std::size_t>(s)];
+    c.frames = &registry_.counter("runtime.frames", labels);
+    c.deadline_miss = &registry_.counter("runtime.deadline_miss", labels);
+    c.backpressure_drops =
+        &registry_.counter("runtime.backpressure_drops", labels);
+    c.reconfig_drops = &registry_.counter("runtime.reconfig_drops", labels);
+    c.reconfigs = &registry_.counter("runtime.reconfigs", labels);
+    c.latency = &registry_.histogram("runtime.frame.latency_ns", labels);
+    if (ladder_active_) {
+      c.shed = &registry_.counter("runtime.shed", labels);
+      c.coasted = &registry_.counter("runtime.coasted", labels);
+      c.degraded_scans = &registry_.counter("runtime.degraded_scans", labels);
+      c.garbage = &registry_.counter("runtime.garbage_frames", labels);
+      c.source_retries = &registry_.counter("runtime.source_retries", labels);
+      c.degrade_level = &registry_.gauge("runtime.degrade.level", labels);
+      c.degrade_level->set(0.0);
+    }
+  }
+}
+
+// Every ladder transition becomes a labeled gauge move, an instant span on
+// the tracer (so retained chains show WHY fidelity changed), and a
+// flight-recorder transition row (reusing the HealthTransition record with
+// a "/degrade" entity suffix). The callback captures only objects that
+// outlive the run: the controller stays with the server after it.
+void ServeRun::build_ladder() {
+  admission =
+      std::make_unique<AdmissionController>(n_streams_, config_.admission);
+  admission_ = admission.get();
+  admission_->set_transition_callback(
+      [recorder = recorder_, counters = counters_](const DegradeTransition& t) {
+        const auto us = static_cast<std::size_t>(t.stream);
+        if (us < counters.size())
+          counters[us].degrade_level->set(
+              static_cast<double>(static_cast<int>(t.to)));
+        obs::ScopedSpan span("degrade_transition", "runtime/admission",
+                             {{"stream", t.stream},
+                              {"from", static_cast<std::int64_t>(t.from)},
+                              {"to", static_cast<std::int64_t>(t.to)}});
+        obs::HealthTransition h;
+        h.entity = stream_entity(t.stream) + "/degrade";
+        h.from = obs::HealthState::Healthy;
+        h.to = t.to == DegradeLevel::Full ? obs::HealthState::Healthy
+                                          : obs::HealthState::Degraded;
+        h.t_ns = t.t_ns;
+        h.reason = std::string(to_string(t.from)) + " -> " + to_string(t.to) +
+                   " (" + t.reason + ")";
+        recorder->record_transition(h);
+      });
+}
+
+// SLO health monitoring: one monitor per stream over the standard rule
+// set, driven by a TelemetryExporter sampling the global registry. Each
+// sample window's counter deltas are evaluated against the thresholds,
+// with the hysteresis config damping flapping.
+void ServeRun::build_monitors(
+    const StreamServer::HealthCallback& health_callback) {
+  for (int s = 0; s < n_streams_; ++s) {
+    auto monitor = std::make_unique<obs::SloMonitor>(
+        stream_entity(s),
+        obs::standard_stream_rules_labeled(
+            stream_labels(s), config_.slo.deadline_miss_degraded,
+            config_.slo.deadline_miss_unhealthy, config_.slo.drop_rate_degraded,
+            config_.slo.drop_rate_unhealthy),
+        config_.slo.hysteresis);
+    // Every transition feeds the flight recorder; a transition to UNHEALTHY
+    // requests a bundle dump, written by finalise() once the breaching
+    // frames' chains are complete. The user's callback chains after.
+    monitor->set_callback([this, s, health_callback](
+                              const obs::HealthTransition& t) {
+      recorder_->record_transition(t);
+      if (t.to == obs::HealthState::Unhealthy)
+        flight_dump_requested_.store(true, std::memory_order_relaxed);
+      if (health_callback) health_callback(s, t);
+    });
+    monitors_.push_back(monitor.get());
+    monitors.push_back(std::move(monitor));
+  }
+  obs::TelemetryConfig tc;
+  tc.period = config_.slo.telemetry_period;
+  tc.jsonl_path = config_.slo.telemetry_jsonl;
+  tc.rollup_before_sample = true;  // rows carry per-stream AND fleet view
+  // Health-driven ladder movement: after the monitors digest a window,
+  // their states feed the admission controller (when admission control is
+  // on; the watchdog and fault-plan levers work without it).
+  AdmissionController* ladder =
+      config_.admission.enabled ? admission_ : nullptr;
+  tc.on_sample = [this, ladder](const obs::TelemetrySample* prev,
+                                const obs::TelemetrySample& cur) {
+    recorder_->record_telemetry_row(obs::to_json(cur));
+    if (prev == nullptr) return;  // a window needs two samples
+    for (obs::SloMonitor* m : monitors_) m->observe(*prev, cur);
+    if (ladder != nullptr) {
+      std::vector<obs::HealthState> states;
+      states.reserve(monitors_.size());
+      for (obs::SloMonitor* m : monitors_) states.push_back(m->state());
+      ladder->on_health_windows(states);
+    }
+  };
+  telemetry_ = std::make_unique<obs::TelemetryExporter>(registry_, tc);
+}
+
+void ServeRun::launch() {
+  if (telemetry_) telemetry_->start();
+  if (config_.watchdog.enabled && ladder_active_)
+    watchdog_thread_ = std::thread(&ServeRun::watchdog, this);
+  for (int i = 0; i < config_.ingest_workers; ++i)
+    workers_.emplace_back(&ServeRun::ingest, this);
+  for (int i = 0; i < config_.control_workers; ++i)
+    workers_.emplace_back(&ServeRun::control, this);
+  for (int i = 0; i < config_.detect_workers; ++i)
+    workers_.emplace_back(&ServeRun::detect, this);
+  workers_.emplace_back(&ServeRun::collect, this);
+}
+
+// A launch() cut short by an exception (a thread that failed to start)
+// leaves workers parked on the queues: closing them lets every started
+// thread finish and be joined.
+ServeRun::~ServeRun() {
+  control_q_.close();
+  detect_q_.close();
+  report_q_.close();
+  join();
+}
+
+void ServeRun::join() {
+  for (std::thread& t : workers_)
+    if (t.joinable()) t.join();
+  if (watchdog_thread_.joinable()) {
+    watchdog_stop_.store(true, std::memory_order_relaxed);
+    watchdog_thread_.join();
+  }
+}
+
+// --- stage 1: ingest ---------------------------------------------------
+// Each worker claims whole sources. Each frame gets a fresh trace id here:
+// the ingest span is the root of the frame's causal chain, and the
+// FrameTask carries {trace_id, ingest-span id} across the queue so the
+// control span parents on it.
+void ServeRun::ingest() {
+  for (std::size_t s = next_source_.fetch_add(1); s < sources_.size();
+       s = next_source_.fetch_add(1))
+    ingest_stream(static_cast<int>(s));
+  if (live_ingest_.fetch_sub(1) == 1) control_q_.close();
+}
+
+void ServeRun::ingest_stream(int s) {
+  FrameSource& src = *sources_[static_cast<std::size_t>(s)];
+  StreamState& state = stream(s);
+  state.ingest_started.store(true, std::memory_order_relaxed);
+  state.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
+  int index = 0;
+  // A watchdog-fired stream is abandoned at the next opportunity: its
+  // remaining frames would only be shed anyway, and an intermittently
+  // stalling source stops occupying this worker.
+  while (!state.watchdog_fired.load(std::memory_order_relaxed)) {
+    const obs::TraceScope root(
+        {tracer_.enabled() ? obs::Tracer::new_trace_id() : 0, 0});
+    obs::ScopedSpan span("ingest_frame", "runtime/ingest",
+                         {{"stream", s}, {"frame", index}});
+    const Clock::time_point t0 = Clock::now();
+    std::optional<data::SequenceFrame> meta = pull(src, s);
+    if (!meta) break;
+    ingest_stage_.latency->record(Clock::now() - t0);
+    if (!std::isfinite(meta->light_level)) {
+      // Garbage in, nothing out: refused BEFORE an index is assigned, so the
+      // control plane's frame numbering stays dense and healthy streams are
+      // unaffected bit for bit.
+      state.garbage_frames.fetch_add(1);
+      if (obs::Counter* c = counters_[static_cast<std::size_t>(s)].garbage)
+        c->inc();
+      continue;
+    }
+    FrameTask task;
+    task.stream = s;
+    task.index = index++;
+    task.meta = std::move(*meta);
+    task.trace = span.context();
+    task.ingest_ns = tracer_.now_ns();
+    control_q_.push(std::move(task));
+    state.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
+    ingest_stage_.processed->inc();
+  }
+  state.frames_ingested.store(index);
+}
+
+// The next frame of source s, or nullopt at its end. Transient source
+// failures retry with exponential backoff; past max_attempts (or on a
+// non-transient exception) the stream is truncated here rather than
+// wedging the serve.
+std::optional<data::SequenceFrame> ServeRun::pull(FrameSource& src, int s) {
+  StreamState& state = stream(s);
+  obs::Counter* retries = counters_[static_cast<std::size_t>(s)].source_retries;
+  double backoff_ms = static_cast<double>(config_.source_retry.backoff.count());
+  for (int attempts = 1;; ++attempts) {
+    try {
+      return src.next();
+    } catch (const TransientSourceError&) {
+      if (attempts >= std::max(1, config_.source_retry.max_attempts)) break;
+      state.source_retries.fetch_add(1);
+      if (retries != nullptr) retries->inc();
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(backoff_ms));
+      backoff_ms *= std::max(1.0, config_.source_retry.backoff_multiplier);
+    } catch (const std::exception&) {
+      break;
+    }
+  }
+  state.source_failed.store(true, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+// --- stage 2: control (per-stream sequential) --------------------------
+void ServeRun::control() {
+  while (std::optional<FrameTask> task = control_q_.pop()) {
+    StreamState& state = stream(task->stream);
+    std::lock_guard<std::mutex> lock(state.mutex);
+    if (task->index != state.next_index) {
+      // Another worker holds an earlier frame of this stream; park the whole
+      // task (trace context included) until the stream catches up.
+      const int index = task->index;
+      state.pending.emplace(index, std::move(*task));
+      continue;
+    }
+    // Run this frame, then every parked successor it unblocks.
+    for (FrameTask current = std::move(*task);;) {
+      control_frame(state, std::move(current));
+      const auto it = state.pending.find(state.next_index);
+      if (it == state.pending.end()) break;
+      current = std::move(it->second);
+      state.pending.erase(it);
+    }
+  }
+  if (live_control_.fetch_sub(1) == 1) detect_q_.close();
+}
+
+// One frame through the control plane, under its stream's mutex.
+void ServeRun::control_frame(StreamState& state, FrameTask&& task) {
+  // Re-install the frame's context on whichever worker won the frame: the
+  // control span parents on the ingest span across the thread hop.
+  const obs::TraceScope scope(task.trace);
+  obs::ScopedSpan span("control_frame", "runtime/control",
+                       {{"stream", task.stream}, {"frame", task.index}});
+  const Clock::time_point t0 = Clock::now();
+  DetectTask dt;
+  dt.step = state.session.control_step(task.meta);
+  control_stage_.record(t0);
+  span.arg("mode", static_cast<std::int64_t>(dt.step.sensed));
+  dt.stream = task.stream;
+  dt.meta = std::move(task.meta);
+  dt.trace = span.context();
+  dt.ingest_ns = task.ingest_ns;
+  ++state.next_index;
+  state.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
+
+  // The admission verdict is taken here, per-stream sequential, so a forced
+  // level (fault plan) keyed on the frame index yields a deterministic
+  // transition sequence.
+  if (ladder_active_) {
+    const std::optional<int> forced =
+        injector_ != nullptr
+            ? injector_->forced_degrade_level(dt.stream, dt.step.index)
+            : std::nullopt;
+    dt.decision = admission_->decide(dt.stream, dt.step.index,
+                                     tracer_.now_ns(), forced);
+  }
+  if (!dt.decision.admit) {
+    emit_unscanned(std::move(dt), true);
+    return;
+  }
+  // The queue hands any dropped task back (the stale one under DropOldest,
+  // this one under DropNewest) so no frame vanishes.
+  std::optional<DetectTask> displaced;
+  detect_q_.push(std::move(dt), &displaced);
+  if (displaced) emit_unscanned(std::move(*displaced), false);
+}
+
+// --- stage 3: detect ---------------------------------------------------
+// One loop for every configuration. A worker pops a frame; with the gather
+// on (scan_pool set and cross_stream_batching) it adds whatever is ALREADY
+// queued, across every stream, up to detect_batch_max frames, so a sparse
+// queue costs nothing. It publishes every gathered coast entry before
+// anything in the gather may block in take_coast: two workers each holding
+// unpublished entries of interleaved indices could otherwise deadlock.
+// Then it runs the scan frames (independent const evaluations) inline for
+// one, as one indexed wave on scan_pool for more, and last the coast
+// frames in canonical (stream, index) order, whose same-stream
+// predecessors in this gather have then been published.
+void ServeRun::detect() {
+  const bool gather =
+      config_.cross_stream_batching && config_.scan_pool != nullptr;
+  const std::size_t gather_max =
+      gather ? static_cast<std::size_t>(std::max(1, config_.detect_batch_max))
+             : 1;
+  std::vector<DetectTask> scans, coasts;
+  DetectTask extra;
+  const auto stash = [&](DetectTask&& t) {
+    (t.decision.coast ? coasts : scans).push_back(std::move(t));
+  };
+  while (std::optional<DetectTask> first = detect_q_.pop()) {
+    scans.clear();
+    coasts.clear();
+    stash(std::move(*first));
+    while (scans.size() + coasts.size() < gather_max &&
+           detect_q_.try_pop(extra))
+      stash(std::move(extra));
+    for (const DetectTask& t : coasts)
+      publish_entry(stream(t.stream), t.step.index, CoastEntry{true, {}});
+    if (scans.size() == 1) {
+      detect_frame(scans.front());
+    } else if (!scans.empty()) {
+      config_.scan_pool->run_indexed(
+          static_cast<int>(scans.size()),
+          [&](int i) { detect_frame(scans[static_cast<std::size_t>(i)]); });
+    }
+    std::sort(coasts.begin(), coasts.end(),
+              [](const DetectTask& a, const DetectTask& b) {
+                return a.stream != b.stream ? a.stream < b.stream
+                                            : a.step.index < b.step.index;
+              });
+    for (DetectTask& t : coasts) detect_frame(t);
+  }
+  if (live_detect_.fetch_sub(1) == 1) report_q_.close();
+}
+
+// One frame's pixel-level evaluation. Everything it touches is const,
+// per-stream-synchronised or an MPMC queue, so it may run on any thread.
+void ServeRun::detect_frame(DetectTask& task) {
+  const obs::TraceScope scope(task.trace);
+  obs::ScopedSpan span(
+      "detect_frame", "runtime/detect",
+      {{"stream", task.stream},
+       {"frame", task.step.index},
+       {"mode", static_cast<std::int64_t>(task.step.sensed)}});
+  const Clock::time_point t0 = Clock::now();
+  StreamState& st = stream(task.stream);
+  const DegradeLevel level = task.decision.level;
+  const bool coast = task.decision.coast;
+  core::EvaluateOptions opts;
+  std::vector<det::Detection> dets;
+  if (coast) {
+    // Level-2 coast: no render, no scan, no simulated accelerator. The
+    // frame's boxes come from the tracker once every earlier frame of the
+    // stream has fed it (its entry is already published).
+    span.arg("coast", 1);
+    dets = take_coast(st, task.step.index);
+    opts.provided_detections = &dets;
+  } else if (ladder_active_) {
+    // The scan's boxes feed the stream's tracker through the ledger.
+    opts.out_detections = &dets;
+  }
+  if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
+    opts.sliding_override = &degraded_sliding_;
+  ReportTask out;
+  out.stream = task.stream;
+  out.trace = span.context();
+  out.ingest_ns = task.ingest_ns;
+  out.report = system_.evaluate_frame(task.step, task.meta, opts);
+  out.report.degrade_level = static_cast<int>(level);
+  out.report.detect_coasted = coast;
+  // The modelled PL accelerator occupies the worker on frames whose vehicle
+  // engine ran a scan; an injected slowdown on every frame.
+  double sleep_ms = 0.0;
+  if (config_.simulated_accel_ms > 0.0 && !coast &&
+      task.step.record.vehicle_processed)
+    sleep_ms = config_.simulated_accel_ms;
+  if (injector_ != nullptr)
+    sleep_ms += injector_->detect_slowdown_ms(task.stream, task.step.index);
+  if (sleep_ms > 0.0)
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(sleep_ms));
+  if (!coast)
+    publish_entry(st, task.step.index, CoastEntry{false, std::move(dets)});
+  st.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
+  detect_stage_.record(t0);
+  report_q_.push(std::move(out));
+}
+
+// A frame that never reaches the scan still produces a report, never a
+// silent loss: the vehicle engine misses it, the static pedestrian
+// partition does not. `shed`: refused by admission (the ladder's level 3 or
+// the token bucket), on the control thread so the frame skips the detect
+// queue entirely. Otherwise it overflowed the detect queue: the
+// serving-layer twin of the paper's reconfiguration drop. Either way it
+// advances the coast ledger as an empty update, exactly what the tracker's
+// miss-coasting is for.
+void ServeRun::emit_unscanned(DetectTask&& task, bool shed) {
+  StreamState& st = stream(task.stream);
+  if (!shed) st.backpressure_drops.fetch_add(1);
+  const obs::TraceScope scope(task.trace);
+  obs::ScopedSpan span(
+      shed ? "shed_frame" : "drop_frame",
+      shed ? "runtime/control" : "runtime/detect",
+      {{"stream", task.stream},
+       {"frame", task.step.index},
+       {"level", static_cast<std::int64_t>(task.decision.level)}});
+  task.step.record.vehicle_processed = false;
+  ReportTask out;
+  out.stream = task.stream;
+  out.report = system_.evaluate_frame(task.step, task.meta);
+  out.report.degrade_level = static_cast<int>(task.decision.level);
+  out.trace = span.context();
+  out.ingest_ns = task.ingest_ns;
+  out.backpressure_dropped = !shed;
+  out.shed = shed;
+  publish_entry(st, task.step.index, CoastEntry{});
+  report_q_.push(std::move(out));
+}
+
+// --- the coast ledger (ladder level 2; publish is a no-op when off) ----
+// Feed one frame's entry to the stream's tracker ledger and advance the
+// in-order frontier as far as it goes. coast_mutex is a leaf lock.
+void ServeRun::publish_entry(StreamState& st, int index, CoastEntry entry) {
+  if (!ladder_active_) return;
+  bool advanced = false;
+  {
+    std::lock_guard<std::mutex> lock(st.coast_mutex);
+    st.coast_pending.emplace(index, std::move(entry));
+    for (auto it = st.coast_pending.find(st.coast_done + 1);
+         it != st.coast_pending.end();
+         it = st.coast_pending.find(st.coast_done + 1)) {
+      if (it->second.coast) {
+        // No fresh detections: the tracker coasts every live box forward by
+        // its last motion; confirmed tracks become the frame's output.
+        std::vector<det::Detection> dets;
+        for (const det::Track& t : st.tracker.update({})) {
+          det::Detection d;
+          d.box = t.box;
+          d.score = t.last_score;
+          d.class_id = t.class_id;
+          dets.push_back(d);
+        }
+        st.coast_results.emplace(it->first, std::move(dets));
+      } else {
+        st.tracker.update(it->second.dets);
+      }
+      ++st.coast_done;
+      st.coast_pending.erase(it);
+      advanced = true;
+    }
+  }
+  if (advanced) st.coast_cv.notify_all();
+}
+
+// Wait for the frontier to cross `index`, then take its coasted boxes.
+// Safe: the detect queue is FIFO, so every smaller index of this stream
+// already left it, and every leaving path publishes an entry; waits are only
+// ever on smaller indices, so no cycles.
+std::vector<det::Detection> ServeRun::take_coast(StreamState& st, int index) {
+  std::unique_lock<std::mutex> lock(st.coast_mutex);
+  st.coast_cv.wait(lock, [&] { return st.coast_done >= index; });
+  const auto it = st.coast_results.find(index);
+  std::vector<det::Detection> dets = std::move(it->second);
+  st.coast_results.erase(it);
+  return dets;
+}
+
+// --- stage 4: report collector -----------------------------------------
+void ServeRun::collect() {
+  while (std::optional<ReportTask> task = report_q_.pop()) {
+    const obs::TraceScope scope(task->trace);
+    obs::ScopedSpan span("collect_report", "runtime/report",
+                         {{"stream", task->stream},
+                          {"frame", task->report.index}});
+    const Clock::time_point t0 = Clock::now();
+    const auto us = static_cast<std::size_t>(task->stream);
+    const auto index = static_cast<std::size_t>(task->report.index);
+    if (index >= slots_[us].size()) {
+      slots_[us].resize(index + 1);
+      filled_[us].resize(index + 1, false);
+    }
+    // Critical-path latency of this frame: ingest-enqueue to report-dequeue
+    // on the tracer timebase. Feeds the latency histogram, the deadline
+    // counter the frame_deadline SLO rule watches, and the span (as an arg)
+    // so traces carry the number too.
+    const std::uint64_t now_ns = tracer_.now_ns();
+    const std::uint64_t latency_ns =
+        now_ns >= task->ingest_ns ? now_ns - task->ingest_ns : 0;
+    span.arg("latency_us", static_cast<std::int64_t>(latency_ns / 1000u));
+    StreamCounters& c = counters_[us];
+    c.latency->record_ns(latency_ns);
+    if (!task->shed) admitted_latency_.record_ns(latency_ns);
+    c.frames->inc();
+    const bool missed = deadline_ns_ > 0 && latency_ns > deadline_ns_;
+    if (missed) {
+      c.deadline_miss->inc();
+      streams_[us]->deadline_misses.fetch_add(1);
+    }
+    // Tail sampling: a deadline miss, a drop or a shed makes this frame's
+    // chain worth keeping verbatim when the rings are ingested after the run.
+    if (missed || task->backpressure_dropped || task->shed)
+      sampler_->mark_interesting(task->trace.trace_id);
+    if (task->backpressure_dropped) c.backpressure_drops->inc();
+    if (task->shed) {
+      if (c.shed != nullptr) c.shed->inc();
+    } else if (task->report.detect_coasted) {
+      if (c.coasted != nullptr) c.coasted->inc();
+    } else if (task->report.degrade_level > 0 && !task->backpressure_dropped) {
+      if (c.degraded_scans != nullptr) c.degraded_scans->inc();
+    }
+    // Shed frames are an explicit admission verdict, not a reconfig cost;
+    // keep them out of the reconfiguration-loss SLO rule.
+    if (!task->report.vehicle_processed && !task->backpressure_dropped &&
+        !task->shed)
+      c.reconfig_drops->inc();
+    if (task->report.reconfig_triggered) c.reconfigs->inc();
+    slots_[us][index] = std::move(task->report);
+    filled_[us][index] = true;
+    streams_[us]->collected.fetch_add(1, std::memory_order_relaxed);
+    streams_[us]->last_progress_ns.store(now_ns, std::memory_order_relaxed);
+    report_stage_.record(t0);
+  }
+}
+
+// --- liveness watchdog -------------------------------------------------
+// Polls per-stream progress timestamps; a stream that is started,
+// incomplete and silent past the timeout is pinned to Shed (degrade level
+// 3) and its source abandoned: the wedge becomes an accounted event
+// instead of a hung serve.
+void ServeRun::watchdog() {
+  const std::uint64_t timeout_ns =
+      static_cast<std::uint64_t>(
+          std::max<std::int64_t>(1, config_.watchdog.timeout.count())) *
+      1000000ull;
+  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
+    std::this_thread::sleep_for(config_.watchdog.poll);
+    const std::uint64_t now = tracer_.now_ns();
+    for (int s = 0; s < n_streams_; ++s) {
+      StreamState& st = stream(s);
+      if (st.watchdog_fired.load(std::memory_order_relaxed)) continue;
+      if (!st.ingest_started.load(std::memory_order_relaxed)) continue;
+      const int ingested = st.frames_ingested.load();
+      if (ingested >= 0 &&
+          st.collected.load(std::memory_order_relaxed) == ingested)
+        continue;
+      const std::uint64_t last =
+          st.last_progress_ns.load(std::memory_order_relaxed);
+      if (now > last && now - last > timeout_ns) {
+        st.watchdog_fired.store(true, std::memory_order_relaxed);
+        admission_->force_level(s, DegradeLevel::Shed, "watchdog");
+        registry_.counter("runtime.watchdog_fired", stream_labels(s)).inc();
+      }
+    }
+  }
+}
+
+std::string ServeRun::finalise(std::uint64_t serve_id) {
+  control_stage_.queue_high_water->set(
+      static_cast<double>(control_q_.stats().high_water));
+  detect_stage_.queue_high_water->set(
+      static_cast<double>(detect_q_.stats().high_water));
+  report_stage_.queue_high_water->set(
+      static_cast<double>(report_q_.stats().high_water));
+
+  // Fold the labeled per-stream series into the fleet base names: even with
+  // monitoring disabled, direct post-serve readers of e.g.
+  // "runtime.frame.latency_ns" see the fleet aggregate.
+  registry_.rollup();
+
+  // One final telemetry window catches counters the last periodic sample
+  // missed, then the monitors' verdicts become part of the results.
+  if (telemetry_) telemetry_->stop();
+
+  // Writers have quiesced: feed the tail sampler and the flight recorder
+  // from the tracer rings. snapshot() (not drain()) leaves the spans in
+  // place for callers that export their own traces after serve().
+  if (tracer_.enabled()) {
+    const std::vector<obs::FrameTrace> chains =
+        obs::assemble_frame_traces(tracer_.snapshot());
+    sampler_->ingest(chains);
+    for (const obs::FrameTrace& chain : chains) recorder_->record_frame(chain);
+    registry_.gauge("obs.sampler.frames_seen")
+        .set(static_cast<double>(sampler_->frames_seen()));
+    registry_.gauge("obs.sampler.frames_retained")
+        .set(static_cast<double>(sampler_->frames_retained()));
+    registry_.gauge("obs.sampler.spans_seen")
+        .set(static_cast<double>(sampler_->spans_seen()));
+  }
+
+  // Write a dump requested by an UNHEALTHY transition, now that the
+  // breaching frames' chains are in the recorder.
+  if (!flight_dump_requested_.load(std::memory_order_relaxed)) return {};
+  std::string dir = config_.slo.flight_dump_dir;
+  if (dir.empty())
+    if (const char* env = std::getenv("AVD_FLIGHT_DIR")) dir = env;
+  if (dir.empty()) return {};
+  const std::string path =
+      dir + "/flight_bundle_serve" + std::to_string(serve_id) + ".json";
+  return recorder_->dump_to_file(path, "health transition to UNHEALTHY")
+             ? path
+             : std::string();
+}
+
+std::vector<StreamResult> ServeRun::assemble() {
+  std::vector<StreamResult> results(sources_.size());
+  for (int s = 0; s < n_streams_; ++s) {
+    const auto us = static_cast<std::size_t>(s);
+    StreamState& state = stream(s);
+    StreamResult& result = results[us];
+    result.stream = s;
+    const int expected = state.frames_ingested.load();
+    if (static_cast<int>(slots_[us].size()) != expected)
+      throw std::logic_error("StreamServer: stream " + std::to_string(s) +
+                             " lost frames (" +
+                             std::to_string(slots_[us].size()) + "/" +
+                             std::to_string(expected) + ")");
+    for (std::size_t i = 0; i < filled_[us].size(); ++i)
+      if (!filled_[us][i])
+        throw std::logic_error("StreamServer: stream " + std::to_string(s) +
+                               " missing frame " + std::to_string(i));
+    result.report.frames = std::move(slots_[us]);
+    result.report.reconfigs = state.session.reconfigs();
+    result.report.log = state.session.log();
+    result.backpressure_drops = state.backpressure_drops.load();
+    result.deadline_misses = state.deadline_misses.load();
+    result.garbage_frames = state.garbage_frames.load();
+    result.source_retries = state.source_retries.load();
+    result.source_failed = state.source_failed.load();
+    result.watchdog_fired = state.watchdog_fired.load();
+    if (admission_ != nullptr) {
+      const AdmissionStats stats = admission_->stats(s);
+      result.shed_frames = stats.shed;
+      result.coasted_frames = stats.coasted;
+      result.degraded_scans = stats.degraded_scans;
+      result.degrade_level = admission_->level(s);
+      result.degrade_transitions = admission_->transitions(s);
+    }
+    if (!monitors_.empty()) {
+      result.health = monitors_[us]->state();
+      result.health_transitions = monitors_[us]->transitions();
+    }
+  }
+  return results;
 }
 
 }  // namespace
@@ -176,862 +1007,34 @@ std::vector<StreamResult> StreamServer::serve_sequences(
 
 std::vector<StreamResult> StreamServer::serve(
     std::vector<std::unique_ptr<FrameSource>> sources) {
-  const int n_streams = static_cast<int>(sources.size());
-  std::vector<StreamResult> results(sources.size());
-  for (int s = 0; s < n_streams; ++s)
-    results[static_cast<std::size_t>(s)].stream = s;
+  const std::size_t n_streams = sources.size();
+  if (n_streams == 0) return {};
+  ServeRun run(*system_, config_, health_callback_, std::move(sources));
+  std::uint64_t serve_id = 0;
   {
+    // Publish before launch: the ops plane reads levels, health and traces
+    // from these objects live. The previous serve's go here.
     std::lock_guard<std::mutex> lock(obs_mutex_);
-    stream_health_.assign(sources.size(), obs::HealthState::Healthy);
-    fleet_health_ = obs::HealthState::Healthy;
+    stream_count_ = n_streams;
+    admission_ = std::move(run.admission);
+    sampler_ = std::move(run.sampler);
+    recorder_ = std::move(run.recorder);
+    monitors_ = std::move(run.monitors);
+    serve_id = serve_count_.fetch_add(1) + 1;
   }
-  if (n_streams == 0) return results;
-
-  obs::Tracer& tracer = obs::Tracer::global();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  const std::uint64_t deadline_ns = static_cast<std::uint64_t>(
-      std::max(0.0, config_.slo.frame_budget_ms) * 1e6);
-
-  // Per-stream metrics are labeled series (stream=<id>); the fleet view
-  // under the plain base names ("runtime.frames", "runtime.frame.latency_ns")
-  // is produced by MetricsRegistry::rollup() — per telemetry sample while
-  // serving and unconditionally before serve() returns.
-  // --- the overload-control plane --------------------------------------
-  // Ladder machinery engages when admission control is on, when the
-  // watchdog needs a lever to pull, or when a fault plan may pin levels.
-  // When inactive (the default) every ladder branch below is skipped and
-  // the pipeline is byte-for-byte the pre-ladder one.
-  FaultInjector* injector = config_.fault_injector;
-  const bool ladder_active =
-      config_.admission.enabled || config_.watchdog.enabled ||
-      injector != nullptr;
-  if (injector != nullptr)
-    for (int s = 0; s < n_streams; ++s)
-      sources[static_cast<std::size_t>(s)] = injector->wrap(
-          s, std::move(sources[static_cast<std::size_t>(s)]));
-
-  // Label set of stream s: the configured extra labels (shard= from the
-  // sharded front door) plus stream=<global name> (the local index unless
-  // stream_names says otherwise). labeled_name() sorts keys, so insertion
-  // order here is irrelevant.
-  const auto stream_labels = [this](int s) {
-    obs::Labels labels = config_.metric_labels;
-    const auto us = static_cast<std::size_t>(s);
-    labels.emplace_back("stream", us < config_.stream_names.size()
-                                      ? config_.stream_names[us]
-                                      : std::to_string(s));
-    return labels;
-  };
-
-  std::vector<std::unique_ptr<StreamState>> streams;
-  std::vector<StreamCounters> counters(sources.size());
-  streams.reserve(sources.size());
-  const std::uint64_t serve_start_ns = tracer.now_ns();
-  for (int s = 0; s < n_streams; ++s) {
-    streams.push_back(std::make_unique<StreamState>(
-        *system_, config_.admission.ladder.coast_tracker));
-    streams.back()->last_progress_ns.store(serve_start_ns,
-                                           std::memory_order_relaxed);
-    const obs::Labels labels = stream_labels(s);
-    StreamCounters& c = counters[static_cast<std::size_t>(s)];
-    c.frames = &registry.counter("runtime.frames", labels);
-    c.deadline_miss = &registry.counter("runtime.deadline_miss", labels);
-    c.backpressure_drops =
-        &registry.counter("runtime.backpressure_drops", labels);
-    c.reconfig_drops = &registry.counter("runtime.reconfig_drops", labels);
-    c.reconfigs = &registry.counter("runtime.reconfigs", labels);
-    c.latency = &registry.histogram("runtime.frame.latency_ns", labels);
-    if (ladder_active) {
-      c.shed = &registry.counter("runtime.shed", labels);
-      c.coasted = &registry.counter("runtime.coasted", labels);
-      c.degraded_scans = &registry.counter("runtime.degraded_scans", labels);
-      c.garbage = &registry.counter("runtime.garbage_frames", labels);
-      c.source_retries = &registry.counter("runtime.source_retries", labels);
-      c.degrade_level = &registry.gauge("runtime.degrade.level", labels);
-      c.degrade_level->set(0.0);
-    }
-  }
-  // Latency of admitted (non-shed) frames only — the number the overload
-  // SLO protects: shedding keeps THIS under the budget. A shard server
-  // (metric_labels set) records the labeled series instead and rollup()
-  // derives the fleet base; a standalone server writes the base directly.
-  obs::Histogram& admitted_latency =
-      config_.metric_labels.empty()
-          ? registry.histogram("runtime.frame.admitted_latency_ns")
-          : registry.histogram("runtime.frame.admitted_latency_ns",
-                               config_.metric_labels);
-  const auto stage_series = [&](const char* stage) {
-    obs::Labels labels = config_.metric_labels;
-    labels.emplace_back("stage", stage);
-    return StageSeries{
-        &registry.histogram("runtime.stage.latency_ns", labels),
-        &registry.counter("runtime.stage.processed", labels),
-        &registry.gauge("runtime.stage.queue_high_water", labels)};
-  };
-  const StageSeries ingest_stage = stage_series("ingest");
-  const StageSeries control_stage = stage_series("control");
-  const StageSeries detect_stage = stage_series("detect");
-  const StageSeries report_stage = stage_series("report");
-
-  // Level-1/2 scans use a coarser pyramid derived from the system's params.
-  det::SlidingWindowParams degraded_sliding = system_->config().sliding;
-  degraded_sliding.stride_cells =
-      std::max(1, degraded_sliding.stride_cells) *
-      std::max(1, config_.admission.ladder.coarse_stride_multiplier);
-  degraded_sliding.max_levels =
-      std::min(degraded_sliding.max_levels,
-               std::max(1, config_.admission.ladder.coarse_max_levels));
-
-  AdmissionController* admission = nullptr;
-  if (ladder_active) {
-    auto controller = std::make_unique<AdmissionController>(
-        n_streams, config_.admission);
-    admission = controller.get();
-    // Publish to the ops plane before workers start: /healthz and /statusz
-    // read levels and stats from it live.
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    admission_ = std::move(controller);
-  } else {
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    admission_.reset();
-  }
-
-  // --- tail sampler + flight recorder ----------------------------------
-  // Fresh per serve() so their contents describe exactly this run. The
-  // sampler is marked from the collector mid-run and ingests assembled
-  // chains once writers have quiesced; the recorder additionally collects
-  // telemetry rows and SLO transitions as they happen.
-  {
-    obs::TraceSamplerConfig sc;
-    sc.deadline_ns = deadline_ns;
-    sc.head_sample_every = config_.slo.trace_head_sample_every;
-    sc.max_retained = config_.slo.trace_max_retained;
-    auto sampler = std::make_unique<obs::TraceSampler>(sc);
-    obs::FlightRecorderConfig fc;
-    fc.max_frames_per_stream = config_.slo.flight_frames_per_stream;
-    auto recorder = std::make_unique<obs::FlightRecorder>(fc);
-    std::ostringstream cfg;
-    cfg << "{\"streams\":" << n_streams
-        << ",\"ingest_workers\":" << config_.ingest_workers
-        << ",\"control_workers\":" << config_.control_workers
-        << ",\"detect_workers\":" << config_.detect_workers
-        << ",\"queue_capacity\":" << config_.queue_capacity
-        << ",\"detect_policy\":\"" << to_string(config_.detect_policy)
-        << "\",\"frame_budget_ms\":" << config_.slo.frame_budget_ms << '}';
-    recorder->set_config_json(cfg.str());
-    // Swap under the obs lock: ops handler threads may hold the previous
-    // serve's sampler/recorder pointers mid-request otherwise.
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    sampler_ = std::move(sampler);
-    recorder_ = std::move(recorder);
-  }
-  last_flight_bundle_path_.clear();
-  const std::uint64_t serve_id = serve_count_.fetch_add(1) + 1;
-  std::atomic<bool> flight_dump_requested{false};
-
-  if (admission != nullptr) {
-    // Every ladder transition becomes a labeled gauge move, an instant span
-    // on the tracer (so retained chains show WHY fidelity changed), and a
-    // flight-recorder transition row (reusing the HealthTransition record
-    // with a "/degrade" entity suffix).
-    obs::FlightRecorder* recorder = recorder_.get();
-    std::vector<StreamCounters>* counter_ptr = &counters;
-    admission->set_transition_callback(
-        [recorder, counter_ptr](const DegradeTransition& t) {
-          const auto us = static_cast<std::size_t>(t.stream);
-          if (us < counter_ptr->size() &&
-              (*counter_ptr)[us].degrade_level != nullptr)
-            (*counter_ptr)[us].degrade_level->set(
-                static_cast<double>(static_cast<int>(t.to)));
-          obs::ScopedSpan span("degrade_transition", "runtime/admission",
-                               {{"stream", t.stream},
-                                {"from", static_cast<std::int64_t>(t.from)},
-                                {"to", static_cast<std::int64_t>(t.to)}});
-          obs::HealthTransition h;
-          h.entity = stream_entity(t.stream) + "/degrade";
-          h.from = obs::HealthState::Healthy;
-          h.to = t.to == DegradeLevel::Full ? obs::HealthState::Healthy
-                                            : obs::HealthState::Degraded;
-          h.t_ns = t.t_ns;
-          h.reason = std::string(to_string(t.from)) + " -> " +
-                     to_string(t.to) + " (" + t.reason + ")";
-          recorder->record_transition(h);
-        });
-  }
-
-  // --- SLO health monitoring (optional) --------------------------------
-  // One monitor per stream over the standard rule set, driven by an
-  // always-on TelemetryExporter sampling the global registry: each sample
-  // window's counter deltas are evaluated against the thresholds, with the
-  // hysteresis config damping flapping.
-  std::vector<std::unique_ptr<obs::SloMonitor>> monitors;
-  std::unique_ptr<obs::TelemetryExporter> telemetry;
-  if (config_.slo.enabled) {
-    monitors.reserve(sources.size());  // moved into monitors_ once built
-    for (int s = 0; s < n_streams; ++s) {
-      auto monitor = std::make_unique<obs::SloMonitor>(
-          stream_entity(s),
-          obs::standard_stream_rules_labeled(
-              stream_labels(s), config_.slo.deadline_miss_degraded,
-              config_.slo.deadline_miss_unhealthy,
-              config_.slo.drop_rate_degraded,
-              config_.slo.drop_rate_unhealthy),
-          config_.slo.hysteresis);
-      // Every transition feeds the flight recorder; a transition to
-      // UNHEALTHY requests a bundle dump, finalised once writers have
-      // quiesced (so the breaching frames' chains are complete in it). The
-      // user's callback chains after.
-      const int stream = s;
-      HealthCallback cb = health_callback_;
-      obs::FlightRecorder* recorder = recorder_.get();
-      auto* dump_requested = &flight_dump_requested;
-      monitor->set_callback(
-          [stream, cb, recorder, dump_requested](
-              const obs::HealthTransition& t) {
-            recorder->record_transition(t);
-            if (t.to == obs::HealthState::Unhealthy)
-              dump_requested->store(true, std::memory_order_relaxed);
-            if (cb) cb(stream, t);
-          });
-      monitors.push_back(std::move(monitor));
-    }
-    obs::TelemetryConfig tc;
-    tc.period = config_.slo.telemetry_period;
-    tc.jsonl_path = config_.slo.telemetry_jsonl;
-    tc.rollup_before_sample = true;  // rows carry per-stream AND fleet view
-    obs::FlightRecorder* recorder = recorder_.get();
-    // Raw pointers by value: the monitors move into monitors_ below and
-    // outlive the exporter (stopped before the next serve() replaces them).
-    std::vector<obs::SloMonitor*> monitor_ptrs;
-    monitor_ptrs.reserve(monitors.size());
-    for (auto& m : monitors) monitor_ptrs.push_back(m.get());
-    // Health-driven ladder movement: after the monitors digest a window,
-    // their states feed the admission controller (when admission control is
-    // on — the watchdog/fault-plan levers work without it).
-    AdmissionController* ladder =
-        config_.admission.enabled ? admission : nullptr;
-    tc.on_sample = [monitor_ptrs, recorder, ladder](
-                       const obs::TelemetrySample* prev,
-                       const obs::TelemetrySample& cur) {
-      recorder->record_telemetry_row(obs::to_json(cur));
-      if (prev == nullptr) return;  // a window needs two samples
-      for (obs::SloMonitor* m : monitor_ptrs) m->observe(*prev, cur);
-      if (ladder != nullptr) {
-        std::vector<obs::HealthState> states;
-        states.reserve(monitor_ptrs.size());
-        for (obs::SloMonitor* m : monitor_ptrs) states.push_back(m->state());
-        ladder->on_health_windows(states);
-      }
-    };
-    telemetry = std::make_unique<obs::TelemetryExporter>(registry, tc);
-    telemetry->start();
-  }
-  {
-    // Publish this serve's monitors to the ops plane (/healthz reads live
-    // states from them mid-run); empty when monitoring is disabled.
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    monitors_ = std::move(monitors);
-  }
-
-  BoundedQueue<FrameTask> control_q(config_.queue_capacity,
-                                    OverflowPolicy::Block);
-  BoundedQueue<DetectTask> detect_q(config_.queue_capacity,
-                                    config_.detect_policy);
-  BoundedQueue<ReportTask> report_q(config_.queue_capacity,
-                                    OverflowPolicy::Block);
-
-  // Per-frame report slots, written only by the collector thread.
-  std::vector<std::vector<core::AdaptiveFrameReport>> slots(sources.size());
-  std::vector<std::vector<bool>> filled(sources.size());
-
-  std::atomic<std::size_t> next_source{0};
-  std::atomic<int> live_ingest{config_.ingest_workers};
-  std::atomic<int> live_control{config_.control_workers};
-  std::atomic<int> live_detect{config_.detect_workers};
-
-  // --- stage 1: ingest -------------------------------------------------
-  // Each frame gets a fresh trace id here: the ingest span is the root of
-  // the frame's causal chain, and the FrameTask carries {trace_id,
-  // ingest-span id} across the queue so the control span parents on it.
-  const auto ingest_loop = [&] {
-    for (;;) {
-      const std::size_t s = next_source.fetch_add(1);
-      if (s >= sources.size()) break;
-      FrameSource& src = *sources[s];
-      StreamState& state = *streams[s];
-      state.ingest_started.store(true, std::memory_order_relaxed);
-      state.last_progress_ns.store(tracer.now_ns(), std::memory_order_relaxed);
-      int index = 0;
-      for (;;) {
-        // A watchdog-fired stream is abandoned at the next opportunity: its
-        // remaining frames would only be shed anyway, and an intermittently
-        // stalling source stops occupying this worker.
-        if (state.watchdog_fired.load(std::memory_order_relaxed)) break;
-        const obs::TraceScope root(
-            {tracer.enabled() ? obs::Tracer::new_trace_id() : 0, 0});
-        obs::ScopedSpan span("ingest_frame", "runtime/ingest",
-                             {{"stream", static_cast<std::int64_t>(s)},
-                              {"frame", index}});
-        const Clock::time_point t0 = Clock::now();
-        // Transient source failures retry with exponential backoff; past
-        // max_attempts (or on a non-transient exception) the stream is
-        // truncated here rather than wedging the serve.
-        std::optional<data::SequenceFrame> meta;
-        int attempts = 0;
-        double backoff_ms =
-            static_cast<double>(config_.source_retry.backoff.count());
-        for (;;) {
-          try {
-            meta = src.next();
-            break;
-          } catch (const TransientSourceError&) {
-            if (++attempts >= std::max(1, config_.source_retry.max_attempts)) {
-              state.source_failed.store(true, std::memory_order_relaxed);
-              break;
-            }
-            state.source_retries.fetch_add(1);
-            const auto us = static_cast<std::size_t>(s);
-            if (counters[us].source_retries != nullptr)
-              counters[us].source_retries->inc();
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(backoff_ms));
-            backoff_ms *= std::max(1.0, config_.source_retry.backoff_multiplier);
-          } catch (const std::exception&) {
-            state.source_failed.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        if (!meta) break;
-        ingest_stage.latency->record(Clock::now() - t0);
-        if (config_.validate_frames && !std::isfinite(meta->light_level)) {
-          // Garbage in, nothing out: refused BEFORE an index is assigned,
-          // so the control plane's frame numbering stays dense and healthy
-          // streams are unaffected bit for bit.
-          state.garbage_frames.fetch_add(1);
-          const auto us = static_cast<std::size_t>(s);
-          if (counters[us].garbage != nullptr) counters[us].garbage->inc();
-          continue;
-        }
-        FrameTask task;
-        task.stream = static_cast<int>(s);
-        task.index = index++;
-        task.meta = std::move(*meta);
-        task.trace = span.context();
-        task.ingest_ns = tracer.now_ns();
-        control_q.push(std::move(task));
-        state.last_progress_ns.store(tracer.now_ns(),
-                                     std::memory_order_relaxed);
-        ingest_stage.processed->inc();
-      }
-      state.frames_ingested.store(index);
-      state.ingest_done.store(true, std::memory_order_relaxed);
-    }
-    if (live_ingest.fetch_sub(1) == 1) control_q.close();
-  };
-
-  // --- coast ledger operations (ladder level 2; no-ops when inactive) ---
-  // Feed one frame's entry to the stream's tracker ledger and advance the
-  // in-order frontier as far as it goes. coast_mutex is a leaf lock.
-  const auto publish_entry = [&](StreamState& st, int index,
-                                 CoastEntry entry) {
-    if (!ladder_active) return;
-    bool advanced = false;
-    {
-      std::lock_guard<std::mutex> lock(st.coast_mutex);
-      st.coast_pending.emplace(index, std::move(entry));
-      for (auto it = st.coast_pending.find(st.coast_done + 1);
-           it != st.coast_pending.end();
-           it = st.coast_pending.find(st.coast_done + 1)) {
-        CoastEntry& e = it->second;
-        if (e.coast) {
-          // No fresh detections: the tracker coasts every live box forward
-          // by its last motion; confirmed tracks become the frame's output.
-          std::vector<det::Track> tracks = st.tracker.update({});
-          std::vector<det::Detection> dets;
-          dets.reserve(tracks.size());
-          for (const det::Track& t : tracks) {
-            det::Detection d;
-            d.box = t.box;
-            d.score = t.last_score;
-            d.class_id = t.class_id;
-            dets.push_back(d);
-          }
-          st.coast_results.emplace(it->first, std::move(dets));
-        } else {
-          st.tracker.update(e.dets);
-        }
-        ++st.coast_done;
-        st.coast_pending.erase(it);
-        advanced = true;
-      }
-    }
-    if (advanced) st.coast_cv.notify_all();
-  };
-  // Wait for the frontier to cross `index`, then take its coasted boxes.
-  // Safe: the detect queue is FIFO, so every smaller index of this stream
-  // already left it, and every leaving path publishes an entry; waits are
-  // only ever on smaller indices, so no cycles.
-  const auto take_coast = [&](StreamState& st, int index) {
-    std::unique_lock<std::mutex> lock(st.coast_mutex);
-    st.coast_cv.wait(lock, [&] { return st.coast_done >= index; });
-    const auto it = st.coast_results.find(index);
-    std::vector<det::Detection> dets = std::move(it->second);
-    st.coast_results.erase(it);
-    return dets;
-  };
-
-  // A frame that never reaches the scan still produces a report, never a
-  // silent loss: the vehicle engine misses it, the static pedestrian
-  // partition does not. `shed`: refused by admission (the ladder's level 3
-  // or the token bucket), on the control thread so the frame skips the
-  // detect queue entirely. Otherwise it overflowed the detect queue: the
-  // serving-layer twin of the paper's reconfiguration drop. Either way it
-  // advances the coast ledger as an empty update, exactly what the
-  // tracker's miss-coasting is for.
-  const auto emit_unscanned = [&](DetectTask&& task, bool shed) {
-    StreamState& st = *streams[static_cast<std::size_t>(task.stream)];
-    if (!shed) st.backpressure_drops.fetch_add(1);
-    const obs::TraceScope scope(task.trace);
-    obs::ScopedSpan span(
-        shed ? "shed_frame" : "drop_frame",
-        shed ? "runtime/control" : "runtime/detect",
-        {{"stream", task.stream},
-         {"frame", task.step.index},
-         {"level", static_cast<std::int64_t>(task.decision.level)}});
-    task.step.record.vehicle_processed = false;
-    ReportTask out;
-    out.stream = task.stream;
-    out.report = system_->evaluate_frame(task.step, task.meta);
-    out.report.degrade_level = static_cast<int>(task.decision.level);
-    out.trace = span.context();
-    out.ingest_ns = task.ingest_ns;
-    out.backpressure_dropped = !shed;
-    out.shed = shed;
-    publish_entry(st, task.step.index, CoastEntry{});
-    report_q.push(std::move(out));
-  };
-
-  // --- stage 2: control (per-stream sequential) ------------------------
-  const auto control_loop = [&] {
-    while (std::optional<FrameTask> task = control_q.pop()) {
-      StreamState& state = *streams[static_cast<std::size_t>(task->stream)];
-      std::unique_lock<std::mutex> lock(state.mutex);
-      if (task->index != state.next_index) {
-        // Another worker holds an earlier frame of this stream; park the
-        // whole task (trace context included) until the stream catches up.
-        const int index = task->index;
-        state.pending.emplace(index, std::move(*task));
-        continue;
-      }
-      FrameTask current = std::move(*task);
-      for (;;) {
-        // Re-install the frame's context on whichever worker won the frame:
-        // the control span parents on the ingest span across the thread hop.
-        const obs::TraceScope scope(current.trace);
-        obs::ScopedSpan span("control_frame", "runtime/control",
-                             {{"stream", current.stream},
-                              {"frame", current.index}});
-        const Clock::time_point t0 = Clock::now();
-        DetectTask dt;
-        dt.step = state.session.control_step(current.meta);
-        control_stage.record(t0);
-        span.arg("mode", static_cast<std::int64_t>(dt.step.sensed));
-        dt.stream = current.stream;
-        dt.meta = std::move(current.meta);
-        dt.trace = span.context();
-        dt.ingest_ns = current.ingest_ns;
-        ++state.next_index;
-        state.last_progress_ns.store(tracer.now_ns(),
-                                     std::memory_order_relaxed);
-
-        // The admission verdict is taken here — per-stream sequential, so
-        // a forced level (fault plan) keyed on the frame index yields a
-        // deterministic transition sequence.
-        if (ladder_active) {
-          const std::optional<int> forced =
-              injector != nullptr
-                  ? injector->forced_degrade_level(dt.stream, dt.step.index)
-                  : std::nullopt;
-          dt.decision = admission->decide(dt.stream, dt.step.index,
-                                          tracer.now_ns(), forced);
-        }
-        if (!dt.decision.admit) {
-          emit_unscanned(std::move(dt), true);
-        } else {
-          // The queue hands any dropped task back (the stale one under
-          // DropOldest, this one under DropNewest) so no frame vanishes.
-          std::optional<DetectTask> displaced;
-          detect_q.push(std::move(dt), &displaced);
-          if (displaced) emit_unscanned(std::move(*displaced), false);
-        }
-
-        const auto it = state.pending.find(state.next_index);
-        if (it == state.pending.end()) break;
-        current = std::move(it->second);
-        state.pending.erase(it);
-      }
-    }
-    if (live_control.fetch_sub(1) == 1) detect_q.close();
-  };
-
-  // --- stage 3: detect (parallel, const) -------------------------------
-  // One frame's pixel-level evaluation — the body of a detect worker's
-  // loop, also runnable as one task of a cross-stream batch on the scan
-  // pool (everything it touches is const, per-stream-synchronised, or an
-  // MPMC queue). `coast_prepublished` skips the ledger publish for coast
-  // frames whose entries the batched loop already published (see below).
-  const auto detect_one = [&](DetectTask& task, bool coast_prepublished) {
-    const obs::TraceScope scope(task.trace);
-    obs::ScopedSpan span("detect_frame", "runtime/detect",
-                         {{"stream", task.stream},
-                          {"frame", task.step.index},
-                          {"mode", static_cast<std::int64_t>(
-                                       task.step.sensed)}});
-    const Clock::time_point t0 = Clock::now();
-    StreamState& st = *streams[static_cast<std::size_t>(task.stream)];
-    const DegradeLevel level = task.decision.level;
-    const bool coast = ladder_active && task.decision.coast;
-    core::EvaluateOptions opts;
-    std::vector<det::Detection> dets;
-    if (coast) {
-      // Level-2 coast: no render, no scan, no simulated accelerator — the
-      // frame's boxes come from the tracker once every earlier frame of the
-      // stream has fed it (see the coast ledger).
-      span.arg("coast", 1);
-      if (!coast_prepublished)
-        publish_entry(st, task.step.index, CoastEntry{true, {}});
-      dets = take_coast(st, task.step.index);
-      opts.provided_detections = &dets;
-    } else if (ladder_active) {
-      // The scan's boxes feed the stream's tracker through the ledger.
-      opts.out_detections = &dets;
-    }
-    if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
-      opts.sliding_override = &degraded_sliding;
-    ReportTask out;
-    out.stream = task.stream;
-    out.trace = span.context();
-    out.ingest_ns = task.ingest_ns;
-    out.report = system_->evaluate_frame(task.step, task.meta, opts);
-    out.report.degrade_level = static_cast<int>(level);
-    out.report.detect_coasted = coast;
-    // The modelled PL accelerator occupies the worker on frames whose
-    // vehicle engine ran a scan; an injected slowdown on every frame.
-    double sleep_ms = 0.0;
-    if (config_.simulated_accel_ms > 0.0 && !coast &&
-        task.step.record.vehicle_processed)
-      sleep_ms = config_.simulated_accel_ms;
-    if (injector != nullptr)
-      sleep_ms += injector->detect_slowdown_ms(task.stream, task.step.index);
-    if (sleep_ms > 0.0)
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(sleep_ms));
-    if (!coast)
-      publish_entry(st, task.step.index, CoastEntry{false, std::move(dets)});
-    st.last_progress_ns.store(tracer.now_ns(), std::memory_order_relaxed);
-    detect_stage.record(t0);
-    report_q.push(std::move(out));
-  };
-
-  // Cross-stream batching needs the shared pool to fan a gather onto.
-  const bool batching = config_.cross_stream_batching &&
-                        config_.scan_pool != nullptr &&
-                        config_.detect_batch_max > 1;
-  // Takes the worker index run_indexed hands each pooled loop.
-  const auto detect_loop = [&](int) {
-    while (std::optional<DetectTask> first = detect_q.pop()) {
-      if (!batching) {
-        detect_one(*first, false);
-        continue;
-      }
-      // Gather: one blocking pop (above) plus opportunistic try_pops, so a
-      // sparse queue costs nothing — the batch is whatever is ALREADY
-      // queued, across every stream on this server.
-      std::vector<DetectTask> scans;
-      std::vector<DetectTask> coasts;
-      const auto stash = [&](DetectTask&& t) {
-        (ladder_active && t.decision.coast ? coasts : scans)
-            .push_back(std::move(t));
-      };
-      stash(std::move(*first));
-      DetectTask extra;
-      while (static_cast<int>(scans.size() + coasts.size()) <
-                 config_.detect_batch_max &&
-             detect_q.try_pop(extra))
-        stash(std::move(extra));
-      // Coast-ledger discipline: publish EVERY gathered coast entry before
-      // anything in this gather may block in take_coast. A worker that
-      // blocked while still holding unpublished entries could deadlock
-      // against another worker doing the same with the interleaved indices
-      // of the opposite stream; publishing first keeps the global
-      // invariant that every popped frame is published without waiting.
-      for (DetectTask& t : coasts)
-        publish_entry(*streams[static_cast<std::size_t>(t.stream)],
-                      t.step.index, CoastEntry{true, {}});
-      // Scan frames are independent const evaluations: one indexed batch
-      // on the shared pool, whatever stream each frame belongs to.
-      if (scans.size() == 1) {
-        detect_one(scans.front(), false);
-      } else if (!scans.empty()) {
-        config_.scan_pool->run_indexed(
-            static_cast<int>(scans.size()), [&scans, &detect_one](int i) {
-              detect_one(scans[static_cast<std::size_t>(i)], false);
-            });
-      }
-      // Scatter coast frames in canonical (stream, index) order — a coast
-      // frame's same-stream predecessors in this gather are consumed
-      // before it waits, and its report lands via the same order-
-      // insensitive collector as everything else.
-      std::sort(coasts.begin(), coasts.end(),
-                [](const DetectTask& a, const DetectTask& b) {
-                  return a.stream != b.stream ? a.stream < b.stream
-                                              : a.step.index < b.step.index;
-                });
-      for (DetectTask& t : coasts) detect_one(t, true);
-    }
-    if (live_detect.fetch_sub(1) == 1) report_q.close();
-  };
-
-  // --- stage 4: report collector ---------------------------------------
-  const auto collect_loop = [&] {
-    while (std::optional<ReportTask> task = report_q.pop()) {
-      const obs::TraceScope scope(task->trace);
-      obs::ScopedSpan span("collect_report", "runtime/report",
-                           {{"stream", task->stream},
-                            {"frame", task->report.index}});
-      const Clock::time_point t0 = Clock::now();
-      const auto us = static_cast<std::size_t>(task->stream);
-      auto& stream_slots = slots[us];
-      auto& stream_filled = filled[us];
-      const auto index = static_cast<std::size_t>(task->report.index);
-      if (index >= stream_slots.size()) {
-        stream_slots.resize(index + 1);
-        stream_filled.resize(index + 1, false);
-      }
-      // Critical-path latency of this frame: ingest-enqueue to
-      // report-dequeue on the tracer timebase. Feeds the latency histogram,
-      // the deadline counter the frame_deadline SLO rule watches, and the
-      // span (as an arg) so traces carry the number too.
-      const std::uint64_t now_ns = tracer.now_ns();
-      const std::uint64_t latency_ns =
-          now_ns >= task->ingest_ns ? now_ns - task->ingest_ns : 0;
-      span.arg("latency_us", static_cast<std::int64_t>(latency_ns / 1000u));
-      StreamCounters& c = counters[us];
-      c.latency->record_ns(latency_ns);
-      if (!task->shed) admitted_latency.record_ns(latency_ns);
-      c.frames->inc();
-      if (deadline_ns > 0 && latency_ns > deadline_ns) {
-        c.deadline_miss->inc();
-        streams[us]->deadline_misses.fetch_add(1);
-        // Tail sampling: a deadline miss makes this frame's chain worth
-        // keeping verbatim when the rings are ingested after the run.
-        sampler_->mark_interesting(task->trace.trace_id);
-      }
-      if (task->backpressure_dropped) {
-        c.backpressure_drops->inc();
-        sampler_->mark_interesting(task->trace.trace_id);
-      }
-      if (task->shed) {
-        if (c.shed != nullptr) c.shed->inc();
-        sampler_->mark_interesting(task->trace.trace_id);
-      } else if (task->report.detect_coasted) {
-        if (c.coasted != nullptr) c.coasted->inc();
-      } else if (task->report.degrade_level > 0 &&
-                 !task->backpressure_dropped) {
-        if (c.degraded_scans != nullptr) c.degraded_scans->inc();
-      }
-      // Shed frames are an explicit admission verdict, not a reconfig cost;
-      // keep them out of the reconfiguration-loss SLO rule.
-      if (!task->report.vehicle_processed && !task->backpressure_dropped &&
-          !task->shed)
-        c.reconfig_drops->inc();
-      if (task->report.reconfig_triggered) c.reconfigs->inc();
-      stream_slots[index] = std::move(task->report);
-      stream_filled[index] = true;
-      streams[us]->collected.fetch_add(1, std::memory_order_relaxed);
-      streams[us]->last_progress_ns.store(now_ns, std::memory_order_relaxed);
-      report_stage.record(t0);
-    }
-  };
-
-  // --- liveness watchdog -----------------------------------------------
-  // Polls per-stream progress timestamps; a stream that is started,
-  // incomplete and silent past the timeout is pinned to Shed (degrade
-  // level 3) and its source abandoned — the wedge becomes an accounted
-  // event instead of a hung serve.
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog_thread;
-  if (config_.watchdog.enabled && ladder_active) {
-    const std::uint64_t timeout_ns = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, config_.watchdog.timeout.count())) *
-        1000000ull;
-    watchdog_thread = std::thread([&, timeout_ns] {
-      while (!watchdog_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(config_.watchdog.poll);
-        const std::uint64_t now = tracer.now_ns();
-        for (int s = 0; s < n_streams; ++s) {
-          StreamState& st = *streams[static_cast<std::size_t>(s)];
-          if (st.watchdog_fired.load(std::memory_order_relaxed)) continue;
-          if (!st.ingest_started.load(std::memory_order_relaxed)) continue;
-          const bool complete =
-              st.ingest_done.load(std::memory_order_relaxed) &&
-              st.collected.load(std::memory_order_relaxed) ==
-                  st.frames_ingested.load();
-          if (complete) continue;
-          const std::uint64_t last =
-              st.last_progress_ns.load(std::memory_order_relaxed);
-          if (now > last && now - last > timeout_ns) {
-            st.watchdog_fired.store(true, std::memory_order_relaxed);
-            admission->force_level(s, DegradeLevel::Shed, "watchdog");
-            registry.counter("runtime.watchdog_fired", stream_labels(s))
-                .inc();
-          }
-        }
-      }
-    });
-  }
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(config_.ingest_workers +
-                                           config_.control_workers +
-                                           config_.detect_workers) +
-                  1);
-  for (int i = 0; i < config_.ingest_workers; ++i)
-    workers.emplace_back(ingest_loop);
-  for (int i = 0; i < config_.control_workers; ++i)
-    workers.emplace_back(control_loop);
-  if (config_.scan_pool != nullptr && !batching) {
-    // Shared-pool mode: one launcher thread publishes the detect loops as an
-    // indexed batch on the scanner's pool and helps run them. Ingest,
-    // control and the collector stay dedicated threads, so the queues always
-    // drain and close — pooled detect loops terminate even when every pool
-    // thread is parked in detect_q.pop(). Nested scans inside a pooled
-    // detect worker (sliding.pool == scan_pool) self-help, so sharing one
-    // pool cannot deadlock.
-    //
-    // With cross-stream batching the roles invert: detect workers stay
-    // dedicated threads acting as batch coordinators (gather from the
-    // queue, fan the batch onto the pool, help run it), so every pool
-    // thread is available to execute frames instead of being parked in
-    // detect_q.pop().
-    workers.emplace_back([this, &detect_loop] {
-      config_.scan_pool->run_indexed(config_.detect_workers, detect_loop);
-    });
-  } else {
-    for (int i = 0; i < config_.detect_workers; ++i)
-      workers.emplace_back(detect_loop, i);
-  }
-  workers.emplace_back(collect_loop);
-  for (std::thread& t : workers) t.join();
-  if (watchdog_thread.joinable()) {
-    watchdog_stop.store(true, std::memory_order_relaxed);
-    watchdog_thread.join();
-  }
-
-  control_stage.queue_high_water->set(
-      static_cast<double>(control_q.stats().high_water));
-  detect_stage.queue_high_water->set(
-      static_cast<double>(detect_q.stats().high_water));
-  report_stage.queue_high_water->set(
-      static_cast<double>(report_q.stats().high_water));
-
-  // Fold the labeled per-stream series into the fleet base names — even
-  // with monitoring disabled, direct post-serve readers of e.g.
-  // "runtime.frame.latency_ns" see the fleet aggregate.
-  registry.rollup();
-
-  // One final telemetry window catches counters the last periodic sample
-  // missed, then the monitors' verdicts become part of the results.
-  if (telemetry) telemetry->stop();
-
-  // Writers have quiesced: feed the tail sampler and the flight recorder
-  // from the tracer rings. snapshot() (not drain()) leaves the spans in
-  // place for callers that export their own traces after serve().
-  if (tracer.enabled()) {
-    const std::vector<obs::SpanRecord> spans = tracer.snapshot();
-    const std::vector<obs::FrameTrace> chains =
-        obs::assemble_frame_traces(spans);
-    sampler_->ingest(chains);
-    for (const obs::FrameTrace& chain : chains) recorder_->record_frame(chain);
-    registry.gauge("obs.sampler.frames_seen")
-        .set(static_cast<double>(sampler_->frames_seen()));
-    registry.gauge("obs.sampler.frames_retained")
-        .set(static_cast<double>(sampler_->frames_retained()));
-    registry.gauge("obs.sampler.spans_seen")
-        .set(static_cast<double>(sampler_->spans_seen()));
-  }
-
-  // Finalise a dump requested by an UNHEALTHY transition, now that the
-  // breaching frames' chains are in the recorder.
-  if (flight_dump_requested.load(std::memory_order_relaxed)) {
-    std::string dir = config_.slo.flight_dump_dir;
-    if (dir.empty()) {
-      if (const char* env = std::getenv("AVD_FLIGHT_DIR")) dir = env;
-    }
-    if (!dir.empty()) {
-      const std::string path = dir + "/flight_bundle_serve" +
-                               std::to_string(serve_id) + ".json";
-      if (recorder_->dump_to_file(path, "health transition to UNHEALTHY"))
-        last_flight_bundle_path_ = path;
-    }
-  }
-
-
-  // --- assemble per-stream results -------------------------------------
-  for (int s = 0; s < n_streams; ++s) {
-    const auto us = static_cast<std::size_t>(s);
-    StreamState& state = *streams[us];
-    StreamResult& result = results[us];
-    const int expected = state.frames_ingested.load();
-    if (static_cast<int>(slots[us].size()) != expected)
-      throw std::logic_error("StreamServer: stream " + std::to_string(s) +
-                             " lost frames (" +
-                             std::to_string(slots[us].size()) + "/" +
-                             std::to_string(expected) + ")");
-    for (std::size_t i = 0; i < filled[us].size(); ++i)
-      if (!filled[us][i])
-        throw std::logic_error("StreamServer: stream " + std::to_string(s) +
-                               " missing frame " + std::to_string(i));
-    result.report.frames = std::move(slots[us]);
-    result.report.reconfigs = state.session.reconfigs();
-    result.report.log = state.session.log();
-    result.backpressure_drops = state.backpressure_drops.load();
-    result.deadline_misses = state.deadline_misses.load();
-    result.garbage_frames = state.garbage_frames.load();
-    result.source_retries = state.source_retries.load();
-    result.source_failed = state.source_failed.load();
-    result.watchdog_fired = state.watchdog_fired.load();
-    if (admission != nullptr) {
-      const AdmissionStats stats = admission->stats(s);
-      result.shed_frames = stats.shed;
-      result.coasted_frames = stats.coasted;
-      result.degraded_scans = stats.degraded_scans;
-      result.degrade_level = admission->level(s);
-      result.degrade_transitions = admission->transitions(s);
-    }
-    if (config_.slo.enabled) {
-      result.health = monitors_[us]->state();
-      result.health_transitions = monitors_[us]->transitions();
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      stream_health_[us] = result.health;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    fleet_health_ = obs::worst_of(stream_health_);
-  }
-  return results;
+  run.launch();
+  run.join();
+  last_flight_bundle_path_ = run.finalise(serve_id);
+  return run.assemble();
 }
 
 std::vector<obs::HealthState> StreamServer::live_stream_health() const {
   std::lock_guard<std::mutex> lock(obs_mutex_);
-  if (!monitors_.empty()) {
-    std::vector<obs::HealthState> states;
-    states.reserve(monitors_.size());
-    for (const auto& m : monitors_) states.push_back(m->state());
-    return states;
-  }
-  return stream_health_;
+  std::vector<obs::HealthState> states(stream_count_,
+                                       obs::HealthState::Healthy);
+  for (std::size_t s = 0; s < monitors_.size(); ++s)
+    states[s] = monitors_[s]->state();
+  return states;
 }
 
 // The standard introspection surface (see StreamOpsConfig). Handlers run on
@@ -1155,9 +1158,7 @@ void StreamServer::install_ops_endpoints() {
       std::lock_guard<std::mutex> lock(obs_mutex_);
       if (admission_) {
         admission_live = true;
-        const std::size_t n =
-            monitors_.empty() ? stream_health_.size() : monitors_.size();
-        for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t s = 0; s < stream_count_; ++s) {
           const AdmissionStats st = admission_->stats(static_cast<int>(s));
           totals.admitted += st.admitted;
           totals.shed += st.shed;

@@ -26,12 +26,15 @@ TEST(DescriptorLength, VehicleWindow) {
 }
 
 TEST(DescriptorLength, MisalignedWindowThrows) {
-  EXPECT_THROW(HogParams{}.descriptor_length({60, 64}), std::invalid_argument);
-  EXPECT_THROW(HogParams{}.descriptor_length({64, 63}), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(HogParams{}.descriptor_length({60, 64})),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(HogParams{}.descriptor_length({64, 63})),
+               std::invalid_argument);
 }
 
 TEST(DescriptorLength, TooSmallWindowThrows) {
-  EXPECT_THROW(HogParams{}.descriptor_length({8, 8}), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(HogParams{}.descriptor_length({8, 8})),
+               std::invalid_argument);
 }
 
 TEST(Descriptor, MatchesDeclaredLength) {

@@ -37,10 +37,10 @@ TEST(Image, RowMajorAddressing) {
 
 TEST(Image, AtThrowsOutOfRange) {
   ImageU8 img(3, 3);
-  EXPECT_NO_THROW(img.at(2, 2));
-  EXPECT_THROW(img.at(3, 0), std::out_of_range);
-  EXPECT_THROW(img.at(0, 3), std::out_of_range);
-  EXPECT_THROW(img.at(-1, 0), std::out_of_range);
+  EXPECT_NO_THROW(static_cast<void>(img.at(2, 2)));
+  EXPECT_THROW(static_cast<void>(img.at(3, 0)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(img.at(0, 3)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(img.at(-1, 0)), std::out_of_range);
 }
 
 TEST(Image, AtClampedBorderBehaviour) {

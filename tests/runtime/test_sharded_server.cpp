@@ -150,8 +150,11 @@ TEST(ShardedServer, ShardedBatchedServeMatchesSequentialExactly) {
   const std::vector<int> assignment = front.last_assignment();
   ASSERT_EQ(assignment.size(), streams.size());
   EXPECT_EQ(assignment[1], 0);  // the override stuck
-  for (std::size_t s = 0; s < streams.size(); ++s)
-    EXPECT_EQ(assignment[s], front.shard_of("s" + std::to_string(s)));
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    std::string name = "s";
+    name += std::to_string(s);
+    EXPECT_EQ(assignment[s], front.shard_of(name));
+  }
 
   core::AdaptiveSystemConfig seq_cfg = cfg;
   seq_cfg.sliding.pool = nullptr;  // strictly single-threaded oracle

@@ -192,10 +192,11 @@ TEST(StreamServer, CrossStreamBatchingMatchesSequentialExactly) {
 }
 
 // Batching under the degradation ladder: level-2 coast frames are excluded
-// from pool batches and scattered in canonical order behind them. The
-// serve must stay deadlock-free with a single coordinator gathering coast
-// and scan frames of interleaved streams, deterministic across serves, and
-// complete (every frame reported).
+// from pool batches and run in canonical order behind them. The serve must
+// stay deadlock-free with a single detect worker gathering coast and scan
+// frames of interleaved streams, deterministic across serves, and complete
+// (every frame reported). With the gather off, the same worker takes one
+// frame at a time, and the results must not move.
 TEST(StreamServer, CrossStreamBatchingWithCoastLadderIsDeterministic) {
   const core::SystemModels models = core::build_system_models(tiny());
   ThreadPool pool(3);
@@ -210,34 +211,38 @@ TEST(StreamServer, CrossStreamBatchingWithCoastLadderIsDeterministic) {
   plan.faults.push_back({FaultKind::ForceDegrade, 0, 2, 64, 2.0});
   plan.faults.push_back({FaultKind::ForceDegrade, 2, 2, 64, 2.0});
 
-  const auto serve_once = [&] {
+  const auto serve_once = [&](bool batching) {
     FaultInjector injector(plan);
     StreamServerConfig sc;
-    sc.detect_workers = 1;  // one coordinator: worst case for the ledger
+    sc.detect_workers = 1;  // one worker: worst case for the ledger
     sc.queue_capacity = 8;
     sc.scan_pool = &pool;
-    sc.cross_stream_batching = true;
+    sc.cross_stream_batching = batching;
     sc.detect_batch_max = 8;
     sc.fault_injector = &injector;
     StreamServer server(system, sc);
     return server.serve_sequences(streams);
   };
-  const std::vector<StreamResult> first = serve_once();
-  const std::vector<StreamResult> second = serve_once();
-
-  ASSERT_EQ(first.size(), streams.size());
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    ASSERT_EQ(static_cast<int>(first[s].report.frames.size()),
-              streams[s].frame_count());
-    expect_reports_identical(first[s].report, second[s].report,
-                             "serve/serve stream " + std::to_string(s));
+  const std::vector<StreamResult> batched = serve_once(true);
+  ASSERT_EQ(batched.size(), streams.size());
+  for (const bool batching : {false, true}) {
+    SCOPED_TRACE(batching ? "batching on" : "batching off");
+    const std::vector<StreamResult> again = serve_once(batching);
+    ASSERT_EQ(again.size(), streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      ASSERT_EQ(static_cast<int>(again[s].report.frames.size()),
+                streams[s].frame_count());
+      EXPECT_EQ(again[s].coasted_frames, batched[s].coasted_frames);
+      expect_reports_identical(again[s].report, batched[s].report,
+                               "serve/serve stream " + std::to_string(s));
+    }
   }
-  EXPECT_GT(first[0].coasted_frames, 0u);
-  EXPECT_GT(first[2].coasted_frames, 0u);
+  EXPECT_GT(batched[0].coasted_frames, 0u);
+  EXPECT_GT(batched[2].coasted_frames, 0u);
   // Untargeted streams never leave Full and still match the oracle.
-  expect_reports_identical(first[1].report, system.run(streams[1]),
+  expect_reports_identical(batched[1].report, system.run(streams[1]),
                            "stream 1 vs sequential");
-  expect_reports_identical(first[3].report, system.run(streams[3]),
+  expect_reports_identical(batched[3].report, system.run(streams[3]),
                            "stream 3 vs sequential");
 }
 

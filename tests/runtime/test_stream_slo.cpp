@@ -64,8 +64,8 @@ TEST(StreamSlo, ComfortableBudgetStaysHealthy) {
     EXPECT_TRUE(r.health_transitions.empty());
     EXPECT_EQ(r.deadline_misses, 0u);
   }
-  ASSERT_EQ(server.stream_health().size(), 2u);
-  EXPECT_EQ(server.stream_health()[0], obs::HealthState::Healthy);
+  ASSERT_EQ(server.live_stream_health().size(), 2u);
+  EXPECT_EQ(server.live_stream_health()[0], obs::HealthState::Healthy);
 }
 
 TEST(StreamSlo, ImpossibleBudgetGoesUnhealthyAndFiresCallback) {
