@@ -253,10 +253,18 @@ int main(int argc, char** argv) {
     fail("/metricsz.json lacks counters");
 
   auto healthz = expect_json("/healthz", 200);
+  // The server is a fleet of one shard: its stream rows are shards[0].
+  const auto stream_rows =
+      [](const avd::obs::json::Value& doc) -> const avd::obs::json::Value* {
+    const auto* shards = doc.find("shards");
+    return shards == nullptr || shards->array.empty()
+               ? nullptr
+               : shards->array.front().find("streams");
+  };
   // The per-stream rows (and the admission controller) appear once the
   // first serve() is underway; poll briefly instead of racing it.
   for (int attempt = 0; attempt < 100; ++attempt) {
-    const auto* streams = healthz.find("streams");
+    const auto* streams = stream_rows(healthz);
     const auto* adm = healthz.find("admission");
     if (streams != nullptr && !streams->array.empty() && adm != nullptr &&
         adm->boolean)
@@ -273,7 +281,7 @@ int main(int argc, char** argv) {
   if (const auto* adm = healthz.find("admission");
       adm == nullptr || !adm->boolean)
     fail("/healthz does not report the admission plane as live");
-  if (const auto* streams = healthz.find("streams");
+  if (const auto* streams = stream_rows(healthz);
       streams == nullptr || streams->array.empty()) {
     fail("/healthz lacks streams");
   } else {

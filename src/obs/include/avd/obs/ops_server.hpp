@@ -16,9 +16,9 @@
 //    process they introspect; a throwing handler becomes a 500, never a
 //    dead handler thread.
 //
-// StreamServer embeds one (StreamServerConfig::ops) and installs the
-// standard endpoints: /metricsz, /metricsz.json, /healthz, /tracez,
-// /flightz, /statusz, /profilez. prometheus_response()/
+// StreamServer and the sharded front door embed one (StreamServerConfig::ops)
+// with the standard endpoints: /metricsz, /metricsz.json, /healthz,
+// /tracez, /flightz, /statusz, /profilez. prometheus_response()/
 // metrics_json_response() are the reusable scrape payloads, and http_get()
 // is the matching minimal client used by tests, examples and smoke checks.
 #pragma once

@@ -185,9 +185,6 @@ class AdmissionController {
   /// scheduling-dependent and deliberately not represented).
   [[nodiscard]] std::vector<DegradeTransition> transitions() const;
   [[nodiscard]] const AdmissionConfig& config() const { return config_; }
-  [[nodiscard]] int n_streams() const {
-    return static_cast<int>(streams_.size());
-  }
 
  private:
   struct StreamSlot {

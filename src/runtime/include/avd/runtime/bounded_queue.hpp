@@ -145,16 +145,11 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
   }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] OverflowPolicy policy() const { return policy_; }
   [[nodiscard]] QueueStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;

@@ -58,10 +58,6 @@ class SequenceFrameSource final : public FrameSource {
     return sequence_.frame(next_++);
   }
 
-  [[nodiscard]] const data::DriveSequence& sequence() const {
-    return sequence_;
-  }
-
  private:
   data::DriveSequence sequence_;
   int next_ = 0;

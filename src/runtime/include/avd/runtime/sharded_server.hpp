@@ -6,7 +6,8 @@
 //                                                    inside each shard)
 //        ▲                                 │
 //        └──── one fleet ops surface ◄─────┘
-//              /healthz /statusz /metricsz
+//              /metricsz /metricsz.json /healthz /statusz /profilez
+//              /tracez?shard=m /flightz?shard=m
 //
 // * Placement is deterministic: stable_stream_hash(name) % shards — a
 //   64-bit FNV-1a over the stream's NAME, so the same fleet lands the same
@@ -19,10 +20,12 @@
 //   (runtime.frames) — the front door's /metricsz therefore answers for
 //   the whole fleet in one scrape, and the sum of per-shard marginals
 //   equals the base by construction (test-enforced).
-// * Ops: ONE front-door OpsServer aggregates every shard — /healthz is
-//   the fleet worst-of (503 when any stream is UNHEALTHY), /statusz the
-//   serving topology, /metricsz the folded registry. Shard servers run
-//   with their own ops plane disabled.
+// * Ops: ONE front-door listener, configured by the template's `ops`
+//   block, answers a StreamServer's seven endpoints from the same code —
+//   /healthz the fleet worst-of (503 when any stream is UNHEALTHY) with
+//   per-shard rows, /statusz the topology, /metricsz the folded registry,
+//   /tracez and /flightz one shard's sampler and recorder. Shard servers
+//   run with their own ops plane disabled.
 // * Admission: each shard keeps its own AdmissionController; the front
 //   door adds the cross-shard fleet_pressure signal — when at least
 //   `fleet_pressure_fraction` of ALL fleet streams are degraded-or-worse,
@@ -55,16 +58,13 @@ struct ShardedServerConfig {
   int shards = 2;
   /// Template applied to every shard's StreamServer. Fields the front door
   /// owns are overwritten per shard: `metric_labels` gains shard=<m>,
-  /// `stream_names` becomes the shard's global stream names, and `ops` is
-  /// forced off (the fleet has ONE ops surface — this server's).
+  /// `stream_names` becomes the shard's global stream names, and
+  /// `ops.enabled` is forced off: `ops` configures the fleet's ONE ops
+  /// surface instead, this server's, up from construction to destruction.
   StreamServerConfig shard;
   /// Explicit placement overrides for tests: stream name -> shard index
   /// (clamped into range). Names not present fall back to the stable hash.
   std::map<std::string, int> assign_override;
-  /// The fleet ops front door. Off by default; when enabled the listener
-  /// runs from construction to destruction, like StreamServer's.
-  bool ops_enabled = false;
-  obs::OpsServerConfig ops;
   /// Fraction of ALL fleet streams degraded-or-worse that raises the
   /// cross-shard fleet_pressure signal on every shard's admission
   /// controller (0 = off). Recomputed on every health transition anywhere
@@ -82,7 +82,7 @@ struct NamedStream {
 
 class ShardedServer {
  public:
-  /// Throws like StreamServer when ops_enabled and the listener can't bind.
+  /// Throws like StreamServer when the ops listener can't bind.
   explicit ShardedServer(const core::AdaptiveSystem& system,
                          ShardedServerConfig config = {});
   ~ShardedServer();
@@ -107,32 +107,30 @@ class ShardedServer {
   /// before any).
   [[nodiscard]] std::vector<int> last_assignment() const;
 
-  [[nodiscard]] int shards() const { return config_.shards; }
   [[nodiscard]] const ShardedServerConfig& config() const { return config_; }
   /// Fleet health right now: worst-of across every shard's live per-stream
   /// health (what the front door's /healthz renders).
   [[nodiscard]] obs::HealthState fleet_health() const;
-  /// The front-door ops listener (nullptr unless config().ops_enabled).
-  [[nodiscard]] obs::OpsServer* ops_server() const { return ops_.get(); }
+  /// The front-door ops listener (nullptr unless shard.ops.enabled).
+  [[nodiscard]] obs::OpsServer* ops_server() const;
 
  private:
-  void install_ops_endpoints();
+  /// Every shard's StreamServer::obs_view(), under shards_mutex_.
+  [[nodiscard]] std::vector<StreamServer::ObsView> shard_views() const;
   /// Recompute the cross-shard pressure flag and push it to every shard's
   /// admission controller. Called from shard health callbacks.
   void update_fleet_pressure();
 
   const core::AdaptiveSystem* system_;
   ShardedServerConfig config_;
-  /// Shard servers of the current/most recent serve() plus their stream
-  /// names, guarded for the ops handler threads. Rebuilt per serve().
+  /// Shard servers of the current/most recent serve(), guarded for the ops
+  /// handler threads. Rebuilt per serve().
   mutable std::mutex shards_mutex_;
   std::vector<std::unique_ptr<StreamServer>> shard_servers_;
-  std::vector<std::vector<std::string>> shard_stream_names_;
   std::vector<int> last_assignment_;
-  std::unique_ptr<obs::OpsServer> ops_;
   std::atomic<std::uint64_t> serve_count_{0};
-  std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
+  /// Declared last, so destroyed first: its handlers walk shard_servers_.
+  std::unique_ptr<OpsSurface> ops_;
 };
 
 }  // namespace avd::runtime

@@ -63,6 +63,7 @@ namespace avd::runtime {
 
 class ThreadPool;      // avd/runtime/thread_pool.hpp
 class FaultInjector;   // avd/runtime/fault_injection.hpp
+class OpsSurface;      // the ops endpoints, src/runtime/src/ops_surface.hpp
 
 /// Retry policy for transient source failures: a source throwing
 /// TransientSourceError is retried with exponential backoff; past
@@ -117,14 +118,16 @@ struct StreamSloConfig {
 /// The live introspection plane: an embedded obs::OpsServer owned by the
 /// StreamServer for its whole lifetime (not per serve()), so a fleet
 /// operator can scrape metrics, read health, pull traces and profile the
-/// pipeline *while it serves*. Endpoints installed:
+/// pipeline *while it serves*. The sharded front door answers the same
+/// endpoints for its fleet; a StreamServer is a fleet of one shard:
 ///
 ///   /metricsz       Prometheus text exposition (rollup() first)
 ///   /metricsz.json  registry snapshot as JSON
-///   /healthz        fleet + per-stream SLO states; 503 when UNHEALTHY
-///   /tracez         tail-sampler retained chains + per-span-name stats
-///   /flightz        flight-recorder bundle, on demand
-///   /statusz        uptime, build identity, serving configuration
+///   /healthz        fleet + per-shard per-stream SLO states; 503 UNHEALTHY
+///   /tracez         tail-sampler retained chains + per-span-name stats of
+///                   shard ?shard=m's (default 0) latest serve
+///   /flightz        flight-recorder bundle of shard ?shard=m, on demand
+///   /statusz        role, uptime, build identity, serving configuration
 ///   /profilez       span-sampling profile over ?seconds=N (collapsed text;
 ///                   ?format=json for the structured report)
 struct StreamOpsConfig {
@@ -258,8 +261,7 @@ class StreamServer {
   /// without its introspection plane is worse than one that fails fast.
   explicit StreamServer(const core::AdaptiveSystem& system,
                         StreamServerConfig config = {});
-  /// Stops the ops server (first — its handler threads read members) and
-  /// the profiler.
+  /// Stops the ops plane first: its handler threads read members.
   ~StreamServer();
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
@@ -280,12 +282,29 @@ class StreamServer {
       std::function<void(int stream, const obs::HealthTransition&)>;
   void set_health_callback(HealthCallback cb) { health_callback_ = std::move(cb); }
 
+  /// One stream of the latest serve as the ops plane reports it.
+  struct StreamView {
+    std::string name;  ///< the stream= label
+    obs::HealthState health = obs::HealthState::Healthy;
+    DegradeLevel level = DegradeLevel::Full;  ///< with a live ladder only
+    AdmissionStats stats;                     ///< with a live ladder only
+  };
+  /// The latest serve's live state, read in one step under the server's
+  /// lock: what the ops endpoints and the front door read. A reader keeps
+  /// the sampler and recorder alive across a serve() that replaces them.
+  struct ObsView {
+    bool admission = false;  ///< the ladder is live (levels/stats are set)
+    std::vector<StreamView> streams;
+    std::shared_ptr<const obs::TraceSampler> sampler;    ///< null before any
+    std::shared_ptr<const obs::FlightRecorder> recorder;  ///< null before any
+  };
+  [[nodiscard]] ObsView obs_view() const;
+  /// Sets the live admission controller's fleet_pressure (if any).
+  void set_fleet_pressure(bool pressure);
+
   /// Live per-stream health: mid-serve the SLO monitors answer with their
   /// current state-machine position; between serves their final verdicts
   /// answer (all HEALTHY with monitoring disabled; empty before any serve).
-  /// This is what /healthz renders, exposed directly so a fronting
-  /// aggregator (the sharded server) can fold shard health without an HTTP
-  /// hop.
   [[nodiscard]] std::vector<obs::HealthState> live_stream_health() const;
   /// Worst-of rollup of live_stream_health(): one saturated stream is
   /// visible here no matter how many healthy neighbours it has.
@@ -311,8 +330,8 @@ class StreamServer {
   }
 
   /// The admission controller of the most recent serve() (nullptr before
-  /// any, or when the ladder never engaged). Live during a serve: /healthz
-  /// and /statusz read current levels and stats from it.
+  /// any, or when the ladder never engaged). Swapped by serve(): a reader
+  /// on another thread goes through obs_view().
   [[nodiscard]] AdmissionController* admission() const {
     return admission_.get();
   }
@@ -320,17 +339,13 @@ class StreamServer {
   /// The embedded ops listener (nullptr unless config().ops.enabled).
   /// Running from construction to destruction; its port() is where
   /// /metricsz etc. answer.
-  [[nodiscard]] obs::OpsServer* ops_server() const { return ops_.get(); }
+  [[nodiscard]] obs::OpsServer* ops_server() const;
   /// The /profilez profiler (nullptr unless config().ops.enabled). Usable
   /// directly too: profiler()->run_for(...) during a serve() on another
   /// thread.
-  [[nodiscard]] obs::SampleProfiler* profiler() const {
-    return profiler_.get();
-  }
+  [[nodiscard]] obs::SampleProfiler* profiler() const;
 
  private:
-  void install_ops_endpoints();
-
   const core::AdaptiveSystem* system_;
   StreamServerConfig config_;
   HealthCallback health_callback_;
@@ -340,14 +355,14 @@ class StreamServer {
   /// thread-safe; only the pointers/containers need the lock.
   mutable std::mutex obs_mutex_;
   std::size_t stream_count_ = 0;  ///< streams of the latest non-empty serve()
-  std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<obs::TraceSampler> sampler_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::vector<std::unique_ptr<obs::SloMonitor>> monitors_;
-  std::unique_ptr<obs::SampleProfiler> profiler_;
-  std::unique_ptr<obs::OpsServer> ops_;
+  std::shared_ptr<AdmissionController> admission_;
+  std::shared_ptr<obs::TraceSampler> sampler_;
+  std::shared_ptr<obs::FlightRecorder> recorder_;
+  std::vector<std::shared_ptr<obs::SloMonitor>> monitors_;
   std::string last_flight_bundle_path_;
   std::atomic<std::uint64_t> serve_count_{0};  ///< bundle names + /statusz
+  /// Declared last, so destroyed first: its handlers read the members above.
+  std::unique_ptr<OpsSurface> ops_;
 };
 
 }  // namespace avd::runtime

@@ -2,25 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
-#include "avd/obs/build_info.hpp"
 #include "avd/obs/frame_trace.hpp"
-#include "avd/obs/json.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/telemetry.hpp"
 #include "avd/obs/trace.hpp"
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/thread_pool.hpp"
+#include "ops_surface.hpp"
 
 namespace avd::runtime {
 namespace {
@@ -69,6 +66,9 @@ struct StreamState {
   std::atomic<std::uint64_t> backpressure_drops{0};
   std::atomic<std::uint64_t> deadline_misses{0};
   std::atomic<int> frames_ingested{-1};  ///< -1 until its ingest ends
+  /// Trace ids of the frames this serve ingested (traced serves only).
+  /// Written by the one ingest worker that owns the stream, read after join.
+  std::vector<std::uint64_t> trace_ids;
   // Fault / overload accounting (see StreamResult).
   std::atomic<std::uint64_t> garbage_frames{0};
   std::atomic<std::uint64_t> source_retries{0};
@@ -143,6 +143,14 @@ std::string stream_entity(int stream) {
   return "stream" + std::to_string(stream);
 }
 
+// The stream= label of stream s: its global name from stream_names, else
+// the local index in decimal.
+std::string stream_name(const StreamServerConfig& config, int s) {
+  const auto us = static_cast<std::size_t>(s);
+  return us < config.stream_names.size() ? config.stream_names[us]
+                                         : std::to_string(s);
+}
+
 /// One serve() call: the staged dataflow of the header comment over its
 /// three queues, with the per-stream state, the metric series, the
 /// degradation ladder and the observability objects it feeds. The member
@@ -155,13 +163,12 @@ class ServeRun {
            std::vector<std::unique_ptr<FrameSource>> sources);
   ~ServeRun();
 
-  // The observability objects the server keeps after the run, for its
-  // accessors and ops plane. Created here; the server takes them before
-  // launch(), and the run keeps raw pointers.
-  std::unique_ptr<AdmissionController> admission;  ///< null: ladder off
-  std::unique_ptr<obs::TraceSampler> sampler;
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  std::vector<std::unique_ptr<obs::SloMonitor>> monitors;  ///< empty: SLO off
+  // The observability objects, created here and shared with the server
+  // (for its accessors and ops plane) before launch().
+  std::shared_ptr<AdmissionController> admission;  ///< null: ladder off
+  std::shared_ptr<obs::TraceSampler> sampler;
+  std::shared_ptr<obs::FlightRecorder> recorder;
+  std::vector<std::shared_ptr<obs::SloMonitor>> monitors;  ///< empty: SLO off
 
   void launch();
   void join();
@@ -214,10 +221,6 @@ class ServeRun {
   const StageSeries ingest_stage_, control_stage_, detect_stage_,
       report_stage_;
 
-  AdmissionController* admission_ = nullptr;
-  obs::TraceSampler* sampler_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::vector<obs::SloMonitor*> monitors_;
   std::atomic<bool> flight_dump_requested_{false};
   std::unique_ptr<obs::TelemetryExporter> telemetry_;
 
@@ -275,45 +278,33 @@ ServeRun::ServeRun(const core::AdaptiveSystem& system,
                std::max(1, config_.admission.ladder.coarse_max_levels));
   build_streams();
 
-  // Tail sampler + flight recorder, fresh per serve so their contents
-  // describe exactly this run. The sampler is marked from the collector
-  // mid-run and ingests assembled chains once writers have quiesced; the
-  // recorder also collects telemetry rows and SLO transitions as they
-  // happen.
+  // Tail sampler + flight recorder, fresh per serve and fed only the chains
+  // of the trace ids this serve issued, so their contents describe exactly
+  // this run, whatever else (a neighbour shard, an earlier serve) left in
+  // the tracer's rings. The sampler is marked from the collector mid-run
+  // and ingests assembled chains once writers have quiesced; the recorder
+  // also collects telemetry rows and SLO transitions as they happen.
   obs::TraceSamplerConfig sc;
   sc.deadline_ns = deadline_ns_;
   sc.head_sample_every = config_.slo.trace_head_sample_every;
   sc.max_retained = config_.slo.trace_max_retained;
-  sampler = std::make_unique<obs::TraceSampler>(sc);
-  sampler_ = sampler.get();
+  sampler = std::make_shared<obs::TraceSampler>(sc);
   obs::FlightRecorderConfig fc;
   fc.max_frames_per_stream = config_.slo.flight_frames_per_stream;
-  recorder = std::make_unique<obs::FlightRecorder>(fc);
-  recorder_ = recorder.get();
-  std::ostringstream cfg;
-  cfg << "{\"streams\":" << n_streams_
-      << ",\"ingest_workers\":" << config_.ingest_workers
-      << ",\"control_workers\":" << config_.control_workers
-      << ",\"detect_workers\":" << config_.detect_workers
-      << ",\"queue_capacity\":" << config_.queue_capacity
-      << ",\"detect_policy\":\"" << to_string(config_.detect_policy)
-      << "\",\"frame_budget_ms\":" << config_.slo.frame_budget_ms << '}';
-  recorder_->set_config_json(cfg.str());
+  recorder = std::make_shared<obs::FlightRecorder>(fc);
+  recorder->set_config_json("{\"streams\":" + std::to_string(n_streams_) +
+                             "," + config_json_fields(config_) + "}");
 
   if (ladder_active_) build_ladder();
   if (config_.slo.enabled) build_monitors(health_callback);
 }
 
 // Label set of stream s: the configured extra labels (shard= from the
-// sharded front door) plus stream=<global name> (the local index unless
-// stream_names says otherwise). labeled_name() sorts keys, so insertion
-// order here is irrelevant.
+// sharded front door) plus stream=<name>. labeled_name() sorts keys, so
+// insertion order here is irrelevant.
 obs::Labels ServeRun::stream_labels(int s) const {
   obs::Labels labels = config_.metric_labels;
-  const auto us = static_cast<std::size_t>(s);
-  labels.emplace_back("stream", us < config_.stream_names.size()
-                                    ? config_.stream_names[us]
-                                    : std::to_string(s));
+  labels.emplace_back("stream", stream_name(config_, s));
   return labels;
 }
 
@@ -358,10 +349,9 @@ void ServeRun::build_streams() {
 // outlive the run: the controller stays with the server after it.
 void ServeRun::build_ladder() {
   admission =
-      std::make_unique<AdmissionController>(n_streams_, config_.admission);
-  admission_ = admission.get();
-  admission_->set_transition_callback(
-      [recorder = recorder_, counters = counters_](const DegradeTransition& t) {
+      std::make_shared<AdmissionController>(n_streams_, config_.admission);
+  admission->set_transition_callback(
+      [recorder = recorder, counters = counters_](const DegradeTransition& t) {
         const auto us = static_cast<std::size_t>(t.stream);
         if (us < counters.size())
           counters[us].degrade_level->set(
@@ -401,12 +391,11 @@ void ServeRun::build_monitors(
     // frames' chains are complete. The user's callback chains after.
     monitor->set_callback([this, s, health_callback](
                               const obs::HealthTransition& t) {
-      recorder_->record_transition(t);
+      recorder->record_transition(t);
       if (t.to == obs::HealthState::Unhealthy)
         flight_dump_requested_.store(true, std::memory_order_relaxed);
       if (health_callback) health_callback(s, t);
     });
-    monitors_.push_back(monitor.get());
     monitors.push_back(std::move(monitor));
   }
   obs::TelemetryConfig tc;
@@ -417,16 +406,16 @@ void ServeRun::build_monitors(
   // their states feed the admission controller (when admission control is
   // on; the watchdog and fault-plan levers work without it).
   AdmissionController* ladder =
-      config_.admission.enabled ? admission_ : nullptr;
+      config_.admission.enabled ? admission.get() : nullptr;
   tc.on_sample = [this, ladder](const obs::TelemetrySample* prev,
                                 const obs::TelemetrySample& cur) {
-    recorder_->record_telemetry_row(obs::to_json(cur));
+    recorder->record_telemetry_row(obs::to_json(cur));
     if (prev == nullptr) return;  // a window needs two samples
-    for (obs::SloMonitor* m : monitors_) m->observe(*prev, cur);
+    for (const auto& m : monitors) m->observe(*prev, cur);
     if (ladder != nullptr) {
       std::vector<obs::HealthState> states;
-      states.reserve(monitors_.size());
-      for (obs::SloMonitor* m : monitors_) states.push_back(m->state());
+      states.reserve(monitors.size());
+      for (const auto& m : monitors) states.push_back(m->state());
       ladder->on_health_windows(states);
     }
   };
@@ -510,6 +499,8 @@ void ServeRun::ingest_stream(int s) {
     task.meta = std::move(*meta);
     task.trace = span.context();
     task.ingest_ns = tracer_.now_ns();
+    if (task.trace.trace_id != 0)
+      state.trace_ids.push_back(task.trace.trace_id);
     control_q_.push(std::move(task));
     state.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
     ingest_stage_.processed->inc();
@@ -594,8 +585,8 @@ void ServeRun::control_frame(StreamState& state, FrameTask&& task) {
         injector_ != nullptr
             ? injector_->forced_degrade_level(dt.stream, dt.step.index)
             : std::nullopt;
-    dt.decision = admission_->decide(dt.stream, dt.step.index,
-                                     tracer_.now_ns(), forced);
+    dt.decision = admission->decide(dt.stream, dt.step.index,
+                                    tracer_.now_ns(), forced);
   }
   if (!dt.decision.admit) {
     emit_unscanned(std::move(dt), true);
@@ -822,7 +813,7 @@ void ServeRun::collect() {
     // Tail sampling: a deadline miss, a drop or a shed makes this frame's
     // chain worth keeping verbatim when the rings are ingested after the run.
     if (missed || task->backpressure_dropped || task->shed)
-      sampler_->mark_interesting(task->trace.trace_id);
+      sampler->mark_interesting(task->trace.trace_id);
     if (task->backpressure_dropped) c.backpressure_drops->inc();
     if (task->shed) {
       if (c.shed != nullptr) c.shed->inc();
@@ -870,7 +861,7 @@ void ServeRun::watchdog() {
           st.last_progress_ns.load(std::memory_order_relaxed);
       if (now > last && now - last > timeout_ns) {
         st.watchdog_fired.store(true, std::memory_order_relaxed);
-        admission_->force_level(s, DegradeLevel::Shed, "watchdog");
+        admission->force_level(s, DegradeLevel::Shed, "watchdog");
         registry_.counter("runtime.watchdog_fired", stream_labels(s)).inc();
       }
     }
@@ -894,20 +885,22 @@ std::string ServeRun::finalise(std::uint64_t serve_id) {
   // missed, then the monitors' verdicts become part of the results.
   if (telemetry_) telemetry_->stop();
 
-  // Writers have quiesced: feed the tail sampler and the flight recorder
-  // from the tracer rings. snapshot() (not drain()) leaves the spans in
-  // place for callers that export their own traces after serve().
-  if (tracer_.enabled()) {
+  // Writers have quiesced: feed the sampler and the recorder this serve's
+  // chains from the tracer rings. snapshot() (not drain()) leaves the spans
+  // in place for callers that export their own traces after serve().
+  std::vector<std::uint64_t> ids;
+  for (const auto& st : streams_)
+    ids.insert(ids.end(), st->trace_ids.begin(), st->trace_ids.end());
+  if (!ids.empty()) {
+    std::sort(ids.begin(), ids.end());
+    std::vector<obs::SpanRecord> spans = tracer_.snapshot();
+    std::erase_if(spans, [&ids](const obs::SpanRecord& r) {
+      return !std::binary_search(ids.begin(), ids.end(), r.trace_id);
+    });
     const std::vector<obs::FrameTrace> chains =
-        obs::assemble_frame_traces(tracer_.snapshot());
-    sampler_->ingest(chains);
-    for (const obs::FrameTrace& chain : chains) recorder_->record_frame(chain);
-    registry_.gauge("obs.sampler.frames_seen")
-        .set(static_cast<double>(sampler_->frames_seen()));
-    registry_.gauge("obs.sampler.frames_retained")
-        .set(static_cast<double>(sampler_->frames_retained()));
-    registry_.gauge("obs.sampler.spans_seen")
-        .set(static_cast<double>(sampler_->spans_seen()));
+        obs::assemble_frame_traces(spans);
+    sampler->ingest(chains);
+    for (const obs::FrameTrace& chain : chains) recorder->record_frame(chain);
   }
 
   // Write a dump requested by an UNHEALTHY transition, now that the
@@ -919,7 +912,7 @@ std::string ServeRun::finalise(std::uint64_t serve_id) {
   if (dir.empty()) return {};
   const std::string path =
       dir + "/flight_bundle_serve" + std::to_string(serve_id) + ".json";
-  return recorder_->dump_to_file(path, "health transition to UNHEALTHY")
+  return recorder->dump_to_file(path, "health transition to UNHEALTHY")
              ? path
              : std::string();
 }
@@ -950,17 +943,17 @@ std::vector<StreamResult> ServeRun::assemble() {
     result.source_retries = state.source_retries.load();
     result.source_failed = state.source_failed.load();
     result.watchdog_fired = state.watchdog_fired.load();
-    if (admission_ != nullptr) {
-      const AdmissionStats stats = admission_->stats(s);
+    if (admission != nullptr) {
+      const AdmissionStats stats = admission->stats(s);
       result.shed_frames = stats.shed;
       result.coasted_frames = stats.coasted;
       result.degraded_scans = stats.degraded_scans;
-      result.degrade_level = admission_->level(s);
-      result.degrade_transitions = admission_->transitions(s);
+      result.degrade_level = admission->level(s);
+      result.degrade_transitions = admission->transitions(s);
     }
-    if (!monitors_.empty()) {
-      result.health = monitors_[us]->state();
-      result.health_transitions = monitors_[us]->transitions();
+    if (!monitors.empty()) {
+      result.health = monitors[us]->state();
+      result.health_transitions = monitors[us]->transitions();
     }
   }
   return results;
@@ -975,26 +968,23 @@ StreamServer::StreamServer(const core::AdaptiveSystem& system,
   config_.control_workers = std::max(1, config_.control_workers);
   config_.detect_workers = std::max(1, config_.detect_workers);
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.ops.enabled) {
-    if (!(config_.ops.max_profile_seconds > 0.0))
-      config_.ops.max_profile_seconds = 10.0;
-    profiler_ = std::make_unique<obs::SampleProfiler>(config_.ops.profiler);
-    ops_ = std::make_unique<obs::OpsServer>(config_.ops.server);
-    install_ops_endpoints();
-    if (!ops_->start())
-      throw std::runtime_error(
-          "StreamServer: ops server failed to bind " +
-          config_.ops.server.bind_address + ":" +
-          std::to_string(config_.ops.server.port));
-  }
+  if (!config_.ops.enabled) return;
+  ShardedServerConfig fleet;  // a fleet of one shard: this server
+  fleet.shards = 1;
+  fleet.shard = config_;
+  ops_ = std::make_unique<OpsSurface>(
+      "stream-server", std::move(fleet), serve_count_,
+      [this] { return std::vector<ObsView>{obs_view()}; });
 }
 
-StreamServer::~StreamServer() {
-  // Ops handler threads read the members below; take them down first. The
-  // profiler's timer thread only touches the (global) tracer, but a window
-  // left running would outlive its owner.
-  if (ops_) ops_->stop();
-  if (profiler_) profiler_->stop();
+StreamServer::~StreamServer() = default;
+
+obs::OpsServer* StreamServer::ops_server() const {
+  return ops_ ? &ops_->server() : nullptr;
+}
+
+obs::SampleProfiler* StreamServer::profiler() const {
+  return ops_ ? &ops_->profiler() : nullptr;
 }
 
 std::vector<StreamResult> StreamServer::serve_sequences(
@@ -1016,10 +1006,10 @@ std::vector<StreamResult> StreamServer::serve(
     // from these objects live. The previous serve's go here.
     std::lock_guard<std::mutex> lock(obs_mutex_);
     stream_count_ = n_streams;
-    admission_ = std::move(run.admission);
-    sampler_ = std::move(run.sampler);
-    recorder_ = std::move(run.recorder);
-    monitors_ = std::move(run.monitors);
+    admission_ = run.admission;
+    sampler_ = run.sampler;
+    recorder_ = run.recorder;
+    monitors_ = run.monitors;
     serve_id = serve_count_.fetch_add(1) + 1;
   }
   run.launch();
@@ -1028,203 +1018,32 @@ std::vector<StreamResult> StreamServer::serve(
   return run.assemble();
 }
 
-std::vector<obs::HealthState> StreamServer::live_stream_health() const {
+StreamServer::ObsView StreamServer::obs_view() const {
   std::lock_guard<std::mutex> lock(obs_mutex_);
-  std::vector<obs::HealthState> states(stream_count_,
-                                       obs::HealthState::Healthy);
-  for (std::size_t s = 0; s < monitors_.size(); ++s)
-    states[s] = monitors_[s]->state();
-  return states;
+  ObsView view{admission_ != nullptr, std::vector<StreamView>(stream_count_),
+               sampler_, recorder_};
+  for (std::size_t s = 0; s < stream_count_; ++s) {
+    StreamView& row = view.streams[s];
+    const int i = static_cast<int>(s);
+    row.name = stream_name(config_, i);
+    if (s < monitors_.size()) row.health = monitors_[s]->state();
+    if (admission_) {
+      row.level = admission_->level(i);
+      row.stats = admission_->stats(i);
+    }
+  }
+  return view;
 }
 
-// The standard introspection surface (see StreamOpsConfig). Handlers run on
-// the ops server's pool threads, concurrently with serve(): everything they
-// read is either internally thread-safe (registry, sampler, recorder,
-// monitors, profiler) or swapped under obs_mutex_.
-void StreamServer::install_ops_endpoints() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+void StreamServer::set_fleet_pressure(bool pressure) {
+  std::lock_guard<std::mutex> lock(obs_mutex_);
+  if (admission_) admission_->set_fleet_pressure(pressure);
+}
 
-  ops_->handle("/metricsz", [&registry](const obs::HttpRequest&) {
-    return obs::prometheus_response(registry);
-  });
-  ops_->handle("/metricsz.json", [&registry](const obs::HttpRequest&) {
-    return obs::metrics_json_response(registry);
-  });
-
-  // Live health: mid-serve the monitors answer with their current state
-  // machine position; between serves (or with monitoring disabled) the last
-  // serve's verdicts answer. 503 on an UNHEALTHY fleet makes this directly
-  // usable as a load-balancer / orchestrator readiness probe.
-  ops_->handle("/healthz", [this](const obs::HttpRequest&) {
-    std::vector<obs::HealthState> states = live_stream_health();
-    struct OverloadRow {
-      DegradeLevel level = DegradeLevel::Full;
-      AdmissionStats stats;
-    };
-    std::vector<OverloadRow> overload;
-    bool admission_on = false;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (admission_) {
-        admission_on = true;
-        overload.resize(states.size());
-        for (std::size_t s = 0; s < states.size(); ++s) {
-          overload[s].level = admission_->level(static_cast<int>(s));
-          overload[s].stats = admission_->stats(static_cast<int>(s));
-        }
-      }
-    }
-    const obs::HealthState fleet = obs::worst_of(states);
-    std::ostringstream os;
-    os << "{\"fleet\":\"" << obs::to_string(fleet) << "\",\"admission\":"
-       << (admission_on ? "true" : "false") << ",\"streams\":[";
-    for (std::size_t s = 0; s < states.size(); ++s) {
-      if (s != 0) os << ',';
-      os << "{\"stream\":" << s << ",\"state\":\""
-         << obs::to_string(states[s]) << "\"";
-      if (s < overload.size()) {
-        const OverloadRow& row = overload[s];
-        os << ",\"degrade_level\":" << static_cast<int>(row.level)
-           << ",\"admitted\":" << row.stats.admitted
-           << ",\"shed\":" << row.stats.shed
-           << ",\"coasted\":" << row.stats.coasted
-           << ",\"degraded_scans\":" << row.stats.degraded_scans;
-      }
-      os << "}";
-    }
-    os << "]}";
-    obs::HttpResponse res;
-    res.status = fleet == obs::HealthState::Unhealthy ? 503 : 200;
-    res.content_type = "application/json";
-    res.body = os.str();
-    return res;
-  });
-
-  ops_->handle("/tracez", [this](const obs::HttpRequest&) {
-    std::vector<obs::RetainedFrame> retained;
-    std::vector<obs::SpanStats> stats;
-    std::uint64_t frames_seen = 0, frames_retained = 0, spans_seen = 0,
-                  evicted = 0;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (sampler_) {
-        retained = sampler_->retained();
-        stats = sampler_->stats();
-        frames_seen = sampler_->frames_seen();
-        frames_retained = sampler_->frames_retained();
-        spans_seen = sampler_->spans_seen();
-        evicted = sampler_->retained_evicted();
-      }
-    }
-    std::ostringstream os;
-    os << "{\"frames_seen\":" << frames_seen
-       << ",\"frames_retained\":" << frames_retained
-       << ",\"spans_seen\":" << spans_seen
-       << ",\"retained_evicted\":" << evicted << ",\"span_stats\":[";
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      if (i != 0) os << ',';
-      os << obs::to_json(stats[i]);
-    }
-    os << "],\"retained\":[";
-    for (std::size_t i = 0; i < retained.size(); ++i) {
-      if (i != 0) os << ',';
-      os << obs::to_json(retained[i]);
-    }
-    os << "]}";
-    return obs::HttpResponse{200, "application/json", os.str()};
-  });
-
-  ops_->handle("/flightz", [this](const obs::HttpRequest&) {
-    std::string body;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (recorder_) body = recorder_->dump("ops /flightz request");
-    }
-    if (body.empty())
-      body =
-          "{\"reason\":\"no serve has run yet\",\"streams\":{},"
-          "\"telemetry\":[],\"slo_transitions\":[]}";
-    return obs::HttpResponse{200, "application/json", std::move(body)};
-  });
-
-  ops_->handle("/statusz", [this, &registry](const obs::HttpRequest&) {
-    obs::publish_process_metrics(registry);  // keep /statusz and /metricsz in sync
-    // Aggregate overload accounting across streams (zero when admission is
-    // off — the fields are always present so parsers stay simple).
-    AdmissionStats totals;
-    int max_level = 0;
-    bool admission_live = false;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (admission_) {
-        admission_live = true;
-        for (std::size_t s = 0; s < stream_count_; ++s) {
-          const AdmissionStats st = admission_->stats(static_cast<int>(s));
-          totals.admitted += st.admitted;
-          totals.shed += st.shed;
-          totals.shed_by_bucket += st.shed_by_bucket;
-          totals.coasted += st.coasted;
-          totals.degraded_scans += st.degraded_scans;
-          max_level = std::max(
-              max_level,
-              static_cast<int>(admission_->level(static_cast<int>(s))));
-        }
-      }
-    }
-    std::ostringstream os;
-    os << "{\"build\":{\"version\":\"" << obs::json::escape(obs::build_version())
-       << "\",\"mode\":\"" << obs::json::escape(obs::build_mode())
-       << "\"},\"uptime_seconds\":" << obs::process_uptime_seconds()
-       << ",\"serves\":" << serve_count_.load()
-       << ",\"ops_requests\":" << ops_->requests_served()
-       << ",\"config\":{\"ingest_workers\":" << config_.ingest_workers
-       << ",\"control_workers\":" << config_.control_workers
-       << ",\"detect_workers\":" << config_.detect_workers
-       << ",\"queue_capacity\":" << config_.queue_capacity
-       << ",\"detect_policy\":\"" << to_string(config_.detect_policy)
-       << "\",\"slo_enabled\":" << (config_.slo.enabled ? "true" : "false")
-       << ",\"frame_budget_ms\":" << config_.slo.frame_budget_ms
-       << ",\"admission_enabled\":"
-       << (config_.admission.enabled ? "true" : "false")
-       << ",\"watchdog_enabled\":"
-       << (config_.watchdog.enabled ? "true" : "false")
-       << ",\"fault_injection\":"
-       << (config_.fault_injector != nullptr ? "true" : "false")
-       << ",\"ops_port\":" << ops_->port()
-       << ",\"profiler_hz\":" << profiler_->config().hz
-       << ",\"max_profile_seconds\":" << config_.ops.max_profile_seconds
-       << "},\"admission\":{\"live\":" << (admission_live ? "true" : "false")
-       << ",\"max_degrade_level\":" << max_level
-       << ",\"admitted\":" << totals.admitted
-       << ",\"shed\":" << totals.shed
-       << ",\"shed_by_bucket\":" << totals.shed_by_bucket
-       << ",\"coasted\":" << totals.coasted
-       << ",\"degraded_scans\":" << totals.degraded_scans << "}}";
-    return obs::HttpResponse{200, "application/json", os.str()};
-  });
-
-  // On-demand profile: blocks its handler thread for the window (clamped to
-  // max_profile_seconds); concurrent requests serialise inside run_for().
-  ops_->handle("/profilez", [this](const obs::HttpRequest& req) {
-    // std::from_chars is locale-independent: "1,5" is rejected outright
-    // instead of silently parsing as 1 (or as 1.5 under a comma-decimal
-    // locale), and must consume the whole value.
-    const std::string secs = req.query_value("seconds", "1");
-    double seconds = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(secs.data(), secs.data() + secs.size(), seconds);
-    if (ec != std::errc{} || ptr != secs.data() + secs.size() ||
-        !(seconds > 0.0))
-      return obs::HttpResponse{400, "text/plain; charset=utf-8",
-                               "bad seconds value: " + secs + "\n"};
-    seconds = std::min(seconds, config_.ops.max_profile_seconds);
-    const obs::ProfileReport report = profiler_->run_for(
-        std::chrono::milliseconds(static_cast<long>(seconds * 1000.0)));
-    if (req.query_value("format") == "json")
-      return obs::HttpResponse{200, "application/json", report.to_json()};
-    return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                             report.to_collapsed()};
-  });
+std::vector<obs::HealthState> StreamServer::live_stream_health() const {
+  std::vector<obs::HealthState> states;
+  for (const StreamView& s : obs_view().streams) states.push_back(s.health);
+  return states;
 }
 
 }  // namespace avd::runtime

@@ -20,7 +20,7 @@ struct PartialBitstream {
   /// Optional configuration frames. When present (attach_payload), the
   /// reconfiguration controller verifies `crc` before driving the ICAP — a
   /// corrupted partial bitstream must never reach the fabric.
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> payload{};
   std::uint32_t crc = 0;
 
   [[nodiscard]] double megabytes() const {

@@ -51,7 +51,9 @@ TEST(PatchDataset, DarkFractionMarksPatches) {
   std::size_t dark = 0;
   for (const LabeledPatch& p : ds.patches) {
     dark += p.very_dark;
-    if (p.very_dark) EXPECT_GT(p.label, 0);  // only positives marked
+    if (p.very_dark) {
+      EXPECT_GT(p.label, 0);  // only positives marked
+    }
   }
   EXPECT_EQ(dark, 10u);
 }

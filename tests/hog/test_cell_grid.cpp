@@ -152,8 +152,11 @@ TEST(CellGrid, VerticalRampLandsExactlyInMiddleBin) {
   const CellGrid g = compute_cell_grid(im, {});
   const auto h = g.cell(1, 1);
   EXPECT_GT(h[4], 0.0f);
-  for (int b = 0; b < 9; ++b)
-    if (b != 4) EXPECT_FLOAT_EQ(h[b], 0.0f) << "bin " << b;
+  for (int b = 0; b < 9; ++b) {
+    if (b != 4) {
+      EXPECT_FLOAT_EQ(h[b], 0.0f) << "bin " << b;
+    }
+  }
 }
 
 /// The cell grid voted straight off compute_gradients, pixel by pixel in

@@ -12,6 +12,7 @@
 
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/stream_server.hpp"
+#include "../support/tiny_models.hpp"
 
 namespace avd::runtime {
 namespace {
@@ -30,15 +31,6 @@ constexpr int kTimingScale = 1;
 #else
 constexpr int kTimingScale = 1;
 #endif
-
-core::TrainingBudget tiny() {
-  core::TrainingBudget b;
-  b.vehicle_pos = b.vehicle_neg = 30;
-  b.pedestrian_pos = b.pedestrian_neg = 20;
-  b.dbn_windows_per_class = 40;
-  b.pairing_scenes = 20;
-  return b;
-}
 
 /// Day->Dark drives, `2 * frames_per_segment` frames each; different seeds
 /// per stream so cross-stream mixups would be visible.
@@ -111,7 +103,7 @@ class FaultInjectionTest : public ::testing::Test {
   static void SetUpTestSuite() {
     core::AdaptiveSystemConfig cfg;
     cfg.run_detectors = true;
-    system_ = new core::AdaptiveSystem(core::build_system_models(tiny()), cfg);
+    system_ = new core::AdaptiveSystem(test_support::tiny_models(), cfg);
   }
   static void TearDownTestSuite() {
     delete system_;

@@ -15,18 +15,10 @@
 #include "avd/obs/trace.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/soc/trace_export.hpp"
+#include "../support/tiny_models.hpp"
 
 namespace avd::runtime {
 namespace {
-
-core::TrainingBudget tiny() {
-  core::TrainingBudget b;
-  b.vehicle_pos = b.vehicle_neg = 30;
-  b.pedestrian_pos = b.pedestrian_neg = 20;
-  b.dbn_windows_per_class = 40;
-  b.pairing_scenes = 20;
-  return b;
-}
 
 std::vector<data::DriveSequence> four_streams(int frames_per_segment) {
   std::vector<data::DriveSequence> seqs;
@@ -46,7 +38,7 @@ struct TracedRun {
 };
 
 TracedRun traced_serve() {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);
@@ -162,7 +154,7 @@ TEST(FrameTracing, ExportedChromeTraceLinksFramesWithFlowEvents) {
 }
 
 TEST(FrameTracing, DisabledTracerRecordsNothingAndServeStillWorks) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);
@@ -177,6 +169,36 @@ TEST(FrameTracing, DisabledTracerRecordsNothingAndServeStillWorks) {
   for (const StreamResult& r : results)
     EXPECT_FALSE(r.report.frames.empty());
   EXPECT_TRUE(tracer.snapshot().empty());
+}
+
+// A serve's tail sampler counts that serve's frames and nothing else: the
+// previous serve's spans are still in the tracer's rings (no clear()
+// between the two), and so are the ingest spans of each stream's final,
+// empty pull.
+TEST(FrameTracing, ConsecutiveServesIngestOnlyTheirOwnFrames) {
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = false;
+  core::AdaptiveSystem system(test_support::tiny_models(), cfg);
+  StreamServer server(system, {});
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const auto frames_of = [](const std::vector<StreamResult>& results) {
+    std::uint64_t n = 0;
+    for (const StreamResult& r : results) n += r.report.frames.size();
+    return n;
+  };
+  const std::vector<StreamResult> first =
+      server.serve_sequences(four_streams(3));
+  ASSERT_NE(server.trace_sampler(), nullptr);
+  EXPECT_EQ(server.trace_sampler()->frames_seen(), frames_of(first));
+  const std::vector<StreamResult> second =
+      server.serve_sequences(four_streams(2));
+  tracer.set_enabled(false);
+  tracer.clear();
+  ASSERT_NE(frames_of(first), frames_of(second));
+  EXPECT_EQ(server.trace_sampler()->frames_seen(), frames_of(second));
 }
 
 }  // namespace

@@ -4,29 +4,26 @@
 // fleet ops surface on the front door.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "avd/obs/json.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/ops_server.hpp"
+#include "avd/obs/trace.hpp"
 #include "avd/runtime/sharded_server.hpp"
 #include "avd/runtime/thread_pool.hpp"
+#include "../support/tiny_models.hpp"
 
 namespace avd::runtime {
 namespace {
-
-core::TrainingBudget tiny() {
-  core::TrainingBudget b;
-  b.vehicle_pos = b.vehicle_neg = 30;
-  b.pedestrian_pos = b.pedestrian_neg = 20;
-  b.dbn_windows_per_class = 40;
-  b.pairing_scenes = 20;
-  return b;
-}
 
 std::vector<data::DriveSequence> drives(int n, int frames_per_segment) {
   std::vector<data::DriveSequence> seqs;
@@ -96,7 +93,7 @@ TEST(ShardedServer, PlacementIsStableHashWithClampedOverrides) {
   EXPECT_EQ(stable_stream_hash("s0"), stable_stream_hash("s0"));
   EXPECT_NE(stable_stream_hash("s0"), stable_stream_hash("s1"));
 
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystem system(models, {});
 
   ShardedServerConfig fc;
@@ -124,7 +121,7 @@ TEST(ShardedServer, PlacementIsStableHashWithClampedOverrides) {
 // a shared scan pool — is bit-identical to the sequential run(), and the
 // scatter restores input order whatever the hash placed where.
 TEST(ShardedServer, ShardedBatchedServeMatchesSequentialExactly) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = true;
   ThreadPool pool(4);
@@ -188,7 +185,7 @@ TEST(ShardedServer, ShardedBatchedServeMatchesSequentialExactly) {
 // base: the base also folds stream=-only series from other tests sharing
 // the global registry.)
 TEST(ShardedServer, RollupShardMarginalsEqualLeafSums) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystem system(models, {});
 
   ShardedServerConfig fc;
@@ -221,7 +218,7 @@ TEST(ShardedServer, RollupShardMarginalsEqualLeafSums) {
 // runtime.stage.processed{stage=detect} counts exactly the frames of the
 // streams placed on it, and the shard series sum to the fleet total.
 TEST(ShardedServer, StageSeriesShardMarginalsSumToFleetTotal) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystem system(models, {});
 
   ShardedServerConfig fc;
@@ -263,14 +260,14 @@ TEST(ShardedServer, StageSeriesShardMarginalsSumToFleetTotal) {
 // shard=-labeled series whose marginals reconcile against the same scrape's
 // leaves, /healthz with the fleet worst-of, /statusz with the topology.
 TEST(ShardedServer, FrontDoorServesFleetMetricsHealthAndStatus) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystem system(models, {});
 
   ShardedServerConfig fc;
   fc.shards = 2;
   fc.shard.detect_workers = 1;
-  fc.ops_enabled = true;
-  fc.ops.port = 0;  // ephemeral
+  fc.shard.ops.enabled = true;
+  fc.shard.ops.server.port = 0;  // ephemeral
   ShardedServer front(system, fc);
   ASSERT_NE(front.ops_server(), nullptr);
   const std::uint16_t port = front.ops_server()->port();
@@ -324,7 +321,7 @@ TEST(ShardedServer, FrontDoorServesFleetMetricsHealthAndStatus) {
 // come back from the front door's /healthz as a string of a document that
 // parses, and /statusz must parse too.
 TEST(ShardedServer, FrontDoorEscapesStreamNames) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);
@@ -332,8 +329,8 @@ TEST(ShardedServer, FrontDoorEscapesStreamNames) {
   ShardedServerConfig fc;
   fc.shards = 1;
   fc.shard.detect_workers = 1;
-  fc.ops_enabled = true;
-  fc.ops.port = 0;  // ephemeral
+  fc.shard.ops.enabled = true;
+  fc.shard.ops.server.port = 0;  // ephemeral
   ShardedServer front(system, fc);
   ASSERT_NE(front.ops_server(), nullptr);
   const std::uint16_t port = front.ops_server()->port();
@@ -360,6 +357,178 @@ TEST(ShardedServer, FrontDoorEscapesStreamNames) {
   const auto statusz = obs::http_get(port, "/statusz");
   ASSERT_TRUE(statusz.has_value());
   EXPECT_TRUE(obs::json::valid(statusz->body)) << statusz->body;
+}
+
+core::AdaptiveSystemConfig control_only() {
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = false;
+  return cfg;
+}
+
+/// GET `target` from the front door; require `status` and a body the strict
+/// JSON parser accepts.
+obs::json::Value get_json(std::uint16_t port, const std::string& target,
+                          int status = 200) {
+  const std::optional<obs::HttpResponse> res = obs::http_get(port, target);
+  EXPECT_TRUE(res.has_value()) << target;
+  if (!res.has_value()) return {};
+  EXPECT_EQ(res->status, status) << target;
+  const std::optional<obs::json::Value> doc = obs::json::parse(res->body);
+  EXPECT_TRUE(doc.has_value()) << target << " body: " << res->body;
+  return doc.value_or(obs::json::Value{});
+}
+
+/// Frames served per shard, from a serve's results and its placement.
+std::vector<std::uint64_t> frames_per_shard(
+    const std::vector<StreamResult>& results, const std::vector<int>& shard,
+    int shards) {
+  std::vector<std::uint64_t> frames(static_cast<std::size_t>(shards), 0);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    frames[static_cast<std::size_t>(shard[i])] +=
+        results[i].report.frames.size();
+  return frames;
+}
+
+// The front door answers the seven endpoints a StreamServer answers, from
+// the same code: each one mid-serve with a body that parses, /profilez
+// sampling the shards' detect stage, /tracez?shard=m one shard's frames,
+// and a bad ?shard= refused.
+TEST(ShardedServer, FrontDoorAnswersEveryEndpoint) {
+  core::AdaptiveSystem system(test_support::tiny_models(), control_only());
+
+  ShardedServerConfig fc;
+  fc.shards = 2;
+  fc.assign_override = {{"s0", 0}, {"s1", 1}, {"s2", 0}, {"s3", 1}};
+  fc.shard.detect_workers = 1;
+  fc.shard.simulated_accel_ms = 10.0;  // keep detect spans open to sample
+  fc.shard.ops.enabled = true;
+  fc.shard.ops.server.handler_threads = 3;
+  ShardedServer front(system, fc);
+  ASSERT_NE(front.ops_server(), nullptr);
+  const std::uint16_t port = front.ops_server()->port();
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  std::vector<StreamResult> results;
+  std::thread serving([&] { results = front.serve_sequences(drives(4, 8)); });
+
+  const auto profile = obs::http_get(port, "/profilez?seconds=0.3");
+  ASSERT_TRUE(profile.has_value());
+  EXPECT_EQ(profile->status, 200);
+  EXPECT_NE(profile->body.find("detect_frame"), std::string::npos)
+      << profile->body;
+  const auto metrics = obs::http_get(port, "/metricsz");
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_EQ(metrics->status, 200);
+  EXPECT_EQ(metrics->content_type, obs::kPrometheusContentType);
+  for (const char* target :
+       {"/metricsz.json", "/healthz", "/statusz", "/tracez", "/flightz",
+        "/tracez?shard=1", "/flightz?shard=1",
+        "/profilez?seconds=0.05&format=json"})
+    (void)get_json(port, target);
+  serving.join();
+  tracer.set_enabled(false);
+
+  ASSERT_EQ(results.size(), 4u);
+  const std::vector<std::uint64_t> frames =
+      frames_per_shard(results, front.last_assignment(), 2);
+  ASSERT_NE(frames[1], 0u);
+  const obs::json::Value shard1 = get_json(port, "/tracez?shard=1");
+  ASSERT_NE(shard1.find("frames_seen"), nullptr);
+  EXPECT_EQ(shard1.find("frames_seen")->number,
+            static_cast<double>(frames[1]));
+  tracer.clear();
+
+  for (const char* target : {"/tracez?shard=x", "/flightz?shard=x",
+                             "/tracez?shard=1x", "/tracez?shard="}) {
+    const auto res = obs::http_get(port, target);
+    ASSERT_TRUE(res.has_value()) << target;
+    EXPECT_EQ(res->status, 400) << target;
+  }
+  for (const char* target :
+       {"/tracez?shard=9", "/flightz?shard=9", "/tracez?shard=-1"}) {
+    const auto res = obs::http_get(port, target);
+    ASSERT_TRUE(res.has_value()) << target;
+    EXPECT_EQ(res->status, 404) << target;
+  }
+}
+
+// Each shard's sampler ingests only the chains of the frames that shard
+// served, though every shard's spans share the process-wide tracer rings:
+// the shards' frames_seen sum to the frames the fleet served.
+TEST(ShardedServer, TracedShardsSumToFramesServed) {
+  core::AdaptiveSystem system(test_support::tiny_models(), control_only());
+
+  ShardedServerConfig fc;
+  fc.shards = 2;
+  fc.assign_override = {{"s0", 0}, {"s1", 1}, {"s2", 1}};
+  fc.shard.ops.enabled = true;
+  ShardedServer front(system, fc);
+  const std::uint16_t port = front.ops_server()->port();
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const std::vector<StreamResult> results =
+      front.serve_sequences(drives(3, 2));
+  tracer.set_enabled(false);
+
+  const std::vector<std::uint64_t> frames =
+      frames_per_shard(results, front.last_assignment(), 2);
+  double sum = 0.0;
+  for (int m = 0; m < 2; ++m) {
+    const obs::json::Value tracez =
+        get_json(port, "/tracez?shard=" + std::to_string(m));
+    ASSERT_NE(tracez.find("frames_seen"), nullptr);
+    EXPECT_EQ(tracez.find("frames_seen")->number,
+              static_cast<double>(frames[static_cast<std::size_t>(m)]))
+        << "shard " << m;
+    sum += tracez.find("frames_seen")->number;
+  }
+  tracer.clear();
+  EXPECT_EQ(sum, static_cast<double>(frames[0] + frames[1]));
+}
+
+// Regression: the front door's /healthz read each shard's admission
+// controller without the shard's lock while the shard's serve() swapped it.
+// Scrape in a loop across serves with the ladder live, health transitions
+// firing and the fleet-pressure signal recomputed on each of them (TSan
+// reports the race; the stress lane repeats this).
+TEST(ShardedServer, FrontDoorHealthzScrapedDuringServesIsRaceFree) {
+  core::AdaptiveSystem system(test_support::tiny_models(), control_only());
+
+  ShardedServerConfig fc;
+  fc.shards = 2;
+  fc.fleet_pressure_fraction = 0.25;
+  fc.shard.detect_workers = 1;
+  fc.shard.simulated_accel_ms = 1.0;
+  fc.shard.admission.enabled = true;
+  fc.shard.slo.enabled = true;
+  fc.shard.slo.frame_budget_ms = 1e-4;  // every frame misses: transitions
+  fc.shard.slo.telemetry_period = std::chrono::milliseconds(1);
+  fc.shard.slo.hysteresis.breaches_to_worsen = 1;
+  fc.shard.ops.enabled = true;
+  ShardedServer front(system, fc);
+  const std::uint16_t port = front.ops_server()->port();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> scrapes{0}, bad{0};
+  std::thread scraper([&] {
+    while (!stop.load()) {
+      const auto res = obs::http_get(port, "/healthz");
+      if (!res.has_value() || (res->status != 200 && res->status != 503) ||
+          !obs::json::valid(res->body))
+        bad.fetch_add(1);
+      scrapes.fetch_add(1);
+    }
+  });
+  for (int serve = 0; serve < 3; ++serve)
+    EXPECT_EQ(front.serve_sequences(drives(4, 2)).size(), 4u);
+  stop.store(true);
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0);
+  EXPECT_EQ(bad.load(), 0);
 }
 
 }  // namespace

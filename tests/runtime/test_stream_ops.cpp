@@ -16,20 +16,12 @@
 #include "avd/obs/ops_server.hpp"
 #include "avd/obs/trace.hpp"
 #include "avd/runtime/stream_server.hpp"
+#include "../support/tiny_models.hpp"
 
 namespace avd::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-core::TrainingBudget tiny() {
-  core::TrainingBudget b;
-  b.vehicle_pos = b.vehicle_neg = 30;
-  b.pedestrian_pos = b.pedestrian_neg = 20;
-  b.dbn_windows_per_class = 40;
-  b.pairing_scenes = 20;
-  return b;
-}
 
 std::vector<data::DriveSequence> streams(int n, int frames_per_segment,
                                          std::uint64_t seed) {
@@ -63,7 +55,7 @@ obs::json::Value get_json_ok(std::uint16_t port, const std::string& target,
 }
 
 TEST(StreamOps, OpsPlaneDisabledByDefault) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
   StreamServer server(system, {});
   EXPECT_EQ(server.ops_server(), nullptr);
@@ -71,7 +63,7 @@ TEST(StreamOps, OpsPlaneDisabledByDefault) {
 }
 
 TEST(StreamOps, BindFailureThrows) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   StreamServerConfig first_cfg;
@@ -87,7 +79,7 @@ TEST(StreamOps, BindFailureThrows) {
 }
 
 TEST(StreamOps, EveryEndpointAnswersDuringLiveServe) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   StreamServerConfig sc;
@@ -222,7 +214,7 @@ TEST(StreamOps, EveryEndpointAnswersDuringLiveServe) {
 }
 
 TEST(StreamOps, HealthzFlipsTo503OnForcedBreach) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   StreamServerConfig sc;

@@ -9,18 +9,10 @@
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/runtime/thread_pool.hpp"
+#include "../support/tiny_models.hpp"
 
 namespace avd::runtime {
 namespace {
-
-core::TrainingBudget tiny() {
-  core::TrainingBudget b;
-  b.vehicle_pos = b.vehicle_neg = 30;
-  b.pedestrian_pos = b.pedestrian_neg = 20;
-  b.dbn_windows_per_class = 40;
-  b.pairing_scenes = 20;
-  return b;
-}
 
 /// The four scripted drives served throughout this file: same shape,
 /// different seeds → different scenes, reconfig times, detections.
@@ -100,7 +92,7 @@ void expect_reports_identical(const core::AdaptiveRunReport& a,
 // The ISSUE acceptance test: 4 streams × 4 detect workers, with detection
 // enabled, must reproduce the sequential run() per stream bit for bit.
 TEST(StreamServer, FourStreamsFourWorkersMatchSequentialExactly) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = true;
   core::AdaptiveSystem system(models, cfg);
@@ -130,7 +122,7 @@ TEST(StreamServer, FourStreamsFourWorkersMatchSequentialExactly) {
 // parallelism nest on the same threads, and every per-stream report still
 // matches the sequential single-threaded run bit for bit.
 TEST(StreamServer, SharedScanPoolMatchesSequentialExactly) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   ThreadPool pool(4);
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = true;
@@ -162,7 +154,7 @@ TEST(StreamServer, SharedScanPoolMatchesSequentialExactly) {
 // invisible in the data plane — per-stream reports bit-identical to the
 // sequential oracle, no frame lost, no drops introduced.
 TEST(StreamServer, CrossStreamBatchingMatchesSequentialExactly) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   ThreadPool pool(4);
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = true;
@@ -198,7 +190,7 @@ TEST(StreamServer, CrossStreamBatchingMatchesSequentialExactly) {
 // (every frame reported). With the gather off, the same worker takes one
 // frame at a time, and the results must not move.
 TEST(StreamServer, CrossStreamBatchingWithCoastLadderIsDeterministic) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   ThreadPool pool(3);
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = true;
@@ -249,7 +241,7 @@ TEST(StreamServer, CrossStreamBatchingWithCoastLadderIsDeterministic) {
 // Running the server twice must give identical results (no scheduling
 // nondeterminism leaks into the data plane).
 TEST(StreamServer, RepeatedServesAreIdentical) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;  // control plane only: fast
   core::AdaptiveSystem system(models, cfg);
@@ -272,7 +264,7 @@ TEST(StreamServer, RepeatedServesAreIdentical) {
 // false with the pedestrian engine untouched (the paper's reconfiguration
 // drop, generalised to load shedding).
 TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);
@@ -329,7 +321,7 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
 }
 
 TEST(StreamServer, MetricsCoverEveryFrame) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);
@@ -390,7 +382,7 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
 // count all 120 frames. rollup() folds only population labels: there is no
 // fleet base summing the stages (480 for 120 frames).
 TEST(StreamServer, StageSeriesHaveNoBaseSummedOverStages) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);
@@ -420,7 +412,7 @@ TEST(StreamServer, StageSeriesHaveNoBaseSummedOverStages) {
 }
 
 TEST(StreamServer, EmptyAndSingleFrameStreams) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
   cfg.run_detectors = false;
   core::AdaptiveSystem system(models, cfg);

@@ -15,18 +15,10 @@
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/trace.hpp"
 #include "avd/runtime/stream_server.hpp"
+#include "../support/tiny_models.hpp"
 
 namespace avd::runtime {
 namespace {
-
-core::TrainingBudget tiny() {
-  core::TrainingBudget b;
-  b.vehicle_pos = b.vehicle_neg = 30;
-  b.pedestrian_pos = b.pedestrian_neg = 20;
-  b.dbn_windows_per_class = 40;
-  b.pairing_scenes = 20;
-  return b;
-}
 
 std::vector<data::DriveSequence> streams(int n, int frames_per_segment,
                                          std::uint64_t seed) {
@@ -47,7 +39,7 @@ core::AdaptiveSystemConfig control_only() {
 }
 
 TEST(StreamSlo, ComfortableBudgetStaysHealthy) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   StreamServerConfig sc;
@@ -69,7 +61,7 @@ TEST(StreamSlo, ComfortableBudgetStaysHealthy) {
 }
 
 TEST(StreamSlo, ImpossibleBudgetGoesUnhealthyAndFiresCallback) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   StreamServerConfig sc;
@@ -109,7 +101,7 @@ TEST(StreamSlo, ImpossibleBudgetGoesUnhealthyAndFiresCallback) {
 }
 
 TEST(StreamSlo, TelemetryJsonlSinkIsWrittenDuringServe) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   const std::string path = testing::TempDir() + "stream_slo_telemetry.jsonl";
@@ -144,7 +136,7 @@ TEST(StreamSlo, TelemetryJsonlSinkIsWrittenDuringServe) {
 }
 
 TEST(StreamSlo, DisabledMonitoringStillCountsLatencyAndFrames) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -176,7 +168,7 @@ TEST(StreamSlo, DisabledMonitoringStillCountsLatencyAndFrames) {
 }
 
 TEST(StreamSlo, ForcedBreachWritesParseableFlightBundle) {
-  const core::SystemModels models = core::build_system_models(tiny());
+  const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
 
   StreamServerConfig sc;

@@ -129,8 +129,12 @@ TEST(TraceExport, MergedTraceCombinesSpansAndInstants) {
   const MergedTraceOptions defaults;
   for (const obs::json::Value& e : events->array) {
     const int pid = static_cast<int>(e.find("pid")->number);
-    if (e.find("ph")->string == "X") EXPECT_EQ(pid, defaults.span_pid);
-    if (e.find("ph")->string == "i") EXPECT_EQ(pid, defaults.event_pid);
+    if (e.find("ph")->string == "X") {
+      EXPECT_EQ(pid, defaults.span_pid);
+    }
+    if (e.find("ph")->string == "i") {
+      EXPECT_EQ(pid, defaults.event_pid);
+    }
   }
 }
 
