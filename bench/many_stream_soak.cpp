@@ -135,7 +135,6 @@ int main() {
   // --- part A: baseline, one server, no batching ------------------------
   avd::runtime::StreamServerConfig base_sc;
   base_sc.ingest_workers = 4;
-  base_sc.control_workers = 2;
   base_sc.detect_workers = kBaselineWorkers;
   base_sc.queue_capacity = 32;
   base_sc.simulated_accel_ms = kAccelMs;
@@ -157,7 +156,6 @@ int main() {
   avd::runtime::ShardedServerConfig fc;
   fc.shards = kShards;
   fc.shard.ingest_workers = 4;
-  fc.shard.control_workers = 2;
   fc.shard.detect_workers = 1;  // one batch coordinator per shard
   fc.shard.queue_capacity = 32;
   fc.shard.scan_pool = &pool;
@@ -214,12 +212,9 @@ int main() {
   // for its expected share plus hash-placement skew, so no source waits
   // behind another's pacing sleep.
   pc.shard.ingest_workers = kStreams / kShards + 24;
-  // The control stage must never be the choke point: an ingest worker
-  // blocked pushing into a full control queue has already stamped the
-  // frame's latency clock, so a control backlog reads as admitted tail
-  // latency. Four workers per shard keep control drain above the offered
-  // rate; the intended bottleneck is the accelerator behind DropOldest.
-  pc.shard.control_workers = 4;
+  // Each stream's control step runs on its ingest worker, so these workers
+  // also keep control off the critical path; the intended bottleneck is
+  // the accelerator behind DropOldest.
   // Bounded admitted wait: an 8-deep DropOldest queue in front of a
   // coordinator that fans 8-frame batches onto the pool (~4 ms/cycle)
   // keeps any admitted frame's queue time in single-digit milliseconds;

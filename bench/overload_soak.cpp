@@ -123,7 +123,6 @@ int main() {
 
   avd::runtime::StreamServerConfig sc;
   sc.ingest_workers = kStreams;  // one paced source per worker, no HOL block
-  sc.control_workers = 2;
   sc.detect_workers = kDetectWorkers;
   // The latency contract is enforced structurally: four workers drain the
   // detect queue at ~1 ms/slot, so an 8-deep DropOldest queue bounds an

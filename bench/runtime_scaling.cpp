@@ -80,7 +80,6 @@ Measurement measure(const avd::core::AdaptiveSystem& system, int n_streams,
 
   avd::runtime::StreamServerConfig sc;
   sc.ingest_workers = 2;
-  sc.control_workers = 2;
   sc.detect_workers = detect_workers;
   sc.queue_capacity = 16;
   sc.simulated_accel_ms = accel_ms;

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
 
   avd::runtime::StreamServerConfig sc;
   sc.ingest_workers = 2;
-  sc.control_workers = 2;
   sc.detect_workers = 4;
   sc.queue_capacity = 8;
   // Try OverflowPolicy::DropOldest here to watch load shedding: overflowing

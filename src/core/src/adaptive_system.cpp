@@ -143,7 +143,11 @@ ControlStep AdaptiveSystem::StepSession::control_step(
   step.sensed = classifier_.update(step.light_level);
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.counter("core.control_steps").inc();
+  // Resolved once: a by-name lookup takes the registry's one mutex, which
+  // telemetry rollups hold for milliseconds, and every served frame's
+  // control step passes here (the registry never drops a series).
+  static obs::Counter& control_steps = registry.counter("core.control_steps");
+  control_steps.inc();
   if (step.sensed != prev_sensed_) registry.counter("core.mode_switches").inc();
   prev_sensed_ = step.sensed;
 

@@ -1,9 +1,10 @@
 // Offline reassembly of causal frame traces from drained spans.
 //
 // The tracer records spans per thread; a frame's journey through the
-// serving pipeline (ingest → control → detect → report) is therefore
-// shredded across rings. This module groups spans back by trace_id and
-// answers the questions the paper's temporal claims hinge on:
+// serving pipeline (ingest → control on one worker, then detect, then
+// report) is therefore shredded across rings. This module groups spans back
+// by trace_id and answers the questions the paper's temporal claims hinge
+// on:
 //
 //  * critical-path latency — first span begin to last span end of one
 //    trace, i.e. ingest-enqueue to report-dequeue for a runtime frame;

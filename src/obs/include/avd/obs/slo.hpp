@@ -110,24 +110,9 @@ class SloMonitor {
 /// The standard per-stream rule set the StreamServer installs, targeting the
 /// paper's budgets: frame-deadline misses (vs the 20 ms / 50 fps window),
 /// queue drop rate, and reconfiguration frame loss beyond the paper's
-/// one-frame cost. `prefix` is the stream's metric prefix, e.g.
-/// "runtime.stream0".
-[[nodiscard]] std::vector<SloRule> standard_stream_rules(
-    const std::string& prefix, double deadline_miss_degraded = 0.05,
-    double deadline_miss_unhealthy = 0.25, double drop_rate_degraded = 0.01,
-    double drop_rate_unhealthy = 0.10);
-
-/// Same rules over the labeled series `runtime.frames{stream="<id>"}` etc. —
-/// the form the StreamServer publishes since per-stream metrics moved from
-/// name prefixes to a label dimension.
-[[nodiscard]] std::vector<SloRule> standard_stream_rules_labeled(
-    std::int64_t stream_id, double deadline_miss_degraded = 0.05,
-    double deadline_miss_unhealthy = 0.25, double drop_rate_degraded = 0.01,
-    double drop_rate_unhealthy = 0.10);
-
-/// Same rules over an arbitrary label set — the sharded front door publishes
-/// per-stream series as `runtime.frames{shard="2",stream="s3"}`, and its
-/// monitors must read exactly those flat names.
+/// one-frame cost. The rules read the stream's labeled series, e.g.
+/// `runtime.frames{shard="2",stream="s3"}` for `labels`
+/// {{"shard","2"},{"stream","s3"}}.
 [[nodiscard]] std::vector<SloRule> standard_stream_rules_labeled(
     const Labels& labels, double deadline_miss_degraded = 0.05,
     double deadline_miss_unhealthy = 0.25, double drop_rate_degraded = 0.01,

@@ -16,11 +16,11 @@
 //  * **Causal frame tracing** (Dapper-style): a `TraceContext` names one
 //    logical frame's journey (`trace_id`) and the span it is currently
 //    inside (`parent_span_id`). The context travels two ways: explicitly,
-//    carried with the frame across queue hops (runtime::FrameTask), and
-//    implicitly, through a thread-local that `TraceScope` installs and every
-//    armed `ScopedSpan` inherits and re-installs for its own children. A
-//    frame's spans therefore form one linked tree across worker threads,
-//    which soc::to_chrome_trace renders as Perfetto flow arcs.
+//    carried with the frame's task across queue hops, and implicitly,
+//    through a thread-local that `TraceScope` installs and every armed
+//    `ScopedSpan` inherits and re-installs for its own children. A frame's
+//    spans therefore form one linked tree across worker threads, which
+//    soc::to_chrome_trace renders as Perfetto flow arcs.
 //  * `drain()` / `snapshot()` collect every thread's spans into one vector.
 //    Like the rest of the repo's instrumentation (EventLog, the metrics
 //    registry's histograms) the read side is meant for quiesced writers: join your workers, then

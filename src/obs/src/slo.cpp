@@ -141,66 +141,32 @@ std::vector<HealthTransition> SloMonitor::transitions() const {
   return transitions_;
 }
 
-std::vector<SloRule> standard_stream_rules(const std::string& prefix,
-                                           double deadline_miss_degraded,
-                                           double deadline_miss_unhealthy,
-                                           double drop_rate_degraded,
-                                           double drop_rate_unhealthy) {
-  std::vector<SloRule> rules;
-  {
-    SloRule r;
-    r.name = "frame_deadline";
-    r.bad_counter = prefix + ".deadline_miss";
-    r.total_counter = prefix + ".frames";
-    r.degraded_above = deadline_miss_degraded;
-    r.unhealthy_above = deadline_miss_unhealthy;
-    rules.push_back(std::move(r));
-  }
-  {
-    SloRule r;
-    r.name = "queue_drops";
-    r.bad_counter = prefix + ".backpressure_drops";
-    r.total_counter = prefix + ".frames";
-    r.degraded_above = drop_rate_degraded;
-    r.unhealthy_above = drop_rate_unhealthy;
-    rules.push_back(std::move(r));
-  }
-  {
-    // The paper's contract: one reconfiguration costs exactly one frame.
-    // More than one lost frame per reconfiguration window breaks it.
-    SloRule r;
-    r.name = "reconfig_frame_loss";
-    r.bad_counter = prefix + ".reconfig_drops";
-    r.total_counter = prefix + ".reconfigs";
-    r.degraded_above = 1.0;   // > 1 frame per window: already off-contract
-    r.unhealthy_above = 2.0;  // > 2 frames per window
-    rules.push_back(std::move(r));
-  }
-  return rules;
-}
-
-std::vector<SloRule> standard_stream_rules_labeled(
-    std::int64_t stream_id, double deadline_miss_degraded,
-    double deadline_miss_unhealthy, double drop_rate_degraded,
-    double drop_rate_unhealthy) {
-  return standard_stream_rules_labeled(
-      Labels{{"stream", std::to_string(stream_id)}}, deadline_miss_degraded,
-      deadline_miss_unhealthy, drop_rate_degraded, drop_rate_unhealthy);
-}
-
 std::vector<SloRule> standard_stream_rules_labeled(
     const Labels& labels, double deadline_miss_degraded,
     double deadline_miss_unhealthy, double drop_rate_degraded,
     double drop_rate_unhealthy) {
-  std::vector<SloRule> rules =
-      standard_stream_rules("runtime", deadline_miss_degraded,
-                            deadline_miss_unhealthy, drop_rate_degraded,
-                            drop_rate_unhealthy);
-  for (SloRule& r : rules) {
-    r.bad_counter = labeled_name(r.bad_counter, labels);
-    r.total_counter = labeled_name(r.total_counter, labels);
-  }
-  return rules;
+  const auto rule = [&labels](const char* name, const char* bad,
+                              const char* total, double degraded,
+                              double unhealthy) {
+    SloRule r;
+    r.name = name;
+    r.bad_counter = labeled_name(bad, labels);
+    r.total_counter = labeled_name(total, labels);
+    r.degraded_above = degraded;
+    r.unhealthy_above = unhealthy;
+    return r;
+  };
+  return {
+      rule("frame_deadline", "runtime.deadline_miss", "runtime.frames",
+           deadline_miss_degraded, deadline_miss_unhealthy),
+      rule("queue_drops", "runtime.backpressure_drops", "runtime.frames",
+           drop_rate_degraded, drop_rate_unhealthy),
+      // The paper's contract: one reconfiguration costs exactly one frame.
+      // More than one lost frame per reconfiguration window is already
+      // off-contract; more than two is unhealthy.
+      rule("reconfig_frame_loss", "runtime.reconfig_drops", "runtime.reconfigs",
+           1.0, 2.0),
+  };
 }
 
 HealthState worst_of(std::span<const HealthState> states) {

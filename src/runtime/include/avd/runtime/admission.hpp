@@ -22,9 +22,10 @@
 //              `escalate_after_windows` further degraded windows (fast worsen)
 //   UNHEALTHY  level 3 immediately
 //
-// Fleet pressure: when at least `fleet_escalate_fraction` of all streams are
-// degraded-or-worse at once, escalation skips the per-stream dwell — local
-// degradation is not enough when the whole fleet is drowning.
+// Fleet pressure: while set_fleet_pressure() holds the flag (the sharded
+// front door raises it when at least `fleet_pressure_fraction` of the whole
+// fleet's streams are degraded-or-worse), escalation skips the per-stream
+// dwell — local degradation is not enough when the whole fleet is drowning.
 //
 // On top of the ladder, a per-stream token bucket (`TokenBucketConfig`)
 // bounds admitted frame rate outright, and `force_level()` lets the
@@ -67,12 +68,16 @@ struct TokenBucketConfig {
   double burst = 8.0;     ///< bucket depth: tolerated burst above the rate
 };
 
+/// Level 1: SlidingWindowParams.stride_cells multiplier.
+inline constexpr int kCoarseStrideMultiplier = 2;
+/// Level 1: cap on SlidingWindowParams.max_levels.
+inline constexpr int kCoarseMaxLevels = 3;
+/// Tracker shape used for level-2 coasting. max_misses bounds how many
+/// consecutive frames a box survives without a fresh scan.
+inline constexpr det::TrackerConfig kCoastTracker{};
+
 /// Shape of the ladder (see file comment for the semantics).
 struct DegradeLadderConfig {
-  /// Level 1: SlidingWindowParams.stride_cells multiplier.
-  int coarse_stride_multiplier = 2;
-  /// Level 1: cap on SlidingWindowParams.max_levels.
-  int coarse_max_levels = 3;
   /// Level 2: scan every `skip_modulus`-th frame (by frame index, so the
   /// scan/coast pattern is deterministic); coast the others. Min 2.
   int skip_modulus = 3;
@@ -85,12 +90,6 @@ struct DegradeLadderConfig {
   int max_degraded_level = 3;
   /// Healthy windows required per one-level step back up (slow recover).
   int recover_after_windows = 5;
-  /// Fraction of streams degraded-or-worse that counts as fleet pressure
-  /// (escalation then skips the per-stream dwell). 0 = off.
-  double fleet_escalate_fraction = 0.0;
-  /// Tracker shape used for level-2 coasting. max_misses bounds how many
-  /// consecutive frames a box survives without a fresh scan.
-  det::TrackerConfig coast_tracker;
 };
 
 struct AdmissionConfig {
@@ -140,10 +139,10 @@ struct AdmissionStats {
 };
 
 /// The controller. One per serve(); `decide()` is called from the control
-/// stage (per-stream sequential, any worker thread), `on_health_windows()`
-/// from the telemetry exporter thread, `force_level()` from the watchdog —
-/// all synchronised internally by one mutex (the control stage is cheap, the
-/// critical sections are tiny).
+/// step (per-stream sequential, on the stream's ingest worker),
+/// `on_health_windows()` from the telemetry exporter thread, `force_level()`
+/// from the watchdog — all synchronised internally by one mutex (the control
+/// step is cheap, the critical sections are tiny).
 class AdmissionController {
  public:
   using TransitionCallback = std::function<void(const DegradeTransition&)>;
@@ -151,7 +150,7 @@ class AdmissionController {
   AdmissionController(int n_streams, AdmissionConfig config);
 
   /// Invoked on every ladder transition, from whichever thread drove it
-  /// (control worker, telemetry thread, or watchdog). Set before serving.
+  /// (ingest worker, telemetry thread, or watchdog). Set before serving.
   void set_transition_callback(TransitionCallback cb);
 
   /// Admission verdict for one frame. `now_ns` feeds the token bucket (pass
@@ -166,12 +165,11 @@ class AdmissionController {
   /// advances the ladder per the rules in the file comment.
   void on_health_windows(const std::vector<obs::HealthState>& states);
 
-  /// External (cross-shard) fleet-pressure signal: while set, escalation
-  /// skips the per-stream dwell exactly as if `fleet_escalate_fraction` of
-  /// THIS controller's streams were degraded — the sharded front door raises
-  /// it when enough of the whole fleet is degraded, so one drowning shard's
-  /// neighbours tighten up before their own local fraction trips. OR-ed with
-  /// the internal fraction; applies from the next on_health_windows().
+  /// The fleet-pressure signal: while set, escalation skips the per-stream
+  /// dwell. The sharded front door raises it when enough of the whole fleet
+  /// is degraded, so one drowning shard's neighbours tighten up too (a
+  /// single server that wants the rule runs as a 1-shard front door).
+  /// Applies from the next on_health_windows().
   void set_fleet_pressure(bool pressure);
 
   /// Pin `stream` to `level`, permanently (health windows and fault plans
@@ -211,7 +209,7 @@ class AdmissionController {
   mutable std::mutex mutex_;
   std::vector<StreamSlot> streams_;
   TransitionCallback callback_;
-  bool external_fleet_pressure_ = false;  ///< set_fleet_pressure(); mutex_
+  bool fleet_pressure_ = false;  ///< set_fleet_pressure(); mutex_
 };
 
 }  // namespace avd::runtime

@@ -7,29 +7,13 @@
 // the same interface over a capture device.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "avd/datasets/sequence.hpp"
-#include "avd/obs/trace.hpp"
 
 namespace avd::runtime {
-
-/// One frame travelling through the pipeline, tagged with its origin.
-struct FrameTask {
-  int stream = 0;  ///< index of the source within the serve() call
-  int index = 0;   ///< frame index within the stream (dense, from 0)
-  data::SequenceFrame meta;  ///< ground truth + sensor reading
-  /// Causal identity of this frame's journey; each stage re-installs it
-  /// (obs::TraceScope) and re-parents it on its own span, so the frame's
-  /// spans chain across worker threads. Zero when tracing is disabled.
-  obs::TraceContext trace;
-  /// Tracer-timebase nanoseconds when the frame entered the pipeline;
-  /// report-side latency (and the 20 ms deadline check) measures from here.
-  std::uint64_t ingest_ns = 0;
-};
 
 /// A pull-based stream of frames. next() is called by one ingest worker at a
 /// time (the StreamServer never shares a source between workers), so

@@ -30,7 +30,8 @@
 //   door adds the cross-shard fleet_pressure signal — when at least
 //   `fleet_pressure_fraction` of ALL fleet streams are degraded-or-worse,
 //   every shard's controller escalates without the per-stream dwell, so a
-//   drowning shard's neighbours tighten up before their local view trips.
+//   drowning shard's neighbours tighten up too. It is the one fleet-pressure
+//   rule: a single server that wants it runs as a 1-shard front door.
 // * Determinism: sharding + cross-stream batching never touch the data
 //   plane — per-stream results stay bit-identical to the sequential
 //   AdaptiveSystem::run(), whatever the placement (test-enforced).

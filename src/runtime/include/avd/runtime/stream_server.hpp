@@ -1,21 +1,20 @@
 // StreamServer: the concurrent multi-stream serving runtime.
 //
-// Runs the adaptive pipeline as a staged dataflow over bounded queues:
+// Runs the adaptive pipeline as three stages over two bounded queues:
 //
-//   sources ── ingest ──> [control queue] ── control ──> [detect queue]
-//              workers      (always Block)   workers       (configurable)
+//   sources ── ingest+control ──> [detect queue] ── detect ──┐
+//              workers             (configurable)   workers   │
 //                                                             │
-//   results <── collector <── [report queue] <── detect ──────┘
-//                               (Block)          workers
+//   results <── collector <── [report queue] <────────────────┘
+//                               (Block)
 //
-// * ingest   — pulls frames from N FrameSources (one worker per source at a
-//              time) into the control queue.
-// * control  — the sequential per-stream brain: lighting classification,
-//              reconfiguration decisions, frame scheduling, via
-//              core::AdaptiveSystem::StepSession. Frames of one stream are
-//              processed strictly in index order (a per-stream reorder
-//              buffer absorbs MPMC scheduling); different streams proceed
-//              concurrently.
+// * ingest+control — each worker claims whole FrameSources, pulls a frame
+//              and runs its control step right there: the sequential
+//              per-stream brain (lighting classification, reconfiguration
+//              decisions, frame scheduling, the admission verdict) via
+//              core::AdaptiveSystem::StepSession. A stream's frames leave
+//              one thread in index order, so the session needs no lock;
+//              different streams proceed concurrently.
 // * detect   — the heavy, embarrassingly parallel stage: pixel-level
 //              detection through the const AdaptiveSystem::evaluate_frame.
 //              This pool is the throughput knob.
@@ -33,8 +32,9 @@
 // Metrics: the global obs::MetricsRegistry is the one store. Per stage,
 // runtime.stage.latency_ns (histogram), runtime.stage.processed (counter)
 // and runtime.stage.queue_high_water (gauge, the input queue's depth
-// high-water over the latest serve), labeled stage=ingest|control|detect|
-// report; per stream, the runtime.* series the SLO rules read. Both carry
+// high-water over the latest serve; 0 for ingest and control, which have
+// none), labeled stage=ingest|control|detect|report; per stream, the
+// runtime.* series the SLO rules read. Both carry
 // StreamServerConfig::metric_labels. Detect-queue overflows are counted by
 // runtime.backpressure_drops{stream=}.
 #pragma once
@@ -66,13 +66,11 @@ class FaultInjector;   // avd/runtime/fault_injection.hpp
 class OpsSurface;      // the ops endpoints, src/runtime/src/ops_surface.hpp
 
 /// Retry policy for transient source failures: a source throwing
-/// TransientSourceError is retried with exponential backoff; past
-/// max_attempts total tries the stream ends there (StreamResult::source_failed)
-/// instead of wedging the serve.
+/// TransientSourceError is retried with exponential backoff (1 ms, doubled
+/// per attempt); past max_attempts total tries the stream ends there
+/// (StreamResult::source_failed) instead of wedging the serve.
 struct SourceRetryConfig {
   int max_attempts = 3;
-  std::chrono::milliseconds backoff{1};
-  double backoff_multiplier = 2.0;
 };
 
 /// Health monitoring attached to a serve() call: an always-on
@@ -80,6 +78,12 @@ struct SourceRetryConfig {
 /// duration and per-stream obs::SloMonitors evaluate each window
 /// (frame-deadline misses vs the 20 ms / 50 fps budget, queue drop rate,
 /// reconfiguration frame loss beyond the paper's one-frame cost).
+///
+/// Tail-based trace sampling is active whenever the tracer was enabled
+/// during serve(), independent of `enabled`: every 64th frame chain is
+/// retained as a healthy baseline (up to 256 chains), deadline misses and
+/// backpressure drops are always retained, everything else folds into
+/// per-span-name SpanStats. The flight recorder keeps 32 chains per stream.
 struct StreamSloConfig {
   /// Off by default: monitoring costs one background sampling thread; the
   /// per-stream counters feeding it are recorded regardless.
@@ -93,21 +97,12 @@ struct StreamSloConfig {
   std::string telemetry_jsonl;
   /// Hysteresis of the per-stream health state machines.
   obs::SloConfig hysteresis;
-  /// Thresholds for the standard rule set (obs::standard_stream_rules).
+  /// Thresholds for the standard rule set
+  /// (obs::standard_stream_rules_labeled).
   double deadline_miss_degraded = 0.05;
   double deadline_miss_unhealthy = 0.25;
   double drop_rate_degraded = 0.01;
   double drop_rate_unhealthy = 0.10;
-  /// Tail-based trace sampling (active whenever the tracer was enabled
-  /// during serve(), independent of `enabled` above): every Nth frame chain
-  /// is retained as a healthy baseline (0 = none), deadline misses and
-  /// backpressure drops are always retained, everything else folds into
-  /// per-span-name SpanStats.
-  std::uint64_t trace_head_sample_every = 64;
-  /// Bound of the sampler's retained-chain FIFO.
-  std::size_t trace_max_retained = 256;
-  /// Flight recorder: frame chains remembered per stream.
-  std::size_t flight_frames_per_stream = 32;
   /// Directory for automatic flight-recorder bundles, written at the end of
   /// a serve() during which some stream transitioned to UNHEALTHY. Empty:
   /// the AVD_FLIGHT_DIR environment variable is consulted, and when that is
@@ -128,8 +123,8 @@ struct StreamSloConfig {
 ///                   shard ?shard=m's (default 0) latest serve
 ///   /flightz        flight-recorder bundle of shard ?shard=m, on demand
 ///   /statusz        role, uptime, build identity, serving configuration
-///   /profilez       span-sampling profile over ?seconds=N (collapsed text;
-///                   ?format=json for the structured report)
+///   /profilez       span-sampling profile over ?seconds=N, at most 10
+///                   (collapsed text; ?format=json for the structured report)
 struct StreamOpsConfig {
   /// Off by default: the ops plane costs a listener socket plus
   /// 1 + handler_threads background threads.
@@ -139,23 +134,20 @@ struct StreamOpsConfig {
   obs::OpsServerConfig server;
   /// Sampling shape of the /profilez profiler.
   obs::SampleProfilerConfig profiler;
-  /// Upper bound on one /profilez window; larger ?seconds= values clamp.
-  double max_profile_seconds = 10.0;
 };
 
 struct StreamServerConfig {
-  /// Workers pumping sources into the control queue. More than one only
-  /// helps when several streams are served (a source is never shared).
+  /// Workers pulling sources and running each frame's control step (the
+  /// one that renders it when use_image_light_estimate is set). More than
+  /// one only helps when several streams are served (a source is never
+  /// shared).
   int ingest_workers = 1;
-  /// Workers running the per-stream control plane. Cheap stage; 1-2 suffice
-  /// unless use_image_light_estimate renders frames during control.
-  int control_workers = 1;
   /// Workers running pixel-level detection — the scaling knob.
   int detect_workers = 2;
   /// Capacity of every inter-stage queue.
   std::size_t queue_capacity = 16;
-  /// Backpressure policy of the detect queue only; control and report
-  /// queues always block (the control plane must see every frame).
+  /// Backpressure policy of the detect queue only; the report queue always
+  /// blocks (the collector must see every frame).
   OverflowPolicy detect_policy = OverflowPolicy::Block;
   /// Milliseconds each detect task additionally occupies its worker,
   /// modelling a blocking dispatch to the PL accelerator (which the paper

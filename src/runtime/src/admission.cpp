@@ -34,10 +34,6 @@ const char* to_string(DegradeLevel level) {
 
 AdmissionController::AdmissionController(int n_streams, AdmissionConfig config)
     : config_(config) {
-  config_.ladder.coarse_stride_multiplier =
-      std::max(1, config_.ladder.coarse_stride_multiplier);
-  config_.ladder.coarse_max_levels =
-      std::max(1, config_.ladder.coarse_max_levels);
   config_.ladder.skip_modulus = std::max(2, config_.ladder.skip_modulus);
   config_.ladder.escalate_after_windows =
       std::max(1, config_.ladder.escalate_after_windows);
@@ -146,19 +142,6 @@ void AdmissionController::on_health_windows(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::size_t n = std::min(states.size(), streams_.size());
-    // Fleet pressure: enough of the fleet degraded at once and escalation
-    // skips the per-stream dwell. The external flag carries the same signal
-    // from across shards (set by the sharded front door).
-    bool fleet_pressure = external_fleet_pressure_;
-    if (!fleet_pressure && config_.ladder.fleet_escalate_fraction > 0.0 &&
-        n > 0) {
-      std::size_t hot = 0;
-      for (std::size_t s = 0; s < n; ++s)
-        if (states[s] != obs::HealthState::Healthy) ++hot;
-      fleet_pressure =
-          static_cast<double>(hot) >=
-          config_.ladder.fleet_escalate_fraction * static_cast<double>(n);
-    }
     for (std::size_t s = 0; s < n; ++s) {
       StreamSlot& slot = streams_[s];
       const char* reason = "health";
@@ -172,14 +155,15 @@ void AdmissionController::on_health_windows(
         case obs::HealthState::Degraded:
           slot.healthy_streak = 0;
           ++slot.degraded_streak;
-          reason = fleet_pressure ? "health:fleet-pressure" : "health:degraded";
+          reason =
+              fleet_pressure_ ? "health:fleet-pressure" : "health:degraded";
           if (slot.health_target == DegradeLevel::Full) {
             // Fast worsen: the first degraded window drops fidelity.
             slot.health_target = DegradeLevel::CoarseScan;
             slot.degraded_streak = 0;
           } else if (static_cast<int>(slot.health_target) <
                          config_.ladder.max_degraded_level &&
-                     (fleet_pressure ||
+                     (fleet_pressure_ ||
                       slot.degraded_streak >=
                           config_.ladder.escalate_after_windows)) {
             slot.health_target = step_up(slot.health_target);
@@ -210,7 +194,7 @@ void AdmissionController::on_health_windows(
 
 void AdmissionController::set_fleet_pressure(bool pressure) {
   std::lock_guard<std::mutex> lock(mutex_);
-  external_fleet_pressure_ = pressure;
+  fleet_pressure_ = pressure;
 }
 
 void AdmissionController::force_level(int stream, DegradeLevel level,

@@ -18,6 +18,8 @@ using View = StreamServer::ObsView;
 
 constexpr const char* kJson = "application/json";
 constexpr const char* kText = "text/plain; charset=utf-8";
+// Upper bound on one /profilez window; larger ?seconds= values clamp.
+constexpr double kMaxProfileSeconds = 10.0;
 
 const char* json_bool(bool b) { return b ? "true" : "false"; }
 
@@ -94,7 +96,6 @@ std::string config_json_fields(const StreamServerConfig& c) {
   std::ostringstream os;
   os << "\"cross_stream_batching\":" << json_bool(c.cross_stream_batching)
      << ",\"ingest_workers\":" << c.ingest_workers
-     << ",\"control_workers\":" << c.control_workers
      << ",\"detect_workers\":" << c.detect_workers
      << ",\"queue_capacity\":" << c.queue_capacity
      << ",\"detect_policy\":\"" << to_string(c.detect_policy)
@@ -115,8 +116,7 @@ OpsSurface::OpsSurface(std::string role, ShardedServerConfig fleet,
       shards_(std::move(shards)),
       profiler_(fleet_.shard.ops.profiler),
       server_(fleet_.shard.ops.server) {
-  StreamOpsConfig& ops = fleet_.shard.ops;
-  if (!(ops.max_profile_seconds > 0.0)) ops.max_profile_seconds = 10.0;
+  const StreamOpsConfig& ops = fleet_.shard.ops;
   // One scrape answers for the whole fleet: the responses fold the
   // registry first, so shard= marginals and the fleet base are fresh.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -175,7 +175,7 @@ obs::HttpResponse OpsSurface::statusz() const {
      << ',' << config_json_fields(fleet_.shard)
      << ",\"ops_port\":" << server_.port()
      << ",\"profiler_hz\":" << profiler_.config().hz
-     << ",\"max_profile_seconds\":" << fleet_.shard.ops.max_profile_seconds
+     << ",\"max_profile_seconds\":" << kMaxProfileSeconds
      << "},\"admission\":{\"live\":" << json_bool(live)
      << ",\"max_degrade_level\":" << max_level
      << ",\"admitted\":" << totals.admitted << ",\"shed\":" << totals.shed
@@ -200,7 +200,7 @@ obs::HttpResponse OpsSurface::profilez(const obs::HttpRequest& req) {
   if (ec != std::errc{} || ptr != secs.data() + secs.size() ||
       !(seconds > 0.0))
     return {400, kText, "bad seconds value: " + secs + "\n"};
-  seconds = std::min(seconds, fleet_.shard.ops.max_profile_seconds);
+  seconds = std::min(seconds, kMaxProfileSeconds);
   const obs::ProfileReport report = profiler_.run_for(
       std::chrono::milliseconds(static_cast<long>(seconds * 1000.0)));
   if (req.query_value("format") == "json")

@@ -24,13 +24,26 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Retry backoff of a transient source failure: the first wait, doubled on
+// each further attempt.
+constexpr double kSourceRetryBackoffMs = 1.0;
+constexpr double kSourceRetryBackoffMultiplier = 2.0;
+// Tail sampling: every Nth frame chain is retained as a healthy baseline
+// (deadline misses, drops and sheds always are), up to a bounded FIFO.
+constexpr std::uint64_t kTraceHeadSampleEvery = 64;
+constexpr std::size_t kTraceMaxRetained = 256;
+// Flight recorder: frame chains remembered per stream.
+constexpr std::size_t kFlightFramesPerStream = 32;
+
 /// A frame after the control plane, waiting for pixel-level detection.
 struct DetectTask {
   int stream = 0;
   core::ControlStep step;
   data::SequenceFrame meta;
-  obs::TraceContext trace;      ///< parented on the control span
-  std::uint64_t ingest_ns = 0;  ///< carried from the FrameTask
+  obs::TraceContext trace;      ///< the ingest span, then the control span
+  /// Tracer-timebase nanoseconds when the frame entered the pipeline;
+  /// report-side latency (and the deadline check) measures from here.
+  std::uint64_t ingest_ns = 0;
   AdmissionDecision decision;   ///< ladder verdict (defaults: full fidelity)
 };
 
@@ -51,18 +64,14 @@ struct CoastEntry {
   std::vector<det::Detection> dets;  ///< scan output (coast = false)
 };
 
-/// Mutable per-stream state: the sequential control-plane session plus the
-/// reorder buffer that serialises MPMC-scheduled frames back into index
-/// order. Guarded by its own mutex; different streams never contend.
+/// Mutable per-stream state. The control-plane session is touched only by
+/// the one ingest worker that owns the stream's source (and read after
+/// join), so frames reach it in index order without a lock.
 struct StreamState {
-  StreamState(const core::AdaptiveSystem& system,
-              const det::TrackerConfig& tracker_config)
-      : session(system.begin_session()), tracker(tracker_config) {}
+  explicit StreamState(const core::AdaptiveSystem& system)
+      : session(system.begin_session()), tracker(kCoastTracker) {}
 
-  std::mutex mutex;
   core::AdaptiveSystem::StepSession session;
-  int next_index = 0;
-  std::map<int, FrameTask> pending;  // out-of-order frames (trace rides along)
   std::atomic<std::uint64_t> backpressure_drops{0};
   std::atomic<std::uint64_t> deadline_misses{0};
   std::atomic<int> frames_ingested{-1};  ///< -1 until its ingest ends
@@ -86,8 +95,7 @@ struct StreamState {
   // order, so entries park in `coast_pending` until the frontier
   // (`coast_done`) reaches them; advancing the frontier feeds the tracker
   // and materialises coast_results for coast frames. coast_mutex is a leaf
-  // lock: nothing is acquired while holding it, so the control-stage edge
-  // state.mutex -> coast_mutex (of any stream) cannot deadlock.
+  // lock: nothing is acquired while holding it.
   std::mutex coast_mutex;
   std::condition_variable coast_cv;
   int coast_done = -1;  ///< highest frame index fed to the tracker
@@ -152,7 +160,7 @@ std::string stream_name(const StreamServerConfig& config, int s) {
 }
 
 /// One serve() call: the staged dataflow of the header comment over its
-/// three queues, with the per-stream state, the metric series, the
+/// two queues, with the per-stream state, the metric series, the
 /// degradation ladder and the observability objects it feeds. The member
 /// functions below the constructor are the stages; each runs on its own
 /// threads between launch() and join().
@@ -188,8 +196,7 @@ class ServeRun {
   void ingest();
   void ingest_stream(int s);
   std::optional<data::SequenceFrame> pull(FrameSource& src, int s);
-  void control();
-  void control_frame(StreamState& state, FrameTask&& task);
+  void control_frame(StreamState& state, int index, DetectTask&& dt);
   void detect();
   void detect_frame(DetectTask& task);
   void emit_unscanned(DetectTask&& task, bool shed);
@@ -224,7 +231,6 @@ class ServeRun {
   std::atomic<bool> flight_dump_requested_{false};
   std::unique_ptr<obs::TelemetryExporter> telemetry_;
 
-  BoundedQueue<FrameTask> control_q_;
   BoundedQueue<DetectTask> detect_q_;
   BoundedQueue<ReportTask> report_q_;
   // Per-frame report slots, written only by the collector thread.
@@ -232,7 +238,7 @@ class ServeRun {
   std::vector<std::vector<bool>> filled_;
 
   std::atomic<std::size_t> next_source_{0};
-  std::atomic<int> live_ingest_, live_control_, live_detect_;
+  std::atomic<int> live_ingest_, live_detect_;
   std::atomic<bool> watchdog_stop_{false};
   std::vector<std::thread> workers_;
   std::thread watchdog_thread_;
@@ -258,24 +264,20 @@ ServeRun::ServeRun(const core::AdaptiveSystem& system,
       control_stage_(registry_, config.metric_labels, "control"),
       detect_stage_(registry_, config.metric_labels, "detect"),
       report_stage_(registry_, config.metric_labels, "report"),
-      control_q_(config.queue_capacity, OverflowPolicy::Block),
       detect_q_(config.queue_capacity, config.detect_policy),
       report_q_(config.queue_capacity, OverflowPolicy::Block),
       slots_(sources_.size()),
       filled_(sources_.size()),
       live_ingest_(config.ingest_workers),
-      live_control_(config.control_workers),
       live_detect_(config.detect_workers) {
   if (injector_ != nullptr)
     for (int s = 0; s < n_streams_; ++s)
       sources_[static_cast<std::size_t>(s)] = injector_->wrap(
           s, std::move(sources_[static_cast<std::size_t>(s)]));
   degraded_sliding_.stride_cells =
-      std::max(1, degraded_sliding_.stride_cells) *
-      std::max(1, config_.admission.ladder.coarse_stride_multiplier);
+      std::max(1, degraded_sliding_.stride_cells) * kCoarseStrideMultiplier;
   degraded_sliding_.max_levels =
-      std::min(degraded_sliding_.max_levels,
-               std::max(1, config_.admission.ladder.coarse_max_levels));
+      std::min(degraded_sliding_.max_levels, kCoarseMaxLevels);
   build_streams();
 
   // Tail sampler + flight recorder, fresh per serve and fed only the chains
@@ -286,11 +288,11 @@ ServeRun::ServeRun(const core::AdaptiveSystem& system,
   // also collects telemetry rows and SLO transitions as they happen.
   obs::TraceSamplerConfig sc;
   sc.deadline_ns = deadline_ns_;
-  sc.head_sample_every = config_.slo.trace_head_sample_every;
-  sc.max_retained = config_.slo.trace_max_retained;
+  sc.head_sample_every = kTraceHeadSampleEvery;
+  sc.max_retained = kTraceMaxRetained;
   sampler = std::make_shared<obs::TraceSampler>(sc);
   obs::FlightRecorderConfig fc;
-  fc.max_frames_per_stream = config_.slo.flight_frames_per_stream;
+  fc.max_frames_per_stream = kFlightFramesPerStream;
   recorder = std::make_shared<obs::FlightRecorder>(fc);
   recorder->set_config_json("{\"streams\":" + std::to_string(n_streams_) +
                              "," + config_json_fields(config_) + "}");
@@ -317,8 +319,7 @@ void ServeRun::build_streams() {
   streams_.reserve(sources_.size());
   const std::uint64_t serve_start_ns = tracer_.now_ns();
   for (int s = 0; s < n_streams_; ++s) {
-    streams_.push_back(std::make_unique<StreamState>(
-        system_, config_.admission.ladder.coast_tracker));
+    streams_.push_back(std::make_unique<StreamState>(system_));
     streams_.back()->last_progress_ns.store(serve_start_ns,
                                             std::memory_order_relaxed);
     const obs::Labels labels = stream_labels(s);
@@ -428,8 +429,6 @@ void ServeRun::launch() {
     watchdog_thread_ = std::thread(&ServeRun::watchdog, this);
   for (int i = 0; i < config_.ingest_workers; ++i)
     workers_.emplace_back(&ServeRun::ingest, this);
-  for (int i = 0; i < config_.control_workers; ++i)
-    workers_.emplace_back(&ServeRun::control, this);
   for (int i = 0; i < config_.detect_workers; ++i)
     workers_.emplace_back(&ServeRun::detect, this);
   workers_.emplace_back(&ServeRun::collect, this);
@@ -439,7 +438,6 @@ void ServeRun::launch() {
 // leaves workers parked on the queues: closing them lets every started
 // thread finish and be joined.
 ServeRun::~ServeRun() {
-  control_q_.close();
   detect_q_.close();
   report_q_.close();
   join();
@@ -454,16 +452,17 @@ void ServeRun::join() {
   }
 }
 
-// --- stage 1: ingest ---------------------------------------------------
-// Each worker claims whole sources. Each frame gets a fresh trace id here:
-// the ingest span is the root of the frame's causal chain, and the
-// FrameTask carries {trace_id, ingest-span id} across the queue so the
-// control span parents on it.
+// --- stage 1: ingest + control ---------------------------------------
+// Each worker claims whole sources, so a stream's frames leave one thread
+// in index order and its control step runs right there, as the paper's ARM
+// controller decides each frame's configuration as it is captured. Each
+// frame gets a fresh trace id here: the ingest span (the pull only) is the
+// root of the frame's causal chain, and the control span parents on it.
 void ServeRun::ingest() {
   for (std::size_t s = next_source_.fetch_add(1); s < sources_.size();
        s = next_source_.fetch_add(1))
     ingest_stream(static_cast<int>(s));
-  if (live_ingest_.fetch_sub(1) == 1) control_q_.close();
+  if (live_ingest_.fetch_sub(1) == 1) detect_q_.close();
 }
 
 void ServeRun::ingest_stream(int s) {
@@ -478,32 +477,31 @@ void ServeRun::ingest_stream(int s) {
   while (!state.watchdog_fired.load(std::memory_order_relaxed)) {
     const obs::TraceScope root(
         {tracer_.enabled() ? obs::Tracer::new_trace_id() : 0, 0});
-    obs::ScopedSpan span("ingest_frame", "runtime/ingest",
-                         {{"stream", s}, {"frame", index}});
-    const Clock::time_point t0 = Clock::now();
-    std::optional<data::SequenceFrame> meta = pull(src, s);
-    if (!meta) break;
-    ingest_stage_.latency->record(Clock::now() - t0);
-    if (!std::isfinite(meta->light_level)) {
-      // Garbage in, nothing out: refused BEFORE an index is assigned, so the
-      // control plane's frame numbering stays dense and healthy streams are
-      // unaffected bit for bit.
-      state.garbage_frames.fetch_add(1);
-      if (obs::Counter* c = counters_[static_cast<std::size_t>(s)].garbage)
-        c->inc();
-      continue;
+    DetectTask dt;
+    {
+      obs::ScopedSpan span("ingest_frame", "runtime/ingest",
+                           {{"stream", s}, {"frame", index}});
+      const Clock::time_point t0 = Clock::now();
+      std::optional<data::SequenceFrame> meta = pull(src, s);
+      if (!meta) break;
+      ingest_stage_.latency->record(Clock::now() - t0);
+      if (!std::isfinite(meta->light_level)) {
+        // Garbage in, nothing out: refused BEFORE an index is assigned, so
+        // the control plane's frame numbering stays dense and healthy
+        // streams are unaffected bit for bit.
+        state.garbage_frames.fetch_add(1);
+        if (obs::Counter* c = counters_[static_cast<std::size_t>(s)].garbage)
+          c->inc();
+        continue;
+      }
+      dt.stream = s;
+      dt.meta = std::move(*meta);
+      dt.trace = span.context();
+      dt.ingest_ns = tracer_.now_ns();
     }
-    FrameTask task;
-    task.stream = s;
-    task.index = index++;
-    task.meta = std::move(*meta);
-    task.trace = span.context();
-    task.ingest_ns = tracer_.now_ns();
-    if (task.trace.trace_id != 0)
-      state.trace_ids.push_back(task.trace.trace_id);
-    control_q_.push(std::move(task));
-    state.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
+    if (dt.trace.trace_id != 0) state.trace_ids.push_back(dt.trace.trace_id);
     ingest_stage_.processed->inc();
+    control_frame(state, index++, std::move(dt));
   }
   state.frames_ingested.store(index);
 }
@@ -515,7 +513,7 @@ void ServeRun::ingest_stream(int s) {
 std::optional<data::SequenceFrame> ServeRun::pull(FrameSource& src, int s) {
   StreamState& state = stream(s);
   obs::Counter* retries = counters_[static_cast<std::size_t>(s)].source_retries;
-  double backoff_ms = static_cast<double>(config_.source_retry.backoff.count());
+  double backoff_ms = kSourceRetryBackoffMs;
   for (int attempts = 1;; ++attempts) {
     try {
       return src.next();
@@ -525,7 +523,7 @@ std::optional<data::SequenceFrame> ServeRun::pull(FrameSource& src, int s) {
       if (retries != nullptr) retries->inc();
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff_ms *= std::max(1.0, config_.source_retry.backoff_multiplier);
+      backoff_ms *= kSourceRetryBackoffMultiplier;
     } catch (const std::exception&) {
       break;
     }
@@ -534,47 +532,17 @@ std::optional<data::SequenceFrame> ServeRun::pull(FrameSource& src, int s) {
   return std::nullopt;
 }
 
-// --- stage 2: control (per-stream sequential) --------------------------
-void ServeRun::control() {
-  while (std::optional<FrameTask> task = control_q_.pop()) {
-    StreamState& state = stream(task->stream);
-    std::lock_guard<std::mutex> lock(state.mutex);
-    if (task->index != state.next_index) {
-      // Another worker holds an earlier frame of this stream; park the whole
-      // task (trace context included) until the stream catches up.
-      const int index = task->index;
-      state.pending.emplace(index, std::move(*task));
-      continue;
-    }
-    // Run this frame, then every parked successor it unblocks.
-    for (FrameTask current = std::move(*task);;) {
-      control_frame(state, std::move(current));
-      const auto it = state.pending.find(state.next_index);
-      if (it == state.pending.end()) break;
-      current = std::move(it->second);
-      state.pending.erase(it);
-    }
-  }
-  if (live_control_.fetch_sub(1) == 1) detect_q_.close();
-}
-
-// One frame through the control plane, under its stream's mutex.
-void ServeRun::control_frame(StreamState& state, FrameTask&& task) {
-  // Re-install the frame's context on whichever worker won the frame: the
-  // control span parents on the ingest span across the thread hop.
-  const obs::TraceScope scope(task.trace);
+// One frame through the control plane, on the ingest worker that owns its
+// stream.
+void ServeRun::control_frame(StreamState& state, int index, DetectTask&& dt) {
+  const obs::TraceScope scope(dt.trace);
   obs::ScopedSpan span("control_frame", "runtime/control",
-                       {{"stream", task.stream}, {"frame", task.index}});
+                       {{"stream", dt.stream}, {"frame", index}});
   const Clock::time_point t0 = Clock::now();
-  DetectTask dt;
-  dt.step = state.session.control_step(task.meta);
+  dt.step = state.session.control_step(dt.meta);
   control_stage_.record(t0);
   span.arg("mode", static_cast<std::int64_t>(dt.step.sensed));
-  dt.stream = task.stream;
-  dt.meta = std::move(task.meta);
   dt.trace = span.context();
-  dt.ingest_ns = task.ingest_ns;
-  ++state.next_index;
   state.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
 
   // The admission verdict is taken here, per-stream sequential, so a forced
@@ -599,7 +567,7 @@ void ServeRun::control_frame(StreamState& state, FrameTask&& task) {
   if (displaced) emit_unscanned(std::move(*displaced), false);
 }
 
-// --- stage 3: detect ---------------------------------------------------
+// --- stage 2: detect ---------------------------------------------------
 // One loop for every configuration. A worker pops a frame; with the gather
 // on (scan_pool set and cross_stream_batching) it adds whatever is ALREADY
 // queued, across every stream, up to detect_batch_max frames, so a sparse
@@ -703,7 +671,7 @@ void ServeRun::detect_frame(DetectTask& task) {
 // A frame that never reaches the scan still produces a report, never a
 // silent loss: the vehicle engine misses it, the static pedestrian
 // partition does not. `shed`: refused by admission (the ladder's level 3 or
-// the token bucket), on the control thread so the frame skips the detect
+// the token bucket), on the ingest worker so the frame skips the detect
 // queue entirely. Otherwise it overflowed the detect queue: the
 // serving-layer twin of the paper's reconfiguration drop. Either way it
 // advances the coast ledger as an empty update, exactly what the tracker's
@@ -779,7 +747,7 @@ std::vector<det::Detection> ServeRun::take_coast(StreamState& st, int index) {
   return dets;
 }
 
-// --- stage 4: report collector -----------------------------------------
+// --- stage 3: report collector -----------------------------------------
 void ServeRun::collect() {
   while (std::optional<ReportTask> task = report_q_.pop()) {
     const obs::TraceScope scope(task->trace);
@@ -869,8 +837,6 @@ void ServeRun::watchdog() {
 }
 
 std::string ServeRun::finalise(std::uint64_t serve_id) {
-  control_stage_.queue_high_water->set(
-      static_cast<double>(control_q_.stats().high_water));
   detect_stage_.queue_high_water->set(
       static_cast<double>(detect_q_.stats().high_water));
   report_stage_.queue_high_water->set(
@@ -965,7 +931,6 @@ StreamServer::StreamServer(const core::AdaptiveSystem& system,
                            StreamServerConfig config)
     : system_(&system), config_(config) {
   config_.ingest_workers = std::max(1, config_.ingest_workers);
-  config_.control_workers = std::max(1, config_.control_workers);
   config_.detect_workers = std::max(1, config_.detect_workers);
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (!config_.ops.enabled) return;

@@ -168,57 +168,64 @@ TEST(SloMonitor, WorstRuleWins) {
 }
 
 TEST(StandardStreamRules, CoverDeadlineDropsAndReconfigLoss) {
-  const std::vector<SloRule> rules = standard_stream_rules("runtime.stream2");
+  const std::vector<SloRule> rules =
+      standard_stream_rules_labeled({{"stream", "2"}});
   ASSERT_EQ(rules.size(), 3u);
   EXPECT_EQ(rules[0].name, "frame_deadline");
-  EXPECT_EQ(rules[0].bad_counter, "runtime.stream2.deadline_miss");
-  EXPECT_EQ(rules[0].total_counter, "runtime.stream2.frames");
+  EXPECT_EQ(rules[0].bad_counter, "runtime.deadline_miss{stream=\"2\"}");
+  EXPECT_EQ(rules[0].total_counter, "runtime.frames{stream=\"2\"}");
   EXPECT_EQ(rules[1].name, "queue_drops");
-  EXPECT_EQ(rules[1].bad_counter, "runtime.stream2.backpressure_drops");
+  EXPECT_EQ(rules[1].bad_counter, "runtime.backpressure_drops{stream=\"2\"}");
   EXPECT_EQ(rules[2].name, "reconfig_frame_loss");
-  EXPECT_EQ(rules[2].bad_counter, "runtime.stream2.reconfig_drops");
-  EXPECT_EQ(rules[2].total_counter, "runtime.stream2.reconfigs");
+  EXPECT_EQ(rules[2].bad_counter, "runtime.reconfig_drops{stream=\"2\"}");
+  EXPECT_EQ(rules[2].total_counter, "runtime.reconfigs{stream=\"2\"}");
+  EXPECT_EQ(rules[0].degraded_above, 0.05);
+  EXPECT_EQ(rules[0].unhealthy_above, 0.25);
+  EXPECT_EQ(rules[1].degraded_above, 0.01);
+  EXPECT_EQ(rules[1].unhealthy_above, 0.10);
   // The paper's one-frame-per-reconfiguration contract: 1 lost frame per
   // window is fine, 2 is degraded, 3 is unhealthy.
   SloMonitor monitor("s", {rules[2]});
   EXPECT_EQ(monitor.observe(
-                sample_at(0, {{"runtime.stream2.reconfig_drops", 0},
-                              {"runtime.stream2.reconfigs", 0}}),
-                sample_at(1, {{"runtime.stream2.reconfig_drops", 1},
-                              {"runtime.stream2.reconfigs", 1}})),
+                sample_at(0, {{"runtime.reconfig_drops{stream=\"2\"}", 0},
+                              {"runtime.reconfigs{stream=\"2\"}", 0}}),
+                sample_at(1, {{"runtime.reconfig_drops{stream=\"2\"}", 1},
+                              {"runtime.reconfigs{stream=\"2\"}", 1}})),
             HealthState::Healthy);
   SloConfig fast;
   fast.breaches_to_worsen = 1;
   SloMonitor monitor2("s", {rules[2]}, fast);
   EXPECT_EQ(monitor2.observe(
-                sample_at(0, {{"runtime.stream2.reconfig_drops", 0},
-                              {"runtime.stream2.reconfigs", 0}}),
-                sample_at(1, {{"runtime.stream2.reconfig_drops", 2},
-                              {"runtime.stream2.reconfigs", 1}})),
+                sample_at(0, {{"runtime.reconfig_drops{stream=\"2\"}", 0},
+                              {"runtime.reconfigs{stream=\"2\"}", 0}}),
+                sample_at(1, {{"runtime.reconfig_drops{stream=\"2\"}", 2},
+                              {"runtime.reconfigs{stream=\"2\"}", 1}})),
             HealthState::Degraded);
 }
 
 TEST(StandardStreamRules, LabeledFormTargetsTheStreamSeries) {
-  const std::vector<SloRule> rules = standard_stream_rules_labeled(2);
-  const std::vector<SloRule> prefixed = standard_stream_rules("runtime");
-  ASSERT_EQ(rules.size(), prefixed.size());
+  // Each counter carries the whole label set (sorted by key), exactly what
+  // the sharded front door's shards publish per stream.
+  const Labels labels{{"stream", "s3"}, {"shard", "2"}};
+  const std::vector<SloRule> rules = standard_stream_rules_labeled(labels);
+  ASSERT_EQ(rules.size(), 3u);
+  EXPECT_EQ(rules[0].bad_counter,
+            "runtime.deadline_miss{shard=\"2\",stream=\"s3\"}");
+  const char* const bad[] = {"runtime.deadline_miss",
+                             "runtime.backpressure_drops",
+                             "runtime.reconfig_drops"};
+  const char* const total[] = {"runtime.frames", "runtime.frames",
+                               "runtime.reconfigs"};
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    EXPECT_EQ(rules[i].name, prefixed[i].name);
-    // Each counter is the prefix rule's counter with the stream label
-    // appended — exactly what the StreamServer publishes per stream.
-    EXPECT_EQ(rules[i].bad_counter,
-              labeled_name(prefixed[i].bad_counter, {{"stream", "2"}}));
-    if (prefixed[i].total_counter.empty()) {
-      EXPECT_TRUE(rules[i].total_counter.empty());
-    } else {
-      EXPECT_EQ(rules[i].total_counter,
-                labeled_name(prefixed[i].total_counter, {{"stream", "2"}}));
-    }
+    EXPECT_EQ(rules[i].bad_counter, labeled_name(bad[i], labels));
+    EXPECT_EQ(rules[i].total_counter, labeled_name(total[i], labels));
   }
-  // And a monitor over them only reacts to that stream's series.
+  // And a monitor over a stream's rules reads that stream's series.
   SloConfig fast;
   fast.breaches_to_worsen = 1;
-  SloMonitor monitor("stream2", {rules[0]}, fast);
+  const std::vector<SloRule> stream2 =
+      standard_stream_rules_labeled({{"stream", "2"}});
+  SloMonitor monitor("stream2", {stream2[0]}, fast);
   EXPECT_EQ(
       monitor.observe(
           sample_at(0, {{"runtime.deadline_miss{stream=\"2\"}", 0},

@@ -214,26 +214,11 @@ TEST(Admission, FleetPressureSkipsTheEscalationDwell) {
   for (int i = 0; i < 4; ++i)
     calm.on_health_windows({HealthState::Degraded, HealthState::Degraded});
   EXPECT_EQ(calm.level(0), DegradeLevel::CoarseScan);
-
-  AdmissionConfig pressured = slow;
-  pressured.ladder.fleet_escalate_fraction = 0.5;
-  AdmissionController fleet(2, pressured);
-  for (int i = 0; i < 3; ++i)
-    fleet.on_health_windows({HealthState::Degraded, HealthState::Degraded});
-  // First window: Full->CoarseScan; with >= half the fleet hot, each further
-  // window escalates a rung regardless of the dwell.
-  EXPECT_EQ(fleet.level(0), DegradeLevel::Shed);
-  EXPECT_EQ(fleet.level(1), DegradeLevel::Shed);
-  bool saw_fleet_reason = false;
-  for (const DegradeTransition& t : fleet.transitions(0))
-    if (t.reason == "health:fleet-pressure") saw_fleet_reason = true;
-  EXPECT_TRUE(saw_fleet_reason);
 }
 
 TEST(Admission, ExternalFleetPressureSkipsTheDwellAndClears) {
-  // The cross-shard signal: no local fraction configured at all, yet a
-  // raised external flag escalates one rung per window just like internal
-  // fleet pressure — and dropping it restores the slow dwell.
+  // The cross-shard signal: a raised flag escalates one rung per window
+  // whatever the dwell — and dropping it restores the slow dwell.
   AdmissionConfig slow = ladder_config(/*escalate=*/100);
   AdmissionController ac(2, slow);
   ac.set_fleet_pressure(true);

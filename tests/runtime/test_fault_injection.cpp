@@ -364,10 +364,10 @@ TEST_F(FaultInjectionTest, LadderFramesMatchASequentialReference) {
 
   const DegradeLadderConfig& ladder = sc.admission.ladder;
   det::SlidingWindowParams coarse = system_->config().sliding;
-  coarse.stride_cells *= ladder.coarse_stride_multiplier;
-  coarse.max_levels = std::min(coarse.max_levels, ladder.coarse_max_levels);
+  coarse.stride_cells *= kCoarseStrideMultiplier;
+  coarse.max_levels = std::min(coarse.max_levels, kCoarseMaxLevels);
   core::AdaptiveSystem::StepSession session = system_->begin_session();
-  det::IouTracker tracker(ladder.coast_tracker);
+  det::IouTracker tracker(kCoastTracker);
   for (int i = 0; i < n; ++i) {
     const data::SequenceFrame meta = streams[0].frame(i);
     core::ControlStep step = session.control_step(meta);
@@ -464,7 +464,6 @@ TEST_F(FaultInjectionTest, ChaosServeCompletesWithFullAccounting) {
 
   StreamServerConfig sc;
   sc.ingest_workers = 2;
-  sc.control_workers = 2;
   sc.detect_workers = 3;
   sc.fault_injector = &injector;
   StreamServer server(*system_, sc);

@@ -45,7 +45,6 @@ TracedRun traced_serve() {
 
   StreamServerConfig sc;
   sc.ingest_workers = 2;
-  sc.control_workers = 2;
   sc.detect_workers = 4;
   StreamServer server(system, sc);
 

@@ -490,6 +490,41 @@ TEST(ShardedServer, TracedShardsSumToFramesServed) {
   EXPECT_EQ(sum, static_cast<double>(frames[0] + frames[1]));
 }
 
+// The one fleet-pressure rule. Every frame misses a tiny budget, so every
+// stream turns DEGRADED (a miss rate cannot pass an unhealthy threshold above
+// 1) and the 100-window dwell holds it at coarse-scan on its own. With
+// fleet_pressure_fraction 0.5 the front door raises the signal once half
+// the fleet is hot, and the shards escalate past the dwell with reason
+// health:fleet-pressure; at 0 the signal never rises.
+TEST(ShardedServer, FleetPressureFractionEscalatesPastTheDwell) {
+  core::AdaptiveSystem system(test_support::tiny_models(), control_only());
+  const auto count_reasons = [&system](double fraction) {
+    ShardedServerConfig fc;
+    fc.shards = 2;
+    fc.assign_override = {{"s0", 0}, {"s1", 1}, {"s2", 0}, {"s3", 1}};
+    fc.fleet_pressure_fraction = fraction;
+    fc.shard.detect_workers = 1;
+    fc.shard.simulated_accel_ms = 1.0;
+    fc.shard.admission.enabled = true;
+    fc.shard.admission.ladder.escalate_after_windows = 100;
+    fc.shard.slo.enabled = true;
+    fc.shard.slo.frame_budget_ms = 1e-4;
+    fc.shard.slo.deadline_miss_unhealthy = 2.0;
+    fc.shard.slo.telemetry_period = std::chrono::milliseconds(1);
+    fc.shard.slo.hysteresis.breaches_to_worsen = 1;
+    ShardedServer front(system, fc);
+    std::map<std::string, int> reasons;
+    for (const StreamResult& r : front.serve_sequences(drives(4, 6)))
+      for (const DegradeTransition& t : r.degrade_transitions)
+        ++reasons[t.reason];
+    return reasons;
+  };
+  std::map<std::string, int> off = count_reasons(0.0);
+  EXPECT_GT(off["health:degraded"], 0);  // the streams did degrade
+  EXPECT_EQ(off["health:fleet-pressure"], 0);
+  EXPECT_GT(count_reasons(0.5)["health:fleet-pressure"], 0);
+}
+
 // Regression: the front door's /healthz read each shard's admission
 // controller without the shard's lock while the shard's serve() swapped it.
 // Scrape in a loop across serves with the ladder live, health transitions

@@ -101,7 +101,6 @@ TEST(StreamServer, FourStreamsFourWorkersMatchSequentialExactly) {
 
   StreamServerConfig sc;
   sc.ingest_workers = 2;
-  sc.control_workers = 2;
   sc.detect_workers = 4;
   sc.queue_capacity = 4;  // small queues → real contention and blocking
   StreamServer server(system, sc);
@@ -115,6 +114,31 @@ TEST(StreamServer, FourStreamsFourWorkersMatchSequentialExactly) {
     expect_reports_identical(results[s].report, sequential,
                              "stream " + std::to_string(s));
   }
+}
+
+// With use_image_light_estimate the control step renders each frame to
+// estimate its light level, so control does real work on the ingest
+// workers, concurrently across streams and with the detect stage's own
+// renders. Every per-stream report must still match run() bit for bit.
+TEST(StreamServer, ImageLightEstimateServeMatchesSequentialExactly) {
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = true;
+  cfg.use_image_light_estimate = true;
+  core::AdaptiveSystem system(test_support::tiny_models(), cfg);
+
+  const std::vector<data::DriveSequence> streams = four_streams(4);
+
+  StreamServerConfig sc;
+  sc.ingest_workers = 4;
+  sc.detect_workers = 2;
+  sc.queue_capacity = 2;  // small queues: ingest workers block on detect
+  StreamServer server(system, sc);
+  const std::vector<StreamResult> results = server.serve_sequences(streams);
+
+  ASSERT_EQ(results.size(), streams.size());
+  for (std::size_t s = 0; s < streams.size(); ++s)
+    expect_reports_identical(results[s].report, system.run(streams[s]),
+                             "stream " + std::to_string(s));
 }
 
 // One ThreadPool shared between the detect stage (scan_pool) and the
@@ -249,7 +273,6 @@ TEST(StreamServer, RepeatedServesAreIdentical) {
   const std::vector<data::DriveSequence> streams = four_streams(20);
   StreamServerConfig sc;
   sc.detect_workers = 3;
-  sc.control_workers = 2;
   StreamServer s1(system, sc), s2(system, sc);
   const auto r1 = s1.serve_sequences(streams);
   const auto r2 = s2.serve_sequences(streams);
@@ -369,7 +392,7 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
 
   // Every queue-fed stage saw its input queue hold at least one frame, and
   // never more than its capacity.
-  for (const char* stage : {"control", "detect", "report"}) {
+  for (const char* stage : {"detect", "report"}) {
     const double hw =
         registry.gauge("runtime.stage.queue_high_water", {{"stage", stage}})
             .value();

@@ -259,9 +259,11 @@ TEST(StreamSlo, OneSaturatedStreamDegradesOnlyItself) {
   // labeled series, synthetic windows where only stream 0 misses deadlines.
   obs::SloConfig hysteresis;
   hysteresis.breaches_to_worsen = 2;  // hysteresis: one bad window is noise
-  obs::SloMonitor m0("stream0", obs::standard_stream_rules_labeled(0),
+  obs::SloMonitor m0("stream0",
+                     obs::standard_stream_rules_labeled({{"stream", "0"}}),
                      hysteresis);
-  obs::SloMonitor m1("stream1", obs::standard_stream_rules_labeled(1),
+  obs::SloMonitor m1("stream1",
+                     obs::standard_stream_rules_labeled({{"stream", "1"}}),
                      hysteresis);
 
   const auto sample = [](std::uint64_t t_ns, std::uint64_t frames0,
