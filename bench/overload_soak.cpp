@@ -26,7 +26,9 @@
 //     frame, the paper's budget) while the fleet is offered 2x capacity;
 //   - shedding and the degradation ladder both actually engaged;
 //   - no stream collapsed to level 3 (drop) and no ladder flapping
-//     (bounded transitions per stream).
+//     (bounded transitions per stream);
+//   - every frame accounted, and no frame counted under two fates (shed,
+//     dropped, coasted, degraded scan).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -263,6 +265,10 @@ int main() {
   report.check("no_flapping", max_transitions <= 4);
   report.check("all_frames_accounted",
                frames == static_cast<std::uint64_t>(total_frames));
+  // Each frame has at most one of these fates (it may have none: a
+  // full-fidelity scan), so their sum can never pass the frame count.
+  report.check("outcomes_counted_once",
+               shed + drops + coasted + degraded_scans <= frames);
   report.note("load_model",
               "64 paced streams, 2x accelerator capacity (4 workers x 4 ms), "
               "20 fps/stream token bucket, SLO ladder to level 2");

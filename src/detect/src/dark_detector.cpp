@@ -243,11 +243,16 @@ std::vector<TaillightDetection> DarkVehicleDetector::detect_taillights(
       out.push_back(det);
   }
 
+  // Resolved once: a by-name lookup takes the registry's one mutex, which
+  // telemetry rollups hold for milliseconds (the registry never drops a
+  // series).
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.counter("detect.dark.blobs").inc(blobs.size());
-  registry.counter("detect.dark.dbn_windows").inc(total_windows);
-  registry.counter("detect.dark.batch_windows").inc(total_windows);
-  registry.counter("detect.dark.taillights").inc(out.size());
+  static obs::Counter& blob_count = registry.counter("detect.dark.blobs");
+  static obs::Counter& windows = registry.counter("detect.dark.batch_windows");
+  static obs::Counter& taillights = registry.counter("detect.dark.taillights");
+  blob_count.inc(blobs.size());
+  windows.inc(total_windows);
+  taillights.inc(out.size());
   return out;
 }
 

@@ -340,15 +340,23 @@ std::vector<Detection> detect_multiscale_multi(
       raw.insert(raw.end(), dets.begin(), dets.end());
   }
 
+  // Resolved once: a by-name lookup takes the registry's one mutex, which
+  // telemetry rollups hold for milliseconds (the registry never drops a
+  // series).
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.counter("detect.hogsvm.frames").inc();
-  registry.counter("detect.hogsvm.levels").inc(
-      static_cast<std::uint64_t>(levels.size()));
-  registry.counter("detect.hogsvm.scan_tasks").inc(
-      static_cast<std::uint64_t>(levels.size()));
-  registry.counter("detect.hogsvm.blocks_normalised").inc(blocks_normalised);
-  registry.counter("detect.hogsvm.windows_scanned").inc(windows_scanned);
-  registry.counter("detect.hogsvm.raw_detections").inc(raw.size());
+  static obs::Counter& frames = registry.counter("detect.hogsvm.frames");
+  static obs::Counter& level_count = registry.counter("detect.hogsvm.levels");
+  static obs::Counter& blocks =
+      registry.counter("detect.hogsvm.blocks_normalised");
+  static obs::Counter& windows =
+      registry.counter("detect.hogsvm.windows_scanned");
+  static obs::Counter& raw_count =
+      registry.counter("detect.hogsvm.raw_detections");
+  frames.inc();
+  level_count.inc(static_cast<std::uint64_t>(levels.size()));
+  blocks.inc(blocks_normalised);
+  windows.inc(windows_scanned);
+  raw_count.inc(raw.size());
   const obs::ScopedSpan nms_span("nms", "detect/hogsvm");
   return non_max_suppression(std::move(raw), params.nms_iou);
 }

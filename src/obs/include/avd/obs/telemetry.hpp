@@ -1,13 +1,13 @@
 // Always-on telemetry: a background thread that snapshots a MetricsRegistry
-// on a fixed period into (a) a bounded in-memory time-series ring and (b) an
-// optional append-only JSONL sink — the machine-readable perf trajectory the
-// SLO monitor and offline tooling read.
+// on a fixed period, hands each sample with its predecessor to `on_sample`
+// (the window the SLO monitor evaluates) and appends it to an optional
+// JSONL sink — the machine-readable perf trajectory offline tooling reads.
 //
 // Design constraints, in order:
 //  * Zero hot-path cost: sampling reads the registry's relaxed atomics from
 //    one background thread; pipeline workers never see the exporter.
-//  * Bounded memory: the ring keeps the newest `ring_capacity` samples and
-//    evicts the oldest (total_samples() still counts everything).
+//  * Bounded memory: only the latest sample is kept, as the next window's
+//    start (total_samples() counts everything).
 //  * Clean shutdown: stop() (and the destructor) wakes the thread, takes one
 //    final sample so short runs are never empty, flushes the sink and joins.
 //
@@ -18,19 +18,17 @@
 //   {"t_ns":<u64>,"seq":<u64>,"counters":{...},"gauges":{...},
 //    "histograms":{...}}
 // `seq` increases by exactly 1 per row: a consumer can detect reordering or
-// duplication in transport even after the in-memory ring has evicted rows.
+// duplication in transport.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "avd/obs/metrics.hpp"
 
@@ -50,8 +48,6 @@ struct TelemetryConfig {
   /// Snapshot period. The paper's frame budget is 20 ms; the default samples
   /// at 50 Hz so every frame window lands in some sample's delta.
   std::chrono::milliseconds period{20};
-  /// Newest samples kept in memory; older ones are evicted (JSONL keeps all).
-  std::size_t ring_capacity = 512;
   /// Append-only JSONL sink; empty = in-memory only.
   std::string jsonl_path;
   /// Fold labeled series into their base names (MetricsRegistry::rollup())
@@ -84,9 +80,7 @@ class TelemetryExporter {
   /// the background thread runs — tests and one-shot dumps use this).
   void sample_now();
 
-  /// Copy of the current ring, oldest first.
-  [[nodiscard]] std::vector<TelemetrySample> samples() const;
-  /// Samples taken since construction (ring evictions included).
+  /// Samples taken since construction.
   [[nodiscard]] std::uint64_t total_samples() const;
 
   [[nodiscard]] const TelemetryConfig& config() const { return config_; }
@@ -98,8 +92,8 @@ class TelemetryExporter {
   MetricsRegistry* registry_;
   TelemetryConfig config_;
 
-  mutable std::mutex mutex_;  ///< guards ring_, sink_, last emitted sample
-  std::deque<TelemetrySample> ring_;
+  mutable std::mutex mutex_;  ///< guards last_, total_samples_, sink_
+  TelemetrySample last_;      ///< the latest sample (once total_samples_ > 0)
   std::uint64_t total_samples_ = 0;
   std::ofstream sink_;
 

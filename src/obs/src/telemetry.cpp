@@ -20,7 +20,6 @@ std::string to_json(const TelemetrySample& sample) {
 TelemetryExporter::TelemetryExporter(MetricsRegistry& registry,
                                      TelemetryConfig config)
     : registry_(&registry), config_(std::move(config)) {
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
   if (config_.period.count() <= 0) config_.period = std::chrono::milliseconds(1);
 }
 
@@ -76,11 +75,6 @@ bool TelemetryExporter::running() const {
 
 void TelemetryExporter::sample_now() { take_sample(); }
 
-std::vector<TelemetrySample> TelemetryExporter::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
-}
-
 std::uint64_t TelemetryExporter::total_samples() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_samples_;
@@ -109,15 +103,12 @@ void TelemetryExporter::take_sample() {
   bool has_prev = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // seq is assigned under the ring mutex, so rows are gapless and ordered
-    // even when sample_now() races the background thread.
+    // seq is assigned under the mutex, so rows are gapless and ordered even
+    // when sample_now() races the background thread.
     sample.seq = total_samples_;
-    if (!ring_.empty()) {
-      prev = ring_.back();
-      has_prev = true;
-    }
-    ring_.push_back(sample);
-    while (ring_.size() > config_.ring_capacity) ring_.pop_front();
+    has_prev = total_samples_ > 0;
+    if (has_prev) prev = std::move(last_);
+    last_ = sample;
     ++total_samples_;
     if (sink_.is_open()) sink_ << to_json(sample) << '\n';
   }

@@ -94,7 +94,7 @@ struct DegradeLadderConfig {
 
 struct AdmissionConfig {
   /// Off by default: admission machinery (per-stream buckets, ladder state,
-  /// the detect-stage coast path) is bypassed entirely when disabled.
+  /// the collector's coast ledger) is bypassed entirely when disabled.
   bool enabled = false;
   TokenBucketConfig bucket;
   DegradeLadderConfig ladder;
@@ -129,7 +129,11 @@ struct AdmissionDecision {
   const char* shed_reason = nullptr;  ///< "shed-level" | "token-bucket"
 };
 
-/// Per-stream admission statistics (monotonic over one controller).
+/// Per-stream admission statistics (monotonic over one controller): the
+/// verdicts decide() took at the control step, which /healthz and /statusz
+/// report. They are not each frame's final fate: a frame admitted as a
+/// degraded scan may still be dropped by the detect queue. StreamResult
+/// counts the fates, once per frame.
 struct AdmissionStats {
   std::uint64_t admitted = 0;        ///< frames admitted (incl. coasted)
   std::uint64_t shed = 0;            ///< frames refused (level 3 or bucket)

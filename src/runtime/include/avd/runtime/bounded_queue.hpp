@@ -12,7 +12,6 @@
 //                  worthless — and the serving-layer analogue of the paper's
 //                  "one missed frame per reconfiguration": when the detect
 //                  engine is busy, the frame captured meanwhile is lost.
-//   * DropNewest — reject the incoming item; queued work is preserved.
 //
 // Dropped items are never silently destroyed when the caller cares: push()
 // hands them back so the pipeline can still account for the frame (the
@@ -28,13 +27,12 @@
 
 namespace avd::runtime {
 
-enum class OverflowPolicy : std::uint8_t { Block = 0, DropOldest, DropNewest };
+enum class OverflowPolicy : std::uint8_t { Block = 0, DropOldest };
 
 [[nodiscard]] constexpr const char* to_string(OverflowPolicy p) {
   switch (p) {
     case OverflowPolicy::Block: return "block";
     case OverflowPolicy::DropOldest: return "drop-oldest";
-    case OverflowPolicy::DropNewest: return "drop-newest";
   }
   return "?";
 }
@@ -52,7 +50,6 @@ enum class OverflowPolicy : std::uint8_t { Block = 0, DropOldest, DropNewest };
 enum class PushOutcome : std::uint8_t {
   Accepted = 0,  ///< enqueued, nothing displaced
   Evicted,       ///< enqueued after evicting the oldest item (DropOldest)
-  Rejected,      ///< not enqueued, queue full (DropNewest)
   Closed,        ///< not enqueued, value dropped, queue closed (possibly
                  ///< mid-wait: close() wakes blocked Block-policy pushers)
 };
@@ -61,7 +58,7 @@ enum class PushOutcome : std::uint8_t {
 struct QueueStats {
   std::uint64_t pushed = 0;   ///< items accepted into the queue
   std::uint64_t popped = 0;   ///< items handed to consumers
-  std::uint64_t dropped = 0;  ///< items evicted or rejected by the policy
+  std::uint64_t dropped = 0;  ///< items evicted by DropOldest
   std::size_t high_water = 0; ///< maximum queue depth ever observed
 };
 
@@ -75,11 +72,10 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueue `value` under the backpressure policy. When the policy drops
-  /// an item — the oldest queued one (Evicted) or the incoming one
-  /// (Rejected) — it is handed back through `displaced` (if non-null) so
-  /// the caller can still account for the frame. Returns Closed (and drops
-  /// the value) if close() was called.
+  /// Enqueue `value` under the backpressure policy. When DropOldest evicts
+  /// the oldest queued item (Evicted), it is handed back through
+  /// `displaced` (if non-null) so the caller can still account for the
+  /// frame. Returns Closed (and drops the value) if close() was called.
   PushOutcome push(T value, std::optional<T>* displaced = nullptr) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (policy_ == OverflowPolicy::Block) {
@@ -89,11 +85,6 @@ class BoundedQueue {
 
     PushOutcome outcome = PushOutcome::Accepted;
     if (items_.size() >= capacity_) {
-      if (policy_ == OverflowPolicy::DropNewest) {
-        ++stats_.dropped;
-        if (displaced != nullptr) *displaced = std::move(value);
-        return PushOutcome::Rejected;
-      }
       // DropOldest: displace the stalest item to admit the fresh one.
       if (displaced != nullptr) *displaced = std::move(items_.front());
       items_.pop_front();

@@ -3,8 +3,9 @@
 // Runs the adaptive pipeline as three stages over two bounded queues:
 //
 //   sources ── ingest+control ──> [detect queue] ── detect ──┐
-//              workers             (configurable)   workers   │
-//                                                             │
+//              workers  │          (configurable)   workers   │
+//                       │ shed and coast frames               │
+//                       v                                     │
 //   results <── collector <── [report queue] <────────────────┘
 //                               (Block)
 //
@@ -19,12 +20,15 @@
 //              detection through the const AdaptiveSystem::evaluate_frame.
 //              This pool is the throughput knob.
 // * report   — a single collector slots per-frame reports into per-stream
-//              result vectors (order-insensitive by construction).
+//              result vectors (order-insensitive by construction) and
+//              counts each frame's fate once. Ladder on, it also feeds each
+//              stream's tracker in index order and resolves level-2 coast
+//              frames (no pixel work, so no detect-queue slot) from it.
 //
 // Determinism: with the default Block policy every per-stream report is
 // bit-identical to the sequential AdaptiveSystem::run() on the same
-// sequence, whatever the worker counts — enforced by tests/runtime. With a
-// drop policy on the detect queue, overflowing frames are not lost silently:
+// sequence, whatever the worker counts — enforced by tests/runtime. With
+// DropOldest on the detect queue, overflowing frames are not lost silently:
 // they surface as vehicle_processed=false reports (the pedestrian engine,
 // like the paper's static partition, is unaffected), exactly the shape of
 // the paper's reconfiguration frame drop.
@@ -168,9 +172,9 @@ struct StreamServerConfig {
   /// detect_batch_max, and runs the scan frames as one indexed wave on
   /// scan_pool, so a sparse stream never strands detect cores behind a busy
   /// neighbour. Otherwise the gather holds one frame. Level-2 coast frames
-  /// run after the scans in canonical (stream, index) order, since they
-  /// wait on the coast ledger's frontier. Per-stream results are
-  /// bit-identical to the sequential run either way (test-enforced).
+  /// never reach a detect worker (the collector resolves them). Per-stream
+  /// results are bit-identical to the sequential run either way
+  /// (test-enforced).
   bool cross_stream_batching = false;
   /// Largest gather one detect worker takes (values below 1 act as 1).
   int detect_batch_max = 8;
@@ -210,11 +214,14 @@ struct StreamServerConfig {
   FaultInjector* fault_injector = nullptr;
 };
 
-/// Everything one stream produced.
+/// Everything one stream produced. The collector counts each frame's fate
+/// once: a frame is in at most one of backpressure_drops, shed_frames,
+/// coasted_frames and degraded_scans; the last three equal the serve's
+/// growth of runtime.{shed,coasted,degraded_scans}{stream=}.
 struct StreamResult {
   int stream = 0;
   core::AdaptiveRunReport report;
-  /// Frames that overflowed the detect queue (drop policies only); they are
+  /// Frames that overflowed the detect queue (DropOldest only); they are
   /// still present in report.frames, marked vehicle_processed = false.
   std::uint64_t backpressure_drops = 0;
   /// Frames whose ingest -> report latency exceeded slo.frame_budget_ms.
@@ -229,7 +236,8 @@ struct StreamResult {
   std::uint64_t shed_frames = 0;
   /// Level-2 frames served from the tracker instead of a scan.
   std::uint64_t coasted_frames = 0;
-  /// Scans run at reduced fidelity (level 1, or the level-2 scan frames).
+  /// Scans that ran at reduced fidelity (level 1, or the level-2 scan
+  /// frames). A degraded frame the detect queue dropped is a drop instead.
   std::uint64_t degraded_scans = 0;
   /// Frames refused at ingest validation (non-finite light level); they
   /// never received a frame index and are absent from report.frames.

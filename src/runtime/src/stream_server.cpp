@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -47,21 +47,38 @@ struct DetectTask {
   AdmissionDecision decision;   ///< ladder verdict (defaults: full fidelity)
 };
 
-/// A finished per-frame report heading to the collector.
+/// A frame heading to the collector: its finished report, or (ladder level
+/// 2) the coast frame itself, whose report the collector makes once the
+/// stream's tracker reaches it.
 struct ReportTask {
   int stream = 0;
   core::AdaptiveFrameReport report;
-  obs::TraceContext trace;      ///< parented on the detect span
+  obs::TraceContext trace;      ///< the detect, shed or drop span
   std::uint64_t ingest_ns = 0;  ///< frame entry time (latency measures here)
   bool backpressure_dropped = false;
   bool shed = false;            ///< refused by admission (never ran detect)
+  std::vector<det::Detection> dets;  ///< ladder on: the scan's boxes
+  std::optional<DetectTask> coast;   ///< a coast frame, not yet evaluated
 };
 
-/// One frame's entry in the coast ledger (below): either the detections a
-/// scan produced, or a placeholder for a frame the tracker must coast.
-struct CoastEntry {
-  bool coast = false;
-  std::vector<det::Detection> dets;  ///< scan output (coast = false)
+/// Ladder on: one stream's coast ledger, kept by the collector alone. The
+/// tracker sees every frame of the stream once, in index order: a scan's
+/// boxes, or an empty update for a shed, dropped or coast frame. Frames
+/// park in `waiting` until the frontier (`fed`) reaches them.
+struct CoastLedger {
+  det::IouTracker tracker{kCoastTracker};
+  int fed = 0;  ///< frames fed to the tracker, so the next index it needs
+  std::map<int, ReportTask> waiting;
+};
+
+/// What became of one stream's frames, each counted once, by the collector
+/// when it finishes the frame (see StreamResult).
+struct FrameOutcomes {
+  std::uint64_t deadline_misses = 0;
+  std::uint64_t backpressure_drops = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t coasted = 0;
+  std::uint64_t degraded_scans = 0;
 };
 
 /// Mutable per-stream state. The control-plane session is touched only by
@@ -69,16 +86,14 @@ struct CoastEntry {
 /// join), so frames reach it in index order without a lock.
 struct StreamState {
   explicit StreamState(const core::AdaptiveSystem& system)
-      : session(system.begin_session()), tracker(kCoastTracker) {}
+      : session(system.begin_session()) {}
 
   core::AdaptiveSystem::StepSession session;
-  std::atomic<std::uint64_t> backpressure_drops{0};
-  std::atomic<std::uint64_t> deadline_misses{0};
   std::atomic<int> frames_ingested{-1};  ///< -1 until its ingest ends
   /// Trace ids of the frames this serve ingested (traced serves only).
   /// Written by the one ingest worker that owns the stream, read after join.
   std::vector<std::uint64_t> trace_ids;
-  // Fault / overload accounting (see StreamResult).
+  // Fault accounting (see StreamResult).
   std::atomic<std::uint64_t> garbage_frames{0};
   std::atomic<std::uint64_t> source_retries{0};
   std::atomic<bool> source_failed{false};
@@ -88,20 +103,6 @@ struct StreamState {
   std::atomic<std::uint64_t> last_progress_ns{0};
   std::atomic<bool> ingest_started{false};
   std::atomic<int> collected{0};
-  // --- the coast ledger (ladder level 2) -------------------------------
-  // The IouTracker must see every frame of the stream exactly once, in
-  // index order, with the frame's scan detections (or an empty update for
-  // coasted/shed/dropped frames). Detect workers finish frames out of
-  // order, so entries park in `coast_pending` until the frontier
-  // (`coast_done`) reaches them; advancing the frontier feeds the tracker
-  // and materialises coast_results for coast frames. coast_mutex is a leaf
-  // lock: nothing is acquired while holding it.
-  std::mutex coast_mutex;
-  std::condition_variable coast_cv;
-  int coast_done = -1;  ///< highest frame index fed to the tracker
-  std::map<int, CoastEntry> coast_pending;
-  std::map<int, std::vector<det::Detection>> coast_results;
-  det::IouTracker tracker;
 };
 
 /// The per-stream labeled series the SLO rules read
@@ -200,9 +201,9 @@ class ServeRun {
   void detect();
   void detect_frame(DetectTask& task);
   void emit_unscanned(DetectTask&& task, bool shed);
-  void publish_entry(StreamState& st, int index, CoastEntry entry);
-  std::vector<det::Detection> take_coast(StreamState& st, int index);
   void collect();
+  void coast_frame(CoastLedger& ledger, ReportTask& task);
+  void finish(ReportTask& task);
   void watchdog();
 
   const core::AdaptiveSystem& system_;
@@ -233,9 +234,12 @@ class ServeRun {
 
   BoundedQueue<DetectTask> detect_q_;
   BoundedQueue<ReportTask> report_q_;
-  // Per-frame report slots, written only by the collector thread.
+  // Per-stream collector state, touched only by the collector thread: the
+  // report slots, the frame outcomes and (ladder on) the coast ledgers.
   std::vector<std::vector<core::AdaptiveFrameReport>> slots_;
   std::vector<std::vector<bool>> filled_;
+  std::vector<FrameOutcomes> outcomes_;
+  std::vector<CoastLedger> ledgers_;
 
   std::atomic<std::size_t> next_source_{0};
   std::atomic<int> live_ingest_, live_detect_;
@@ -268,6 +272,8 @@ ServeRun::ServeRun(const core::AdaptiveSystem& system,
       report_q_(config.queue_capacity, OverflowPolicy::Block),
       slots_(sources_.size()),
       filled_(sources_.size()),
+      outcomes_(sources_.size()),
+      ledgers_(sources_.size()),
       live_ingest_(config.ingest_workers),
       live_detect_(config.detect_workers) {
   if (injector_ != nullptr)
@@ -560,8 +566,18 @@ void ServeRun::control_frame(StreamState& state, int index, DetectTask&& dt) {
     emit_unscanned(std::move(dt), true);
     return;
   }
-  // The queue hands any dropped task back (the stale one under DropOldest,
-  // this one under DropNewest) so no frame vanishes.
+  if (dt.decision.coast) {
+    // Level-2 coast: no pixel work, so no detect-queue slot. The collector
+    // evaluates the frame once its stream's tracker reaches it.
+    ReportTask out;
+    out.stream = dt.stream;
+    out.ingest_ns = dt.ingest_ns;
+    out.coast = std::move(dt);
+    report_q_.push(std::move(out));
+    return;
+  }
+  // The queue hands back the stale task DropOldest evicts, so no frame
+  // vanishes.
   std::optional<DetectTask> displaced;
   detect_q_.push(std::move(dt), &displaced);
   if (displaced) emit_unscanned(std::move(*displaced), false);
@@ -571,52 +587,34 @@ void ServeRun::control_frame(StreamState& state, int index, DetectTask&& dt) {
 // One loop for every configuration. A worker pops a frame; with the gather
 // on (scan_pool set and cross_stream_batching) it adds whatever is ALREADY
 // queued, across every stream, up to detect_batch_max frames, so a sparse
-// queue costs nothing. It publishes every gathered coast entry before
-// anything in the gather may block in take_coast: two workers each holding
-// unpublished entries of interleaved indices could otherwise deadlock.
-// Then it runs the scan frames (independent const evaluations) inline for
-// one, as one indexed wave on scan_pool for more, and last the coast
-// frames in canonical (stream, index) order, whose same-stream
-// predecessors in this gather have then been published.
+// queue costs nothing. It runs one frame inline and more as one indexed
+// wave on scan_pool: the frames are independent const evaluations.
 void ServeRun::detect() {
   const bool gather =
       config_.cross_stream_batching && config_.scan_pool != nullptr;
   const std::size_t gather_max =
       gather ? static_cast<std::size_t>(std::max(1, config_.detect_batch_max))
              : 1;
-  std::vector<DetectTask> scans, coasts;
+  std::vector<DetectTask> batch;
   DetectTask extra;
-  const auto stash = [&](DetectTask&& t) {
-    (t.decision.coast ? coasts : scans).push_back(std::move(t));
-  };
   while (std::optional<DetectTask> first = detect_q_.pop()) {
-    scans.clear();
-    coasts.clear();
-    stash(std::move(*first));
-    while (scans.size() + coasts.size() < gather_max &&
-           detect_q_.try_pop(extra))
-      stash(std::move(extra));
-    for (const DetectTask& t : coasts)
-      publish_entry(stream(t.stream), t.step.index, CoastEntry{true, {}});
-    if (scans.size() == 1) {
-      detect_frame(scans.front());
-    } else if (!scans.empty()) {
+    batch.clear();
+    batch.push_back(std::move(*first));
+    while (batch.size() < gather_max && detect_q_.try_pop(extra))
+      batch.push_back(std::move(extra));
+    if (batch.size() == 1) {
+      detect_frame(batch.front());
+    } else {
       config_.scan_pool->run_indexed(
-          static_cast<int>(scans.size()),
-          [&](int i) { detect_frame(scans[static_cast<std::size_t>(i)]); });
+          static_cast<int>(batch.size()),
+          [&](int i) { detect_frame(batch[static_cast<std::size_t>(i)]); });
     }
-    std::sort(coasts.begin(), coasts.end(),
-              [](const DetectTask& a, const DetectTask& b) {
-                return a.stream != b.stream ? a.stream < b.stream
-                                            : a.step.index < b.step.index;
-              });
-    for (DetectTask& t : coasts) detect_frame(t);
   }
   if (live_detect_.fetch_sub(1) == 1) report_q_.close();
 }
 
 // One frame's pixel-level evaluation. Everything it touches is const,
-// per-stream-synchronised or an MPMC queue, so it may run on any thread.
+// atomic or an MPMC queue, so it may run on any thread.
 void ServeRun::detect_frame(DetectTask& task) {
   const obs::TraceScope scope(task.trace);
   obs::ScopedSpan span(
@@ -625,45 +623,30 @@ void ServeRun::detect_frame(DetectTask& task) {
        {"frame", task.step.index},
        {"mode", static_cast<std::int64_t>(task.step.sensed)}});
   const Clock::time_point t0 = Clock::now();
-  StreamState& st = stream(task.stream);
   const DegradeLevel level = task.decision.level;
-  const bool coast = task.decision.coast;
-  core::EvaluateOptions opts;
-  std::vector<det::Detection> dets;
-  if (coast) {
-    // Level-2 coast: no render, no scan, no simulated accelerator. The
-    // frame's boxes come from the tracker once every earlier frame of the
-    // stream has fed it (its entry is already published).
-    span.arg("coast", 1);
-    dets = take_coast(st, task.step.index);
-    opts.provided_detections = &dets;
-  } else if (ladder_active_) {
-    // The scan's boxes feed the stream's tracker through the ledger.
-    opts.out_detections = &dets;
-  }
-  if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
-    opts.sliding_override = &degraded_sliding_;
   ReportTask out;
   out.stream = task.stream;
   out.trace = span.context();
   out.ingest_ns = task.ingest_ns;
+  core::EvaluateOptions opts;
+  // The scan's boxes feed the stream's tracker through the coast ledger.
+  if (ladder_active_) opts.out_detections = &out.dets;
+  if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
+    opts.sliding_override = &degraded_sliding_;
   out.report = system_.evaluate_frame(task.step, task.meta, opts);
   out.report.degrade_level = static_cast<int>(level);
-  out.report.detect_coasted = coast;
   // The modelled PL accelerator occupies the worker on frames whose vehicle
   // engine ran a scan; an injected slowdown on every frame.
   double sleep_ms = 0.0;
-  if (config_.simulated_accel_ms > 0.0 && !coast &&
-      task.step.record.vehicle_processed)
+  if (config_.simulated_accel_ms > 0.0 && task.step.record.vehicle_processed)
     sleep_ms = config_.simulated_accel_ms;
   if (injector_ != nullptr)
     sleep_ms += injector_->detect_slowdown_ms(task.stream, task.step.index);
   if (sleep_ms > 0.0)
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(sleep_ms));
-  if (!coast)
-    publish_entry(st, task.step.index, CoastEntry{false, std::move(dets)});
-  st.last_progress_ns.store(tracer_.now_ns(), std::memory_order_relaxed);
+  stream(task.stream).last_progress_ns.store(tracer_.now_ns(),
+                                             std::memory_order_relaxed);
   detect_stage_.record(t0);
   report_q_.push(std::move(out));
 }
@@ -673,12 +656,10 @@ void ServeRun::detect_frame(DetectTask& task) {
 // partition does not. `shed`: refused by admission (the ladder's level 3 or
 // the token bucket), on the ingest worker so the frame skips the detect
 // queue entirely. Otherwise it overflowed the detect queue: the
-// serving-layer twin of the paper's reconfiguration drop. Either way it
-// advances the coast ledger as an empty update, exactly what the tracker's
+// serving-layer twin of the paper's reconfiguration drop. Either way its
+// stream's tracker sees it as an empty update, exactly what the tracker's
 // miss-coasting is for.
 void ServeRun::emit_unscanned(DetectTask&& task, bool shed) {
-  StreamState& st = stream(task.stream);
-  if (!shed) st.backpressure_drops.fetch_add(1);
   const obs::TraceScope scope(task.trace);
   obs::ScopedSpan span(
       shed ? "shed_frame" : "drop_frame",
@@ -695,113 +676,128 @@ void ServeRun::emit_unscanned(DetectTask&& task, bool shed) {
   out.ingest_ns = task.ingest_ns;
   out.backpressure_dropped = !shed;
   out.shed = shed;
-  publish_entry(st, task.step.index, CoastEntry{});
   report_q_.push(std::move(out));
 }
 
-// --- the coast ledger (ladder level 2; publish is a no-op when off) ----
-// Feed one frame's entry to the stream's tracker ledger and advance the
-// in-order frontier as far as it goes. coast_mutex is a leaf lock.
-void ServeRun::publish_entry(StreamState& st, int index, CoastEntry entry) {
-  if (!ladder_active_) return;
-  bool advanced = false;
-  {
-    std::lock_guard<std::mutex> lock(st.coast_mutex);
-    st.coast_pending.emplace(index, std::move(entry));
-    for (auto it = st.coast_pending.find(st.coast_done + 1);
-         it != st.coast_pending.end();
-         it = st.coast_pending.find(st.coast_done + 1)) {
-      if (it->second.coast) {
-        // No fresh detections: the tracker coasts every live box forward by
-        // its last motion; confirmed tracks become the frame's output.
-        std::vector<det::Detection> dets;
-        for (const det::Track& t : st.tracker.update({})) {
-          det::Detection d;
-          d.box = t.box;
-          d.score = t.last_score;
-          d.class_id = t.class_id;
-          dets.push_back(d);
-        }
-        st.coast_results.emplace(it->first, std::move(dets));
-      } else {
-        st.tracker.update(it->second.dets);
-      }
-      ++st.coast_done;
-      st.coast_pending.erase(it);
-      advanced = true;
-    }
-  }
-  if (advanced) st.coast_cv.notify_all();
-}
-
-// Wait for the frontier to cross `index`, then take its coasted boxes.
-// Safe: the detect queue is FIFO, so every smaller index of this stream
-// already left it, and every leaving path publishes an entry; waits are only
-// ever on smaller indices, so no cycles.
-std::vector<det::Detection> ServeRun::take_coast(StreamState& st, int index) {
-  std::unique_lock<std::mutex> lock(st.coast_mutex);
-  st.coast_cv.wait(lock, [&] { return st.coast_done >= index; });
-  const auto it = st.coast_results.find(index);
-  std::vector<det::Detection> dets = std::move(it->second);
-  st.coast_results.erase(it);
-  return dets;
-}
-
 // --- stage 3: report collector -----------------------------------------
+// The one thread every frame reaches, exactly once. With the ladder off it
+// finishes each report as it arrives. With it on, it also keeps each
+// stream's coast ledger: a frame that arrives with its report is finished
+// at once and its boxes wait for the frontier; a coast frame waits there
+// itself and is evaluated and finished when the frontier reaches it.
 void ServeRun::collect() {
   while (std::optional<ReportTask> task = report_q_.pop()) {
-    const obs::TraceScope scope(task->trace);
-    obs::ScopedSpan span("collect_report", "runtime/report",
-                         {{"stream", task->stream},
-                          {"frame", task->report.index}});
-    const Clock::time_point t0 = Clock::now();
-    const auto us = static_cast<std::size_t>(task->stream);
-    const auto index = static_cast<std::size_t>(task->report.index);
-    if (index >= slots_[us].size()) {
-      slots_[us].resize(index + 1);
-      filled_[us].resize(index + 1, false);
+    if (!ladder_active_) {
+      finish(*task);
+      continue;
     }
-    // Critical-path latency of this frame: ingest-enqueue to report-dequeue
-    // on the tracer timebase. Feeds the latency histogram, the deadline
-    // counter the frame_deadline SLO rule watches, and the span (as an arg)
-    // so traces carry the number too.
-    const std::uint64_t now_ns = tracer_.now_ns();
-    const std::uint64_t latency_ns =
-        now_ns >= task->ingest_ns ? now_ns - task->ingest_ns : 0;
-    span.arg("latency_us", static_cast<std::int64_t>(latency_ns / 1000u));
-    StreamCounters& c = counters_[us];
-    c.latency->record_ns(latency_ns);
-    if (!task->shed) admitted_latency_.record_ns(latency_ns);
-    c.frames->inc();
-    const bool missed = deadline_ns_ > 0 && latency_ns > deadline_ns_;
-    if (missed) {
-      c.deadline_miss->inc();
-      streams_[us]->deadline_misses.fetch_add(1);
+    CoastLedger& ledger = ledgers_[static_cast<std::size_t>(task->stream)];
+    const int index =
+        task->coast ? task->coast->step.index : task->report.index;
+    if (!task->coast) finish(*task);
+    ledger.waiting.emplace(index, std::move(*task));
+    for (auto it = ledger.waiting.find(ledger.fed);
+         it != ledger.waiting.end(); it = ledger.waiting.find(ledger.fed)) {
+      if (it->second.coast)
+        coast_frame(ledger, it->second);
+      else
+        ledger.tracker.update(it->second.dets);
+      ++ledger.fed;
+      ledger.waiting.erase(it);
     }
-    // Tail sampling: a deadline miss, a drop or a shed makes this frame's
-    // chain worth keeping verbatim when the rings are ingested after the run.
-    if (missed || task->backpressure_dropped || task->shed)
-      sampler->mark_interesting(task->trace.trace_id);
-    if (task->backpressure_dropped) c.backpressure_drops->inc();
-    if (task->shed) {
-      if (c.shed != nullptr) c.shed->inc();
-    } else if (task->report.detect_coasted) {
-      if (c.coasted != nullptr) c.coasted->inc();
-    } else if (task->report.degrade_level > 0 && !task->backpressure_dropped) {
-      if (c.degraded_scans != nullptr) c.degraded_scans->inc();
-    }
-    // Shed frames are an explicit admission verdict, not a reconfig cost;
-    // keep them out of the reconfiguration-loss SLO rule.
-    if (!task->report.vehicle_processed && !task->backpressure_dropped &&
-        !task->shed)
-      c.reconfig_drops->inc();
-    if (task->report.reconfig_triggered) c.reconfigs->inc();
-    slots_[us][index] = std::move(task->report);
-    filled_[us][index] = true;
-    streams_[us]->collected.fetch_add(1, std::memory_order_relaxed);
-    streams_[us]->last_progress_ns.store(now_ns, std::memory_order_relaxed);
-    report_stage_.record(t0);
   }
+}
+
+// A level-2 coast frame, once every earlier frame of its stream has fed
+// the tracker: no render, no scan, no simulated accelerator. The tracker
+// coasts every live box forward by its last motion, and the confirmed
+// tracks are the frame's boxes.
+void ServeRun::coast_frame(CoastLedger& ledger, ReportTask& task) {
+  DetectTask& dt = *task.coast;
+  {
+    const obs::TraceScope scope(dt.trace);
+    obs::ScopedSpan span("coast_frame", "runtime/detect",
+                         {{"stream", dt.stream},
+                          {"frame", dt.step.index},
+                          {"mode", static_cast<std::int64_t>(dt.step.sensed)}});
+    std::vector<det::Detection> dets;
+    for (const det::Track& t : ledger.tracker.update({})) {
+      det::Detection d;
+      d.box = t.box;
+      d.score = t.last_score;
+      d.class_id = t.class_id;
+      dets.push_back(d);
+    }
+    core::EvaluateOptions opts;
+    opts.provided_detections = &dets;
+    task.report = system_.evaluate_frame(dt.step, dt.meta, opts);
+    task.report.degrade_level = static_cast<int>(dt.decision.level);
+    task.report.detect_coasted = true;
+    task.trace = span.context();
+  }
+  finish(task);
+}
+
+// One frame's end: its latency, its fate counted once, its report slotted.
+void ServeRun::finish(ReportTask& task) {
+  const obs::TraceScope scope(task.trace);
+  obs::ScopedSpan span("collect_report", "runtime/report",
+                       {{"stream", task.stream},
+                        {"frame", task.report.index}});
+  const Clock::time_point t0 = Clock::now();
+  const auto us = static_cast<std::size_t>(task.stream);
+  const auto index = static_cast<std::size_t>(task.report.index);
+  if (index >= slots_[us].size()) {
+    slots_[us].resize(index + 1);
+    filled_[us].resize(index + 1, false);
+  }
+  // Critical-path latency of this frame: ingest-enqueue to the moment its
+  // report is final, on the tracer timebase. Feeds the latency histogram,
+  // the deadline counter the frame_deadline SLO rule watches, and the span
+  // (as an arg) so traces carry the number too.
+  const std::uint64_t now_ns = tracer_.now_ns();
+  const std::uint64_t latency_ns =
+      now_ns >= task.ingest_ns ? now_ns - task.ingest_ns : 0;
+  span.arg("latency_us", static_cast<std::int64_t>(latency_ns / 1000u));
+  StreamCounters& c = counters_[us];
+  FrameOutcomes& o = outcomes_[us];
+  c.latency->record_ns(latency_ns);
+  if (!task.shed) admitted_latency_.record_ns(latency_ns);
+  c.frames->inc();
+  const bool missed = deadline_ns_ > 0 && latency_ns > deadline_ns_;
+  if (missed) {
+    c.deadline_miss->inc();
+    ++o.deadline_misses;
+  }
+  // Tail sampling: a deadline miss, a drop or a shed makes this frame's
+  // chain worth keeping verbatim when the rings are ingested after the run.
+  if (missed || task.backpressure_dropped || task.shed)
+    sampler->mark_interesting(task.trace.trace_id);
+  // Each frame lands in at most one of the four fates below.
+  if (task.backpressure_dropped) {
+    c.backpressure_drops->inc();
+    ++o.backpressure_drops;
+  } else if (task.shed) {
+    if (c.shed != nullptr) c.shed->inc();
+    ++o.shed;
+  } else if (task.report.detect_coasted) {
+    if (c.coasted != nullptr) c.coasted->inc();
+    ++o.coasted;
+  } else if (task.report.degrade_level > 0) {
+    if (c.degraded_scans != nullptr) c.degraded_scans->inc();
+    ++o.degraded_scans;
+  }
+  // Shed frames are an explicit admission verdict, not a reconfig cost;
+  // keep them out of the reconfiguration-loss SLO rule.
+  if (!task.report.vehicle_processed && !task.backpressure_dropped &&
+      !task.shed)
+    c.reconfig_drops->inc();
+  if (task.report.reconfig_triggered) c.reconfigs->inc();
+  slots_[us][index] = std::move(task.report);
+  filled_[us][index] = true;
+  streams_[us]->collected.fetch_add(1, std::memory_order_relaxed);
+  streams_[us]->last_progress_ns.store(now_ns, std::memory_order_relaxed);
+  report_stage_.record(t0);
 }
 
 // --- liveness watchdog -------------------------------------------------
@@ -903,17 +899,17 @@ std::vector<StreamResult> ServeRun::assemble() {
     result.report.frames = std::move(slots_[us]);
     result.report.reconfigs = state.session.reconfigs();
     result.report.log = state.session.log();
-    result.backpressure_drops = state.backpressure_drops.load();
-    result.deadline_misses = state.deadline_misses.load();
+    const FrameOutcomes& outcomes = outcomes_[us];
+    result.backpressure_drops = outcomes.backpressure_drops;
+    result.deadline_misses = outcomes.deadline_misses;
+    result.shed_frames = outcomes.shed;
+    result.coasted_frames = outcomes.coasted;
+    result.degraded_scans = outcomes.degraded_scans;
     result.garbage_frames = state.garbage_frames.load();
     result.source_retries = state.source_retries.load();
     result.source_failed = state.source_failed.load();
     result.watchdog_fired = state.watchdog_fired.load();
     if (admission != nullptr) {
-      const AdmissionStats stats = admission->stats(s);
-      result.shed_frames = stats.shed;
-      result.coasted_frames = stats.coasted;
-      result.degraded_scans = stats.degraded_scans;
       result.degrade_level = admission->level(s);
       result.degrade_transitions = admission->transitions(s);
     }

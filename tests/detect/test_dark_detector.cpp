@@ -5,6 +5,7 @@
 #include "avd/detect/dark_training.hpp"
 #include "avd/image/color.hpp"
 #include "avd/image/draw.hpp"
+#include "avd/obs/metrics.hpp"
 #include "avd/runtime/thread_pool.hpp"
 
 namespace avd::det {
@@ -100,6 +101,23 @@ TEST_F(DarkDetectorTest, DetectTaillightsFindsBothLamps) {
     EXPECT_NE(t.cls, data::TaillightClass::NotTaillight);
     EXPECT_GE(t.confidence, detector().config().dbn_min_confidence);
   }
+}
+
+// One detection moves each detect.dark.* counter by what it did.
+TEST_F(DarkDetectorTest, DetectionMovesItsCounters) {
+  const img::ImageU8 mask =
+      detector().preprocess(data::render_scene(one_vehicle_scene()));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto value = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::uint64_t blobs = value("detect.dark.blobs");
+  const std::uint64_t windows = value("detect.dark.batch_windows");
+  const std::uint64_t taillights = value("detect.dark.taillights");
+  const auto lights = detector().detect_taillights(mask);
+  EXPECT_GE(value("detect.dark.blobs") - blobs, 2u);  // both lamps
+  EXPECT_GT(value("detect.dark.batch_windows"), windows);
+  EXPECT_EQ(value("detect.dark.taillights") - taillights, lights.size());
 }
 
 TEST_F(DarkDetectorTest, DetectFindsVehicleBox) {

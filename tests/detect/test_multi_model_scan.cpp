@@ -6,6 +6,7 @@
 
 #include "../support/pinned_frames.hpp"
 #include "avd/image/color.hpp"
+#include "avd/obs/metrics.hpp"
 #include "avd/runtime/thread_pool.hpp"
 
 namespace avd::det {
@@ -95,6 +96,33 @@ TEST_F(MultiModelScanTest, FindsBothClassesInOneScan) {
       filter_class(dets, kClassAnimal), {scene.animals[0].body}, 0.25);
   EXPECT_EQ(vmatch.true_positives, 1);
   EXPECT_EQ(amatch.true_positives, 1);
+}
+
+// One scan moves each detect.hogsvm.* counter by what it did. At threshold
+// -inf every scanned window is a raw detection.
+TEST_F(MultiModelScanTest, ScanMovesItsCounters) {
+  const img::ImageU8 gray =
+      img::rgb_to_gray(data::render_scene(mixed_scene()));
+  const HogSvmModel* models[] = {&vehicle()};
+  SlidingWindowParams params;
+  params.score_threshold = -std::numeric_limits<double>::infinity();
+  params.max_levels = 2;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto value = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::uint64_t frames = value("detect.hogsvm.frames");
+  const std::uint64_t levels = value("detect.hogsvm.levels");
+  const std::uint64_t blocks = value("detect.hogsvm.blocks_normalised");
+  const std::uint64_t windows = value("detect.hogsvm.windows_scanned");
+  const std::uint64_t raw = value("detect.hogsvm.raw_detections");
+  static_cast<void>(detect_multiscale_multi(gray, models, params));
+  EXPECT_EQ(value("detect.hogsvm.frames") - frames, 1u);
+  EXPECT_EQ(value("detect.hogsvm.levels") - levels, 2u);
+  EXPECT_GT(value("detect.hogsvm.blocks_normalised"), blocks);
+  const std::uint64_t scanned = value("detect.hogsvm.windows_scanned") - windows;
+  EXPECT_GT(scanned, 0u);
+  EXPECT_EQ(value("detect.hogsvm.raw_detections") - raw, scanned);
 }
 
 TEST_F(MultiModelScanTest, AgreesWithSingleModelScan) {

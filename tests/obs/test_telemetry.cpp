@@ -1,5 +1,5 @@
-// TelemetryExporter: sampling semantics, ring bounds, JSONL sink validity
-// (through the obs::json parser), on_sample windows, and shutdown behaviour.
+// TelemetryExporter: sampling semantics, JSONL sink validity (through the
+// obs::json parser), on_sample windows, and shutdown behaviour.
 #include "avd/obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -20,15 +20,25 @@ std::string temp_path(const char* stem) {
   return testing::TempDir() + stem;
 }
 
+/// Every sample the exporter hands to on_sample, in order.
+void record_rows(TelemetryConfig& config, std::vector<TelemetrySample>& rows) {
+  config.on_sample = [&rows](const TelemetrySample*,
+                             const TelemetrySample& cur) {
+    rows.push_back(cur);
+  };
+}
+
 TEST(TelemetryExporter, SampleNowCapturesRegistryState) {
   MetricsRegistry reg;
   reg.counter("frames").inc(5);
-  TelemetryExporter exporter(reg);
+  std::vector<TelemetrySample> samples;
+  TelemetryConfig config;
+  record_rows(config, samples);
+  TelemetryExporter exporter(reg, config);
   exporter.sample_now();
   reg.counter("frames").inc(2);
   exporter.sample_now();
 
-  const std::vector<TelemetrySample> samples = exporter.samples();
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].metrics.counter("frames"), 5u);
   EXPECT_EQ(samples[1].metrics.counter("frames"), 7u);
@@ -36,29 +46,13 @@ TEST(TelemetryExporter, SampleNowCapturesRegistryState) {
   EXPECT_EQ(exporter.total_samples(), 2u);
 }
 
-TEST(TelemetryExporter, RingEvictsOldestButTotalKeepsCounting) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("tick");
-  TelemetryConfig config;
-  config.ring_capacity = 3;
-  TelemetryExporter exporter(reg, config);
-  for (int i = 0; i < 10; ++i) {
-    c.inc();
-    exporter.sample_now();
-  }
-  const std::vector<TelemetrySample> samples = exporter.samples();
-  ASSERT_EQ(samples.size(), 3u);
-  // Newest three survive: tick = 8, 9, 10.
-  EXPECT_EQ(samples[0].metrics.counter("tick"), 8u);
-  EXPECT_EQ(samples[2].metrics.counter("tick"), 10u);
-  EXPECT_EQ(exporter.total_samples(), 10u);
-}
-
 TEST(TelemetryExporter, BackgroundThreadSamplesPeriodically) {
   MetricsRegistry reg;
   reg.counter("background").inc();
+  std::vector<TelemetrySample> rows;
   TelemetryConfig config;
   config.period = std::chrono::milliseconds(2);
+  record_rows(config, rows);
   TelemetryExporter exporter(reg, config);
   EXPECT_FALSE(exporter.running());
   exporter.start();
@@ -72,7 +66,8 @@ TEST(TelemetryExporter, BackgroundThreadSamplesPeriodically) {
   // stop() is idempotent, and the final sample means short runs never end
   // up empty.
   exporter.stop();
-  EXPECT_FALSE(exporter.samples().empty());
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(rows.size(), exporter.total_samples());
 }
 
 TEST(TelemetryExporter, StopWithoutStartStillWorks) {
@@ -179,16 +174,15 @@ TEST(TelemetrySample, ToJsonParsesAndCarriesTimestamp) {
 }
 
 TEST(TelemetryExporter, SeqIsGaplessAcrossRingEviction) {
-  // Ring eviction discards old in-memory samples but must never reorder or
-  // duplicate what went to the sink: the JSONL rows' seq values are exactly
-  // 0..N-1 in file order, and the surviving ring is the newest suffix.
+  // Many rows, of which the exporter keeps only the latest in memory: what
+  // went to the sink is never reordered or duplicated, so the JSONL rows'
+  // seq values are exactly 0..N-1 in file order.
   MetricsRegistry reg;
   Counter& c = reg.counter("tick");
   const std::string path = temp_path("telemetry_seq.jsonl");
   std::remove(path.c_str());
 
   TelemetryConfig config;
-  config.ring_capacity = 3;  // much smaller than the row count
   config.period = std::chrono::milliseconds(500);  // only explicit samples
   config.jsonl_path = path;
   constexpr int kRows = 12;
@@ -221,32 +215,16 @@ TEST(TelemetryExporter, SeqIsGaplessAcrossRingEviction) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetryExporter, RingSurvivorsStayOrderedBySeq) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("tick");
-  TelemetryConfig config;
-  config.ring_capacity = 4;
-  TelemetryExporter exporter(reg, config);
-  for (int i = 0; i < 11; ++i) {
-    c.inc();
-    exporter.sample_now();
-  }
-  const std::vector<TelemetrySample> samples = exporter.samples();
-  ASSERT_EQ(samples.size(), 4u);
-  // Newest 4 of 11 samples: seq 7..10, strictly increasing, no duplicates.
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    EXPECT_EQ(samples[i].seq, 7u + i);
-}
-
 TEST(TelemetryExporter, RollupBeforeSampleFoldsLabeledSeries) {
   MetricsRegistry reg;
   reg.counter("frames", {{"stream", "0"}}).inc(4);
   reg.counter("frames", {{"stream", "1"}}).inc(6);
+  std::vector<TelemetrySample> samples;
   TelemetryConfig config;
   config.rollup_before_sample = true;
+  record_rows(config, samples);
   TelemetryExporter exporter(reg, config);
   exporter.sample_now();
-  const std::vector<TelemetrySample> samples = exporter.samples();
   ASSERT_EQ(samples.size(), 1u);
   // The row carries the per-stream series AND the folded fleet view.
   EXPECT_EQ(samples[0].metrics.counter("frames{stream=\"0\"}"), 4u);

@@ -24,11 +24,11 @@ TEST(BoundedQueue, FifoOrder) {
 }
 
 TEST(BoundedQueue, CapacityIsEnforced) {
-  BoundedQueue<int> q(3, OverflowPolicy::DropNewest);
+  BoundedQueue<int> q(3, OverflowPolicy::DropOldest);
   EXPECT_EQ(q.capacity(), 3u);
   for (int i = 0; i < 3; ++i) q.push(i);
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.push(99), PushOutcome::Rejected);
+  EXPECT_EQ(q.push(99), PushOutcome::Evicted);
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.stats().high_water, 3u);
 }
@@ -49,19 +49,6 @@ TEST(BoundedQueue, DropOldestEvictsAndReturnsStalest) {
   EXPECT_EQ(*displaced, 1);  // oldest goes
   EXPECT_EQ(*q.pop(), 2);
   EXPECT_EQ(*q.pop(), 3);
-  EXPECT_EQ(q.stats().dropped, 1u);
-}
-
-TEST(BoundedQueue, DropNewestRejectsAndReturnsIncoming) {
-  BoundedQueue<int> q(2, OverflowPolicy::DropNewest);
-  q.push(1);
-  q.push(2);
-  std::optional<int> displaced;
-  EXPECT_EQ(q.push(3, &displaced), PushOutcome::Rejected);
-  ASSERT_TRUE(displaced.has_value());
-  EXPECT_EQ(*displaced, 3);  // the fresh one is refused
-  EXPECT_EQ(*q.pop(), 1);
-  EXPECT_EQ(*q.pop(), 2);
   EXPECT_EQ(q.stats().dropped, 1u);
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "avd/obs/metrics.hpp"
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "../support/tiny_models.hpp"
@@ -136,8 +137,8 @@ TEST_F(FaultInjectionTest, ChaosPlanIsDeterministic) {
 
 // A stalling source only delays frames; per-stream results — including the
 // stalled stream's — must be bit-identical to the sequential run. This also
-// proves the ladder-active detect path (out_detections capture, coast
-// ledger bookkeeping) does not perturb full-fidelity results.
+// proves the ladder-active path (out_detections capture, the collector's
+// coast ledger) does not perturb full-fidelity results.
 TEST_F(FaultInjectionTest, SourceStallDelaysButNeverChangesResults) {
   const std::vector<data::DriveSequence> streams = make_streams(2, 3);
   FaultPlan plan;
@@ -339,10 +340,10 @@ TEST_F(FaultInjectionTest, ForcedShedProducesAccountedReports) {
   }
 }
 
-// Every ladder path of the one detect path against a reference built from
-// the public pieces: one control session, evaluate_frame with the options
-// each level implies, and a tracker fed every frame in index order, as the
-// coast ledger promises. Level 1 scans the coarse pyramid, level 3 sheds
+// Every ladder path against a reference built from the public pieces: one
+// control session, evaluate_frame with the options each level implies, and
+// a tracker fed every frame in index order, as the collector's coast
+// ledger promises. Level 1 scans the coarse pyramid, level 3 sheds
 // (and is no backpressure drop), level 2 coasts on the tracker boxes every
 // earlier frame fed.
 TEST_F(FaultInjectionTest, LadderFramesMatchASequentialReference) {
@@ -399,6 +400,55 @@ TEST_F(FaultInjectionTest, LadderFramesMatchASequentialReference) {
         results[0].report.frames[static_cast<std::size_t>(i)], expected,
         "frame " + std::to_string(i));
   }
+}
+
+// Each frame's fate is counted once, by the collector: a level-1 frame the
+// detect queue drops is a backpressure drop, not also a degraded scan. And
+// StreamResult's ladder counts are exactly the serve's growth of the
+// runtime.*{stream=} series.
+TEST_F(FaultInjectionTest, LadderCountsEachFrameOnce) {
+  const std::vector<data::DriveSequence> streams = make_streams(2, 4);
+  const int n = streams[0].frame_count();  // 8 frames
+  FaultPlan plan;
+  plan.faults.push_back({FaultKind::ForceDegrade, -1, 0, n, 1.0});
+  plan.faults.push_back({FaultKind::DetectSlowdown, -1, 0, n, 3.0});
+  FaultInjector injector(plan);
+
+  StreamServerConfig sc;
+  sc.detect_workers = 1;
+  sc.queue_capacity = 2;
+  sc.detect_policy = OverflowPolicy::DropOldest;
+  sc.fault_injector = &injector;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto series = [&](const char* name, std::size_t s) -> obs::Counter& {
+    return registry.counter(name, {{"stream", std::to_string(s)}});
+  };
+  const char* const kOutcomes[] = {"runtime.shed", "runtime.coasted",
+                                   "runtime.degraded_scans"};
+  std::vector<std::vector<std::uint64_t>> before(streams.size());
+  for (std::size_t s = 0; s < streams.size(); ++s)
+    for (const char* name : kOutcomes)
+      before[s].push_back(series(name, s).value());
+  StreamServer server(*system_, sc);
+  const std::vector<StreamResult> results = server.serve_sequences(streams);
+
+  std::uint64_t drops = 0;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    const StreamResult& r = results[s];
+    ASSERT_EQ(r.report.frames.size(), static_cast<std::size_t>(n));
+    EXPECT_LE(r.degraded_scans + r.backpressure_drops + r.shed_frames +
+                  r.coasted_frames,
+              static_cast<std::uint64_t>(n))
+        << "stream " << s << ": degraded_scans " << r.degraded_scans
+        << ", drops " << r.backpressure_drops;
+    const std::uint64_t counts[] = {r.shed_frames, r.coasted_frames,
+                                    r.degraded_scans};
+    for (std::size_t k = 0; k < 3; ++k)
+      EXPECT_EQ(series(kOutcomes[k], s).value() - before[s][k], counts[k])
+          << kOutcomes[k] << " stream " << s;
+    drops += r.backpressure_drops;
+  }
+  EXPECT_GT(drops, 0u);  // the slow worker really overflowed the queue
 }
 
 // A wedged source (stalls far past the watchdog timeout) is converted into

@@ -1,7 +1,7 @@
 // Causal frame tracing through the StreamServer: a 4-stream x 4-worker run
 // must yield, for every reported frame, one connected span chain
 // ingest -> control -> detect -> report sharing a trace_id across >= 2
-// threads — validated both on the drained spans (obs::assemble_frame_traces)
+// threads (a coast-ladder serve: coast_frame in place of detect) — validated both on the drained spans (obs::assemble_frame_traces)
 // and on the exported Chrome trace, re-parsed through obs::json.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "avd/obs/frame_trace.hpp"
 #include "avd/obs/json.hpp"
 #include "avd/obs/trace.hpp"
+#include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/soc/trace_export.hpp"
 #include "../support/tiny_models.hpp"
@@ -150,6 +151,60 @@ TEST(FrameTracing, ExportedChromeTraceLinksFramesWithFlowEvents) {
     EXPECT_EQ(flow->second.back(), "f");
   }
   EXPECT_EQ(linked, reported);
+}
+
+// Ladder frames keep connected chains too: with stream 0 pinned to level 2,
+// a coast frame's chain reads ingest -> control -> coast_frame -> collect,
+// and every other frame's has its detect (or drop/shed) span.
+TEST(FrameTracing, CoastLadderFramesHaveConnectedChains) {
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = false;
+  core::AdaptiveSystem system(test_support::tiny_models(), cfg);
+  FaultPlan plan;
+  plan.faults.push_back({FaultKind::ForceDegrade, 0, 0, 64, 2.0});
+  FaultInjector injector(plan);
+  StreamServerConfig sc;
+  sc.ingest_workers = 2;
+  sc.detect_workers = 2;
+  sc.fault_injector = &injector;
+  StreamServer server(system, sc);
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const std::vector<StreamResult> results =
+      server.serve_sequences(four_streams(4));
+  tracer.set_enabled(false);
+  const std::vector<obs::FrameTrace> traces =
+      obs::assemble_frame_traces(tracer.drain());
+  std::map<std::pair<std::int64_t, std::int64_t>, const obs::FrameTrace*>
+      by_frame;
+  for (const obs::FrameTrace& t : traces)
+    if (t.stream >= 0 && t.frame >= 0) by_frame[{t.stream, t.frame}] = &t;
+
+  ASSERT_GT(results[0].coasted_frames, 0u);
+  std::size_t coast_chains = 0;
+  for (const StreamResult& result : results) {
+    for (const core::AdaptiveFrameReport& frame : result.report.frames) {
+      const auto it = by_frame.find({result.stream, frame.index});
+      ASSERT_NE(it, by_frame.end())
+          << "no trace for stream " << result.stream << " frame "
+          << frame.index;
+      const obs::FrameTrace& t = *it->second;
+      EXPECT_TRUE(t.has_span("ingest_frame")) << t.trace_id;
+      EXPECT_TRUE(t.has_span("control_frame")) << t.trace_id;
+      EXPECT_TRUE(t.has_span("detect_frame") || t.has_span("coast_frame") ||
+                  t.has_span("shed_frame") || t.has_span("drop_frame"))
+          << t.trace_id;
+      EXPECT_EQ(t.has_span("coast_frame"), frame.detect_coasted)
+          << t.trace_id;
+      EXPECT_TRUE(t.has_span("collect_report")) << t.trace_id;
+      EXPECT_TRUE(t.connected()) << "trace " << t.trace_id
+                                 << " has unresolvable parent links";
+      if (frame.detect_coasted) ++coast_chains;
+    }
+  }
+  EXPECT_EQ(coast_chains, results[0].coasted_frames);
 }
 
 TEST(FrameTracing, DisabledTracerRecordsNothingAndServeStillWorks) {

@@ -207,12 +207,12 @@ TEST(StreamServer, CrossStreamBatchingMatchesSequentialExactly) {
   }
 }
 
-// Batching under the degradation ladder: level-2 coast frames are excluded
-// from pool batches and run in canonical order behind them. The serve must
-// stay deadlock-free with a single detect worker gathering coast and scan
-// frames of interleaved streams, deterministic across serves, and complete
-// (every frame reported). With the gather off, the same worker takes one
-// frame at a time, and the results must not move.
+// Batching under the degradation ladder: level-2 coast frames never enter a
+// gather (control hands them to the collector, which resolves them on its
+// coast ledger), while the scan frames of interleaved streams share the
+// gathers of a single detect worker. The serve must stay deterministic
+// across serves and complete (every frame reported). With the gather off,
+// the same worker takes one frame at a time, and the results must not move.
 TEST(StreamServer, CrossStreamBatchingWithCoastLadderIsDeterministic) {
   const core::SystemModels& models = test_support::tiny_models();
   ThreadPool pool(3);
@@ -223,14 +223,15 @@ TEST(StreamServer, CrossStreamBatchingWithCoastLadderIsDeterministic) {
   const std::vector<data::DriveSequence> streams = four_streams(4);
   FaultPlan plan;
   // Streams 0 and 2 pinned to SkipCoast from frame 2 on: their later
-  // frames alternate scan/coast inside the same gathers as streams 1/3.
+  // frames alternate scan/coast, and their scans share gathers with
+  // streams 1/3.
   plan.faults.push_back({FaultKind::ForceDegrade, 0, 2, 64, 2.0});
   plan.faults.push_back({FaultKind::ForceDegrade, 2, 2, 64, 2.0});
 
   const auto serve_once = [&](bool batching) {
     FaultInjector injector(plan);
     StreamServerConfig sc;
-    sc.detect_workers = 1;  // one worker: worst case for the ledger
+    sc.detect_workers = 1;  // one worker gathers every stream's scans
     sc.queue_capacity = 8;
     sc.scan_pool = &pool;
     sc.cross_stream_batching = batching;
