@@ -22,8 +22,10 @@
 // Part C guards the admitted-p99 headline: a small DropOldest detect queue
 // plus per-stream buckets bound how long any admitted frame waits, so p99
 // stays inside the paper's 20 ms budget while every stream is offered 1.6x
-// its admitted budget. Paced sources need a thread per stream, so at the
-// full 256-stream scale the process runs ~370 threads; on a small host
+// its admitted budget. Part C runs three times; the headline is the median
+// of the three worst-shard p99s, and every run must pass the bound. Paced
+// sources need a thread per stream, so at the full 256-stream scale the
+// process runs ~370 threads; on a small host
 // (this container has one core) the OS scheduler itself adds a flat
 // tens-of-ms wakeup tail that has nothing to do with the admission plane
 // (measured: 64 streams -> p99 7.6 ms, 256 streams -> p99 ~30 ms with an
@@ -207,7 +209,6 @@ int main() {
   const auto period = std::chrono::microseconds(
       static_cast<std::int64_t>(1e6 / per_stream_fps));
   avd::runtime::ShardedServerConfig pc = fc;
-  pc.shard.metric_labels = {{"phase", "paced"}};  // keep B's series clean
   // Paced sources sleep in next(): give each shard enough ingest workers
   // for its expected share plus hash-placement skew, so no source waits
   // behind another's pacing sleep.
@@ -242,48 +243,81 @@ int main() {
   pc.shard.admission.ladder.recover_after_windows = 100000;
   pc.fleet_pressure_fraction = 0.5;
 
+  // The worst-shard p99 of one 1.5 s paced serve moves in histogram-bin
+  // steps of about 1 ms, coarser than bench_diff's tolerance, so the
+  // headline is the median over kPacedRuns serves. Each runs on a fresh
+  // front door under its own phase= label: the registry is global, and a
+  // shared label would merge the runs' histograms (and B's series stay
+  // clean).
+  constexpr int kPacedRuns = 3;
   std::printf("\n[C] paced: %d streams at %.1f fps each (%.0f fps offered, "
-              "%.0f fps/stream admitted budget), per-shard admission...\n",
-              kStreams, per_stream_fps, offered_fps, kAdmittedPerStreamFps);
-  std::vector<avd::runtime::NamedStream> paced;
-  for (int i = 0; i < kStreams; ++i)
-    paced.push_back({"s" + std::to_string(i),
-                     std::make_unique<PacedFrameSource>(
-                         seqs[static_cast<std::size_t>(i)], period,
-                         i * period / kStreams)});
-  avd::runtime::ShardedServer paced_front(system, pc);
-  t0 = Clock::now();
-  const auto paced_results = paced_front.serve(std::move(paced));
-  const double paced_s =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-
-  std::uint64_t paced_frames = count_frames(paced_results);
-  std::uint64_t shed = 0, drops = 0;
+              "%.0f fps/stream admitted budget), per-shard admission, "
+              "%d runs...\n",
+              kStreams, per_stream_fps, offered_fps, kAdmittedPerStreamFps,
+              kPacedRuns);
+  std::vector<double> p99_runs, admitted_fps_runs;
+  bool paced_accounted = true, paced_p99_bounded = true;
   int streams_level3 = 0;
-  for (const auto& r : paced_results) {
-    shed += r.shed_frames;
-    drops += r.backpressure_drops;
-    if (r.degrade_level == avd::runtime::DegradeLevel::Shed) ++streams_level3;
+  // 20 ms is the paper budget; it is enforceable up to ~64 paced streams
+  // (one thread each). Beyond that, single-core scheduler wakeup jitter
+  // dominates the tail (see the header comment), so the check degrades to
+  // a sanity bound while bench_diff still tracks the headline value.
+  const double p99_bound_ms = kStreams <= 64 ? 20.0 : 100.0;
+  for (int run = 0; run < kPacedRuns; ++run) {
+    const std::string phase = "paced-" + std::to_string(run);
+    pc.shard.metric_labels = {{"phase", phase}};
+    std::vector<avd::runtime::NamedStream> paced;
+    for (int i = 0; i < kStreams; ++i)
+      paced.push_back({"s" + std::to_string(i),
+                       std::make_unique<PacedFrameSource>(
+                           seqs[static_cast<std::size_t>(i)], period,
+                           i * period / kStreams)});
+    avd::runtime::ShardedServer paced_front(system, pc);
+    t0 = Clock::now();
+    const auto paced_results = paced_front.serve(std::move(paced));
+    const double paced_s =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+
+    const std::uint64_t paced_frames = count_frames(paced_results);
+    std::uint64_t shed = 0, drops = 0;
+    for (const auto& r : paced_results) {
+      shed += r.shed_frames;
+      drops += r.backpressure_drops;
+      if (r.degrade_level == avd::runtime::DegradeLevel::Shed)
+        ++streams_level3;
+    }
+    double p99_ms = 0.0;
+    for (int m = 0; m < kShards; ++m) {
+      const auto& h = registry.histogram(
+          "runtime.frame.admitted_latency_ns",
+          {{"phase", phase}, {"shard", std::to_string(m)}});
+      const double shard_p50 =
+          static_cast<double>(h.percentile_ns(0.50)) / 1e6;
+      const double shard_p99 =
+          static_cast<double>(h.percentile_ns(0.99)) / 1e6;
+      std::printf("[C]   run %d shard %d: admitted p50 %.3f ms, p99 %.3f ms\n",
+                  run, m, shard_p50, shard_p99);
+      p99_ms = std::max(p99_ms, shard_p99);
+    }
+    std::printf("[C] run %d: %.2f s wall, %llu frames (%llu shed, %llu "
+                "dropped), admitted p99 %.3f ms (budget 20 ms, worst shard)\n",
+                run, paced_s, static_cast<unsigned long long>(paced_frames),
+                static_cast<unsigned long long>(shed),
+                static_cast<unsigned long long>(drops), p99_ms);
+    p99_runs.push_back(p99_ms);
+    admitted_fps_runs.push_back(static_cast<double>(paced_frames - shed) /
+                            paced_s);
+    paced_accounted = paced_accounted && paced_frames == total_frames;
+    paced_p99_bounded = paced_p99_bounded && p99_ms < p99_bound_ms;
   }
-  double p50_ms = 0.0, p99_ms = 0.0;
-  for (int m = 0; m < kShards; ++m) {
-    const auto& h = registry.histogram(
-        "runtime.frame.admitted_latency_ns",
-        {{"phase", "paced"}, {"shard", std::to_string(m)}});
-    const double shard_p50 = static_cast<double>(h.percentile_ns(0.50)) / 1e6;
-    const double shard_p99 = static_cast<double>(h.percentile_ns(0.99)) / 1e6;
-    std::printf("[C]   shard %d: admitted p50 %.3f ms, p99 %.3f ms\n", m,
-                shard_p50, shard_p99);
-    p50_ms = std::max(p50_ms, shard_p50);
-    p99_ms = std::max(p99_ms, shard_p99);
-  }
-  const double admitted_fps =
-      static_cast<double>(paced_frames - shed) / paced_s;
-  std::printf("[C] %.2f s wall, %llu frames (%llu shed, %llu dropped), "
-              "admitted p99 %.3f ms (budget 20 ms, worst shard)\n", paced_s,
-              static_cast<unsigned long long>(paced_frames),
-              static_cast<unsigned long long>(shed),
-              static_cast<unsigned long long>(drops), p99_ms);
+  const auto median = [](std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    return xs[xs.size() / 2];
+  };
+  const double p99_ms = median(p99_runs);
+  const double admitted_fps = median(admitted_fps_runs);
+  std::printf("[C] median of %d runs: admitted p99 %.3f ms, admitted %.0f "
+              "fps\n", kPacedRuns, p99_ms, admitted_fps);
 
   avd::bench::BenchReport report("many_stream_soak");
   report.metric("many_stream.baseline_fps", base_fps, "fps", "higher");
@@ -294,21 +328,17 @@ int main() {
   report.check("aggregate_speedup_ge_1p5x", speedup >= 1.5);
   report.check("all_frames_accounted_baseline", base_frames == total_frames);
   report.check("all_frames_accounted_sharded", shard_frames == total_frames);
-  report.check("all_frames_accounted_paced", paced_frames == total_frames);
+  report.check("all_frames_accounted_paced", paced_accounted);
   report.check("shard_marginals_reconcile", marginals_ok);
-  // 20 ms is the paper budget; it is enforceable up to ~64 paced streams
-  // (one thread each). Beyond that, single-core scheduler wakeup jitter
-  // dominates the tail (see the header comment), so the check degrades to
-  // a sanity bound while bench_diff still tracks the headline value.
-  const double p99_bound_ms = kStreams <= 64 ? 20.0 : 100.0;
-  report.check("admitted_p99_bounded", p99_ms < p99_bound_ms);
+  report.check("admitted_p99_bounded", paced_p99_bounded);  // every run
   report.check("no_stream_dropped", streams_level3 == 0);
   report.note("load_model",
               std::to_string(kStreams) +
                   " streams; baseline 4 workers x 2 ms accel (~2000 fps); "
                   "sharded 4x1 coordinators batching onto 16 pool threads "
-                  "(~8000 fps); paced part offers 8 fps/stream against a "
-                  "5 fps/stream admitted budget with per-shard admission");
+                  "(~8000 fps); paced part (median of 3 runs) offers "
+                  "8 fps/stream against a 5 fps/stream admitted budget with "
+                  "per-shard admission");
   report.write();
   return 0;
 }

@@ -4,9 +4,14 @@
 // reconfiguration machinery. Driving a scripted sequence through run()
 // reproduces the paper's operational story: HOG+SVM vehicle detection with a
 // block-RAM model swap between day and dusk, a partial reconfiguration to the
-// DBN-based dark pipeline when night falls, pedestrian detection never
-// interrupted, and exactly one dropped vehicle frame per reconfiguration.
+// DBN-based dark pipeline when night falls, and exactly one dropped vehicle
+// frame per reconfiguration. No pedestrian scan runs in run():
+// pedestrian_processed is the frame scheduler's flag for the static
+// partition, and detect_pedestrians is a separate call.
 #pragma once
+
+#include <optional>
+#include <string_view>
 
 #include "avd/core/lighting_classifier.hpp"
 #include "avd/core/system_models.hpp"
@@ -72,7 +77,7 @@ struct AdaptiveFrameReport {
   /// (runtime::DegradeLevel as int; 0 = full fidelity, always 0 from run()).
   int degrade_level = 0;
   /// True when the frame's vehicle detections came from tracker coasting
-  /// (ladder level 2) rather than a pixel-level scan.
+  /// (ladder level 2) rather than a pixel-level scan; set by the runtime.
   bool detect_coasted = false;
 };
 
@@ -122,21 +127,11 @@ struct ControlStep {
   soc::FrameRecord record;  ///< schedule decision (config, processed flags)
 };
 
-/// Degraded-fidelity knobs for AdaptiveSystem::evaluate_frame, used by the
-/// serving runtime's degradation ladder. Defaults are the full-fidelity
-/// pass.
-struct EvaluateOptions {
-  /// Scan with these sliding-window params instead of config().sliding
-  /// (the ladder's coarser pyramid). The dark detector's internal scan is
-  /// unaffected. Not owned; may be null.
-  const det::SlidingWindowParams* sliding_override = nullptr;
-  /// Skip the pixel-level scan and use these vehicle detections instead
-  /// (the ladder's tracker-coast path) — the frame is never rendered.
-  /// Not owned; may be null.
-  const std::vector<det::Detection>* provided_detections = nullptr;
-  /// When non-null, receives the vehicle detections the frame produced
-  /// (post-NMS, pre-matching) so the caller can feed its tracker.
-  std::vector<det::Detection>* out_detections = nullptr;
+/// What the vehicle engine found on one frame.
+struct FrameDetections {
+  std::vector<det::Detection> vehicles;
+  /// Set when the loaded configuration scored the animal classifier too.
+  std::optional<std::vector<det::Detection>> animals;
 };
 
 class AdaptiveSystem {
@@ -158,7 +153,6 @@ class AdaptiveSystem {
     /// the batch run() control pass bit for bit.
     [[nodiscard]] ControlStep control_step(const data::SequenceFrame& meta);
 
-    [[nodiscard]] int frames_stepped() const { return next_index_; }
     [[nodiscard]] const std::vector<soc::ReconfigResult>& reconfigs() const {
       return reconfigs_;
     }
@@ -180,20 +174,40 @@ class AdaptiveSystem {
   /// run() call).
   [[nodiscard]] StepSession begin_session() const { return StepSession(*this); }
 
-  /// Pixel-level pass for one frame given its control outcome, optionally
-  /// at degraded fidelity (see EvaluateOptions). Const and thread-safe: a
-  /// pure function of the trained models, so the runtime's detect workers
-  /// may call it concurrently.
-  [[nodiscard]] AdaptiveFrameReport evaluate_frame(
+  /// The one detector dispatch, picked by the loaded configuration: "dark"
+  /// runs the dark pipeline; otherwise one grey conversion feeds one HOG scan
+  /// at `sliding` over the vehicle model for `sensed` and, under
+  /// "countryside", the animal classifier.
+  [[nodiscard]] FrameDetections detect_frame(
+      const img::RgbImage& frame, std::string_view config,
+      data::LightingCondition sensed,
+      const det::SlidingWindowParams& sliding) const;
+
+  /// Render a frame and run detect_frame with its loaded configuration and
+  /// sensed condition, or nothing when the vehicle engine does not scan it
+  /// (a frame dropped for reconfiguration, or run_detectors off).
+  [[nodiscard]] std::optional<FrameDetections> scan_frame(
       const ControlStep& step, const data::SequenceFrame& meta,
-      const EvaluateOptions& options = {}) const;
+      const det::SlidingWindowParams& sliding) const;
+
+  /// A frame's report from its control outcome and its boxes (none: the
+  /// frame was not scanned). Boxes are matched against the scene's truth,
+  /// animal_match only when the animal classifier ran, and never on a frame
+  /// the vehicle engine does not scan.
+  [[nodiscard]] AdaptiveFrameReport report_frame(
+      const ControlStep& step, const data::SequenceFrame& meta,
+      const std::optional<FrameDetections>& boxes) const;
+
+  /// One frame of run(): scan_frame at config().sliding, then report_frame.
+  /// Const and thread-safe, like every call above.
+  [[nodiscard]] AdaptiveFrameReport evaluate_frame(
+      const ControlStep& step, const data::SequenceFrame& meta) const;
 
   /// Drive a scripted sequence through the system (sequentially; the
   /// concurrent equivalent is runtime::StreamServer).
   [[nodiscard]] AdaptiveRunReport run(const data::DriveSequence& sequence) const;
 
-  /// Detect vehicles on one frame with the pipeline serving `condition`
-  /// (assumes the right configuration is loaded).
+  /// detect_frame's vehicles under the configuration serving `condition`.
   [[nodiscard]] std::vector<det::Detection> detect_vehicles(
       const img::RgbImage& frame, data::LightingCondition condition) const;
 
@@ -205,12 +219,14 @@ class AdaptiveSystem {
   [[nodiscard]] const AdaptiveSystemConfig& config() const { return config_; }
 
  private:
+  [[nodiscard]] bool scans(const ControlStep& step) const {
+    return config_.run_detectors && step.record.vehicle_processed;
+  }
+
   SystemModels models_;
   AdaptiveSystemConfig config_;
   soc::ZynqPlatform platform_;
-  soc::PartialBitstream day_dusk_bits_;
-  soc::PartialBitstream dark_bits_;
-  soc::PartialBitstream countryside_bits_;
+  std::vector<soc::PartialBitstream> bitstreams_;  ///< one per configuration
 };
 
 }  // namespace avd::core

@@ -23,12 +23,15 @@ img::ImageU8 traced_grey(const img::RgbImage& frame) {
   return img::rgb_to_gray(frame);
 }
 
-/// match_detections under its own span (the ledger's detect.match layer).
+/// match_detections against the truth objects' bodies, under its own span
+/// (the ledger's detect.match layer).
+template <class Spec>
 det::MatchResult traced_match(const std::vector<det::Detection>& dets,
-                              const std::vector<img::Rect>& truth,
-                              double iou) {
+                              const std::vector<Spec>& truth, double iou) {
   const obs::ScopedSpan span("match", "core/detect");
-  return det::match_detections(dets, truth, iou);
+  std::vector<img::Rect> bodies;
+  for (const Spec& t : truth) bodies.push_back(t.body);
+  return det::match_detections(dets, bodies, iou);
 }
 
 }  // namespace
@@ -89,21 +92,43 @@ AdaptiveSystem::AdaptiveSystem(SystemModels models, AdaptiveSystemConfig config)
   const soc::DeviceResources device;
   const soc::ModuleResources partition = soc::floorplan_partition(
       soc::dark_blocks(), device, config_.floorplan);
-  day_dusk_bits_ = soc::make_partial_bitstream("day-dusk", partition, device,
-                                               config_.bitstream);
-  dark_bits_ =
-      soc::make_partial_bitstream("dark", partition, device, config_.bitstream);
-  countryside_bits_ = soc::make_partial_bitstream("countryside", partition,
-                                                  device, config_.bitstream);
+  // Countryside is a configuration only when the animal model exists.
+  std::vector<std::string> names{"day-dusk", "dark"};
+  if (models_.has_animal_model()) names.emplace_back("countryside");
+  for (const std::string& name : names)
+    bitstreams_.push_back(soc::make_partial_bitstream(name, partition, device,
+                                                      config_.bitstream));
+}
+
+FrameDetections AdaptiveSystem::detect_frame(
+    const img::RgbImage& frame, std::string_view config,
+    data::LightingCondition sensed,
+    const det::SlidingWindowParams& sliding) const {
+  FrameDetections out;
+  if (config == "dark") {
+    out.vehicles = models_.dark.detect(frame);
+    return out;
+  }
+  // Countryside scores the animal classifier behind the vehicle model's HOG
+  // front end: the software mirror of soc::countryside_blocks()'s sharing.
+  const bool animals = config == "countryside" && models_.has_animal_model();
+  const det::HogSvmModel* set[] = {&models_.vehicle_model_for(sensed),
+                                   &models_.animal};
+  const img::ImageU8 grey = traced_grey(frame);
+  const std::vector<det::Detection> all = det::detect_multiscale_multi(
+      grey, std::span(set, animals ? 2 : 1), sliding);
+  if (animals) out.animals.emplace();
+  for (const det::Detection& d : all)
+    (d.class_id == det::kClassAnimal ? *out.animals : out.vehicles)
+        .push_back(d);
+  return out;
 }
 
 std::vector<det::Detection> AdaptiveSystem::detect_vehicles(
     const img::RgbImage& frame, data::LightingCondition condition) const {
-  if (condition == data::LightingCondition::Dark)
-    return models_.dark.detect(frame);
-  const img::ImageU8 gray = traced_grey(frame);
-  return det::detect_multiscale(gray, models_.vehicle_model_for(condition),
-                                config_.sliding);
+  return detect_frame(frame, config_for(condition), condition,
+                      config_.sliding)
+      .vehicles;
 }
 
 std::vector<det::Detection> AdaptiveSystem::detect_pedestrians(
@@ -116,9 +141,8 @@ AdaptiveSystem::StepSession::StepSession(const AdaptiveSystem& system)
       controller_(system.platform_, system.config_.method),
       scheduler_(system.config_.scheduler),
       classifier_(system.config_.classifier) {
-  controller_.stage(system.day_dusk_bits_);
-  controller_.stage(system.dark_bits_);
-  if (system.models_.has_animal_model()) controller_.stage(system.countryside_bits_);
+  for (const soc::PartialBitstream& bits : system.bitstreams_)
+    controller_.stage(bits);
 }
 
 const soc::EventLog& AdaptiveSystem::StepSession::log() const {
@@ -173,11 +197,12 @@ ControlStep AdaptiveSystem::StepSession::control_step(
     const soc::Duration drain =
         soc::day_dusk_pipeline_model().frame_time(soc::kHdtvFrame);
     const soc::TimePoint start = now + drain;
-    const soc::PartialBitstream& bits =
-        wanted == "dark" ? system_->dark_bits_
-                         : (wanted == "countryside" ? system_->countryside_bits_
-                                                    : system_->day_dusk_bits_);
-    const soc::ReconfigResult result = controller_.reconfigure(start, bits);
+    const soc::ReconfigResult result = controller_.reconfigure(
+        start, *std::find_if(system_->bitstreams_.begin(),
+                             system_->bitstreams_.end(),
+                             [&](const soc::PartialBitstream& b) {
+                               return b.config_name == wanted;
+                             }));
     scheduler_.add_reconfig_window(start, result.duration(), wanted);
     reconfigs_.push_back(result);
     busy_until_ = result.end;
@@ -193,10 +218,20 @@ ControlStep AdaptiveSystem::StepSession::control_step(
   return step;
 }
 
-AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
+std::optional<FrameDetections> AdaptiveSystem::scan_frame(
     const ControlStep& step, const data::SequenceFrame& meta,
-    const EvaluateOptions& options) const {
-  const obs::ScopedSpan span("evaluate_frame", "core/detect");
+    const det::SlidingWindowParams& sliding) const {
+  if (!scans(step)) return std::nullopt;
+  // The *loaded* configuration picks the detector, not the sensed
+  // condition: frames between a condition change and the end of the
+  // reconfiguration still run the previous pipeline.
+  return detect_frame(traced_render(meta.scene), step.record.vehicle_config,
+                      step.sensed, sliding);
+}
+
+AdaptiveFrameReport AdaptiveSystem::report_frame(
+    const ControlStep& step, const data::SequenceFrame& meta,
+    const std::optional<FrameDetections>& boxes) const {
   AdaptiveFrameReport fr;
   fr.index = step.index;
   fr.light_level = step.light_level;
@@ -205,84 +240,35 @@ AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
   fr.vehicle_processed = step.record.vehicle_processed;
   fr.pedestrian_processed = step.record.pedestrian_processed;
   fr.reconfig_triggered = step.reconfig_triggered;
-
   fr.vehicles_truth = static_cast<int>(meta.scene.vehicles.size());
   fr.animals_truth = static_cast<int>(meta.scene.animals.size());
-
-  if (config_.run_detectors && fr.vehicle_processed) {
-    const det::SlidingWindowParams& sliding =
-        options.sliding_override != nullptr ? *options.sliding_override
-                                            : config_.sliding;
-    std::vector<det::Detection> dets;
-    if (options.provided_detections != nullptr) {
-      // Tracker-coast path: the caller already has this frame's boxes; the
-      // frame is never rendered, which is the whole point of the ladder's
-      // skip level.
-      dets = *options.provided_detections;
-      fr.detect_coasted = true;
-    } else {
-      // The detector that actually runs is determined by the *loaded*
-      // configuration, not by the sensed condition: frames between a
-      // condition change and the end of the reconfiguration still run the
-      // previous pipeline.
-      const img::RgbImage frame = traced_render(meta.scene);
-      if (fr.active_config == "dark") {
-        dets = models_.dark.detect(frame);
-      } else if (fr.active_config == "countryside" &&
-                 models_.has_animal_model()) {
-        // The countryside configuration runs both classifiers behind one
-        // shared HOG front end — the software mirror of the hardware block
-        // sharing in soc::countryside_blocks().
-        const img::ImageU8 gray = traced_grey(frame);
-        const det::HogSvmModel* shared_models[] = {
-            &models_.vehicle_model_for(fr.sensed), &models_.animal};
-        const auto all =
-            det::detect_multiscale_multi(gray, shared_models, sliding);
-        std::vector<det::Detection> animal_dets;
-        for (const det::Detection& d : all) {
-          if (d.class_id == det::kClassAnimal)
-            animal_dets.push_back(d);
-          else
-            dets.push_back(d);
-        }
-        std::vector<img::Rect> animal_truth;
-        for (const data::AnimalSpec& a : meta.scene.animals)
-          animal_truth.push_back(a.body);
-        fr.animal_match =
-            traced_match(animal_dets, animal_truth, config_.match_iou);
-      } else {
-        const img::ImageU8 gray = traced_grey(frame);
-        dets = det::detect_multiscale(gray, models_.vehicle_model_for(fr.sensed),
-                                      sliding);
-      }
-    }
-    if (options.out_detections != nullptr) *options.out_detections = dets;
-    std::vector<img::Rect> truth;
-    for (const data::VehicleSpec& v : meta.scene.vehicles)
-      truth.push_back(v.body);
-    fr.vehicle_match = traced_match(dets, truth, config_.match_iou);
-  }
+  if (!boxes || !scans(step)) return fr;
+  fr.vehicle_match =
+      traced_match(boxes->vehicles, meta.scene.vehicles, config_.match_iou);
+  if (boxes->animals)
+    fr.animal_match =
+        traced_match(*boxes->animals, meta.scene.animals, config_.match_iou);
   return fr;
 }
 
+AdaptiveFrameReport AdaptiveSystem::evaluate_frame(
+    const ControlStep& step, const data::SequenceFrame& meta) const {
+  const obs::ScopedSpan span("evaluate_frame", "core/detect");
+  return report_frame(step, meta, scan_frame(step, meta, config_.sliding));
+}
+
 AdaptiveRunReport AdaptiveSystem::run(const data::DriveSequence& sequence) const {
-  // The batch path is the streaming path driven sequentially: one control
-  // step per frame, then the pixel-level pass on each frame. Keeping a
-  // single code path is what makes the runtime's per-stream determinism
-  // guarantee checkable against this function.
+  // The batch path is the streaming path driven sequentially: each frame's
+  // control step, then its pixel-level pass (a step's record is final once
+  // it returns). Keeping a single code path is what makes the runtime's
+  // per-stream determinism guarantee checkable against this function.
   AdaptiveRunReport report;
-  const int n = sequence.frame_count();
   StepSession session = begin_session();
-
-  std::vector<ControlStep> steps;
-  steps.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    steps.push_back(session.control_step(sequence.frame(i)));
-
-  report.frames.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    report.frames.push_back(
-        evaluate_frame(steps[static_cast<std::size_t>(i)], sequence.frame(i)));
+  report.frames.reserve(static_cast<std::size_t>(sequence.frame_count()));
+  for (int i = 0; i < sequence.frame_count(); ++i) {
+    const data::SequenceFrame meta = sequence.frame(i);
+    report.frames.push_back(evaluate_frame(session.control_step(meta), meta));
+  }
 
   report.reconfigs = session.reconfigs();
   report.log = session.log();

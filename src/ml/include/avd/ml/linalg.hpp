@@ -19,13 +19,6 @@ namespace avd::ml {
   return acc;
 }
 
-/// y += alpha * x
-inline void axpy(double alpha, std::span<const float> x, std::span<float> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("axpy: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i)
-    y[i] += static_cast<float>(alpha * static_cast<double>(x[i]));
-}
-
 [[nodiscard]] inline double squared_norm(std::span<const float> v) {
   double acc = 0.0;
   for (float x : v) acc += static_cast<double>(x) * x;

@@ -34,7 +34,6 @@ class Standardizer {
   [[nodiscard]] LinearSvm fold_into(const LinearSvm& standardized_model) const;
 
   [[nodiscard]] std::span<const float> means() const { return means_; }
-  [[nodiscard]] std::span<const float> stddevs() const { return stds_; }
   [[nodiscard]] std::size_t dimension() const { return means_.size(); }
 
  private:

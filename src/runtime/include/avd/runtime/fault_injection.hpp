@@ -95,7 +95,6 @@ class FaultInjector {
 
   struct Counters {
     std::uint64_t stalls = 0;           ///< frames delayed by SourceStall
-    std::uint64_t eofs = 0;             ///< streams cut short by SourceEof
     std::uint64_t errors = 0;           ///< TransientSourceError throws
     std::uint64_t garbage = 0;          ///< frames corrupted
     std::uint64_t slowdown_frames = 0;  ///< detect tasks slowed down

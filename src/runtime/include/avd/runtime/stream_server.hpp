@@ -16,9 +16,10 @@
 //              core::AdaptiveSystem::StepSession. A stream's frames leave
 //              one thread in index order, so the session needs no lock;
 //              different streams proceed concurrently.
-// * detect   — the heavy, embarrassingly parallel stage: pixel-level
-//              detection through the const AdaptiveSystem::evaluate_frame.
-//              This pool is the throughput knob.
+// * detect   — the heavy, embarrassingly parallel stage: the const
+//              AdaptiveSystem::scan_frame (the ladder's coarse pyramid passed
+//              as its sliding-window argument) and report_frame. This pool
+//              is the throughput knob.
 // * report   — a single collector slots per-frame reports into per-stream
 //              result vectors (order-insensitive by construction) and
 //              counts each frame's fate once. Ladder on, it also feeds each
@@ -29,9 +30,9 @@
 // bit-identical to the sequential AdaptiveSystem::run() on the same
 // sequence, whatever the worker counts — enforced by tests/runtime. With
 // DropOldest on the detect queue, overflowing frames are not lost silently:
-// they surface as vehicle_processed=false reports (the pedestrian engine,
-// like the paper's static partition, is unaffected), exactly the shape of
-// the paper's reconfiguration frame drop.
+// they surface as vehicle_processed=false reports, exactly the shape of the
+// paper's reconfiguration frame drop. No pedestrian scan runs on any frame;
+// pedestrian_processed is the frame scheduler's flag.
 //
 // Metrics: the global obs::MetricsRegistry is the one store. Per stage,
 // runtime.stage.latency_ns (histogram), runtime.stage.processed (counter)

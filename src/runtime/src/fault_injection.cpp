@@ -120,10 +120,6 @@ class FaultySource final : public FrameSource {
           case FaultKind::SourceEof:
             if ((spec.stream == -1 || spec.stream == stream_) &&
                 pos >= spec.from_frame) {
-              if (!eof_counted_) {
-                ++fi.counters_.eofs;
-                eof_counted_ = true;
-              }
               eof = true;
             }
             break;
@@ -165,7 +161,6 @@ class FaultySource final : public FrameSource {
   int stream_;
   std::unique_ptr<FrameSource> inner_;
   int position_ = 0;  ///< source position (pre-validation; single-threaded)
-  bool eof_counted_ = false;
 };
 
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {

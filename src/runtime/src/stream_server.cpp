@@ -628,13 +628,15 @@ void ServeRun::detect_frame(DetectTask& task) {
   out.stream = task.stream;
   out.trace = span.context();
   out.ingest_ns = task.ingest_ns;
-  core::EvaluateOptions opts;
-  // The scan's boxes feed the stream's tracker through the coast ledger.
-  if (ladder_active_) opts.out_detections = &out.dets;
-  if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
-    opts.sliding_override = &degraded_sliding_;
-  out.report = system_.evaluate_frame(task.step, task.meta, opts);
+  // Levels 1 and 2 scan the coarse pyramid (level 3 never reaches here).
+  std::optional<core::FrameDetections> boxes = system_.scan_frame(
+      task.step, task.meta,
+      level == DegradeLevel::Full ? system_.config().sliding
+                                  : degraded_sliding_);
+  out.report = system_.report_frame(task.step, task.meta, boxes);
   out.report.degrade_level = static_cast<int>(level);
+  // The scan's boxes feed the stream's tracker through the coast ledger.
+  if (ladder_active_ && boxes) out.dets = std::move(boxes->vehicles);
   // The modelled PL accelerator occupies the worker on frames whose vehicle
   // engine ran a scan; an injected slowdown on every frame.
   double sleep_ms = 0.0;
@@ -651,11 +653,10 @@ void ServeRun::detect_frame(DetectTask& task) {
   report_q_.push(std::move(out));
 }
 
-// A frame that never reaches the scan still produces a report, never a
-// silent loss: the vehicle engine misses it, the static pedestrian
-// partition does not. `shed`: refused by admission (the ladder's level 3 or
-// the token bucket), on the ingest worker so the frame skips the detect
-// queue entirely. Otherwise it overflowed the detect queue: the
+// A frame that never reaches the scan still produces a report (with no
+// boxes), never a silent loss: the vehicle engine misses it. `shed`:
+// refused by admission (the ladder's level 3 or the token bucket), on the
+// ingest worker so the frame skips the detect queue entirely. Otherwise it overflowed the detect queue: the
 // serving-layer twin of the paper's reconfiguration drop. Either way its
 // stream's tracker sees it as an empty update, exactly what the tracker's
 // miss-coasting is for.
@@ -670,7 +671,7 @@ void ServeRun::emit_unscanned(DetectTask&& task, bool shed) {
   task.step.record.vehicle_processed = false;
   ReportTask out;
   out.stream = task.stream;
-  out.report = system_.evaluate_frame(task.step, task.meta);
+  out.report = system_.report_frame(task.step, task.meta, std::nullopt);
   out.report.degrade_level = static_cast<int>(task.decision.level);
   out.trace = span.context();
   out.ingest_ns = task.ingest_ns;
@@ -720,17 +721,15 @@ void ServeRun::coast_frame(CoastLedger& ledger, ReportTask& task) {
                          {{"stream", dt.stream},
                           {"frame", dt.step.index},
                           {"mode", static_cast<std::int64_t>(dt.step.sensed)}});
-    std::vector<det::Detection> dets;
+    core::FrameDetections tracked;
     for (const det::Track& t : ledger.tracker.update({})) {
       det::Detection d;
       d.box = t.box;
       d.score = t.last_score;
       d.class_id = t.class_id;
-      dets.push_back(d);
+      tracked.vehicles.push_back(d);
     }
-    core::EvaluateOptions opts;
-    opts.provided_detections = &dets;
-    task.report = system_.evaluate_frame(dt.step, dt.meta, opts);
+    task.report = system_.report_frame(dt.step, dt.meta, std::move(tracked));
     task.report.degrade_level = static_cast<int>(dt.decision.level);
     task.report.detect_coasted = true;
     task.trace = span.context();

@@ -35,7 +35,6 @@ class InterruptController {
   int add_line(std::string source);
 
   void mask(int id, bool masked);
-  [[nodiscard]] bool is_masked(int id) const { return line(id).masked; }
   [[nodiscard]] bool is_pending(int id) const { return line(id).pending; }
   [[nodiscard]] std::uint64_t raise_count(int id) const {
     return line(id).total_raised;
@@ -57,7 +56,6 @@ class InterruptController {
 
   /// Pending line count.
   [[nodiscard]] int pending_count() const;
-  [[nodiscard]] std::size_t line_count() const { return lines_.size(); }
 
  private:
   [[nodiscard]] const IrqLine& line(int id) const;

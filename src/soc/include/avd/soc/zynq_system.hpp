@@ -144,9 +144,6 @@ class ZynqSystem {
   [[nodiscard]] AxiLiteInterconnect& bus() { return bus_; }
   [[nodiscard]] const VideoFormat& video() const { return video_; }
   [[nodiscard]] DetectionModuleRegs& vehicle_module() { return *vehicle_mod_; }
-  [[nodiscard]] DetectionModuleRegs& pedestrian_module() {
-    return *pedestrian_mod_;
-  }
 
  private:
   /// Register write helper that accumulates control-plane time.

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "avd/image/color.hpp"
 #include "avd/obs/trace.hpp"
 
 namespace avd::core {
@@ -249,6 +250,96 @@ TEST(AdaptiveSystemDetectors, FullPipelineFindsVehiclesPerCondition) {
   const auto day_dets = system.detect_vehicles(
       data::render_scene(day_scene), data::LightingCondition::Day);
   EXPECT_FALSE(day_dets.empty());
+}
+
+void expect_same_boxes(const std::vector<det::Detection>& a,
+                       const std::vector<det::Detection>& b,
+                       const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].box, b[i].box) << where << " #" << i;
+    EXPECT_EQ(a[i].score, b[i].score) << where << " #" << i;  // bit-exact
+    EXPECT_EQ(a[i].class_id, b[i].class_id) << where << " #" << i;
+  }
+}
+
+TEST(AdaptiveSystemDetectors, DetectFrameDispatchesOnTheLoadedConfiguration) {
+  TrainingBudget budget = tiny_budget();
+  budget.animal_pos = budget.animal_neg = 40;
+  AdaptiveSystemConfig cfg;
+  cfg.sliding.score_threshold = -0.5;  // enough boxes of both classes
+  const AdaptiveSystem system(build_system_models(budget), cfg);
+  const SystemModels& models = system.models();
+  ASSERT_TRUE(models.has_animal_model());
+
+  // A day countryside frame: countryside adds the animal classifier to the
+  // day-dusk scan without moving a vehicle box or score.
+  data::SequenceSpec spec;
+  spec.frame_size = {320, 180};
+  spec.animals_per_frame = 2;
+  spec.segments = {
+      {LightingCondition::Day, 1, -1.0, data::RoadType::Countryside}};
+  const img::RgbImage day =
+      data::render_scene(data::DriveSequence(spec).frame(0).scene);
+  const FrameDetections day_dusk =
+      system.detect_frame(day, "day-dusk", LightingCondition::Day, cfg.sliding);
+  const FrameDetections countryside = system.detect_frame(
+      day, "countryside", LightingCondition::Day, cfg.sliding);
+  EXPECT_FALSE(day_dusk.animals.has_value());
+  ASSERT_TRUE(countryside.animals.has_value());
+  EXPECT_FALSE(countryside.vehicles.empty());
+  EXPECT_FALSE(countryside.animals->empty());
+  expect_same_boxes(countryside.vehicles, day_dusk.vehicles, "vehicles");
+  expect_same_boxes(day_dusk.vehicles,
+                    system.detect_vehicles(day, LightingCondition::Day),
+                    "detect_vehicles");
+  expect_same_boxes(*countryside.animals,
+                    det::detect_multiscale(img::rgb_to_gray(day),
+                                           models.animal, cfg.sliding),
+                    "animals");
+
+  // A dark frame: the dark pipeline, whatever the sensed condition says.
+  data::SceneGenerator dark_gen(LightingCondition::Dark, 5);
+  const img::RgbImage dark =
+      data::render_scene(dark_gen.random_scene({480, 270}, 1));
+  const FrameDetections night =
+      system.detect_frame(dark, "dark", LightingCondition::Day, cfg.sliding);
+  EXPECT_FALSE(night.animals.has_value());
+  EXPECT_FALSE(night.vehicles.empty());
+  expect_same_boxes(night.vehicles, models.dark.detect(dark), "dark");
+}
+
+// Boxes count only on a frame the vehicle engine scans: a coast frame's
+// tracker boxes on a frame dropped for reconfiguration, or under
+// run_detectors off, report no match at all.
+TEST(AdaptiveSystemDetectors, ReportFrameMatchesOnlyScannedFrames) {
+  const SystemModels models = build_system_models(tiny_budget());
+  AdaptiveSystemConfig off;
+  off.run_detectors = false;
+  const AdaptiveSystem scanning(models, {});
+  const AdaptiveSystem control_only(models, off);
+  data::SequenceSpec spec;
+  spec.frame_size = {320, 180};
+  spec.segments = {{LightingCondition::Day, 1}};
+  const data::SequenceFrame meta = data::DriveSequence(spec).frame(0);
+  ControlStep step = scanning.begin_session().control_step(meta);
+  ASSERT_TRUE(step.record.vehicle_processed);
+  ASSERT_GT(meta.scene.vehicles.size(), 0u);
+
+  const FrameDetections no_boxes;
+  const auto matched = [&](const AdaptiveSystem& system,
+                           const std::optional<FrameDetections>& boxes) {
+    const det::MatchResult m =
+        system.report_frame(step, meta, boxes).vehicle_match;
+    return m.true_positives + m.false_negatives + m.false_positives;
+  };
+  EXPECT_EQ(matched(scanning, no_boxes),
+            static_cast<int>(meta.scene.vehicles.size()));  // all missed
+  EXPECT_EQ(matched(scanning, std::nullopt), 0);
+  EXPECT_EQ(matched(control_only, no_boxes), 0);
+  step.record.vehicle_processed = false;
+  EXPECT_EQ(matched(scanning, no_boxes), 0);
+  EXPECT_FALSE(scanning.scan_frame(step, meta, scanning.config().sliding));
 }
 
 TEST(AdaptiveSystemDetectors, TracedDayFrameSpansEveryLayer) {

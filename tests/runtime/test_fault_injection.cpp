@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,6 +101,74 @@ void expect_transitions_identical(const std::vector<DegradeTransition>& a,
   }
 }
 
+void expect_animals_identical(const core::AdaptiveFrameReport& a,
+                              const core::AdaptiveFrameReport& b,
+                              const std::string& where) {
+  EXPECT_EQ(a.animals_truth, b.animals_truth) << where;
+  EXPECT_EQ(a.animal_match.true_positives, b.animal_match.true_positives)
+      << where;
+  EXPECT_EQ(a.animal_match.false_negatives, b.animal_match.false_negatives)
+      << where;
+  EXPECT_EQ(a.animal_match.false_positives, b.animal_match.false_positives)
+      << where;
+}
+
+/// A laddered stream's reports built from the public pieces, as the serve
+/// promises them: one control session; per frame, scan_frame at the sliding
+/// window its level implies, or (a coast frame) the boxes of a tracker fed
+/// every earlier frame in index order, as the collector's coast ledger does;
+/// then report_frame. `level_of(i)` is frame i's forced level.
+std::vector<core::AdaptiveFrameReport> ladder_reference(
+    const core::AdaptiveSystem& system, const data::DriveSequence& seq,
+    const std::function<int(int)>& level_of) {
+  const DegradeLadderConfig ladder;
+  det::SlidingWindowParams coarse = system.config().sliding;
+  coarse.stride_cells *= kCoarseStrideMultiplier;
+  coarse.max_levels = std::min(coarse.max_levels, kCoarseMaxLevels);
+  core::AdaptiveSystem::StepSession session = system.begin_session();
+  det::IouTracker tracker(kCoastTracker);
+  std::vector<core::AdaptiveFrameReport> reports;
+  for (int i = 0; i < seq.frame_count(); ++i) {
+    const data::SequenceFrame meta = seq.frame(i);
+    core::ControlStep step = session.control_step(meta);
+    const int level = level_of(i);
+    const bool coast = level == 2 && i % ladder.skip_modulus != 0;
+    std::optional<core::FrameDetections> boxes;
+    if (coast) {
+      boxes.emplace();
+      for (const det::Track& t : tracker.update({})) {
+        det::Detection d;
+        d.box = t.box;
+        d.score = t.last_score;
+        d.class_id = t.class_id;
+        boxes->vehicles.push_back(d);
+      }
+    } else if (level == 3) {
+      step.record.vehicle_processed = false;
+    } else {
+      boxes = system.scan_frame(step, meta,
+                                level > 0 ? coarse : system.config().sliding);
+    }
+    core::AdaptiveFrameReport expected = system.report_frame(step, meta, boxes);
+    expected.degrade_level = level;
+    expected.detect_coasted = coast;
+    if (!coast)
+      tracker.update(boxes ? boxes->vehicles : std::vector<det::Detection>{});
+    reports.push_back(std::move(expected));
+  }
+  return reports;
+}
+
+/// tiny_models() plus the countryside animal classifier, trained once.
+const core::SystemModels& countryside_models() {
+  static const core::SystemModels models = [] {
+    core::TrainingBudget budget = test_support::tiny_budget();
+    budget.animal_pos = budget.animal_neg = 30;
+    return core::build_system_models(budget);
+  }();
+  return models;
+}
+
 class FaultInjectionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -137,7 +207,7 @@ TEST_F(FaultInjectionTest, ChaosPlanIsDeterministic) {
 
 // A stalling source only delays frames; per-stream results — including the
 // stalled stream's — must be bit-identical to the sequential run. This also
-// proves the ladder-active path (out_detections capture, the collector's
+// proves the ladder-active path (the scan boxes kept for the collector's
 // coast ledger) does not perturb full-fidelity results.
 TEST_F(FaultInjectionTest, SourceStallDelaysButNeverChangesResults) {
   const std::vector<data::DriveSequence> streams = make_streams(2, 3);
@@ -340,12 +410,9 @@ TEST_F(FaultInjectionTest, ForcedShedProducesAccountedReports) {
   }
 }
 
-// Every ladder path against a reference built from the public pieces: one
-// control session, evaluate_frame with the options each level implies, and
-// a tracker fed every frame in index order, as the collector's coast
-// ledger promises. Level 1 scans the coarse pyramid, level 3 sheds
-// (and is no backpressure drop), level 2 coasts on the tracker boxes every
-// earlier frame fed.
+// Every ladder path against ladder_reference: level 1 scans the coarse
+// pyramid, level 3 sheds (and is no backpressure drop), level 2 coasts on
+// the tracker boxes every earlier frame fed.
 TEST_F(FaultInjectionTest, LadderFramesMatchASequentialReference) {
   const std::vector<data::DriveSequence> streams = make_streams(1, 5);
   const int n = streams[0].frame_count();  // 10 frames
@@ -363,42 +430,81 @@ TEST_F(FaultInjectionTest, LadderFramesMatchASequentialReference) {
   EXPECT_EQ(results[0].shed_frames, 1u);
   EXPECT_EQ(results[0].backpressure_drops, 0u);
 
-  const DegradeLadderConfig& ladder = sc.admission.ladder;
-  det::SlidingWindowParams coarse = system_->config().sliding;
-  coarse.stride_cells *= kCoarseStrideMultiplier;
-  coarse.max_levels = std::min(coarse.max_levels, kCoarseMaxLevels);
-  core::AdaptiveSystem::StepSession session = system_->begin_session();
-  det::IouTracker tracker(kCoastTracker);
+  const std::vector<core::AdaptiveFrameReport> reference = ladder_reference(
+      *system_, streams[0],
+      [](int i) { return i < 2 ? 0 : i < 4 ? 1 : i == 4 ? 3 : 2; });
   for (int i = 0; i < n; ++i) {
-    const data::SequenceFrame meta = streams[0].frame(i);
-    core::ControlStep step = session.control_step(meta);
-    const int level = i < 2 ? 0 : i < 4 ? 1 : i == 4 ? 3 : 2;
-    const bool coast = level == 2 && i % ladder.skip_modulus != 0;
-    core::EvaluateOptions opts;
-    std::vector<det::Detection> dets;
-    if (coast) {
-      for (const det::Track& t : tracker.update({})) {
-        det::Detection d;
-        d.box = t.box;
-        d.score = t.last_score;
-        d.class_id = t.class_id;
-        dets.push_back(d);
-      }
-      opts.provided_detections = &dets;
-    } else if (level == 3) {
-      step.record.vehicle_processed = false;
-    } else {
-      if (level > 0) opts.sliding_override = &coarse;
-      opts.out_detections = &dets;
-    }
-    core::AdaptiveFrameReport expected =
-        system_->evaluate_frame(step, meta, opts);
-    expected.degrade_level = level;
-    expected.detect_coasted = coast;
-    if (!coast) tracker.update(dets);
+    const core::AdaptiveFrameReport& expected =
+        reference[static_cast<std::size_t>(i)];
     expect_frames_identical(
         results[0].report.frames[static_cast<std::size_t>(i)], expected,
         "frame " + std::to_string(i));
+  }
+}
+
+// An urban -> countryside drive with the animal model. Served with three
+// detect workers it equals run() in every field, animal_match included, so
+// the {vehicle, animal} scan runs the same way on both paths; under
+// ForceDegrade levels 1 and 2 it equals ladder_reference, and a coast frame
+// carries no animal boxes.
+TEST_F(FaultInjectionTest, CountrysideLadderServeMatchesSequential) {
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = true;
+  const core::AdaptiveSystem system(countryside_models(), cfg);
+  data::SequenceSpec spec;
+  spec.frame_size = {240, 136};
+  spec.animals_per_frame = 2;
+  spec.segments = {
+      {data::LightingCondition::Day, 5, -1.0, data::RoadType::Urban},
+      {data::LightingCondition::Day, 9, -1.0, data::RoadType::Countryside}};
+  spec.seed = 616;
+  const std::vector<data::DriveSequence> streams{data::DriveSequence(spec)};
+  const int n = streams[0].frame_count();  // 14 frames
+
+  const core::AdaptiveRunReport sequential = system.run(streams[0]);
+  ASSERT_EQ(sequential.reconfig_count(), 1);
+  int animal_scans = 0;
+  for (const core::AdaptiveFrameReport& f : sequential.frames)
+    animal_scans += f.animal_match.true_positives +
+                        f.animal_match.false_negatives ==
+                    f.animals_truth && f.animals_truth > 0;
+  EXPECT_GE(animal_scans, 6);  // the countryside frames after the swap
+
+  StreamServerConfig sc;
+  sc.detect_workers = 3;
+  {
+    StreamServer server(system, sc);
+    const std::vector<StreamResult> results = server.serve_sequences(streams);
+    expect_reports_identical(results[0].report, sequential, "serve vs run");
+    for (int i = 0; i < n; ++i)
+      expect_animals_identical(
+          results[0].report.frames[static_cast<std::size_t>(i)],
+          sequential.frames[static_cast<std::size_t>(i)],
+          "serve vs run frame " + std::to_string(i));
+  }
+
+  FaultPlan plan;
+  plan.faults.push_back({FaultKind::ForceDegrade, 0, 7, 2, 1.0});  // coarse
+  plan.faults.push_back({FaultKind::ForceDegrade, 0, 9, 5, 2.0});  // skip-coast
+  FaultInjector injector(plan);
+  sc.fault_injector = &injector;
+  StreamServer server(system, sc);
+  const std::vector<StreamResult> results = server.serve_sequences(streams);
+  ASSERT_EQ(results[0].report.frames.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(results[0].coasted_frames, 3u);  // frames 10, 11 and 13
+  const std::vector<core::AdaptiveFrameReport> reference = ladder_reference(
+      system, streams[0], [](int i) { return i < 7 ? 0 : i < 9 ? 1 : 2; });
+  for (int i = 0; i < n; ++i) {
+    const core::AdaptiveFrameReport& f =
+        results[0].report.frames[static_cast<std::size_t>(i)];
+    const std::string where = "laddered frame " + std::to_string(i);
+    expect_frames_identical(f, reference[static_cast<std::size_t>(i)], where);
+    expect_animals_identical(f, reference[static_cast<std::size_t>(i)], where);
+    if (f.detect_coasted) {
+      EXPECT_EQ(f.animal_match.true_positives, 0) << where;
+      EXPECT_EQ(f.animal_match.false_negatives, 0) << where;
+      EXPECT_EQ(f.animal_match.false_positives, 0) << where;
+    }
   }
 }
 
