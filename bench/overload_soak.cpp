@@ -202,10 +202,8 @@ int main() {
   }
   std::uint64_t shed_by_bucket = 0;
   int level_histogram[4] = {0, 0, 0, 0};
-  if (const avd::runtime::AdmissionController* ac = server.admission()) {
-    for (int s = 0; s < kStreams; ++s)
-      shed_by_bucket += ac->stats(s).shed_by_bucket;
-  }
+  for (const auto& stream : server.obs_view().streams)
+    shed_by_bucket += stream.stats.shed_by_bucket;
   for (const auto& r : results)
     ++level_histogram[std::clamp(static_cast<int>(r.degrade_level), 0, 3)];
   const double admitted = static_cast<double>(frames - shed);

@@ -261,14 +261,11 @@ int main(int argc, char** argv) {
                ? nullptr
                : shards->array.front().find("streams");
   };
-  // The per-stream rows (and the admission controller) appear once the
-  // first serve() is underway; poll briefly instead of racing it.
+  // The per-stream rows appear once the first serve() is underway; poll
+  // briefly instead of racing it.
   for (int attempt = 0; attempt < 100; ++attempt) {
     const auto* streams = stream_rows(healthz);
-    const auto* adm = healthz.find("admission");
-    if (streams != nullptr && !streams->array.empty() && adm != nullptr &&
-        adm->boolean)
-      break;
+    if (streams != nullptr && !streams->array.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     if (const auto res = get("/healthz"); res.has_value())
       if (auto doc = avd::obs::json::parse(res->body); doc.has_value())
@@ -278,9 +275,6 @@ int main(int argc, char** argv) {
     fail("/healthz lacks fleet state");
   else
     std::printf("  fleet health: %s\n", fleet->string.c_str());
-  if (const auto* adm = healthz.find("admission");
-      adm == nullptr || !adm->boolean)
-    fail("/healthz does not report the admission plane as live");
   if (const auto* streams = stream_rows(healthz);
       streams == nullptr || streams->array.empty()) {
     fail("/healthz lacks streams");
@@ -309,7 +303,7 @@ int main(int argc, char** argv) {
   if (const auto* adm = statusz.find("admission"); adm == nullptr) {
     fail("/statusz lacks the admission aggregate");
   } else {
-    for (const char* key : {"live", "max_degrade_level", "admitted", "shed",
+    for (const char* key : {"max_degrade_level", "admitted", "shed",
                             "shed_by_bucket", "coasted", "degraded_scans"})
       if (adm->find(key) == nullptr)
         fail(std::string("/statusz admission aggregate lacks ") + key);

@@ -56,11 +56,12 @@ if [[ "$STRESS_ONLY" -eq 1 ]]; then
   echo "== stress: test_runtime x3 =="
   timeout 1800 ./build-tsan/tests/test_runtime --gtest_repeat=3
   # The detect loop (gather, coast-ledger publish, scan wave on the pool)
-  # under every scheduling the suites drive: batched and not, ladder on;
-  # and the front door's /healthz scraped across shard serves.
+  # under every scheduling the suites drive, batched and not, with forced
+  # levels and the watchdog's poll; and the front door's /healthz scraped
+  # across shard serves.
   echo "== stress: detect loop x20 =="
   timeout 3600 ./build-tsan/tests/test_runtime \
-    --gtest_filter='StreamServer.*:FaultInjectionTest.*Ladder*:FaultInjectionTest.ForceDegrade*:ShardedServer.ShardedBatched*:ShardedServer.FrontDoorHealthzScrapedDuringServesIsRaceFree' \
+    --gtest_filter='StreamServer.*:FaultInjectionTest.*Ladder*:FaultInjectionTest.ForceDegrade*:FaultInjectionTest.Watchdog*:ShardedServer.ShardedBatched*:ShardedServer.FrontDoorHealthzScrapedDuringServesIsRaceFree' \
     --gtest_repeat=20
   echo "== stress: test_obs x50 =="
   timeout 900 ./build-tsan/tests/test_obs --gtest_repeat=50

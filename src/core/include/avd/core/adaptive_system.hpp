@@ -42,12 +42,6 @@ struct AdaptiveSystemConfig {
   LightingClassifierConfig classifier;
   soc::FloorplanParams floorplan;
   soc::BitstreamParams bitstream;
-  /// Minimum frames between the end of one reconfiguration and the trigger
-  /// of the next. Each reconfiguration costs a dropped frame, so a flapping
-  /// selection signal (light flicker at a class boundary, GPS jitter on the
-  /// urban/countryside edge) must not be allowed to thrash the partition.
-  /// 0 disables the dwell (the classifier's debounce is then the only guard).
-  int min_dwell_frames = 0;
   /// Derive the light level from the captured frame itself
   /// (LightingClassifier::estimate_light_level) instead of the external
   /// sensor signal the paper assumes. Makes the system self-contained at the

@@ -181,18 +181,11 @@ ControlStep AdaptiveSystem::StepSession::control_step(
                                  ? config_for(step.sensed, meta.road)
                                  : config_for(step.sensed);
   const soc::TimePoint now = scheduler_.frame_time(i);
-  const soc::TimePoint dwell_until =
-      busy_until_ +
-      config.scheduler.frame_period() *
-          static_cast<std::uint64_t>(std::max(0, config.min_dwell_frames));
-  if (wanted != loaded_ &&
-      (now < busy_until_ || (busy_until_.ps != 0 && now < dwell_until))) {
-    // A wanted swap held back by an in-flight reconfiguration or the
-    // min-dwell guard: the control decision the dwell knob exists to shape.
+  if (wanted != loaded_ && now < busy_until_) {
+    // A wanted swap held back by an in-flight reconfiguration.
     registry.counter("core.dwell_blocked").inc();
   }
-  if (wanted != loaded_ && now >= busy_until_ &&
-      (busy_until_.ps == 0 || now >= dwell_until)) {
+  if (wanted != loaded_ && now >= busy_until_) {
     // The engine drains its in-flight frame before the partition is opened.
     const soc::Duration drain =
         soc::day_dusk_pipeline_model().frame_time(soc::kHdtvFrame);

@@ -30,7 +30,8 @@
 // On top of the ladder, a per-stream token bucket (`TokenBucketConfig`)
 // bounds admitted frame rate outright, and `force_level()` lets the
 // watchdog / fault plans pin a stream to a level (sticky: health windows no
-// longer move it).
+// longer move it). `AdmissionConfig::enabled` gates the health-driven moves
+// and the bucket; forced levels apply whatever it says.
 //
 // Every transition is recorded (and surfaced through a callback so the
 // server can emit `runtime.degrade.level{stream=…}` gauges, trace marks and
@@ -93,8 +94,10 @@ struct DegradeLadderConfig {
 };
 
 struct AdmissionConfig {
-  /// Off by default: admission machinery (per-stream buckets, ladder state,
-  /// the collector's coast ledger) is bypassed entirely when disabled.
+  /// Off by default: no health window moves a level and the bucket admits
+  /// every frame. The ladder itself is always live, so the watchdog and
+  /// fault plans pin levels either way; with nothing forced every frame is
+  /// Full.
   bool enabled = false;
   TokenBucketConfig bucket;
   DegradeLadderConfig ladder;
@@ -102,11 +105,11 @@ struct AdmissionConfig {
 
 /// Per-stage liveness watchdog: a stream that makes no pipeline progress for
 /// `timeout` is forced to DegradeLevel::Shed (sticky) instead of wedging the
-/// whole serve. Requires/implies the admission machinery.
+/// whole serve. Progress is polled every timeout / 5, clamped to
+/// [1 ms, 50 ms].
 struct WatchdogConfig {
   bool enabled = false;
   std::chrono::milliseconds timeout{2000};
-  std::chrono::milliseconds poll{50};
 };
 
 /// One ladder transition.
@@ -166,8 +169,11 @@ class AdmissionController {
       std::optional<int> forced_level = std::nullopt);
 
   /// One call per telemetry window with every stream's health state;
-  /// advances the ladder per the rules in the file comment.
-  void on_health_windows(const std::vector<obs::HealthState>& states);
+  /// advances the ladder per the rules in the file comment (a no-op with
+  /// admission disabled). `now_ns` is the window's sample time on the
+  /// tracer timebase, stamped on the transitions it drives.
+  void on_health_windows(const std::vector<obs::HealthState>& states,
+                         std::uint64_t now_ns);
 
   /// The fleet-pressure signal: while set, escalation skips the per-stream
   /// dwell. The sharded front door raises it when enough of the whole fleet
@@ -177,7 +183,8 @@ class AdmissionController {
   void set_fleet_pressure(bool pressure);
 
   /// Pin `stream` to `level`, permanently (health windows and fault plans
-  /// no longer move it). The watchdog's wedged-stream conversion.
+  /// no longer move it). The watchdog's wedged-stream conversion; the
+  /// transition is stamped with obs::Tracer::global().now_ns().
   void force_level(int stream, DegradeLevel level, const std::string& reason);
 
   [[nodiscard]] DegradeLevel level(int stream) const;

@@ -11,8 +11,8 @@
 //
 // * Placement is deterministic: stable_stream_hash(name) % shards — a
 //   64-bit FNV-1a over the stream's NAME, so the same fleet lands the same
-//   way on every host and every run, and an explicit per-name override
-//   lets tests pin placement.
+//   way on every host and every run. There is no per-name override: a test
+//   that needs a placement picks names that hash there.
 // * Telemetry: every shard server publishes its per-stream series with a
 //   shard=<m> label on top of stream=<name>, all into the one global
 //   MetricsRegistry. rollup() folds the two-dimensional leaves into
@@ -26,7 +26,8 @@
 //   per-shard rows, /statusz the topology, /metricsz the folded registry,
 //   /tracez and /flightz one shard's sampler and recorder. Shard servers
 //   run with their own ops plane disabled.
-// * Admission: each shard keeps its own AdmissionController; the front
+// * Admission: each shard's serve has its own AdmissionController (the
+//   ladder is live on every serve, see stream_server.hpp); the front
 //   door adds the cross-shard fleet_pressure signal — when at least
 //   `fleet_pressure_fraction` of ALL fleet streams are degraded-or-worse,
 //   every shard's controller escalates without the per-stream dwell, so a
@@ -38,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -63,9 +63,6 @@ struct ShardedServerConfig {
   /// `ops.enabled` is forced off: `ops` configures the fleet's ONE ops
   /// surface instead, this server's, up from construction to destruction.
   StreamServerConfig shard;
-  /// Explicit placement overrides for tests: stream name -> shard index
-  /// (clamped into range). Names not present fall back to the stable hash.
-  std::map<std::string, int> assign_override;
   /// Fraction of ALL fleet streams degraded-or-worse that raises the
   /// cross-shard fleet_pressure signal on every shard's admission
   /// controller (0 = off). Recomputed on every health transition anywhere
@@ -90,8 +87,7 @@ class ShardedServer {
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
 
-  /// Placement of a stream name: the override when present, else
-  /// stable_stream_hash(name) % shards.
+  /// Placement of a stream name: stable_stream_hash(name) % shards.
   [[nodiscard]] int shard_of(const std::string& name) const;
 
   /// Serve every stream to completion, each on its assigned shard, all

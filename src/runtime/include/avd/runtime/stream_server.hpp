@@ -22,9 +22,14 @@
 //              is the throughput knob.
 // * report   — a single collector slots per-frame reports into per-stream
 //              result vectors (order-insensitive by construction) and
-//              counts each frame's fate once. Ladder on, it also feeds each
-//              stream's tracker in index order and resolves level-2 coast
-//              frames (no pixel work, so no detect-queue slot) from it.
+//              counts each frame's fate once. It also feeds each stream's
+//              tracker in index order and resolves level-2 coast frames (no
+//              pixel work, so no detect-queue slot) from it.
+//
+// The degradation ladder (avd/runtime/admission.hpp) is live on every
+// serve: each frame gets an admission verdict at its control step. With
+// admission off and no level forced by the watchdog or a fault plan, every
+// verdict is Full and the reports are those of a serve without it.
 //
 // Determinism: with the default Block policy every per-stream report is
 // bit-identical to the sequential AdaptiveSystem::run() on the same
@@ -70,14 +75,6 @@ class ThreadPool;      // avd/runtime/thread_pool.hpp
 class FaultInjector;   // avd/runtime/fault_injection.hpp
 class OpsSurface;      // the ops endpoints, src/runtime/src/ops_surface.hpp
 
-/// Retry policy for transient source failures: a source throwing
-/// TransientSourceError is retried with exponential backoff (1 ms, doubled
-/// per attempt); past max_attempts total tries the stream ends there
-/// (StreamResult::source_failed) instead of wedging the serve.
-struct SourceRetryConfig {
-  int max_attempts = 3;
-};
-
 /// Health monitoring attached to a serve() call: an always-on
 /// obs::TelemetryExporter samples the global MetricsRegistry for the run's
 /// duration and per-stream obs::SloMonitors evaluate each window
@@ -110,8 +107,7 @@ struct StreamSloConfig {
   double drop_rate_unhealthy = 0.10;
   /// Directory for automatic flight-recorder bundles, written at the end of
   /// a serve() during which some stream transitioned to UNHEALTHY. Empty:
-  /// the AVD_FLIGHT_DIR environment variable is consulted, and when that is
-  /// unset too the bundle stays in memory (flight_recorder()->dump()).
+  /// no file; the bundle stays in memory (obs_view().recorder->dump()).
   std::string flight_dump_dir;
 };
 
@@ -129,7 +125,8 @@ struct StreamSloConfig {
 ///   /flightz        flight-recorder bundle of shard ?shard=m, on demand
 ///   /statusz        role, uptime, build identity, serving configuration
 ///   /profilez       span-sampling profile over ?seconds=N, at most 10
-///                   (collapsed text; ?format=json for the structured report)
+///                   (collapsed text; ?format=json for the structured report),
+///                   sampled at obs::SampleProfilerConfig's defaults
 struct StreamOpsConfig {
   /// Off by default: the ops plane costs a listener socket plus
   /// 1 + handler_threads background threads.
@@ -137,8 +134,6 @@ struct StreamOpsConfig {
   /// Listener shape. Default binds 127.0.0.1 on an ephemeral port — read it
   /// back via StreamServer::ops_server()->port().
   obs::OpsServerConfig server;
-  /// Sampling shape of the /profilez profiler.
-  obs::SampleProfilerConfig profiler;
 };
 
 struct StreamServerConfig {
@@ -195,9 +190,9 @@ struct StreamServerConfig {
   StreamOpsConfig ops;
   /// The overload-control plane (see avd/runtime/admission.hpp): per-stream
   /// token-bucket admission and the SloMonitor-driven degradation ladder.
-  /// admission.enabled is the master switch for health-driven level changes
-  /// and the bucket; the ladder machinery itself also engages when the
-  /// watchdog or a fault injector is installed (their forced levels need it).
+  /// admission.enabled switches on health-driven level changes and the
+  /// bucket; the ladder itself runs on every serve, so the watchdog's and a
+  /// fault plan's forced levels apply either way.
   AdmissionConfig admission;
   /// Per-stream liveness watchdog: a stream making no pipeline progress for
   /// watchdog.timeout is pinned to DegradeLevel::Shed and its source is
@@ -206,8 +201,6 @@ struct StreamServerConfig {
   /// (A source blocked *inside* next() forever can only be reaped once that
   /// call returns; the watchdog cannot cancel foreign blocking calls.)
   WatchdogConfig watchdog;
-  /// Retry-with-backoff for sources throwing TransientSourceError.
-  SourceRetryConfig source_retry;
   /// Deterministic fault plans for this server's serves (not owned; use one
   /// injector per serve — its counters and retry bookkeeping accumulate).
   /// Sources are wrapped with the plan's source faults, detect workers apply
@@ -231,7 +224,7 @@ struct StreamResult {
   /// monitoring was disabled) and every transition it went through.
   obs::HealthState health = obs::HealthState::Healthy;
   std::vector<obs::HealthTransition> health_transitions;
-  /// Overload-control accounting (all zero when the ladder never engaged).
+  /// Overload-control accounting (all zero while every frame is Full).
   /// Shed frames are still present in report.frames with
   /// vehicle_processed = false and degrade_level = 3.
   std::uint64_t shed_frames = 0;
@@ -243,7 +236,9 @@ struct StreamResult {
   /// Frames refused at ingest validation (non-finite light level); they
   /// never received a frame index and are absent from report.frames.
   std::uint64_t garbage_frames = 0;
-  /// Transient source failures that were retried successfully.
+  /// Retries of a source that threw TransientSourceError. A failed pull is
+  /// tried at most three times in all, with a backoff of 1 ms doubled per
+  /// retry.
   std::uint64_t source_retries = 0;
   /// True when the source failed permanently (retries exhausted or a
   /// non-transient exception); the stream is truncated at that frame.
@@ -287,15 +282,15 @@ class StreamServer {
   struct StreamView {
     std::string name;  ///< the stream= label
     obs::HealthState health = obs::HealthState::Healthy;
-    DegradeLevel level = DegradeLevel::Full;  ///< with a live ladder only
-    AdmissionStats stats;                     ///< with a live ladder only
+    DegradeLevel level = DegradeLevel::Full;
+    AdmissionStats stats;  ///< the admission verdicts so far
   };
   /// The latest serve's live state, read in one step under the server's
-  /// lock: what the ops endpoints and the front door read. A reader keeps
-  /// the sampler and recorder alive across a serve() that replaces them.
+  /// lock: the one way to read it from outside serve(), for the ops
+  /// endpoints, the front door and callers alike. A reader keeps the
+  /// sampler and recorder alive across a serve() that replaces them.
   struct ObsView {
-    bool admission = false;  ///< the ladder is live (levels/stats are set)
-    std::vector<StreamView> streams;
+    std::vector<StreamView> streams;  ///< empty before any serve
     std::shared_ptr<const obs::TraceSampler> sampler;    ///< null before any
     std::shared_ptr<const obs::FlightRecorder> recorder;  ///< null before any
   };
@@ -313,28 +308,10 @@ class StreamServer {
     return obs::worst_of(live_stream_health());
   }
 
-  /// Tail sampler fed by the most recent serve() (nullptr before any).
-  /// Retained chains and SpanStats cover that serve's frames.
-  [[nodiscard]] obs::TraceSampler* trace_sampler() const {
-    return sampler_.get();
-  }
-  /// Flight recorder fed by the most recent serve() (nullptr before any):
-  /// last-N frame chains per stream, telemetry rows and SLO transitions,
-  /// dumpable on demand via obs::FlightRecorder::dump().
-  [[nodiscard]] obs::FlightRecorder* flight_recorder() const {
-    return recorder_.get();
-  }
   /// Path of the bundle the most recent serve() wrote on an UNHEALTHY
   /// transition; empty when none was written.
   [[nodiscard]] const std::string& last_flight_bundle_path() const {
     return last_flight_bundle_path_;
-  }
-
-  /// The admission controller of the most recent serve() (nullptr before
-  /// any, or when the ladder never engaged). Swapped by serve(): a reader
-  /// on another thread goes through obs_view().
-  [[nodiscard]] AdmissionController* admission() const {
-    return admission_.get();
   }
 
   /// The embedded ops listener (nullptr unless config().ops.enabled).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "avd/obs/trace.hpp"
+
 namespace avd::runtime {
 namespace {
 
@@ -94,7 +96,7 @@ AdmissionDecision AdmissionController::decide(int stream, int frame_index,
       d.admit = false;
       d.shed_reason = "shed-level";
       ++slot.stats.shed;
-    } else if (config_.bucket.rate_fps > 0.0) {
+    } else if (config_.enabled && config_.bucket.rate_fps > 0.0) {
       // Refill on the caller's timeline so tests can drive it synthetically.
       if (!slot.bucket_primed) {
         slot.bucket_primed = true;
@@ -136,7 +138,8 @@ AdmissionDecision AdmissionController::decide(int stream, int frame_index,
 }
 
 void AdmissionController::on_health_windows(
-    const std::vector<obs::HealthState>& states) {
+    const std::vector<obs::HealthState>& states, std::uint64_t now_ns) {
+  if (!config_.enabled) return;
   std::vector<DegradeTransition> fired;
   TransitionCallback callback;
   {
@@ -184,7 +187,7 @@ void AdmissionController::on_health_windows(
       }
       if (!slot.sticky && !slot.plan_forced && slot.level != slot.health_target)
         set_level_locked(slot, static_cast<int>(s), slot.health_target, -1,
-                         reason, 0, fired);
+                         reason, now_ns, fired);
     }
     callback = callback_;
   }
@@ -206,7 +209,8 @@ void AdmissionController::force_level(int stream, DegradeLevel level,
     StreamSlot& slot = streams_.at(static_cast<std::size_t>(stream));
     slot.sticky = true;
     slot.health_target = level;
-    set_level_locked(slot, stream, level, -1, reason.c_str(), 0, fired);
+    set_level_locked(slot, stream, level, -1, reason.c_str(),
+                     obs::Tracer::global().now_ns(), fired);
     callback = callback_;
   }
   if (callback)

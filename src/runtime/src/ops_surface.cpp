@@ -36,31 +36,26 @@ void json_array(std::ostream& os, const std::vector<T>& items) {
 // an UNHEALTHY fleet makes this a load-balancer readiness probe.
 obs::HttpResponse healthz(const std::vector<View>& views) {
   std::vector<obs::HealthState> all;
-  bool admission = false;
   std::ostringstream rows;
   for (std::size_t m = 0; m < views.size(); ++m) {
-    admission = admission || views[m].admission;
     rows << (m != 0 ? "," : "") << "{\"shard\":" << m << ",\"streams\":[";
     for (std::size_t s = 0; s < views[m].streams.size(); ++s) {
       const StreamServer::StreamView& st = views[m].streams[s];
       all.push_back(st.health);
       rows << (s != 0 ? "," : "") << "{\"stream\":\""
            << obs::json::escape(st.name) << "\",\"state\":\""
-           << obs::to_string(st.health) << '"';
-      if (views[m].admission)
-        rows << ",\"degrade_level\":" << static_cast<int>(st.level)
-             << ",\"admitted\":" << st.stats.admitted
-             << ",\"shed\":" << st.stats.shed
-             << ",\"coasted\":" << st.stats.coasted
-             << ",\"degraded_scans\":" << st.stats.degraded_scans;
-      rows << '}';
+           << obs::to_string(st.health)
+           << "\",\"degrade_level\":" << static_cast<int>(st.level)
+           << ",\"admitted\":" << st.stats.admitted
+           << ",\"shed\":" << st.stats.shed
+           << ",\"coasted\":" << st.stats.coasted
+           << ",\"degraded_scans\":" << st.stats.degraded_scans << '}';
     }
     rows << "]}";
   }
   const obs::HealthState fleet = obs::worst_of(all);
   std::ostringstream os;
-  os << "{\"fleet\":\"" << obs::to_string(fleet)
-     << "\",\"admission\":" << json_bool(admission) << ",\"shards\":["
+  os << "{\"fleet\":\"" << obs::to_string(fleet) << "\",\"shards\":["
      << rows.str() << "]}";
   return {fleet == obs::HealthState::Unhealthy ? 503 : 200, kJson, os.str()};
 }
@@ -114,7 +109,6 @@ OpsSurface::OpsSurface(std::string role, ShardedServerConfig fleet,
       fleet_(std::move(fleet)),
       serves_(serves),
       shards_(std::move(shards)),
-      profiler_(fleet_.shard.ops.profiler),
       server_(fleet_.shard.ops.server) {
   const StreamOpsConfig& ops = fleet_.shard.ops;
   // One scrape answers for the whole fleet: the responses fold the
@@ -141,17 +135,15 @@ OpsSurface::OpsSurface(std::string role, ShardedServerConfig fleet,
                              std::to_string(ops.server.port));
 }
 
-// Identity, configuration and fleet-wide overload accounting (zero when
-// admission is off; the fields are always present so parsers stay simple).
+// Identity, configuration and fleet-wide overload accounting (zero before
+// any serve and while every frame is Full).
 obs::HttpResponse OpsSurface::statusz() const {
   obs::publish_process_metrics(obs::MetricsRegistry::global());
   AdmissionStats totals;
   int max_level = 0;
-  bool live = false;
   std::ostringstream shards;
   const std::vector<View> views = shards_();
   for (std::size_t m = 0; m < views.size(); ++m) {
-    live = live || views[m].admission;
     for (const StreamServer::StreamView& st : views[m].streams) {
       totals.admitted += st.stats.admitted;
       totals.shed += st.stats.shed;
@@ -176,8 +168,7 @@ obs::HttpResponse OpsSurface::statusz() const {
      << ",\"ops_port\":" << server_.port()
      << ",\"profiler_hz\":" << profiler_.config().hz
      << ",\"max_profile_seconds\":" << kMaxProfileSeconds
-     << "},\"admission\":{\"live\":" << json_bool(live)
-     << ",\"max_degrade_level\":" << max_level
+     << "},\"admission\":{\"max_degrade_level\":" << max_level
      << ",\"admitted\":" << totals.admitted << ",\"shed\":" << totals.shed
      << ",\"shed_by_bucket\":" << totals.shed_by_bucket
      << ",\"coasted\":" << totals.coasted

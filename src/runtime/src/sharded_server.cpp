@@ -36,9 +36,6 @@ obs::OpsServer* ShardedServer::ops_server() const {
 }
 
 int ShardedServer::shard_of(const std::string& name) const {
-  const auto it = config_.assign_override.find(name);
-  if (it != config_.assign_override.end())
-    return std::clamp(it->second, 0, config_.shards - 1);
   return static_cast<int>(stable_stream_hash(name) %
                           static_cast<std::uint64_t>(config_.shards));
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -24,8 +23,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Retry backoff of a transient source failure: the first wait, doubled on
-// each further attempt.
+// A transient source failure is tried this many times in all, waiting the
+// backoff before the first retry and doubling it on each further one.
+constexpr int kSourceMaxAttempts = 3;
 constexpr double kSourceRetryBackoffMs = 1.0;
 constexpr double kSourceRetryBackoffMultiplier = 2.0;
 // Tail sampling: every Nth frame chain is retained as a healthy baseline
@@ -57,11 +57,11 @@ struct ReportTask {
   std::uint64_t ingest_ns = 0;  ///< frame entry time (latency measures here)
   bool backpressure_dropped = false;
   bool shed = false;            ///< refused by admission (never ran detect)
-  std::vector<det::Detection> dets;  ///< ladder on: the scan's boxes
+  std::vector<det::Detection> dets;  ///< the scan's boxes, for the tracker
   std::optional<DetectTask> coast;   ///< a coast frame, not yet evaluated
 };
 
-/// Ladder on: one stream's coast ledger, kept by the collector alone. The
+/// One stream's coast ledger, kept by the collector alone. The
 /// tracker sees every frame of the stream once, in index order: a scan's
 /// boxes, or an empty update for a shed, dropped or coast frame. Frames
 /// park in `waiting` until the frontier (`fed`) reaches them.
@@ -115,7 +115,6 @@ struct StreamCounters {
   obs::Counter* reconfig_drops = nullptr;
   obs::Counter* reconfigs = nullptr;
   obs::Histogram* latency = nullptr;  ///< runtime.frame.latency_ns{stream=N}
-  // Overload-control series (incremented only when the ladder is active).
   obs::Counter* shed = nullptr;
   obs::Counter* coasted = nullptr;
   obs::Counter* degraded_scans = nullptr;
@@ -173,8 +172,8 @@ class ServeRun {
   ~ServeRun();
 
   // The observability objects, created here and shared with the server
-  // (for its accessors and ops plane) before launch().
-  std::shared_ptr<AdmissionController> admission;  ///< null: ladder off
+  // (for obs_view() and its ops plane) before launch().
+  std::shared_ptr<AdmissionController> admission;
   std::shared_ptr<obs::TraceSampler> sampler;
   std::shared_ptr<obs::FlightRecorder> recorder;
   std::vector<std::shared_ptr<obs::SloMonitor>> monitors;  ///< empty: SLO off
@@ -214,10 +213,6 @@ class ServeRun {
   obs::MetricsRegistry& registry_ = obs::MetricsRegistry::global();
   const std::uint64_t deadline_ns_;
   FaultInjector* const injector_;
-  /// The ladder engages when admission control is on, when the watchdog
-  /// needs a lever to pull, or when a fault plan may pin levels. When off
-  /// (the default) every ladder branch is skipped.
-  const bool ladder_active_;
   /// Level-1/2 scans use a coarser pyramid derived from the system's params.
   det::SlidingWindowParams degraded_sliding_;
 
@@ -235,7 +230,7 @@ class ServeRun {
   BoundedQueue<DetectTask> detect_q_;
   BoundedQueue<ReportTask> report_q_;
   // Per-stream collector state, touched only by the collector thread: the
-  // report slots, the frame outcomes and (ladder on) the coast ledgers.
+  // report slots, the frame outcomes and the coast ledgers.
   std::vector<std::vector<core::AdaptiveFrameReport>> slots_;
   std::vector<std::vector<bool>> filled_;
   std::vector<FrameOutcomes> outcomes_;
@@ -259,8 +254,6 @@ ServeRun::ServeRun(const core::AdaptiveSystem& system,
       deadline_ns_(static_cast<std::uint64_t>(
           std::max(0.0, config.slo.frame_budget_ms) * 1e6)),
       injector_(config.fault_injector),
-      ladder_active_(config.admission.enabled || config.watchdog.enabled ||
-                     config.fault_injector != nullptr),
       degraded_sliding_(system.config().sliding),
       admitted_latency_(registry_.histogram(
           "runtime.frame.admitted_latency_ns", config.metric_labels)),
@@ -303,7 +296,7 @@ ServeRun::ServeRun(const core::AdaptiveSystem& system,
   recorder->set_config_json("{\"streams\":" + std::to_string(n_streams_) +
                              "," + config_json_fields(config_) + "}");
 
-  if (ladder_active_) build_ladder();
+  build_ladder();
   if (config_.slo.enabled) build_monitors(health_callback);
 }
 
@@ -337,15 +330,13 @@ void ServeRun::build_streams() {
     c.reconfig_drops = &registry_.counter("runtime.reconfig_drops", labels);
     c.reconfigs = &registry_.counter("runtime.reconfigs", labels);
     c.latency = &registry_.histogram("runtime.frame.latency_ns", labels);
-    if (ladder_active_) {
-      c.shed = &registry_.counter("runtime.shed", labels);
-      c.coasted = &registry_.counter("runtime.coasted", labels);
-      c.degraded_scans = &registry_.counter("runtime.degraded_scans", labels);
-      c.garbage = &registry_.counter("runtime.garbage_frames", labels);
-      c.source_retries = &registry_.counter("runtime.source_retries", labels);
-      c.degrade_level = &registry_.gauge("runtime.degrade.level", labels);
-      c.degrade_level->set(0.0);
-    }
+    c.shed = &registry_.counter("runtime.shed", labels);
+    c.coasted = &registry_.counter("runtime.coasted", labels);
+    c.degraded_scans = &registry_.counter("runtime.degraded_scans", labels);
+    c.garbage = &registry_.counter("runtime.garbage_frames", labels);
+    c.source_retries = &registry_.counter("runtime.source_retries", labels);
+    c.degrade_level = &registry_.gauge("runtime.degrade.level", labels);
+    c.degrade_level->set(0.0);
   }
 }
 
@@ -410,28 +401,26 @@ void ServeRun::build_monitors(
   tc.jsonl_path = config_.slo.telemetry_jsonl;
   tc.rollup_before_sample = true;  // rows carry per-stream AND fleet view
   // Health-driven ladder movement: after the monitors digest a window,
-  // their states feed the admission controller (when admission control is
-  // on; the watchdog and fault-plan levers work without it).
-  AdmissionController* ladder =
-      config_.admission.enabled ? admission.get() : nullptr;
-  tc.on_sample = [this, ladder](const obs::TelemetrySample* prev,
-                                const obs::TelemetrySample& cur) {
+  // their states feed the admission controller, which moves levels on them
+  // only when admission control is on.
+  tc.on_sample = [this](const obs::TelemetrySample* prev,
+                        const obs::TelemetrySample& cur) {
     recorder->record_telemetry_row(obs::to_json(cur));
     if (prev == nullptr) return;  // a window needs two samples
-    for (const auto& m : monitors) m->observe(*prev, cur);
-    if (ladder != nullptr) {
-      std::vector<obs::HealthState> states;
-      states.reserve(monitors.size());
-      for (const auto& m : monitors) states.push_back(m->state());
-      ladder->on_health_windows(states);
+    std::vector<obs::HealthState> states;
+    states.reserve(monitors.size());
+    for (const auto& m : monitors) {
+      m->observe(*prev, cur);
+      states.push_back(m->state());
     }
+    admission->on_health_windows(states, cur.t_ns);
   };
   telemetry_ = std::make_unique<obs::TelemetryExporter>(registry_, tc);
 }
 
 void ServeRun::launch() {
   if (telemetry_) telemetry_->start();
-  if (config_.watchdog.enabled && ladder_active_)
+  if (config_.watchdog.enabled)
     watchdog_thread_ = std::thread(&ServeRun::watchdog, this);
   for (int i = 0; i < config_.ingest_workers; ++i)
     workers_.emplace_back(&ServeRun::ingest, this);
@@ -496,8 +485,7 @@ void ServeRun::ingest_stream(int s) {
         // the control plane's frame numbering stays dense and healthy
         // streams are unaffected bit for bit.
         state.garbage_frames.fetch_add(1);
-        if (obs::Counter* c = counters_[static_cast<std::size_t>(s)].garbage)
-          c->inc();
+        counters_[static_cast<std::size_t>(s)].garbage->inc();
         continue;
       }
       dt.stream = s;
@@ -513,20 +501,21 @@ void ServeRun::ingest_stream(int s) {
 }
 
 // The next frame of source s, or nullopt at its end. Transient source
-// failures retry with exponential backoff; past max_attempts (or on a
+// failures retry with exponential backoff; past kSourceMaxAttempts (or on a
 // non-transient exception) the stream is truncated here rather than
 // wedging the serve.
 std::optional<data::SequenceFrame> ServeRun::pull(FrameSource& src, int s) {
   StreamState& state = stream(s);
-  obs::Counter* retries = counters_[static_cast<std::size_t>(s)].source_retries;
+  obs::Counter& retries =
+      *counters_[static_cast<std::size_t>(s)].source_retries;
   double backoff_ms = kSourceRetryBackoffMs;
   for (int attempts = 1;; ++attempts) {
     try {
       return src.next();
     } catch (const TransientSourceError&) {
-      if (attempts >= std::max(1, config_.source_retry.max_attempts)) break;
+      if (attempts >= kSourceMaxAttempts) break;
       state.source_retries.fetch_add(1);
-      if (retries != nullptr) retries->inc();
+      retries.inc();
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff_ms));
       backoff_ms *= kSourceRetryBackoffMultiplier;
@@ -554,14 +543,12 @@ void ServeRun::control_frame(StreamState& state, int index, DetectTask&& dt) {
   // The admission verdict is taken here, per-stream sequential, so a forced
   // level (fault plan) keyed on the frame index yields a deterministic
   // transition sequence.
-  if (ladder_active_) {
-    const std::optional<int> forced =
-        injector_ != nullptr
-            ? injector_->forced_degrade_level(dt.stream, dt.step.index)
-            : std::nullopt;
-    dt.decision = admission->decide(dt.stream, dt.step.index,
-                                    tracer_.now_ns(), forced);
-  }
+  const std::optional<int> forced =
+      injector_ != nullptr
+          ? injector_->forced_degrade_level(dt.stream, dt.step.index)
+          : std::nullopt;
+  dt.decision =
+      admission->decide(dt.stream, dt.step.index, tracer_.now_ns(), forced);
   if (!dt.decision.admit) {
     emit_unscanned(std::move(dt), true);
     return;
@@ -636,7 +623,7 @@ void ServeRun::detect_frame(DetectTask& task) {
   out.report = system_.report_frame(task.step, task.meta, boxes);
   out.report.degrade_level = static_cast<int>(level);
   // The scan's boxes feed the stream's tracker through the coast ledger.
-  if (ladder_active_ && boxes) out.dets = std::move(boxes->vehicles);
+  if (boxes) out.dets = std::move(boxes->vehicles);
   // The modelled PL accelerator occupies the worker on frames whose vehicle
   // engine ran a scan; an injected slowdown on every frame.
   double sleep_ms = 0.0;
@@ -681,17 +668,12 @@ void ServeRun::emit_unscanned(DetectTask&& task, bool shed) {
 }
 
 // --- stage 3: report collector -----------------------------------------
-// The one thread every frame reaches, exactly once. With the ladder off it
-// finishes each report as it arrives. With it on, it also keeps each
-// stream's coast ledger: a frame that arrives with its report is finished
-// at once and its boxes wait for the frontier; a coast frame waits there
-// itself and is evaluated and finished when the frontier reaches it.
+// The one thread every frame reaches, exactly once. It keeps each stream's
+// coast ledger: a frame that arrives with its report is finished at once
+// and its boxes wait for the frontier; a coast frame waits there itself and
+// is evaluated and finished when the frontier reaches it.
 void ServeRun::collect() {
   while (std::optional<ReportTask> task = report_q_.pop()) {
-    if (!ladder_active_) {
-      finish(*task);
-      continue;
-    }
     CoastLedger& ledger = ledgers_[static_cast<std::size_t>(task->stream)];
     const int index =
         task->coast ? task->coast->step.index : task->report.index;
@@ -777,13 +759,13 @@ void ServeRun::finish(ReportTask& task) {
     c.backpressure_drops->inc();
     ++o.backpressure_drops;
   } else if (task.shed) {
-    if (c.shed != nullptr) c.shed->inc();
+    c.shed->inc();
     ++o.shed;
   } else if (task.report.detect_coasted) {
-    if (c.coasted != nullptr) c.coasted->inc();
+    c.coasted->inc();
     ++o.coasted;
   } else if (task.report.degrade_level > 0) {
-    if (c.degraded_scans != nullptr) c.degraded_scans->inc();
+    c.degraded_scans->inc();
     ++o.degraded_scans;
   }
   // Shed frames are an explicit admission verdict, not a reconfig cost;
@@ -800,17 +782,21 @@ void ServeRun::finish(ReportTask& task) {
 }
 
 // --- liveness watchdog -------------------------------------------------
-// Polls per-stream progress timestamps; a stream that is started,
-// incomplete and silent past the timeout is pinned to Shed (degrade level
-// 3) and its source abandoned: the wedge becomes an accounted event
-// instead of a hung serve.
+// Polls per-stream progress timestamps five times per timeout (at least
+// every 50 ms, at most every 1 ms); a stream that is started, incomplete
+// and silent past the timeout is pinned to Shed (degrade level 3) and its
+// source abandoned: the wedge becomes an accounted event instead of a hung
+// serve.
 void ServeRun::watchdog() {
-  const std::uint64_t timeout_ns =
-      static_cast<std::uint64_t>(
-          std::max<std::int64_t>(1, config_.watchdog.timeout.count())) *
-      1000000ull;
+  using std::chrono::milliseconds;
+  const milliseconds timeout =
+      std::max(milliseconds(1), config_.watchdog.timeout);
+  const milliseconds poll =
+      std::clamp(timeout / 5, milliseconds(1), milliseconds(50));
+  const auto timeout_ns = static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(timeout).count());
   while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(config_.watchdog.poll);
+    std::this_thread::sleep_for(poll);
     const std::uint64_t now = tracer_.now_ns();
     for (int s = 0; s < n_streams_; ++s) {
       StreamState& st = stream(s);
@@ -866,11 +852,9 @@ std::string ServeRun::finalise(std::uint64_t serve_id) {
 
   // Write a dump requested by an UNHEALTHY transition, now that the
   // breaching frames' chains are in the recorder.
-  if (!flight_dump_requested_.load(std::memory_order_relaxed)) return {};
-  std::string dir = config_.slo.flight_dump_dir;
-  if (dir.empty())
-    if (const char* env = std::getenv("AVD_FLIGHT_DIR")) dir = env;
-  if (dir.empty()) return {};
+  const std::string& dir = config_.slo.flight_dump_dir;
+  if (!flight_dump_requested_.load(std::memory_order_relaxed) || dir.empty())
+    return {};
   const std::string path =
       dir + "/flight_bundle_serve" + std::to_string(serve_id) + ".json";
   return recorder->dump_to_file(path, "health transition to UNHEALTHY")
@@ -908,10 +892,8 @@ std::vector<StreamResult> ServeRun::assemble() {
     result.source_retries = state.source_retries.load();
     result.source_failed = state.source_failed.load();
     result.watchdog_fired = state.watchdog_fired.load();
-    if (admission != nullptr) {
-      result.degrade_level = admission->level(s);
-      result.degrade_transitions = admission->transitions(s);
-    }
+    result.degrade_level = admission->level(s);
+    result.degrade_transitions = admission->transitions(s);
     if (!monitors.empty()) {
       result.health = monitors[us]->state();
       result.health_transitions = monitors[us]->transitions();
@@ -980,23 +962,22 @@ std::vector<StreamResult> StreamServer::serve(
 
 StreamServer::ObsView StreamServer::obs_view() const {
   std::lock_guard<std::mutex> lock(obs_mutex_);
-  ObsView view{admission_ != nullptr, std::vector<StreamView>(stream_count_),
-               sampler_, recorder_};
+  ObsView view{std::vector<StreamView>(stream_count_), sampler_, recorder_};
   for (std::size_t s = 0; s < stream_count_; ++s) {
     StreamView& row = view.streams[s];
     const int i = static_cast<int>(s);
     row.name = stream_name(config_, i);
     if (s < monitors_.size()) row.health = monitors_[s]->state();
-    if (admission_) {
-      row.level = admission_->level(i);
-      row.stats = admission_->stats(i);
-    }
+    row.level = admission_->level(i);
+    row.stats = admission_->stats(i);
   }
   return view;
 }
 
 void StreamServer::set_fleet_pressure(bool pressure) {
   std::lock_guard<std::mutex> lock(obs_mutex_);
+  // Null only before this server's first serve (a front-door shard whose
+  // serve has not yet published, or one with no streams).
   if (admission_) admission_->set_fleet_pressure(pressure);
 }
 

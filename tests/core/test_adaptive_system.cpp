@@ -193,39 +193,6 @@ TEST_F(AdaptiveSystemTest, ImageLightEstimateMatchesSensorDecisions) {
   EXPECT_EQ(rv.frames[40].sensed, LightingCondition::Day);
 }
 
-TEST_F(AdaptiveSystemTest, DwellTimeSuppressesThrash) {
-  // A selection signal flapping every 8 frames between dusk and dark. With
-  // no dwell the system reconfigures on (almost) every flip; with a 20-frame
-  // dwell it reconfigures far less — each avoided reconfiguration is an
-  // avoided dropped frame.
-  std::vector<data::DriveSegment> flapping;
-  for (int i = 0; i < 8; ++i) {
-    flapping.push_back({LightingCondition::Dusk, 8});
-    flapping.push_back({LightingCondition::Dark, 8});
-  }
-
-  core::TrainingBudget budget = tiny_budget();
-  core::AdaptiveSystemConfig no_dwell;
-  no_dwell.run_detectors = false;
-  no_dwell.classifier.debounce_frames = 1;  // isolate the dwell effect
-  core::AdaptiveSystemConfig with_dwell = no_dwell;
-  with_dwell.min_dwell_frames = 20;
-
-  const core::SystemModels models = core::build_system_models(budget);
-  core::AdaptiveSystem fast(models, no_dwell);
-  core::AdaptiveSystem slow(models, with_dwell);
-
-  data::SequenceSpec spec;
-  spec.frame_size = {480, 270};
-  spec.segments = flapping;
-  const data::DriveSequence seq(spec);
-
-  const int fast_reconfigs = fast.run(seq).reconfig_count();
-  const int slow_reconfigs = slow.run(seq).reconfig_count();
-  EXPECT_LT(slow_reconfigs, fast_reconfigs);
-  EXPECT_GE(slow_reconfigs, 1);  // still tracks the real change eventually
-}
-
 TEST(AdaptiveSystemDetectors, FullPipelineFindsVehiclesPerCondition) {
   AdaptiveSystemConfig cfg;
   cfg.run_detectors = true;

@@ -15,6 +15,9 @@ namespace {
 
 using obs::HealthState;
 
+// Sample time of a telemetry window, on the tracer timebase.
+constexpr std::uint64_t kWindowNs = 1'000'000;
+
 AdmissionConfig ladder_config(int escalate = 2, int recover = 3) {
   AdmissionConfig c;
   c.enabled = true;
@@ -38,7 +41,7 @@ TEST(Admission, StartsAtFullAndAdmitsEverything) {
 
 TEST(Admission, FirstDegradedWindowDropsToCoarseScan) {
   AdmissionController ac(1, ladder_config());
-  ac.on_health_windows({HealthState::Degraded});
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::CoarseScan);
   const auto ts = ac.transitions(0);
   ASSERT_EQ(ts.size(), 1u);
@@ -50,25 +53,27 @@ TEST(Admission, FirstDegradedWindowDropsToCoarseScan) {
 
 TEST(Admission, EscalatesOneRungPerEscalateAfterWindows) {
   AdmissionController ac(1, ladder_config(/*escalate=*/2));
-  ac.on_health_windows({HealthState::Degraded});  // -> CoarseScan, streak reset
+  // -> CoarseScan, streak reset
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::CoarseScan);
-  ac.on_health_windows({HealthState::Degraded});  // streak 1: dwell
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);  // streak 1: dwell
   EXPECT_EQ(ac.level(0), DegradeLevel::CoarseScan);
-  ac.on_health_windows({HealthState::Degraded});  // streak 2: escalate
+  // streak 2: escalate
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::SkipCoast);
-  ac.on_health_windows({HealthState::Degraded});
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::SkipCoast);
-  ac.on_health_windows({HealthState::Degraded});
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
   // Shed is the floor; more degraded windows change nothing.
-  ac.on_health_windows({HealthState::Degraded});
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
   EXPECT_EQ(ac.transitions(0).size(), 3u);
 }
 
 TEST(Admission, UnhealthyShedsImmediately) {
   AdmissionController ac(1, ladder_config());
-  ac.on_health_windows({HealthState::Unhealthy});
+  ac.on_health_windows({HealthState::Unhealthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
   const AdmissionDecision d = ac.decide(0, 0, 0);
   EXPECT_FALSE(d.admit);
@@ -82,11 +87,11 @@ TEST(Admission, MaxDegradedLevelCapsDegradedEscalationButNotUnhealthy) {
   cfg.ladder.max_degraded_level = 2;  // DEGRADED may reach SkipCoast, no more
   AdmissionController ac(1, cfg);
   for (int w = 0; w < 10; ++w)
-    ac.on_health_windows({HealthState::Degraded});
+    ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::SkipCoast);
   EXPECT_EQ(ac.transitions(0).size(), 2u);  // Full -> Coarse -> SkipCoast
   // UNHEALTHY ignores the cap.
-  ac.on_health_windows({HealthState::Unhealthy});
+  ac.on_health_windows({HealthState::Unhealthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
 }
 
@@ -94,31 +99,32 @@ TEST(Admission, RecoveryIsSlowOneRungPerStreak) {
   // escalate=2: a single degraded window mid-recovery resets the healthy
   // streak but does NOT itself escalate (the dwell is 2 windows).
   AdmissionController ac(1, ladder_config(/*escalate=*/2, /*recover=*/3));
-  ac.on_health_windows({HealthState::Unhealthy});  // -> Shed
+  ac.on_health_windows({HealthState::Unhealthy}, kWindowNs);  // -> Shed
   ASSERT_EQ(ac.level(0), DegradeLevel::Shed);
 
   // Two healthy windows: not enough; the third steps ONE rung up.
-  ac.on_health_windows({HealthState::Healthy});
-  ac.on_health_windows({HealthState::Healthy});
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
-  ac.on_health_windows({HealthState::Healthy});
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::SkipCoast);
 
   // A degraded window mid-recovery resets the healthy streak.
-  ac.on_health_windows({HealthState::Healthy});
-  ac.on_health_windows({HealthState::Healthy});
-  ac.on_health_windows({HealthState::Degraded});  // streak reset (level holds)
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
+  // streak reset (level holds)
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::SkipCoast);
-  ac.on_health_windows({HealthState::Healthy});
-  ac.on_health_windows({HealthState::Healthy});
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::SkipCoast);
-  ac.on_health_windows({HealthState::Healthy});
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::CoarseScan);
 
   // All the way home needs another full streak.
-  ac.on_health_windows({HealthState::Healthy});
-  ac.on_health_windows({HealthState::Healthy});
-  ac.on_health_windows({HealthState::Healthy});
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
+  ac.on_health_windows({HealthState::Healthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Full);
 }
 
@@ -126,8 +132,8 @@ TEST(Admission, SkipCoastScansEveryNthFrameByIndex) {
   AdmissionConfig cfg = ladder_config(/*escalate=*/1);
   cfg.ladder.skip_modulus = 3;
   AdmissionController ac(1, cfg);
-  ac.on_health_windows({HealthState::Degraded});  // CoarseScan
-  ac.on_health_windows({HealthState::Degraded});  // SkipCoast
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);  // CoarseScan
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);  // SkipCoast
   ASSERT_EQ(ac.level(0), DegradeLevel::SkipCoast);
   for (int i = 0; i < 9; ++i) {
     const AdmissionDecision d = ac.decide(0, i, 0);
@@ -171,12 +177,47 @@ TEST(Admission, TokenBucketOnCallerTimeline) {
   EXPECT_EQ(st.shed_by_bucket, 3u);
 }
 
+// With admission off, neither the bucket nor a health window moves a frame
+// off Full; only a forced level does (the watchdog's and fault plans').
+TEST(Admission, DisabledAdmissionOnlyObeysForcedLevels) {
+  AdmissionConfig cfg = ladder_config();
+  cfg.enabled = false;
+  cfg.bucket.rate_fps = 10.0;
+  cfg.bucket.burst = 1.0;
+  AdmissionController ac(1, cfg);
+  ac.on_health_windows({HealthState::Unhealthy}, kWindowNs);
+  for (int i = 0; i < 5; ++i) {
+    const AdmissionDecision d = ac.decide(0, i, 0);
+    EXPECT_TRUE(d.admit) << i;
+    EXPECT_EQ(d.level, DegradeLevel::Full) << i;
+  }
+  EXPECT_EQ(ac.stats(0).shed, 0u);
+  EXPECT_TRUE(ac.transitions(0).empty());
+  EXPECT_FALSE(ac.decide(0, 5, 0, /*forced_level=*/3).admit);
+}
+
+// Health-window transitions carry the window's sample time, the watchdog's
+// force_level() the tracer's clock: never the 0 of "no time".
+TEST(Admission, HealthAndForcedTransitionsCarryTheirTime) {
+  AdmissionController ac(2, ladder_config());
+  ac.on_health_windows({HealthState::Degraded, HealthState::Healthy},
+                       kWindowNs);
+  ac.force_level(1, DegradeLevel::Shed, "watchdog");
+  const auto health = ac.transitions(0);
+  ASSERT_EQ(health.size(), 1u);
+  EXPECT_EQ(health[0].t_ns, kWindowNs);
+  const auto forced = ac.transitions(1);
+  ASSERT_EQ(forced.size(), 1u);
+  EXPECT_GT(forced[0].t_ns, 0u);
+}
+
 TEST(Admission, ForceLevelIsSticky) {
   AdmissionController ac(1, ladder_config());
   ac.force_level(0, DegradeLevel::Shed, "watchdog");
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
   // Neither healthy windows nor fault plans move a stuck stream.
-  for (int i = 0; i < 20; ++i) ac.on_health_windows({HealthState::Healthy});
+  for (int i = 0; i < 20; ++i)
+    ac.on_health_windows({HealthState::Healthy}, kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
   const AdmissionDecision d = ac.decide(0, 0, 0, /*forced_level=*/0);
   EXPECT_FALSE(d.admit);
@@ -188,7 +229,8 @@ TEST(Admission, ForceLevelIsSticky) {
 
 TEST(Admission, FaultPlanPinsThenReleasesToHealthTarget) {
   AdmissionController ac(1, ladder_config());
-  ac.on_health_windows({HealthState::Degraded});  // health wants CoarseScan
+  // health wants CoarseScan
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   ASSERT_EQ(ac.level(0), DegradeLevel::CoarseScan);
 
   // Plan pins frame 5 to SkipCoast; the pin carries the frame index.
@@ -212,7 +254,8 @@ TEST(Admission, FleetPressureSkipsTheEscalationDwell) {
   AdmissionController calm(2, slow);
   // Without fleet pressure the 100-window dwell holds both streams at 1.
   for (int i = 0; i < 4; ++i)
-    calm.on_health_windows({HealthState::Degraded, HealthState::Degraded});
+    calm.on_health_windows({HealthState::Degraded, HealthState::Degraded},
+                           kWindowNs);
   EXPECT_EQ(calm.level(0), DegradeLevel::CoarseScan);
 }
 
@@ -223,7 +266,8 @@ TEST(Admission, ExternalFleetPressureSkipsTheDwellAndClears) {
   AdmissionController ac(2, slow);
   ac.set_fleet_pressure(true);
   for (int i = 0; i < 3; ++i)
-    ac.on_health_windows({HealthState::Degraded, HealthState::Healthy});
+    ac.on_health_windows({HealthState::Degraded, HealthState::Healthy},
+                         kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Shed);
   EXPECT_EQ(ac.level(1), DegradeLevel::Full);  // healthy stream untouched
   bool saw_fleet_reason = false;
@@ -235,7 +279,8 @@ TEST(Admission, ExternalFleetPressureSkipsTheDwellAndClears) {
   calm.set_fleet_pressure(true);
   calm.set_fleet_pressure(false);  // cleared before any window: normal dwell
   for (int i = 0; i < 4; ++i)
-    calm.on_health_windows({HealthState::Degraded, HealthState::Degraded});
+    calm.on_health_windows({HealthState::Degraded, HealthState::Degraded},
+                           kWindowNs);
   EXPECT_EQ(calm.level(0), DegradeLevel::CoarseScan);
 }
 
@@ -244,9 +289,9 @@ TEST(Admission, TransitionCallbackFiresOncePerTransition) {
   std::vector<DegradeTransition> seen;
   ac.set_transition_callback(
       [&seen](const DegradeTransition& t) { seen.push_back(t); });
-  ac.on_health_windows({HealthState::Degraded});
-  ac.on_health_windows({HealthState::Degraded});
-  ac.on_health_windows({HealthState::Degraded});
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
+  ac.on_health_windows({HealthState::Degraded}, kWindowNs);
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0].to, DegradeLevel::CoarseScan);
   EXPECT_EQ(seen[1].to, DegradeLevel::SkipCoast);
@@ -257,7 +302,8 @@ TEST(Admission, TransitionCallbackFiresOncePerTransition) {
 TEST(Admission, StreamsAreIndependent) {
   AdmissionController ac(3, ladder_config());
   ac.on_health_windows(
-      {HealthState::Healthy, HealthState::Degraded, HealthState::Unhealthy});
+      {HealthState::Healthy, HealthState::Degraded, HealthState::Unhealthy},
+      kWindowNs);
   EXPECT_EQ(ac.level(0), DegradeLevel::Full);
   EXPECT_EQ(ac.level(1), DegradeLevel::CoarseScan);
   EXPECT_EQ(ac.level(2), DegradeLevel::Shed);

@@ -265,8 +265,7 @@ TEST_F(FaultInjectionTest, TransientSourceErrorsRetryToSuccess) {
   FaultInjector injector(plan);
 
   StreamServerConfig sc;
-  sc.fault_injector = &injector;
-  sc.source_retry.max_attempts = 3;  // 2 failures + 1 success
+  sc.fault_injector = &injector;  // 2 failures + 1 success of 3 attempts
   StreamServer server(*system_, sc);
   const std::vector<StreamResult> results = server.serve_sequences(streams);
 
@@ -286,7 +285,6 @@ TEST_F(FaultInjectionTest, ExhaustedRetriesTruncateTheStream) {
 
   StreamServerConfig sc;
   sc.fault_injector = &injector;
-  sc.source_retry.max_attempts = 3;
   StreamServer server(*system_, sc);
   const std::vector<StreamResult> results = server.serve_sequences(streams);
 
@@ -572,7 +570,6 @@ TEST_F(FaultInjectionTest, WatchdogConvertsWedgedStreamIntoShed) {
   sc.fault_injector = &injector;
   sc.watchdog.enabled = true;
   sc.watchdog.timeout = std::chrono::milliseconds(100 * kTimingScale);
-  sc.watchdog.poll = std::chrono::milliseconds(20);
   StreamServer server(*system_, sc);
   const std::vector<StreamResult> results = server.serve_sequences(streams);
 
@@ -588,6 +585,66 @@ TEST_F(FaultInjectionTest, WatchdogConvertsWedgedStreamIntoShed) {
   EXPECT_FALSE(results[1].watchdog_fired);
   expect_reports_identical(results[1].report, system_->run(streams[1]),
                            "healthy stream");
+}
+
+// Every transition carries its tracer-timebase time: the watchdog's on the
+// wedged stream, and the health windows' on the stream whose every frame
+// misses a tiny budget (the flight recorder's /degrade rows copy it).
+TEST_F(FaultInjectionTest, WatchdogAndHealthTransitionsAreTimestamped) {
+  const std::vector<data::DriveSequence> streams = make_streams(2, 3);
+  FaultPlan plan;
+  plan.faults.push_back(
+      {FaultKind::SourceStall, 0, 1, 100, 400.0 * kTimingScale});
+  FaultInjector injector(plan);
+
+  StreamServerConfig sc;
+  sc.ingest_workers = 2;
+  sc.fault_injector = &injector;
+  sc.watchdog.enabled = true;
+  sc.watchdog.timeout = std::chrono::milliseconds(100 * kTimingScale);
+  // Health may move a stream to coarse-scan only, so the watchdog's move to
+  // Shed is a transition of its own.
+  sc.admission.enabled = true;
+  sc.admission.ladder.max_degraded_level = 1;
+  sc.slo.enabled = true;
+  sc.slo.frame_budget_ms = 1e-4;
+  sc.slo.deadline_miss_unhealthy = 2.0;
+  sc.slo.telemetry_period = std::chrono::milliseconds(1);
+  sc.slo.hysteresis.breaches_to_worsen = 1;
+  StreamServer server(*system_, sc);
+  const std::vector<StreamResult> results = server.serve_sequences(streams);
+
+  std::vector<std::string> reasons;
+  for (const StreamResult& r : results)
+    for (const DegradeTransition& t : r.degrade_transitions) {
+      reasons.push_back(t.reason);
+      EXPECT_GT(t.t_ns, 0u) << t.reason;
+    }
+  EXPECT_NE(std::find(reasons.begin(), reasons.end(), "watchdog"),
+            reasons.end());
+  EXPECT_TRUE(std::any_of(reasons.begin(), reasons.end(),
+                          [](const std::string& r) {
+                            return r.rfind("health:", 0) == 0;
+                          }));
+}
+
+// A token bucket configured while admission is off sheds nothing, though the
+// watchdog keeps the ladder's forced levels in play: `enabled` gates the
+// bucket, so the serve is the sequential run bit for bit.
+TEST_F(FaultInjectionTest, WatchdogServeWithAdmissionOffIgnoresTheBucket) {
+  const std::vector<data::DriveSequence> streams = make_streams(2, 3);
+  StreamServerConfig sc;
+  sc.watchdog.enabled = true;
+  sc.admission.bucket.rate_fps = 1.0;
+  sc.admission.bucket.burst = 1.0;
+  StreamServer server(*system_, sc);
+  const std::vector<StreamResult> results = server.serve_sequences(streams);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    expect_reports_identical(results[s].report, system_->run(streams[s]),
+                             "stream " + std::to_string(s));
+    EXPECT_EQ(results[s].shed_frames, 0u);
+    EXPECT_FALSE(results[s].watchdog_fired);
+  }
 }
 
 // Admission control switched on but with a healthy fleet (no SLO pressure,

@@ -245,14 +245,14 @@ TEST(FrameTracing, ConsecutiveServesIngestOnlyTheirOwnFrames) {
   };
   const std::vector<StreamResult> first =
       server.serve_sequences(four_streams(3));
-  ASSERT_NE(server.trace_sampler(), nullptr);
-  EXPECT_EQ(server.trace_sampler()->frames_seen(), frames_of(first));
+  ASSERT_NE(server.obs_view().sampler, nullptr);
+  EXPECT_EQ(server.obs_view().sampler->frames_seen(), frames_of(first));
   const std::vector<StreamResult> second =
       server.serve_sequences(four_streams(2));
   tracer.set_enabled(false);
   tracer.clear();
   ASSERT_NE(frames_of(first), frames_of(second));
-  EXPECT_EQ(server.trace_sampler()->frames_seen(), frames_of(second));
+  EXPECT_EQ(server.obs_view().sampler->frames_seen(), frames_of(second));
 }
 
 }  // namespace

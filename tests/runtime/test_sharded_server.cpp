@@ -86,7 +86,7 @@ ShardSeries collect_shard_series(const std::string& prometheus,
   return out;
 }
 
-TEST(ShardedServer, PlacementIsStableHashWithClampedOverrides) {
+TEST(ShardedServer, PlacementIsStableHash) {
   // The hash is a pure function of the bytes — pin two reference values so
   // an accidental reseed/reorder of the FNV constants cannot slip through.
   EXPECT_EQ(stable_stream_hash(""), 14695981039346656037ull);
@@ -98,7 +98,6 @@ TEST(ShardedServer, PlacementIsStableHashWithClampedOverrides) {
 
   ShardedServerConfig fc;
   fc.shards = 4;
-  fc.assign_override = {{"pinned", 2}, {"wild", 99}, {"negative", -5}};
   ShardedServer front(system, fc);
 
   for (const std::string name : {"s0", "s1", "cam-front", "cam-rear"}) {
@@ -106,14 +105,17 @@ TEST(ShardedServer, PlacementIsStableHashWithClampedOverrides) {
         static_cast<int>(stable_stream_hash(name) % 4ull);
     EXPECT_EQ(front.shard_of(name), expected) << name;
   }
-  EXPECT_EQ(front.shard_of("pinned"), 2);
-  EXPECT_EQ(front.shard_of("wild"), 3);      // clamped into range
-  EXPECT_EQ(front.shard_of("negative"), 0);  // clamped into range
 
   // A second front door with the same config places identically.
   ShardedServer front2(system, fc);
-  for (const std::string name : {"s0", "s1", "pinned", "wild"})
+  for (const std::string name : {"s0", "s1", "cam-front", "cam-rear"})
     EXPECT_EQ(front.shard_of(name), front2.shard_of(name)) << name;
+
+  // The two-shard placement the front-door tests below rely on.
+  fc.shards = 2;
+  const ShardedServer pair(system, fc);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(pair.shard_of("s" + std::to_string(i)), i % 2) << i;
 }
 
 // The tentpole guarantee extended across shards: every stream's report from
@@ -132,8 +134,6 @@ TEST(ShardedServer, ShardedBatchedServeMatchesSequentialExactly) {
 
   ShardedServerConfig fc;
   fc.shards = 2;
-  // Exercise both placement paths: one stream pinned, the rest hashed.
-  fc.assign_override = {{"s1", 0}};
   fc.shard.detect_workers = 2;
   fc.shard.queue_capacity = 4;
   fc.shard.scan_pool = &pool;
@@ -146,7 +146,6 @@ TEST(ShardedServer, ShardedBatchedServeMatchesSequentialExactly) {
 
   const std::vector<int> assignment = front.last_assignment();
   ASSERT_EQ(assignment.size(), streams.size());
-  EXPECT_EQ(assignment[1], 0);  // the override stuck
   for (std::size_t s = 0; s < streams.size(); ++s) {
     std::string name = "s";
     name += std::to_string(s);
@@ -397,8 +396,7 @@ TEST(ShardedServer, FrontDoorAnswersEveryEndpoint) {
   core::AdaptiveSystem system(test_support::tiny_models(), control_only());
 
   ShardedServerConfig fc;
-  fc.shards = 2;
-  fc.assign_override = {{"s0", 0}, {"s1", 1}, {"s2", 0}, {"s3", 1}};
+  fc.shards = 2;  // FNV-1a places s0, s2 on shard 0 and s1, s3 on shard 1
   fc.shard.detect_workers = 1;
   fc.shard.simulated_accel_ms = 10.0;  // keep detect spans open to sample
   fc.shard.ops.enabled = true;
@@ -462,7 +460,6 @@ TEST(ShardedServer, TracedShardsSumToFramesServed) {
 
   ShardedServerConfig fc;
   fc.shards = 2;
-  fc.assign_override = {{"s0", 0}, {"s1", 1}, {"s2", 1}};
   fc.shard.ops.enabled = true;
   ShardedServer front(system, fc);
   const std::uint16_t port = front.ops_server()->port();
@@ -500,8 +497,7 @@ TEST(ShardedServer, FleetPressureFractionEscalatesPastTheDwell) {
   core::AdaptiveSystem system(test_support::tiny_models(), control_only());
   const auto count_reasons = [&system](double fraction) {
     ShardedServerConfig fc;
-    fc.shards = 2;
-    fc.assign_override = {{"s0", 0}, {"s1", 1}, {"s2", 0}, {"s3", 1}};
+    fc.shards = 2;  // FNV-1a: s0, s2 on shard 0 and s1, s3 on shard 1
     fc.fleet_pressure_fraction = fraction;
     fc.shard.detect_workers = 1;
     fc.shard.simulated_accel_ms = 1.0;

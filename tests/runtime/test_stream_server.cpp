@@ -3,9 +3,13 @@
 // AdaptiveSystem::run() path — plus backpressure accounting and metrics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "avd/obs/metrics.hpp"
+#include "avd/obs/trace.hpp"
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/runtime/thread_pool.hpp"
@@ -281,6 +285,45 @@ TEST(StreamServer, RepeatedServesAreIdentical) {
   for (std::size_t s = 0; s < r1.size(); ++s)
     expect_reports_identical(r1[s].report, r2[s].report,
                              "stream " + std::to_string(s));
+}
+
+// obs_view() is the one way to read a serve's state from outside: a view
+// held across the next serve() keeps the first serve's sampler and recorder
+// alive and readable while the second serve, on another thread, replaces
+// them in the server.
+TEST(StreamServer, ObsViewHeldAcrossAServeStaysReadable) {
+  core::AdaptiveSystemConfig cfg;
+  cfg.run_detectors = false;
+  core::AdaptiveSystem system(test_support::tiny_models(), cfg);
+  StreamServer server(system, {});
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  std::uint64_t frames = 0;
+  for (const StreamResult& r : server.serve_sequences(four_streams(3)))
+    frames += r.report.frames.size();
+  const StreamServer::ObsView held = server.obs_view();
+  ASSERT_NE(held.sampler, nullptr);
+  ASSERT_NE(held.recorder, nullptr);
+  ASSERT_EQ(held.sampler->frames_seen(), frames);
+
+  std::atomic<bool> done{false};
+  std::thread second([&] {
+    (void)server.serve_sequences(four_streams(5));
+    done.store(true);
+  });
+  do {
+    EXPECT_EQ(held.sampler->frames_seen(), frames);
+    EXPECT_FALSE(held.recorder->dump("held view").empty());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (!done.load());
+  second.join();
+  tracer.set_enabled(false);
+  tracer.clear();
+
+  EXPECT_EQ(held.sampler->frames_seen(), frames);
+  EXPECT_NE(server.obs_view().sampler, held.sampler);
 }
 
 // Under DropOldest with a starved detect pool, frames overflow — but every

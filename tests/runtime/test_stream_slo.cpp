@@ -246,10 +246,11 @@ TEST(StreamSlo, ForcedBreachWritesParseableFlightBundle) {
   std::remove(server.last_flight_bundle_path().c_str());
 
   // The tail sampler retained the breaching frames as Marked chains.
-  ASSERT_NE(server.trace_sampler(), nullptr);
-  EXPECT_GT(server.trace_sampler()->frames_retained(), 0u);
+  const auto sampler = server.obs_view().sampler;
+  ASSERT_NE(sampler, nullptr);
+  EXPECT_GT(sampler->frames_retained(), 0u);
   bool saw_marked = false;
-  for (const obs::RetainedFrame& f : server.trace_sampler()->retained())
+  for (const obs::RetainedFrame& f : sampler->retained())
     if (f.reason == obs::RetainReason::Marked) saw_marked = true;
   EXPECT_TRUE(saw_marked);
 }
