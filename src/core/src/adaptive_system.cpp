@@ -181,10 +181,6 @@ ControlStep AdaptiveSystem::StepSession::control_step(
                                  ? config_for(step.sensed, meta.road)
                                  : config_for(step.sensed);
   const soc::TimePoint now = scheduler_.frame_time(i);
-  if (wanted != loaded_ && now < busy_until_) {
-    // A wanted swap held back by an in-flight reconfiguration.
-    registry.counter("core.dwell_blocked").inc();
-  }
   if (wanted != loaded_ && now >= busy_until_) {
     // The engine drains its in-flight frame before the partition is opened.
     const soc::Duration drain =

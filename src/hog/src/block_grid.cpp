@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "avd/cpu.hpp"
+#include "hog_kernels.hpp"
+
 namespace avd::hog {
 namespace {
-
-/// Blocks normalised per l2hys_normalise run: one run fills eight anchors of
-/// every element row.
-constexpr int kRun = 8;
 
 std::size_t element_count(int anchors_x, int anchors_y, int block_len) {
   if (anchors_x < 0 || anchors_y < 0 || block_len < 0)
@@ -31,8 +30,7 @@ void normalise_block_rows(const CellGrid& grid, const HogParams& params,
     throw std::invalid_argument("BlockGrid: bad block size");
   const int ax_count = grid.cells_x() - params.block_cells + 1;
   const int ay_count = grid.cells_y() - params.block_cells + 1;
-  const int bins = grid.bins();
-  const int block_len = params.block_cells * params.block_cells * bins;
+  const int block_len = params.block_cells * params.block_cells * grid.bins();
   if (ay_begin < 0 || ay_begin > ay_end || ay_end > std::max(ay_count, 0))
     throw std::invalid_argument("BlockGrid: anchor rows outside the grid");
   if (ay_begin == ay_end) return;
@@ -40,34 +38,10 @@ void normalise_block_rows(const CellGrid& grid, const HogParams& params,
       rows.block_len() != block_len)
     throw std::invalid_argument("BlockGrid: rows do not fit the grid");
 
-  // kRun consecutive anchors at a time, interleaved the way l2hys_normalise
-  // takes a run: element k of the run's block j at run[k * kRun + j]. A
-  // row's last run may hold fewer anchors; its spare lanes stay zero, which
-  // normalises to zero and is never stored.
-  std::vector<float> run(static_cast<std::size_t>(kRun) * block_len);
-  for (int ay = ay_begin; ay < ay_end; ++ay) {
-    const int slot = ay % rows.anchors_y();
-    for (int ax0 = 0; ax0 < ax_count; ax0 += kRun) {
-      const int n = std::min(kRun, ax_count - ax0);
-      if (n < kRun) std::fill(run.begin(), run.end(), 0.0f);
-      // Same gather order as window_descriptor: cells (cy, cx), then bins.
-      // Lane j's cell sits bins floats after lane j - 1's.
-      float* dst = run.data();
-      for (int cy = 0; cy < params.block_cells; ++cy) {
-        for (int cx = 0; cx < params.block_cells; ++cx) {
-          const float* src = grid.cell(ax0 + cx, ay + cy).data();
-          for (int b = 0; b < bins; ++b, dst += kRun)
-            for (int j = 0; j < n; ++j) dst[j] = src[j * bins + b];
-        }
-      }
-      l2hys_normalise(run, params.l2hys_clip, kRun);
-      for (int k = 0; k < block_len; ++k) {
-        double* out = rows.row(slot, k) + ax0;
-        const float* src = run.data() + static_cast<std::size_t>(k) * kRun;
-        for (int j = 0; j < n; ++j) out[j] = src[j];  // exact widening
-      }
-    }
-  }
+  static const detail::BlockRows body = cpu_has_avx512()
+                                           ? detail::block_rows_avx512
+                                           : detail::block_rows_scalar;
+  body(grid, params, ay_begin, ay_end, rows);
 }
 
 BlockGrid compute_block_grid(const CellGrid& grid, const HogParams& params) {

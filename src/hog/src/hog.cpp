@@ -11,6 +11,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "avd/cpu.hpp"
+#include "hog_kernels.hpp"
+
 namespace avd::hog {
 
 std::size_t HogParams::descriptor_length(img::Size size) const {
@@ -52,15 +55,7 @@ std::span<const float> CellGrid::cell(int cx, int cy) const {
 
 namespace {
 
-/// What one pixel adds to its cell histogram: `lo` to bin b0, then `hi` to
-/// bin b1.
-struct Vote {
-  float lo;
-  float hi;
-  std::uint16_t b0;
-  std::uint16_t b1;
-};
-static_assert(sizeof(Vote) == 12);
+using detail::Vote;
 
 /// The whole per-pixel vote, tabulated. A central-difference gradient of a
 /// u8 image is an integer pair (gx, gy) in [-255, 255]^2, and a pixel's two
@@ -176,6 +171,15 @@ CellGrid compute_cell_grid(const img::ImageU8& image, const HogParams& params) {
 
 void compute_cell_grid(const img::ImageU8& image, const HogParams& params,
                        CellGrid& grid) {
+  static const detail::VoteRow vote_row = cpu_has_avx512()
+                                              ? detail::vote_row_avx512
+                                              : detail::vote_row_scalar;
+  detail::compute_cell_grid(image, params, grid, vote_row);
+}
+
+void detail::compute_cell_grid(const img::ImageU8& image,
+                               const HogParams& params, CellGrid& grid,
+                               VoteRow vote_row) {
   if (params.cell_size <= 0 || params.bins <= 0 ||
       params.bins > HogParams::kMaxBins)
     throw std::invalid_argument("HOG: bad params");
@@ -187,10 +191,11 @@ void compute_cell_grid(const img::ImageU8& image, const HogParams& params,
   // Gradient + vote through the vote table instead of sqrt/atan2 and the
   // interpolation per pixel. Per pixel row, pass 1 writes every pixel's
   // table index into `idx`: integer work on neighbouring bytes, which the
-  // compiler vectorises. Pass 2 votes them in pixel order, so votes land in
-  // the order of a plain row-major pixel walk and every histogram float is
-  // bit-identical to voting off compute_gradients()
-  // (tests/hog/test_cell_grid.cpp asserts it float for float).
+  // compiler vectorises. Pass 2 (`vote_row`, one body per ISA) votes them in
+  // pixel order, so votes land in the order of a plain row-major pixel walk
+  // and every histogram float is bit-identical to voting off
+  // compute_gradients() (tests/hog/test_cell_grid.cpp asserts it float for
+  // float).
   const Vote* votes = vote_table(params.bins).data();
   const int cs = params.cell_size;
   const int w = image.width();
@@ -216,16 +221,8 @@ void compute_cell_grid(const img::ImageU8& image, const HogParams& params,
     if (usable_w == w && w > 1)
       idx[w - 1] = index(w - 1, static_cast<int>(mid[w - 1]) -
                                     static_cast<int>(mid[w - 2]));
-    float* hist = grid.cell(0, y / cs).data();
-    const std::int32_t* ix = idx.data();
-    for (int cx = 0; cx < cells_x; ++cx, hist += params.bins) {
-      for (int k = 0; k < cs; ++k) {
-        // A copy, so the compiler need not reload it after the first add.
-        const Vote v = votes[*ix++];
-        hist[v.b0] += v.lo;
-        hist[v.b1] += v.hi;
-      }
-    }
+    vote_row(votes, idx.data(), cells_x, cs, params.bins,
+             grid.cell(0, y / cs).data());
   }
 }
 

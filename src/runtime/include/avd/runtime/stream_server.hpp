@@ -295,7 +295,8 @@ class StreamServer {
     std::shared_ptr<const obs::FlightRecorder> recorder;  ///< null before any
   };
   [[nodiscard]] ObsView obs_view() const;
-  /// Sets the live admission controller's fleet_pressure (if any).
+  /// Sets the live admission controller's fleet_pressure, and that of every
+  /// later serve()'s controller until the next call.
   void set_fleet_pressure(bool pressure);
 
   /// Live per-stream health: mid-serve the SLO monitors answer with their
@@ -328,12 +329,14 @@ class StreamServer {
   StreamServerConfig config_;
   HealthCallback health_callback_;
   /// Guards the swap of the per-serve observability objects (admission_,
-  /// sampler_, recorder_, monitors_, stream_count_) between serve() and the
-  /// ops handler threads. The objects themselves are internally
-  /// thread-safe; only the pointers/containers need the lock.
+  /// sampler_, recorder_, monitors_, stream_count_) and fleet_pressure_
+  /// between serve(), the front door and the ops handler threads. The
+  /// objects themselves are internally thread-safe; only the
+  /// pointers/containers need the lock.
   mutable std::mutex obs_mutex_;
   std::size_t stream_count_ = 0;  ///< streams of the latest non-empty serve()
   std::shared_ptr<AdmissionController> admission_;
+  bool fleet_pressure_ = false;  ///< the last set_fleet_pressure()
   std::shared_ptr<obs::TraceSampler> sampler_;
   std::shared_ptr<obs::FlightRecorder> recorder_;
   std::vector<std::shared_ptr<obs::SloMonitor>> monitors_;

@@ -949,6 +949,7 @@ std::vector<StreamResult> StreamServer::serve(
     std::lock_guard<std::mutex> lock(obs_mutex_);
     stream_count_ = n_streams;
     admission_ = run.admission;
+    admission_->set_fleet_pressure(fleet_pressure_);
     sampler_ = run.sampler;
     recorder_ = run.recorder;
     monitors_ = run.monitors;
@@ -976,8 +977,9 @@ StreamServer::ObsView StreamServer::obs_view() const {
 
 void StreamServer::set_fleet_pressure(bool pressure) {
   std::lock_guard<std::mutex> lock(obs_mutex_);
-  // Null only before this server's first serve (a front-door shard whose
-  // serve has not yet published, or one with no streams).
+  // Kept for the next serve's controller too: a front-door shard whose
+  // serve has not yet published its controller still starts under it.
+  fleet_pressure_ = pressure;
   if (admission_) admission_->set_fleet_pressure(pressure);
 }
 

@@ -5,7 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <utility>
+
+#include "../../src/hog/src/hog_kernels.hpp"
+#include "avd/cpu.hpp"
 
 namespace avd::hog {
 namespace {
@@ -203,6 +208,94 @@ TEST(BlockGrid, RingRowsMatchFullGridRows) {
     }
   }
 }
+
+/// One block-row body, run directly whatever this host's dispatch picked.
+struct BlockRowBody {
+  const char* name;
+  bool needs_avx512;
+  detail::BlockRows rows;
+};
+
+void PrintTo(const BlockRowBody& body, std::ostream* os) { *os << body.name; }
+
+class BlockRowBodies : public ::testing::TestWithParam<BlockRowBody> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx512 && !cpu_has_avx512())
+      GTEST_SKIP() << "this CPU has no AVX-512F, so its body cannot run";
+  }
+
+  /// Every anchor row of `grid` through the body, into a ring of `ring_rows`
+  /// rows filled `step` rows per call; each stored block must equal the
+  /// one-block window_descriptor of its cells, element for element.
+  void expect_blocks_match_window_descriptor(const CellGrid& grid,
+                                             const HogParams& p, int ring_rows,
+                                             int step,
+                                             const std::string& what) const {
+    const int ax_count = grid.cells_x() - p.block_cells + 1;
+    const int ay_count = grid.cells_y() - p.block_cells + 1;
+    ASSERT_GT(ax_count, 0) << what;
+    ASSERT_GT(ay_count, 0) << what;
+    const int block_len = p.block_cells * p.block_cells * grid.bins();
+    BlockGrid ring(ax_count, ring_rows, block_len);
+    std::vector<float> single;
+    for (int begin = 0; begin < ay_count; begin += step) {
+      const int end = std::min(ay_count, begin + step);
+      GetParam().rows(grid, p, begin, end, ring);
+      for (int ay = begin; ay < end; ++ay)
+        for (int ax = 0; ax < ax_count; ++ax) {
+          window_descriptor(grid, p, ax, ay, p.block_cells, p.block_cells,
+                            single);
+          for (int k = 0; k < block_len; ++k)
+            ASSERT_EQ(ring.at(ax, ay % ring_rows, k),
+                      single[static_cast<std::size_t>(k)])
+                << what << " anchor (" << ax << "," << ay << ") element "
+                << k;
+        }
+    }
+  }
+};
+
+TEST_P(BlockRowBodies, EveryRunTailMatchesWindowDescriptor) {
+  // Anchor rows of 1 to 34 anchors: runs of sixteen (and of eight) that are
+  // short, exact, and ragged by every tail of 1-15 anchors.
+  const HogParams p;
+  for (int anchors = 1; anchors <= 34; ++anchors) {
+    const int width = (anchors + p.block_cells - 1) * p.cell_size;
+    const CellGrid grid = compute_cell_grid(textured(width, 40, anchors), p);
+    expect_blocks_match_window_descriptor(grid, p, 4, 3,
+                                          std::to_string(anchors) + " anchors");
+  }
+}
+
+TEST_P(BlockRowBodies, EveryBlockSizeAndBinCountMatchesWindowDescriptor) {
+  // Block sizes 1-3 share 0-2 cell rows between anchor rows; bins 1 and 17
+  // give element counts that are not a multiple of 9. Whole-grid, ring and
+  // one-row-per-call fills.
+  for (const int block_cells : {1, 2, 3}) {
+    for (const int bins : {1, 9, 17}) {
+      HogParams p;
+      p.block_cells = block_cells;
+      p.bins = bins;
+      const CellGrid grid =
+          compute_cell_grid(textured(200, 72, block_cells * 5 + bins), p);
+      const int ay_count = grid.cells_y() - block_cells + 1;
+      const std::string what = "block " + std::to_string(block_cells) +
+                               " bins " + std::to_string(bins);
+      expect_blocks_match_window_descriptor(grid, p, ay_count, ay_count, what);
+      expect_blocks_match_window_descriptor(grid, p, 3, 2, what + " ring");
+      expect_blocks_match_window_descriptor(grid, p, 1, 1, what + " rows");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryIsa, BlockRowBodies,
+    ::testing::Values(BlockRowBody{"Scalar", false, detail::block_rows_scalar},
+                      BlockRowBody{"Avx512", true, detail::block_rows_avx512}),
+    [](const ::testing::TestParamInfo<BlockRowBody>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(BlockGrid, RowNormaliserRefusesRowsThatDoNotFit) {
   const HogParams p;

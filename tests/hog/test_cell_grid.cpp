@@ -4,12 +4,16 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <tuple>
 
+#include "../../src/hog/src/hog_kernels.hpp"
 #include "../support/pinned_frames.hpp"
+#include "avd/cpu.hpp"
 #include "avd/hog/hog.hpp"
 #include "avd/image/color.hpp"
+#include "avd/image/resize.hpp"
 
 namespace avd::hog {
 namespace {
@@ -184,10 +188,10 @@ CellGrid voted_off_gradients(const img::ImageU8& im, const HogParams& params) {
   return voted;
 }
 
-/// Every histogram float of compute_cell_grid equals the oracle's.
-void expect_fused_equals_oracle(const img::ImageU8& im, const HogParams& params,
-                                const std::string& what) {
-  const CellGrid fused = compute_cell_grid(im, params);
+/// Every histogram float of `fused` equals the oracle's.
+void expect_grid_equals_oracle(const CellGrid& fused, const img::ImageU8& im,
+                               const HogParams& params,
+                               const std::string& what) {
   const CellGrid voted = voted_off_gradients(im, params);
   ASSERT_EQ(fused.cells_x(), voted.cells_x()) << what;
   ASSERT_EQ(fused.cells_y(), voted.cells_y()) << what;
@@ -199,6 +203,12 @@ void expect_fused_equals_oracle(const img::ImageU8& im, const HogParams& params,
         ASSERT_EQ(a[bin], b[bin])
             << what << " cell (" << cx << "," << cy << ") bin " << bin;
     }
+}
+
+/// Every histogram float of compute_cell_grid equals the oracle's.
+void expect_fused_equals_oracle(const img::ImageU8& im, const HogParams& params,
+                                const std::string& what) {
+  expect_grid_equals_oracle(compute_cell_grid(im, params), im, params, what);
 }
 
 /// Pixels that reach both ends of the gradient range, flat runs and ramps.
@@ -254,6 +264,81 @@ TEST(CellGrid, FusedLutGridMatchesGradientFieldVotePath) {
     }
   }
 }
+
+/// One pass-2 body of the cell grid, run directly whatever this host's
+/// dispatch picked.
+struct CellGridBody {
+  const char* name;
+  bool needs_avx512;
+  detail::VoteRow vote_row;
+};
+
+void PrintTo(const CellGridBody& body, std::ostream* os) { *os << body.name; }
+
+class CellGridBodies : public ::testing::TestWithParam<CellGridBody> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx512 && !cpu_has_avx512())
+      GTEST_SKIP() << "this CPU has no AVX-512F, so its body cannot run";
+  }
+
+  void expect_body_equals_oracle(const img::ImageU8& im,
+                                 const HogParams& params,
+                                 const std::string& what) const {
+    CellGrid grid;
+    detail::compute_cell_grid(im, params, grid, GetParam().vote_row);
+    expect_grid_equals_oracle(grid, im, params, what);
+  }
+};
+
+TEST_P(CellGridBodies, MatchGradientFieldVotePathOnEdgeShapes) {
+  // The edge shapes of FusedLutGridMatchesGradientFieldVotePath. Bins 1
+  // (b0 == b1) and bins 17 and 18 (more than a register's 16 lanes) take
+  // the AVX-512 body's scalar fallback; bins 16 fills every lane. Widths
+  // 7-17 at cell size 1 leave every tail of its four-cell groups.
+  const int widths[] = {1, 2, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17};
+  for (const int bins : {1, 2, 9, 16, 17, 18}) {
+    for (const int cell : {1, 2, 3}) {
+      for (const int w : widths) {
+        for (int h = 1; h <= 3; ++h) {
+          HogParams params;
+          params.bins = bins;
+          params.cell_size = cell;
+          const auto seed = static_cast<std::uint32_t>(bins * 131 + w * 7 + h);
+          expect_body_equals_oracle(
+              edge_test_image(w, h, seed), params,
+              "bins " + std::to_string(bins) + " cell " +
+                  std::to_string(cell) + " " + std::to_string(w) + "x" +
+                  std::to_string(h));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(CellGridBodies, MatchGradientFieldVotePathOnPyramidSizes) {
+  // Every 1.25^k level of a 1920x1080 and a 640x360 rendered frame.
+  const img::ImageU8 frames[] = {
+      img::rgb_to_gray(test_support::pinned_dark_frame_1080()),
+      img::rgb_to_gray(test_support::pinned_day_frame())};
+  for (const img::ImageU8& frame : frames) {
+    for (const img::Size size : test_support::pyramid_sizes(frame)) {
+      const img::ImageU8 level =
+          size == frame.size() ? frame : img::resize_bilinear(frame, size);
+      expect_body_equals_oracle(level, HogParams{},
+                                std::to_string(size.width) + "x" +
+                                    std::to_string(size.height));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryIsa, CellGridBodies,
+    ::testing::Values(CellGridBody{"Scalar", false, detail::vote_row_scalar},
+                      CellGridBody{"Avx512", true, detail::vote_row_avx512}),
+    [](const ::testing::TestParamInfo<CellGridBody>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(CellGrid, CustomBinCount) {
   HogParams p;

@@ -521,6 +521,36 @@ TEST(ShardedServer, FleetPressureFractionEscalatesPastTheDwell) {
   EXPECT_GT(count_reasons(0.5)["health:fleet-pressure"], 0);
 }
 
+// Regression: set_fleet_pressure() on a shard whose serve() had not yet
+// published its admission controller was dropped, so the shard started its
+// serve with the pressure off. Raised before serve(), it must reach the
+// first health-driven decision: every stream's first transition gives the
+// fleet-pressure reason. Every frame misses a tiny budget, so every stream
+// turns DEGRADED.
+TEST(StreamServer, FleetPressureSetBeforeServeReachesTheFirstDecision) {
+  core::AdaptiveSystem system(test_support::tiny_models(), control_only());
+  StreamServerConfig sc;
+  sc.detect_workers = 1;
+  sc.simulated_accel_ms = 1.0;
+  sc.admission.enabled = true;
+  sc.admission.ladder.escalate_after_windows = 100;
+  sc.slo.enabled = true;
+  sc.slo.frame_budget_ms = 1e-4;
+  sc.slo.deadline_miss_unhealthy = 2.0;
+  sc.slo.telemetry_period = std::chrono::milliseconds(1);
+  sc.slo.hysteresis.breaches_to_worsen = 1;
+  StreamServer server(system, sc);
+  server.set_fleet_pressure(true);
+  int degraded = 0;
+  for (const StreamResult& r : server.serve_sequences(drives(2, 6))) {
+    if (r.degrade_transitions.empty()) continue;
+    ++degraded;
+    EXPECT_EQ(r.degrade_transitions.front().reason, "health:fleet-pressure")
+        << "stream " << r.stream;
+  }
+  EXPECT_GT(degraded, 0);  // the streams did degrade
+}
+
 // Regression: the front door's /healthz read each shard's admission
 // controller without the shard's lock while the shard's serve() swapped it.
 // Scrape in a loop across serves with the ladder live, health transitions
