@@ -33,7 +33,7 @@
 // budget at <= 64 streams (the CI lane) and a 100 ms sanity bound above
 // that; the p99 headline itself is tracked by bench_diff either way.
 //
-// Telemetry reconciliation rides along: after part B the shard= rollup
+// Telemetry reconciliation rides along: after part B the shard= fold
 // marginals of runtime.frames must sum to exactly the frames the sharded
 // serve produced — the same invariant the front door's /metricsz exports.
 #include <algorithm>
@@ -179,15 +179,15 @@ int main() {
               static_cast<unsigned long long>(shard_frames), shard_fps,
               speedup);
 
-  // Telemetry reconciliation: the shard= marginals rollup() derived must
+  // Telemetry reconciliation: the shard= marginals the snapshot folds must
   // sum to exactly the frames part B served (part C's series carry an extra
-  // phase= label, so they fold into their own marginals, not these).
+  // phase= label, which no fold sums, so they stay out of these).
   avd::obs::MetricsRegistry& registry = avd::obs::MetricsRegistry::global();
+  const avd::obs::MetricsSnapshot snap = registry.snapshot();
   double marginal_sum = 0.0;
   for (int m = 0; m < kShards; ++m)
-    marginal_sum += static_cast<double>(
-        registry.counter("runtime.frames", {{"shard", std::to_string(m)}})
-            .value());
+    marginal_sum += static_cast<double>(snap.counter(avd::obs::labeled_name(
+        "runtime.frames", {{"shard", std::to_string(m)}})));
   const bool marginals_ok =
       marginal_sum == static_cast<double>(shard_frames);
   std::printf("[B] shard= rollup marginals: %.0f frames (%s)\n", marginal_sum,

@@ -9,9 +9,10 @@
 // Part 3 microbenchmarks the primitives (ScopedSpan, Counter::inc,
 // Histogram::record_ns) with google-benchmark.
 // Part 4 measures the fleet-scale additions at 64 synthetic streams: the
-// labeled registry (per-stream counter/histogram updates + rollup) and the
-// tail-based TraceSampler (every chain ingested, few retained). Target:
-// < 1 % on the detect hot path — the same budget the exporter lives under.
+// labeled registry (per-stream counter/histogram updates + a folded
+// snapshot) and the tail-based TraceSampler (every chain ingested, few
+// retained). Target: < 1 % on the detect hot path — the same budget the
+// exporter lives under.
 // Part 5 measures the on-demand span-sampling profiler (/profilez) at its
 // default 97 Hz against a live multi-stream serve: the same serve with the
 // profiler stopped vs running, interleaved medians. Target: < 3 % on frame
@@ -159,8 +160,8 @@ void print_fleet_overhead(avd::bench::BenchReport& report) {
   // Part 4: what serving 64 streams adds per frame. One "fleet tick"
   // performs everything the runtime's fleet substrate does for one frame on
   // each of 64 streams — labeled counter + histogram updates against cached
-  // pointers, one registry rollup (a telemetry window), and the tail
-  // sampler ingesting one synthetic ingest->report chain per stream.
+  // pointers, one folded registry snapshot (a telemetry window), and the
+  // tail sampler ingesting one synthetic ingest->report chain per stream.
   constexpr int kStreams = 64;
   avd::obs::MetricsRegistry reg;
   std::vector<avd::obs::Counter*> frames;
@@ -197,7 +198,7 @@ void print_fleet_overhead(avd::bench::BenchReport& report) {
       lat_ns = lat_ns * 1664525 + 1013904223;
       lat_ns &= (1ull << 25) - 1;
     }
-    reg.rollup();
+    (void)reg.snapshot();
     sampler.ingest(chains);
   };
 
@@ -224,7 +225,7 @@ void print_fleet_overhead(avd::bench::BenchReport& report) {
   const double overhead_pct =
       100.0 * (tick_ms / kStreams) / off;
   std::printf(
-      "fleet substrate at %d streams (labeled registry + rollup + tail "
+      "fleet substrate at %d streams (labeled registry + snapshot + tail "
       "sampler):\n",
       kStreams);
   std::printf("  workload alone     : %8.3f ms (median of %d)\n", off,

@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   if (const std::optional<avd::obs::json::Value> doc =
           avd::obs::json::parse(last)) {
     if (const avd::obs::json::Value* counters = doc->find("counters")) {
-      // Per-stream series carry a stream label; the telemetry thread rolls
-      // labeled series up into the fleet-wide base name before sampling.
+      // Per-stream series carry a stream label; each sample's snapshot
+      // folds them into the fleet-wide base name as it reads them.
       for (const char* key :
            {"runtime.frames{stream=\"0\"}",
             "runtime.deadline_miss{stream=\"0\"}", "runtime.frames"}) {

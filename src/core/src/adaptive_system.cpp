@@ -166,13 +166,17 @@ ControlStep AdaptiveSystem::StepSession::control_step(
           : meta.light_level;
   step.sensed = classifier_.update(step.light_level);
 
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   // Resolved once: a by-name lookup takes the registry's one mutex, which
-  // telemetry rollups hold for milliseconds, and every served frame's
-  // control step passes here (the registry never drops a series).
+  // every scrape and telemetry sample also takes to walk the series, and
+  // every served frame's control step passes here (the registry never drops
+  // a series).
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   static obs::Counter& control_steps = registry.counter("core.control_steps");
+  static obs::Counter& mode_switches = registry.counter("core.mode_switches");
+  static obs::Counter& reconfigs_triggered =
+      registry.counter("core.reconfigs_triggered");
   control_steps.inc();
-  if (step.sensed != prev_sensed_) registry.counter("core.mode_switches").inc();
+  if (step.sensed != prev_sensed_) mode_switches.inc();
   prev_sensed_ = step.sensed;
 
   // Condition -> reconfiguration decision. Countryside selection only
@@ -197,7 +201,7 @@ ControlStep AdaptiveSystem::StepSession::control_step(
     busy_until_ = result.end;
     loaded_ = wanted;
     step.reconfig_triggered = true;
-    registry.counter("core.reconfigs_triggered").inc();
+    reconfigs_triggered.inc();
   }
 
   // Schedule decision. A window always opens strictly after the frame that

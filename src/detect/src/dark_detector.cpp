@@ -244,8 +244,8 @@ std::vector<TaillightDetection> DarkVehicleDetector::detect_taillights(
   }
 
   // Resolved once: a by-name lookup takes the registry's one mutex, which
-  // telemetry rollups hold for milliseconds (the registry never drops a
-  // series).
+  // every scrape and telemetry sample also takes to walk the series (the
+  // registry never drops a series).
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   static obs::Counter& blob_count = registry.counter("detect.dark.blobs");
   static obs::Counter& windows = registry.counter("detect.dark.batch_windows");

@@ -341,8 +341,8 @@ std::vector<Detection> detect_multiscale_multi(
   }
 
   // Resolved once: a by-name lookup takes the registry's one mutex, which
-  // telemetry rollups hold for milliseconds (the registry never drops a
-  // series).
+  // every scrape and telemetry sample also takes to walk the series (the
+  // registry never drops a series).
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   static obs::Counter& frames = registry.counter("detect.hogsvm.frames");
   static obs::Counter& level_count = registry.counter("detect.hogsvm.levels");

@@ -4,11 +4,12 @@
 // detectors' counters, the simulation's ARM-performance-counter reads).
 //
 // Series can carry label dimensions (stream=<id>, shard=<id>, stage=<name>,
-// ...): labels flatten into the registry name via labeled_name(), each
-// labeled series is an ordinary lock-free metric, and an explicit rollup()
-// folds the population series (stream=, shard=) into the unlabeled series of
-// the same base name so per-stream and fleet views export side by side at
-// O(series) cost.
+// ...): labels flatten into the registry name via labeled_name(), and each
+// labeled series is an ordinary lock-free metric. The registry holds only
+// what instrumentation writes; the fleet view — the population series
+// (stream=, shard=) folded into the unlabeled series of the same base name
+// and into per-shard marginals — is computed by snapshot() when it is read,
+// so per-stream and fleet views export side by side at O(series) cost.
 //
 // Thread safety: every mutator is a relaxed atomic operation, safe and cheap
 // from any thread. Registry lookups (counter()/gauge()/histogram()) take a
@@ -79,10 +80,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
-  /// Overwrite the value. Not for instrumentation (counters are monotone to
-  /// their writers) — this is how rollup() folds labeled children into the
-  /// base series.
-  void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
@@ -194,8 +191,9 @@ class Histogram {
 };
 
 /// Point-in-time copy of every metric in a registry, safe to hold, diff and
-/// serialise after the registry has moved on. Entries are sorted by name
-/// (std::map iteration order). This is the unit the telemetry ring stores.
+/// serialise after the registry has moved on. Entries are sorted by name,
+/// fold targets included (see MetricsRegistry::snapshot()). This is the unit
+/// a telemetry sample carries.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -240,41 +238,35 @@ class MetricsRegistry {
   [[nodiscard]] Histogram& histogram(const std::string& name,
                                      const Labels& labels);
 
-  /// Fold every population *leaf* series — one whose labels are all
-  /// population labels, stream= and shard= — into the unlabeled series of
-  /// its base name: `runtime.frames{stream="0"}` + `runtime.frames{stream="1"}`
-  /// overwrite `runtime.frames` (counters and gauges sum; histograms merge
-  /// bins), so exports carry the per-stream and the fleet view side by side.
-  /// A series with any other label (`runtime.stage.processed{stage="detect"}`)
-  /// is never folded: its siblings measure different things, and their sum
-  /// would count one frame once per stage.
-  /// Leaves with two or more labels additionally fold into their *parent*
-  /// marginal — the series with the last sorted label dropped — so a sharded
-  /// fleet's `runtime.frames{shard="0",stream="3"}` leaves also produce
-  /// per-shard `runtime.frames{shard="0"}` series. Fold targets (bases and
-  /// marginals) are created on demand, *overwritten* on every rollup, and
-  /// never treated as fold sources themselves — rollup() is idempotent, so
-  /// a /metricsz scrape racing an end-of-serve fold cannot double-count.
-  /// Do not mix direct writes to a fold target with labeled children of the
-  /// same name (a base, or a parent of a deeper-labeled series): rollup
-  /// overwrites them. O(series) under the registry mutex; labeled writers
-  /// are never blocked (their references bypass the map).
-  void rollup();
-
   /// Zero every value. Registrations (and therefore references handed out
   /// by counter()/gauge()/histogram()) survive.
   void reset_values();
 
-  /// Copy every metric's current value (histograms as summaries). Safe with
-  /// live writers under the usual read-side contract: counters/gauges are
-  /// exact, histogram summaries approximate.
+  /// Copy every metric's current value (histograms as summaries), with the
+  /// fleet view folded in. Every population *leaf* series — one whose labels
+  /// are all population labels, stream= and shard= — folds into the
+  /// unlabeled series of its base name: `runtime.frames{stream="0"}` +
+  /// `runtime.frames{stream="1"}` give `runtime.frames` (counters and gauges
+  /// sum; histograms merge bins). A series with any other label
+  /// (`runtime.stage.processed{stage="detect"}`) is never folded: its
+  /// siblings measure different things, and their sum would count one frame
+  /// once per stage. Leaves with two or more labels also fold into their
+  /// *parent* marginal — the series with the last sorted label dropped — so
+  /// a sharded fleet's `runtime.frames{shard="0",stream="3"}` leaves also
+  /// give `runtime.frames{shard="0"}`. A series that is another series'
+  /// parent is not a leaf, and a stored series with a fold target's name
+  /// (a base or a marginal written directly) is replaced by the fold. The
+  /// registry is never written: the maps are walked under the mutex, the
+  /// reads and merges run outside it. Safe with live writers under the
+  /// usual read-side contract: counters/gauges are exact, histogram
+  /// summaries approximate.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// obs::to_json(snapshot()).
   [[nodiscard]] std::string to_json() const;
 
-  /// Prometheus text exposition format: counters and gauges as-is,
-  /// histograms as summaries (quantile series + _sum + _count). Labeled
+  /// Prometheus text exposition format of snapshot(): counters and gauges
+  /// as-is, histograms as summaries (quantile series + _sum + _count). Labeled
   /// series (labeled_name renderings) are split back into base name +
   /// label set: the base is sanitised, the label values re-escaped for the
   /// exposition (\\ \" \n), and every series of one family (same raw base,

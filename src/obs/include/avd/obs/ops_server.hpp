@@ -125,13 +125,14 @@ class OpsServer {
 };
 
 /// The standard Prometheus scrape payload: republished process identity,
-/// rollup(), text exposition under kPrometheusContentType with guaranteed
-/// trailing newline. One implementation for StreamServer's /metricsz and
-/// every test that checks wire conformance.
+/// then the text exposition of the folded snapshot (fleet view included)
+/// under kPrometheusContentType with guaranteed trailing newline. One
+/// implementation for StreamServer's /metricsz and every test that checks
+/// wire conformance.
 [[nodiscard]] HttpResponse prometheus_response(MetricsRegistry& registry);
 
-/// The /metricsz.json payload: same refresh + rollup, JSON snapshot under
-/// application/json.
+/// The /metricsz.json payload: same refresh, the same folded snapshot as
+/// JSON under application/json.
 [[nodiscard]] HttpResponse metrics_json_response(MetricsRegistry& registry);
 
 /// Minimal blocking HTTP/1.1 GET against 127.0.0.1:`port` (the client half

@@ -38,7 +38,7 @@ namespace avd::obs {
 struct TelemetrySample {
   std::uint64_t t_ns = 0;  ///< Tracer::global().now_ns() at snapshot time
   std::uint64_t seq = 0;   ///< 0-based sample index, gapless per exporter
-  MetricsSnapshot metrics;
+  MetricsSnapshot metrics;  ///< per-stream series and the folded fleet view
 };
 
 /// One JSONL line for `sample` (no trailing newline).
@@ -50,10 +50,6 @@ struct TelemetryConfig {
   std::chrono::milliseconds period{20};
   /// Append-only JSONL sink; empty = in-memory only.
   std::string jsonl_path;
-  /// Fold labeled series into their base names (MetricsRegistry::rollup())
-  /// right before each snapshot, so every row carries the per-stream and the
-  /// fleet view. O(series) on the exporter thread, zero on the hot path.
-  bool rollup_before_sample = false;
   /// Invoked on the exporter thread after each sample lands, with the
   /// previous sample (nullptr on the first) and the new one — the hook the
   /// SLO monitor evaluates windows from. Keep it cheap; it blocks sampling.

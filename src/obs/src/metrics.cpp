@@ -35,10 +35,6 @@ void append_prometheus_value(std::ostringstream& os, double v) {
   }
 }
 
-// Metric names are user-supplied strings and may contain anything; escape
-// them like any other JSON string value.
-std::string json_escape(const std::string& s) { return json::escape(s); }
-
 bool label_key_char_ok(char c, bool first) {
   const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                      c == '_';
@@ -390,9 +386,9 @@ bool is_population_label(const std::string& key) {
   return key == "shard" || key == "stream";
 }
 
-// A rollup source candidate: a labeled series whose every label is a
+// A fold source candidate: a labeled series whose every label is a
 // population label. nullopt for plain names and for any series that carries
-// another label; those are left as they are.
+// another label; those are exported as they are.
 std::optional<ParsedSeriesName> population_series(std::string_view flat) {
   std::optional<ParsedSeriesName> parsed = parse_labeled_name(flat);
   if (parsed && std::all_of(parsed->labels.begin(), parsed->labels.end(),
@@ -404,80 +400,93 @@ std::optional<ParsedSeriesName> population_series(std::string_view flat) {
 }
 
 // The flat name of a labeled series with its last (sorted) label dropped —
-// the series' rollup parent ("runtime.frames{shard="0",stream="3"}" ->
+// the series' fold parent ("runtime.frames{shard="0",stream="3"}" ->
 // "runtime.frames{shard="0"}").
 std::string parent_name(const ParsedSeriesName& parsed) {
   Labels parent(parsed.labels.begin(), parsed.labels.end() - 1);
   return labeled_name(parsed.base, std::move(parent));
 }
 
-// The rollup fold must be idempotent: /metricsz scrapes and end-of-serve
-// both call rollup(), and a marginal produced by one fold must never be
-// re-summed into the base by the next (the shard=xstream= double-count).
-// Products are recognised structurally, with no stored state: a population
-// series is a *product* (and therefore not a source) exactly when some
-// other series of the same section has it as its parent. Leaves — series no
-// one folds into — are the only sources; each leaf contributes to its base
-// and, when it carries >= 2 labels, to its one-label-shorter parent.
-// Consequence (documented on rollup()): do not write directly to a series
-// that is another series' parent, e.g. `x{shard="0"}` next to
-// `x{shard="0",stream="1"}` — rollup overwrites the parent from its leaves.
-// Returns each fold target with the leaves that fold into it.
-template <typename Map>
-auto rollup_plan(const Map& section) {
-  using Metric = typename Map::mapped_type::element_type;
+// One section's stored series, in name order, as snapshot() copied them out
+// of the registry's map.
+template <typename Metric>
+using Stored = std::vector<std::pair<std::string, const Metric*>>;
+
+// The fold sources are the population *leaves*: a population series that
+// some other series of the section has as its parent is a marginal of the
+// fold, not a leaf, even when instrumentation wrote it directly. Each leaf
+// folds into its base and, when it carries >= 2 labels, into its
+// one-label-shorter parent. Returns each fold target with its leaves.
+template <typename Metric>
+std::map<std::string, std::vector<const Metric*>> fold_plan(
+    const Stored<Metric>& section) {
   struct Series {
     const std::string* name;
-    ParsedSeriesName parsed;
+    std::string base;
+    std::string parent;  // empty for a one-label series
     const Metric* metric;
   };
   std::vector<Series> population;
-  std::set<std::string> products;
+  std::set<std::string> parents;
   for (const auto& [name, metric] : section)
     if (auto parsed = population_series(name)) {
-      if (parsed->labels.size() >= 2) products.insert(parent_name(*parsed));
-      population.push_back({&name, std::move(*parsed), metric.get()});
+      std::string parent;
+      if (parsed->labels.size() >= 2) {
+        parent = parent_name(*parsed);
+        parents.insert(parent);
+      }
+      population.push_back(
+          {&name, std::move(parsed->base), std::move(parent), metric});
     }
   std::map<std::string, std::vector<const Metric*>> plan;
   for (const Series& s : population) {
-    if (products.contains(*s.name)) continue;  // a prior fold's marginal
-    plan[s.parsed.base].push_back(s.metric);
-    if (s.parsed.labels.size() >= 2)
-      plan[parent_name(s.parsed)].push_back(s.metric);
+    if (parents.contains(*s.name)) continue;
+    plan[s.base].push_back(s.metric);
+    if (!s.parent.empty()) plan[s.parent].push_back(s.metric);
   }
   return plan;
 }
 
-// The fold target's entry, created on first fold.
+std::uint64_t value_of(const Counter& c) { return c.value(); }
+double value_of(const Gauge& g) { return g.value(); }
+HistogramSummary value_of(const Histogram& h) { return h.summary(); }
+
+// Counters and gauges sum their leaves; histograms merge bins.
+template <typename Metric>
+auto fold(const std::vector<const Metric*>& leaves) {
+  decltype(value_of(*leaves.front())) sum{};
+  for (const Metric* leaf : leaves) sum += value_of(*leaf);
+  return sum;
+}
+HistogramSummary fold(const std::vector<const Histogram*>& leaves) {
+  Histogram merged;
+  for (const Histogram* leaf : leaves) merged.merge_from(*leaf);
+  return merged.summary();
+}
+
+// The section's exported view: every stored series, with each fold target
+// (stored or not) replaced by the fold of its leaves, in name order.
+template <typename Metric>
+auto folded(const Stored<Metric>& section) {
+  using Value = decltype(value_of(std::declval<const Metric&>()));
+  std::map<std::string, Value> view;
+  const auto plan = fold_plan(section);
+  for (const auto& [name, metric] : section)
+    if (!plan.contains(name)) view.emplace(name, value_of(*metric));
+  for (const auto& [target, leaves] : plan) view.emplace(target, fold(leaves));
+  return std::vector<std::pair<std::string, Value>>(view.begin(), view.end());
+}
+
 template <typename Map>
-auto& fold_target(Map& section, const std::string& name) {
-  auto& slot = section[name];
-  if (!slot) slot = std::make_unique<typename Map::mapped_type::element_type>();
-  return *slot;
+auto stored(const Map& section) {
+  Stored<typename Map::mapped_type::element_type> out;
+  out.reserve(section.size());
+  for (const auto& [name, metric] : section)
+    out.emplace_back(name, metric.get());
+  return out;
 }
 
 }  // namespace
-
-void MetricsRegistry::rollup() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Each section plans the fold from its leaves before it creates or
-  // overwrites a target, so a target made by this fold is never a source.
-  for (const auto& [target, leaves] : rollup_plan(counters_)) {
-    std::uint64_t sum = 0;
-    for (const Counter* leaf : leaves) sum += leaf->value();
-    fold_target(counters_, target).set(sum);
-  }
-  for (const auto& [target, leaves] : rollup_plan(gauges_)) {
-    double sum = 0.0;
-    for (const Gauge* leaf : leaves) sum += leaf->value();
-    fold_target(gauges_, target).set(sum);
-  }
-  for (const auto& [target, leaves] : rollup_plan(histograms_)) {
-    Histogram& merged = fold_target(histograms_, target);
-    merged.reset();
-    for (const Histogram* leaf : leaves) merged.merge_from(*leaf);
-  }
-}
 
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -513,14 +522,14 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   for (const auto& [name, v] : snapshot.counters) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":" << v;
+    os << '"' << json::escape(name) << "\":" << v;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, v] : snapshot.gauges) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":";
+    os << '"' << json::escape(name) << "\":";
     append_double(os, v);
   }
   os << "},\"histograms\":{";
@@ -528,7 +537,7 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   for (const auto& [name, s] : snapshot.histograms) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":";
+    os << '"' << json::escape(name) << "\":";
     append_histogram_json(os, s);
   }
   os << "}}";
@@ -536,16 +545,14 @@ std::string to_json(const MetricsSnapshot& snapshot) {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MetricsSnapshot out;
-  out.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.counters.emplace_back(name, c->value());
-  out.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.gauges.emplace_back(name, g->value());
-  out.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_)
-    out.histograms.emplace_back(name, h->summary());
-  return out;
+  // Only the walk over the maps needs the mutex: entries are never freed,
+  // so the reads, merges and summaries run outside it.
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto counters = stored(counters_);
+  const auto gauges = stored(gauges_);
+  const auto histograms = stored(histograms_);
+  lock.unlock();
+  return {folded(counters), folded(gauges), folded(histograms)};
 }
 
 std::string MetricsRegistry::to_json() const {

@@ -311,7 +311,6 @@ void OpsServer::serve_connection(int fd) {
 
 HttpResponse prometheus_response(MetricsRegistry& registry) {
   publish_process_metrics(registry);  // refresh uptime at scrape time
-  registry.rollup();
   HttpResponse res;
   res.content_type = kPrometheusContentType;
   res.body = registry.to_prometheus();
@@ -321,7 +320,6 @@ HttpResponse prometheus_response(MetricsRegistry& registry) {
 
 HttpResponse metrics_json_response(MetricsRegistry& registry) {
   publish_process_metrics(registry);
-  registry.rollup();
   return {200, "application/json", registry.to_json()};
 }
 

@@ -94,7 +94,6 @@ void TelemetryExporter::run_loop() {
 }
 
 void TelemetryExporter::take_sample() {
-  if (config_.rollup_before_sample) registry_->rollup();
   TelemetrySample sample;
   sample.t_ns = Tracer::global().now_ns();
   sample.metrics = registry_->snapshot();

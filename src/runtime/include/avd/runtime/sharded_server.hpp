@@ -15,8 +15,8 @@
 //   that needs a placement picks names that hash there.
 // * Telemetry: every shard server publishes its per-stream series with a
 //   shard=<m> label on top of stream=<name>, all into the one global
-//   MetricsRegistry. rollup() folds the two-dimensional leaves into
-//   per-shard marginals (runtime.frames{shard="1"}) and the fleet base
+//   MetricsRegistry. Every snapshot of it folds the two-dimensional leaves
+//   into per-shard marginals (runtime.frames{shard="1"}) and the fleet base
 //   (runtime.frames) — the front door's /metricsz therefore answers for
 //   the whole fleet in one scrape, and the sum of per-shard marginals
 //   equals the base by construction (test-enforced).

@@ -117,7 +117,7 @@ struct StreamSloConfig {
 /// pipeline *while it serves*. The sharded front door answers the same
 /// endpoints for its fleet; a StreamServer is a fleet of one shard:
 ///
-///   /metricsz       Prometheus text exposition (rollup() first)
+///   /metricsz       Prometheus text exposition, fleet view folded in
 ///   /metricsz.json  registry snapshot as JSON
 ///   /healthz        fleet + per-shard per-stream SLO states; 503 UNHEALTHY
 ///   /tracez         tail-sampler retained chains + per-span-name stats of
@@ -176,7 +176,7 @@ struct StreamServerConfig {
   int detect_batch_max = 8;
   /// Extra labels appended to every per-stream labeled series this server
   /// publishes — the sharded front door passes {{"shard","<m>"}} so one
-  /// registry holds shard= x stream= leaves that rollup() folds into
+  /// registry holds shard= x stream= leaves that every snapshot folds into
   /// per-shard marginals and the fleet base. The stream= label is always
   /// added on top of these.
   obs::Labels metric_labels;
@@ -281,6 +281,9 @@ class StreamServer {
   /// One stream of the latest serve as the ops plane reports it.
   struct StreamView {
     std::string name;  ///< the stream= label
+    /// Mid-serve the SLO monitor's current state-machine position; between
+    /// serves its final verdict (HEALTHY with monitoring disabled).
+    /// obs::worst_of over the streams is the fleet's health.
     obs::HealthState health = obs::HealthState::Healthy;
     DegradeLevel level = DegradeLevel::Full;
     AdmissionStats stats;  ///< the admission verdicts so far
@@ -298,16 +301,6 @@ class StreamServer {
   /// Sets the live admission controller's fleet_pressure, and that of every
   /// later serve()'s controller until the next call.
   void set_fleet_pressure(bool pressure);
-
-  /// Live per-stream health: mid-serve the SLO monitors answer with their
-  /// current state-machine position; between serves their final verdicts
-  /// answer (all HEALTHY with monitoring disabled; empty before any serve).
-  [[nodiscard]] std::vector<obs::HealthState> live_stream_health() const;
-  /// Worst-of rollup of live_stream_health(): one saturated stream is
-  /// visible here no matter how many healthy neighbours it has.
-  [[nodiscard]] obs::HealthState fleet_health() const {
-    return obs::worst_of(live_stream_health());
-  }
 
   /// Path of the bundle the most recent serve() wrote on an UNHEALTHY
   /// transition; empty when none was written.

@@ -104,10 +104,6 @@ std::vector<StreamResult> ShardedServer::serve(
     });
   for (std::thread& t : shard_threads) t.join();
 
-  // Fold the shard= x stream= leaves into per-shard marginals and the
-  // fleet base (idempotent on top of the per-shard serves' own rollups).
-  obs::MetricsRegistry::global().rollup();
-
   // --- scatter: restore input order ------------------------------------
   std::vector<StreamResult> out(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {

@@ -180,8 +180,8 @@ class ServeRun {
 
   void launch();
   void join();
-  /// After join(): queue gauges, the registry rollup, the last telemetry
-  /// window, the tail sampler's ingest and a requested flight bundle.
+  /// After join(): queue gauges, the last telemetry window, the tail
+  /// sampler's ingest and a requested flight bundle.
   /// Returns the bundle's path, empty when none was written.
   std::string finalise(std::uint64_t serve_id);
   std::vector<StreamResult> assemble();
@@ -311,8 +311,7 @@ obs::Labels ServeRun::stream_labels(int s) const {
 
 // Per-stream metrics are labeled series (stream=<id>); the fleet view under
 // the plain base names ("runtime.frames", "runtime.frame.latency_ns") is
-// produced by MetricsRegistry::rollup(), per telemetry sample while serving
-// and unconditionally in finalise().
+// folded by every MetricsRegistry::snapshot() that reads them.
 void ServeRun::build_streams() {
   counters_.resize(sources_.size());
   streams_.reserve(sources_.size());
@@ -399,7 +398,6 @@ void ServeRun::build_monitors(
   obs::TelemetryConfig tc;
   tc.period = config_.slo.telemetry_period;
   tc.jsonl_path = config_.slo.telemetry_jsonl;
-  tc.rollup_before_sample = true;  // rows carry per-stream AND fleet view
   // Health-driven ladder movement: after the monitors digest a window,
   // their states feed the admission controller, which moves levels on them
   // only when admission control is on.
@@ -823,11 +821,6 @@ std::string ServeRun::finalise(std::uint64_t serve_id) {
   report_stage_.queue_high_water->set(
       static_cast<double>(report_q_.stats().high_water));
 
-  // Fold the labeled per-stream series into the fleet base names: even with
-  // monitoring disabled, direct post-serve readers of e.g.
-  // "runtime.frame.latency_ns" see the fleet aggregate.
-  registry_.rollup();
-
   // One final telemetry window catches counters the last periodic sample
   // missed, then the monitors' verdicts become part of the results.
   if (telemetry_) telemetry_->stop();
@@ -981,12 +974,6 @@ void StreamServer::set_fleet_pressure(bool pressure) {
   // serve has not yet published its controller still starts under it.
   fleet_pressure_ = pressure;
   if (admission_) admission_->set_fleet_pressure(pressure);
-}
-
-std::vector<obs::HealthState> StreamServer::live_stream_health() const {
-  std::vector<obs::HealthState> states;
-  for (const StreamView& s : obs_view().streams) states.push_back(s.health);
-  return states;
 }
 
 }  // namespace avd::runtime

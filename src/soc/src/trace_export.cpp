@@ -8,42 +8,12 @@
 #include <utility>
 #include <vector>
 
+#include "avd/obs/json.hpp"
+
 namespace avd::soc {
 namespace {
 
-// Minimal JSON string escaping for the fields we emit.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using obs::json::escape;
 
 // A comma-separating JSON array writer.
 class EventArray {

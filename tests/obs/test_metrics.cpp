@@ -349,20 +349,21 @@ TEST(MetricsRegistry, RollupFoldsLabeledSeriesIntoBase) {
   reg.histogram("lat", {{"stream", "0"}}).record_ns(100);
   reg.histogram("lat", {{"stream", "1"}}).record_ns(300);
 
-  reg.rollup();
-  EXPECT_EQ(reg.counter("frames").value(), 10u);
-  EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 3.5);
-  EXPECT_EQ(reg.histogram("lat").count(), 2u);
-  EXPECT_EQ(reg.histogram("lat").sum_ns(), 400u);
-  EXPECT_EQ(reg.histogram("lat").max_ns(), 300u);
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("frames"), 10u);
+  EXPECT_DOUBLE_EQ(snap.gauge("depth"), 3.5);
+  ASSERT_NE(snap.histogram("lat"), nullptr);
+  EXPECT_EQ(snap.histogram("lat")->count, 2u);
+  EXPECT_EQ(snap.histogram("lat")->sum_ns, 400u);
+  EXPECT_EQ(snap.histogram("lat")->max_ns, 300u);
 
-  // rollup() overwrites, not accumulates: calling it again (after more
-  // labeled growth) re-derives the base from the children.
+  // The fold never accumulates: every snapshot (after more labeled growth)
+  // re-derives the base from the children.
   reg.counter("frames", {{"stream", "0"}}).inc(1);
-  reg.rollup();
-  reg.rollup();
-  EXPECT_EQ(reg.counter("frames").value(), 11u);
-  EXPECT_EQ(reg.histogram("lat").count(), 2u);
+  (void)reg.snapshot();
+  const MetricsSnapshot again = reg.snapshot();
+  EXPECT_EQ(again.counter("frames"), 11u);
+  EXPECT_EQ(again.histogram("lat")->count, 2u);
 }
 
 TEST(LabeledName, TwoLabelsSortEscapeAndRoundTrip) {
@@ -407,32 +408,37 @@ TEST(MetricsRegistry, RollupProducesShardMarginalsAndStaysIdempotent) {
   reg.histogram("lat", {{"shard", "0"}, {"stream", "0"}}).record_ns(100);
   reg.histogram("lat", {{"shard", "1"}, {"stream", "1"}}).record_ns(300);
 
-  reg.rollup();
+  const auto shard = [](const char* name, const char* m) {
+    return labeled_name(name, {{"shard", m}});
+  };
+  const MetricsSnapshot snap = reg.snapshot();
   // Per-shard marginals (last sorted label dropped)...
-  EXPECT_EQ(reg.counter("frames", {{"shard", "0"}}).value(), 7u);
-  EXPECT_EQ(reg.counter("frames", {{"shard", "1"}}).value(), 5u);
-  EXPECT_DOUBLE_EQ(reg.gauge("depth", {{"shard", "0"}}).value(), 1.0);
-  EXPECT_EQ(reg.histogram("lat", {{"shard", "0"}}).count(), 1u);
+  EXPECT_EQ(snap.counter(shard("frames", "0")), 7u);
+  EXPECT_EQ(snap.counter(shard("frames", "1")), 5u);
+  EXPECT_DOUBLE_EQ(snap.gauge(shard("depth", "0")), 1.0);
+  ASSERT_NE(snap.histogram(shard("lat", "0")), nullptr);
+  EXPECT_EQ(snap.histogram(shard("lat", "0"))->count, 1u);
   // ...and the base equals the sum of the leaves, not leaves + marginals.
-  EXPECT_EQ(reg.counter("frames").value(), 12u);
-  EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 3.5);
-  EXPECT_EQ(reg.histogram("lat").count(), 2u);
-  EXPECT_EQ(reg.histogram("lat").sum_ns(), 400u);
+  EXPECT_EQ(snap.counter("frames"), 12u);
+  EXPECT_DOUBLE_EQ(snap.gauge("depth"), 3.5);
+  ASSERT_NE(snap.histogram("lat"), nullptr);
+  EXPECT_EQ(snap.histogram("lat")->count, 2u);
+  EXPECT_EQ(snap.histogram("lat")->sum_ns, 400u);
 
-  // Idempotence: the /metricsz handler and end-of-serve both fold; a second
-  // (and third) rollup must not re-sum the shard marginals into the base.
-  reg.rollup();
-  reg.rollup();
-  EXPECT_EQ(reg.counter("frames").value(), 12u);
-  EXPECT_EQ(reg.counter("frames", {{"shard", "0"}}).value(), 7u);
-  EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 3.5);
-  EXPECT_EQ(reg.histogram("lat").count(), 2u);
+  // Idempotence: every scrape folds; a second (and third) snapshot must not
+  // re-sum the shard marginals into the base.
+  (void)reg.snapshot();
+  const MetricsSnapshot third = reg.snapshot();
+  EXPECT_EQ(third.counter("frames"), 12u);
+  EXPECT_EQ(third.counter(shard("frames", "0")), 7u);
+  EXPECT_DOUBLE_EQ(third.gauge("depth"), 3.5);
+  EXPECT_EQ(third.histogram("lat")->count, 2u);
 
   // New leaf growth re-derives marginals and base alike.
   reg.counter("frames", {{"shard", "0"}, {"stream", "1"}}).inc(1);
-  reg.rollup();
-  EXPECT_EQ(reg.counter("frames", {{"shard", "0"}}).value(), 8u);
-  EXPECT_EQ(reg.counter("frames").value(), 13u);
+  const MetricsSnapshot grown = reg.snapshot();
+  EXPECT_EQ(grown.counter(shard("frames", "0")), 8u);
+  EXPECT_EQ(grown.counter("frames"), 13u);
 }
 
 TEST(MetricsRegistry, RollupFoldsOnlyPopulationLabels) {
@@ -448,8 +454,7 @@ TEST(MetricsRegistry, RollupFoldsOnlyPopulationLabels) {
   }
   reg.counter("frames", {{"stream", "0"}}).inc(70);
   reg.counter("frames", {{"stream", "1"}}).inc(50);
-  reg.rollup();
-  reg.rollup();
+  (void)reg.snapshot();
 
   // No base sums the stages (it would read 480 for 120 frames), and the
   // shard series are not summed over stages into a per-shard marginal.
@@ -473,20 +478,22 @@ TEST(MetricsRegistry, RollupFoldsOnlyPopulationLabels) {
 }
 
 TEST(MetricsRegistry, RollupIdempotentUnderConcurrentScrapes) {
-  // Two scrape threads fold repeatedly while writers grow the leaves; after
-  // everyone quiesces, one final fold must land exactly on the leaf totals
-  // (a double-count would overshoot permanently).
+  // Two scrape threads snapshot repeatedly, each folding outside the
+  // registry mutex, while writers grow the leaves and a third thread
+  // registers new series; after everyone quiesces, the next fold must land
+  // exactly on the leaf totals.
   MetricsRegistry reg;
   Counter& a = reg.counter("rollup.race", {{"shard", "0"}, {"stream", "0"}});
   Counter& b = reg.counter("rollup.race", {{"shard", "1"}, {"stream", "1"}});
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t)
     threads.emplace_back([&reg] {
-      for (int i = 0; i < 200; ++i) {
-        reg.rollup();
-        (void)reg.snapshot();
-      }
+      for (int i = 0; i < 200; ++i) (void)reg.snapshot();
     });
+  threads.emplace_back([&reg] {
+    for (int i = 0; i < 200; ++i)
+      reg.histogram("rollup.new", {{"stream", std::to_string(i)}}).record_ns(1);
+  });
   for (int t = 0; t < 2; ++t)
     threads.emplace_back([&a, &b] {
       for (int i = 0; i < 1000; ++i) {
@@ -495,10 +502,12 @@ TEST(MetricsRegistry, RollupIdempotentUnderConcurrentScrapes) {
       }
     });
   for (std::thread& th : threads) th.join();
-  reg.rollup();
-  EXPECT_EQ(reg.counter("rollup.race").value(), 4000u);
-  EXPECT_EQ(reg.counter("rollup.race", {{"shard", "0"}}).value(), 2000u);
-  EXPECT_EQ(reg.counter("rollup.race", {{"shard", "1"}}).value(), 2000u);
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("rollup.race"), 4000u);
+  EXPECT_EQ(snap.counter(labeled_name("rollup.race", {{"shard", "0"}})), 2000u);
+  EXPECT_EQ(snap.counter(labeled_name("rollup.race", {{"shard", "1"}})), 2000u);
+  ASSERT_NE(snap.histogram("rollup.new"), nullptr);
+  EXPECT_EQ(snap.histogram("rollup.new")->count, 200u);
 }
 
 TEST(Histogram, MergeFromAddsBinsCountsAndMax) {
@@ -519,14 +528,13 @@ TEST(MetricsRegistry, PrometheusLabeledSeriesShareOneFamily) {
   MetricsRegistry reg;
   reg.counter("runtime.frames", {{"stream", "0"}}).inc(4);
   reg.counter("runtime.frames", {{"stream", "1"}}).inc(6);
-  reg.rollup();
   const std::string text = reg.to_prometheus();
   // One HELP and one TYPE for the whole family (base + both children)...
   EXPECT_EQ(text.find("# HELP runtime_frames runtime.frames\n"),
             text.rfind("# HELP runtime_frames runtime.frames\n"));
   EXPECT_EQ(text.find("# TYPE runtime_frames counter\n"),
             text.rfind("# TYPE runtime_frames counter\n"));
-  // ...and three sample lines: the rollup plus the two labeled children.
+  // ...and three sample lines: the fold plus the two labeled children.
   EXPECT_NE(text.find("\nruntime_frames 10\n"), std::string::npos) << text;
   EXPECT_NE(text.find("\nruntime_frames{stream=\"0\"} 4\n"),
             std::string::npos)

@@ -215,13 +215,12 @@ TEST(TelemetryExporter, SeqIsGaplessAcrossRingEviction) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetryExporter, RollupBeforeSampleFoldsLabeledSeries) {
+TEST(TelemetryExporter, SampleCarriesFoldedFleetView) {
   MetricsRegistry reg;
   reg.counter("frames", {{"stream", "0"}}).inc(4);
   reg.counter("frames", {{"stream", "1"}}).inc(6);
   std::vector<TelemetrySample> samples;
   TelemetryConfig config;
-  config.rollup_before_sample = true;
   record_rows(config, samples);
   TelemetryExporter exporter(reg, config);
   exporter.sample_now();

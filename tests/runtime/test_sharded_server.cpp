@@ -178,7 +178,7 @@ TEST(ShardedServer, ShardedBatchedServeMatchesSequentialExactly) {
   }
 }
 
-// Telemetry reconciliation: after a sharded serve, rollup() has folded the
+// Telemetry reconciliation: after a sharded serve, the snapshot folds the
 // shard= x stream= leaves so that each per-shard marginal equals the sum of
 // that shard's own leaves. (Compared leaf-wise, not against the unlabeled
 // base: the base also folds stream=-only series from other tests sharing
@@ -205,8 +205,7 @@ TEST(ShardedServer, RollupShardMarginalsEqualLeafSums) {
     ASSERT_NE(it, frames.marginal.end()) << "no marginal for shard " << shard;
     EXPECT_DOUBLE_EQ(it->second, leaves) << "shard " << shard;
   }
-  // And a second rollup must not double anything.
-  registry.rollup();
+  // And a second fold must not double anything.
   const ShardSeries again =
       collect_shard_series(registry.snapshot(), "runtime.frames");
   EXPECT_EQ(again.marginal, frames.marginal);
@@ -277,8 +276,8 @@ TEST(ShardedServer, FrontDoorServesFleetMetricsHealthAndStatus) {
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(front.fleet_health(), obs::HealthState::Healthy);
 
-  // /metricsz: the ISSUE acceptance check — shard= series are exported and
-  // the scrape's own rollup reconciles (marginal == sum of per-shard leaves).
+  // /metricsz: shard= series are exported and the scrape's fold reconciles
+  // (marginal == sum of per-shard leaves).
   const auto metrics = obs::http_get(port, "/metricsz");
   ASSERT_TRUE(metrics.has_value());
   EXPECT_EQ(metrics->status, 200);

@@ -259,7 +259,10 @@ TEST(StreamOps, HealthzFlipsTo503OnForcedBreach) {
   EXPECT_TRUE(saw_503);
 
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(server.fleet_health(), obs::HealthState::Unhealthy);
+  std::vector<obs::HealthState> states;
+  for (const StreamServer::StreamView& s : server.obs_view().streams)
+    states.push_back(s.health);
+  EXPECT_EQ(obs::worst_of(states), obs::HealthState::Unhealthy);
 }
 
 }  // namespace

@@ -345,9 +345,8 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
   StreamServer server(system, sc);
   // The registry is process-global: read the drop counter as a delta.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.rollup();
   const std::uint64_t drops_before =
-      registry.counter("runtime.backpressure_drops").value();
+      registry.snapshot().counter("runtime.backpressure_drops");
   const auto results = server.serve_sequences(streams);
 
   std::uint64_t total_drops = 0;
@@ -382,7 +381,7 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
         << "stream " << s;
   }
   EXPECT_GT(total_drops, 0u) << "expected the starved pool to shed load";
-  EXPECT_EQ(registry.counter("runtime.backpressure_drops").value() -
+  EXPECT_EQ(registry.snapshot().counter("runtime.backpressure_drops") -
                 drops_before,
             total_drops);
 }
@@ -410,13 +409,12 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
   const auto latency = [&registry](const char* stage) -> obs::Histogram& {
     return registry.histogram("runtime.stage.latency_ns", {{"stage", stage}});
   };
-  registry.rollup();
   const std::uint64_t ingest0 = processed("ingest");
   const std::uint64_t control0 = processed("control");
   const std::uint64_t detect0 = processed("detect");
   const std::uint64_t report0 = processed("report");
   const std::uint64_t drops0 =
-      registry.counter("runtime.backpressure_drops").value();
+      registry.snapshot().counter("runtime.backpressure_drops");
   const std::uint64_t detect_samples0 = latency("detect").count();
   const std::uint64_t control_samples0 = latency("control").count();
 
@@ -427,7 +425,7 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
   EXPECT_EQ(processed("ingest") - ingest0, n);
   EXPECT_EQ(processed("control") - control0, n);
   EXPECT_EQ(processed("detect") - detect0 +
-                registry.counter("runtime.backpressure_drops").value() -
+                registry.snapshot().counter("runtime.backpressure_drops") -
                 drops0,
             n);
   EXPECT_EQ(processed("report") - report0, n);
@@ -446,8 +444,8 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
 }
 
 // Every stage sees every frame, so the four runtime.stage.* series each
-// count all 120 frames. rollup() folds only population labels: there is no
-// fleet base summing the stages (480 for 120 frames).
+// count all 120 frames. The snapshot folds only population labels: there is
+// no fleet base summing the stages (480 for 120 frames).
 TEST(StreamServer, StageSeriesHaveNoBaseSummedOverStages) {
   const core::SystemModels& models = test_support::tiny_models();
   core::AdaptiveSystemConfig cfg;
@@ -468,7 +466,6 @@ TEST(StreamServer, StageSeriesHaveNoBaseSummedOverStages) {
   StreamServer server(system, {});
   const auto results = server.serve_sequences(streams);
   ASSERT_EQ(results.size(), 4u);
-  registry.rollup();
 
   EXPECT_EQ(ingested() - ingested0, 120u);
   const obs::MetricsSnapshot snap = registry.snapshot();

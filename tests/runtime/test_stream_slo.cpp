@@ -38,6 +38,14 @@ core::AdaptiveSystemConfig control_only() {
   return cfg;
 }
 
+// Worst-of over the latest serve's per-stream health.
+obs::HealthState worst_health(const StreamServer& server) {
+  std::vector<obs::HealthState> states;
+  for (const StreamServer::StreamView& s : server.obs_view().streams)
+    states.push_back(s.health);
+  return obs::worst_of(states);
+}
+
 TEST(StreamSlo, ComfortableBudgetStaysHealthy) {
   const core::SystemModels& models = test_support::tiny_models();
   const core::AdaptiveSystem system(models, control_only());
@@ -56,8 +64,9 @@ TEST(StreamSlo, ComfortableBudgetStaysHealthy) {
     EXPECT_TRUE(r.health_transitions.empty());
     EXPECT_EQ(r.deadline_misses, 0u);
   }
-  ASSERT_EQ(server.live_stream_health().size(), 2u);
-  EXPECT_EQ(server.live_stream_health()[0], obs::HealthState::Healthy);
+  const StreamServer::ObsView view = server.obs_view();
+  ASSERT_EQ(view.streams.size(), 2u);
+  EXPECT_EQ(view.streams[0].health, obs::HealthState::Healthy);
 }
 
 TEST(StreamSlo, ImpossibleBudgetGoesUnhealthyAndFiresCallback) {
@@ -126,7 +135,7 @@ TEST(StreamSlo, TelemetryJsonlSinkIsWrittenDuringServe) {
     EXPECT_NE(doc->find("seq"), nullptr);
     ASSERT_NE(doc->find("counters"), nullptr);
     // The per-stream labeled counters the SLO rules watch are in every
-    // sample, and the rollup gives every row the fleet view too.
+    // sample, and the snapshot's fold gives every row the fleet view too.
     EXPECT_NE(doc->find("counters")->find("runtime.frames{stream=\"0\"}"),
               nullptr);
     EXPECT_NE(doc->find("counters")->find("runtime.frames"), nullptr);
@@ -152,7 +161,7 @@ TEST(StreamSlo, DisabledMonitoringStillCountsLatencyAndFrames) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].health, obs::HealthState::Healthy);
   EXPECT_TRUE(results[0].health_transitions.empty());
-  EXPECT_EQ(server.fleet_health(), obs::HealthState::Healthy);
+  EXPECT_EQ(worst_health(server), obs::HealthState::Healthy);
 
   const std::uint64_t served = results[0].report.frames.size();
   EXPECT_EQ(registry.counter("runtime.frames", stream0).value() -
@@ -161,10 +170,12 @@ TEST(StreamSlo, DisabledMonitoringStillCountsLatencyAndFrames) {
   EXPECT_GE(registry.histogram("runtime.frame.latency_ns", stream0).count() -
                 latency_before,
             served);
-  // End-of-serve rollup: the unlabeled fleet series cover the stream's
-  // frames even with monitoring disabled.
-  EXPECT_GE(registry.counter("runtime.frames").value(), served);
-  EXPECT_GE(registry.histogram("runtime.frame.latency_ns").count(), served);
+  // The snapshot's fleet series cover the stream's frames even with
+  // monitoring disabled.
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_GE(snap.counter("runtime.frames"), served);
+  ASSERT_NE(snap.histogram("runtime.frame.latency_ns"), nullptr);
+  EXPECT_GE(snap.histogram("runtime.frame.latency_ns")->count, served);
 }
 
 TEST(StreamSlo, ForcedBreachWritesParseableFlightBundle) {
@@ -190,7 +201,7 @@ TEST(StreamSlo, ForcedBreachWritesParseableFlightBundle) {
   tracer.clear();
 
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(server.fleet_health(), obs::HealthState::Unhealthy);
+  EXPECT_EQ(worst_health(server), obs::HealthState::Unhealthy);
 
   // The UNHEALTHY transition produced an on-disk bundle...
   ASSERT_FALSE(server.last_flight_bundle_path().empty());
