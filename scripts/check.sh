@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo check: the tier-1 build + test gate (with scripts/check_no_fma.sh, a
-# disassembly check that no AVX2 kernel body in libavd_ml.a or libavd_image.a
-# holds a fused multiply-add, which would change score or pixel bits), then a
+# disassembly check that no AVX2 or AVX-512 kernel body in libavd_ml.a,
+# libavd_image.a or libavd_hog.a holds a fused multiply-add, which would
+# change score, pixel or histogram bits), then a
 # ThreadSanitizer build of
 # the concurrency-bearing tests (avd::runtime, avd::obs — including the
 # labeled registry, trace sampler, flight recorder, ops server and sample

@@ -1,7 +1,10 @@
-// The one CPU feature probe. The SVM lanes (src/ml) and the grey, YCbCr and
-// resize kernels (src/image) each compile an SSE2 body and an AVX2 body, and
-// the cell-grid votes and block normaliser (src/hog) a baseline body and an
-// AVX-512F body; each calls this, once, to pick one. Header-only, so no
+// The one CPU feature probe. The SVM lanes (src/ml) and the grey and YCbCr
+// planes (src/image) each compile an SSE2 body and an AVX2 body; the fused
+// taillight mask (src/image) an SSE2, an AVX2 and an AVX-512F+BW body; the
+// resize's horizontal lerp (src/image) an SSE2, an AVX2 gather and an
+// AVX-512F permute body; and the cell-grid votes and block normaliser
+// (src/hog) a baseline body and an AVX-512F body. Each calls this, once, to
+// pick one. Header-only, so no
 // library depends on another for it; an inline function's local static is
 // one object however many files include it.
 #pragma once
@@ -20,12 +23,14 @@ namespace avd {
   return avx2;
 }
 
-/// Whether this CPU (and OS) can run AVX-512F code: the one AVX-512 feature
-/// the HOG kernels use. Asked once, then cached.
+/// Whether this CPU (and OS) can run AVX-512F and AVX-512BW code: the two
+/// AVX-512 features the kernels use (BW for the taillight mask's byte
+/// compares and ORs). Asked once, then cached.
 [[nodiscard]] inline bool cpu_has_avx512() {
   static const bool avx512 = [] {
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") != 0;
+    return __builtin_cpu_supports("avx512f") != 0 &&
+           __builtin_cpu_supports("avx512bw") != 0;
   }();
   return avx512;
 }

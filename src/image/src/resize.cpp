@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "avd/cpu.hpp"
@@ -28,6 +29,55 @@ struct LinearMap {
 
 }  // namespace
 
+detail::ColumnMap::ColumnMap(int src_width, int out_w)
+    : src_w(static_cast<std::size_t>(src_width)),
+      padded((static_cast<std::size_t>(out_w) + kResizeLanes - 1) /
+             kResizeLanes * kResizeLanes),
+      x0(padded, 0),
+      x1(padded, 0),
+      wx(padded, 0.0f) {
+  // The x mapping is identical for every row: hoist the per-column source
+  // indices and lerp weights out of the pixel loop. Same per-pixel
+  // arithmetic as computing them inline, once per column instead of once
+  // per pixel.
+  const LinearMap mx{static_cast<float>(src_width) / out_w};
+  for (int ox = 0; ox < out_w; ++ox) {
+    const float fx = mx(ox);
+    const int x = static_cast<int>(std::floor(fx));
+    x0[static_cast<std::size_t>(ox)] = std::clamp(x, 0, src_width - 1);
+    x1[static_cast<std::size_t>(ox)] = std::clamp(x + 1, 0, src_width - 1);
+    wx[static_cast<std::size_t>(ox)] = fx - static_cast<float>(x);
+  }
+
+  // The windows. A group's base is the least pixel its real columns read
+  // (padding lanes take no part), pulled back to src_w - kResizeWindow so the
+  // window ends inside the row; the pull keeps every rel below the window,
+  // since no index passes src_w - 1.
+  constexpr auto kWindow = static_cast<std::int32_t>(kResizeWindow);
+  if (src_width < kWindow) return;
+  const std::size_t w = static_cast<std::size_t>(out_w);
+  std::vector<std::int32_t> bases;
+  bases.reserve(padded / kResizeLanes);
+  for (std::size_t g = 0; g < w; g += kResizeLanes) {
+    const auto first = static_cast<std::ptrdiff_t>(g);
+    const auto last =
+        static_cast<std::ptrdiff_t>(std::min(g + kResizeLanes, w));
+    const std::int32_t lo =
+        *std::min_element(x0.begin() + first, x0.begin() + last);
+    const std::int32_t hi =
+        *std::max_element(x1.begin() + first, x1.begin() + last);
+    if (hi - lo >= kWindow) return;  // wider than one window: gathers
+    bases.push_back(std::min(lo, src_width - kWindow));
+  }
+  rel0.assign(padded, 0);
+  rel1.assign(padded, 0);
+  for (std::size_t ox = 0; ox < w; ++ox) {
+    rel0[ox] = x0[ox] - bases[ox / kResizeLanes];
+    rel1[ox] = x1[ox] - bases[ox / kResizeLanes];
+  }
+  base = std::move(bases);
+}
+
 ImageU8 detail::resize_bilinear(const ImageU8& src, Size out_size,
                                 const ResizeBody& body) {
   check_out_size(out_size);
@@ -35,30 +85,9 @@ ImageU8 detail::resize_bilinear(const ImageU8& src, Size out_size,
   if (src.size() == out_size) return src;
 
   ImageU8 out(out_size);
-  const LinearMap mx{static_cast<float>(src.width()) / out_size.width};
+  const ColumnMap cols(src.width(), out_size.width);
   const LinearMap my{static_cast<float>(src.height()) / out_size.height};
-
-  // The x mapping is identical for every row: hoist the per-column source
-  // indices (with at_clamped's border clamp baked in) and lerp weights out
-  // of the pixel loop. Same per-pixel arithmetic as computing them inline —
-  // output bytes are unchanged, the map is just computed once per column
-  // instead of once per pixel. The maps are int32, the gathers' index type,
-  // padded to whole registers of lanes with index 0 and weight 0, so a
-  // padding lane reads pixel 0, inside the row, and its lerp is never
-  // stored to the output.
-  const std::size_t w = static_cast<std::size_t>(out_size.width);
-  const std::size_t padded =
-      (w + kResizeLanes - 1) / kResizeLanes * kResizeLanes;
-  std::vector<std::int32_t> x0c(padded, 0);
-  std::vector<std::int32_t> x1c(padded, 0);
-  std::vector<float> wxs(padded, 0.0f);
-  for (int ox = 0; ox < out_size.width; ++ox) {
-    const float fx = mx(ox);
-    const int x0 = static_cast<int>(std::floor(fx));
-    x0c[static_cast<std::size_t>(ox)] = std::clamp(x0, 0, src.width() - 1);
-    x1c[static_cast<std::size_t>(ox)] = std::clamp(x0 + 1, 0, src.width() - 1);
-    wxs[static_cast<std::size_t>(ox)] = fx - static_cast<float>(x0);
-  }
+  const bool windows = body.lerp_source_windows != nullptr && cols.windowed();
 
   // Each output pixel is top + (bot - top) * wy, where top and bot are the
   // horizontal lerps of source rows y0 and y0 + 1 at its column. Those lerps
@@ -69,24 +98,28 @@ ImageU8 detail::resize_bilinear(const ImageU8& src, Size out_size,
   // row and a vertical pass per output row run faster than four gathers per
   // pixel. The float operations per pixel are the ones an inline computation
   // runs, in the same order.
-  std::vector<float> lerped[2] = {std::vector<float>(padded),
-                                  std::vector<float>(padded)};
+  std::vector<float> lerped[2] = {std::vector<float>(cols.padded),
+                                  std::vector<float>(cols.padded)};
   int lerped_row[2] = {-1, -1};
-  // A source row widened to float once, rather than twice per output pixel.
-  std::vector<float> wide(static_cast<std::size_t>(src.width()));
+  // The gather lerp's source row widened to float once, rather than twice
+  // per output pixel; the window lerp widens in registers.
+  std::vector<float> wide(windows ? 0 : cols.src_w);
   // Slot holding source row sy's lerps, computed into the slot other than
   // `keep` on a miss.
   const auto lerp_row = [&](int sy, int keep) {
     for (int s = 0; s < 2; ++s)
       if (lerped_row[s] == sy) return s;
     const int s = keep == 0 ? 1 : 0;
-    body.lerp_source_row(src.row(sy).data(), wide.size(), wide.data(),
-                         x0c.data(), x1c.data(), wxs.data(), padded,
-                         lerped[s].data());
+    if (windows)
+      body.lerp_source_windows(src.row(sy).data(), cols, lerped[s].data());
+    else
+      body.lerp_source_row(src.row(sy).data(), cols, wide.data(),
+                           lerped[s].data());
     lerped_row[s] = sy;
     return s;
   };
 
+  const auto w = static_cast<std::size_t>(out_size.width);
   for (int oy = 0; oy < out_size.height; ++oy) {
     const float fy = my(oy);
     const int y0 = static_cast<int>(std::floor(fy));
@@ -102,7 +135,9 @@ ImageU8 detail::resize_bilinear(const ImageU8& src, Size out_size,
 
 ImageU8 resize_bilinear(const ImageU8& src, Size out_size) {
   static const detail::ResizeBody& body =
-      cpu_has_avx2() ? detail::kResizeAvx2 : detail::kResizeSse2;
+      cpu_has_avx512() ? detail::kResizeAvx512
+      : cpu_has_avx2() ? detail::kResizeAvx2
+                       : detail::kResizeSse2;
   return detail::resize_bilinear(src, out_size, body);
 }
 

@@ -1,11 +1,11 @@
 #include "avd/image/threshold.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "bt601.hpp"
+#include "avd/cpu.hpp"
+#include "pixel_kernels.hpp"
 #include "sampling.hpp"
 
 namespace avd::img {
@@ -14,42 +14,6 @@ namespace {
 void check_same_size(const ImageU8& a, const ImageU8& b, const char* what) {
   if (a.size() != b.size())
     throw std::invalid_argument(std::string(what) + ": size mismatch");
-}
-
-// The gates of TaillightThresholdParams restated on the unrounded BT.601
-// sums, so no pixel is rounded. For integer L in [1, 255],
-// round_to_u8(v) >= L holds exactly when v >= L - 0.5f; for integer C in
-// [0, 254], round_to_u8(v) <= C holds exactly when v < C + 0.5f (both
-// bounds are exact floats). The gates that pass every byte (L = 0,
-// C = 255) become infinite bounds, which pass every finite sum.
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-struct SumBounds {
-  explicit SumBounds(const TaillightThresholdParams& p)
-      : luma_lo(p.luma_min == 0 ? -kInf : p.luma_min - 0.5f),
-        cr_lo(p.cr_min == 0 ? -kInf : p.cr_min - 0.5f),
-        cb_hi(p.cb_max == 255 ? kInf : p.cb_max + 0.5f) {}
-
-  float luma_lo;  ///< bright: luma sum >= luma_lo
-  float cr_lo;    ///< red: cr sum >= cr_lo
-  float cb_hi;    ///< not blue: cb sum < cb_hi
-
-  [[nodiscard]] bool hit(int r, int g, int b) const {
-    return (detail::luma_f(r, g, b) >= luma_lo) &
-           (detail::cr_f(r, g, b) >= cr_lo) & (detail::cb_f(r, g, b) < cb_hi);
-  }
-};
-
-// hits[x] |= hit at pixel x, for one source row; bitwise ops keep the loop
-// branch-free, so it vectorises.
-void or_row_hits(const RgbImage& rgb, int y, const SumBounds& bounds,
-                 std::uint8_t* hits) {
-  const std::uint8_t* r = rgb.r().row(y).data();
-  const std::uint8_t* g = rgb.g().row(y).data();
-  const std::uint8_t* b = rgb.b().row(y).data();
-  const int w = rgb.width();
-  for (int x = 0; x < w; ++x)
-    hits[x] |= static_cast<std::uint8_t>(bounds.hit(r[x], g[x], b[x]));
 }
 
 }  // namespace
@@ -128,7 +92,7 @@ ImageU8 taillight_roi_mask(const RgbImage& rgb, const TaillightThresholdParams& 
                            int factor) {
   if (factor <= 0)
     throw std::invalid_argument("taillight_roi_mask: factor must be positive");
-  const SumBounds bounds(p);
+  const detail::SumBounds bounds(p);
   const int w = rgb.width();
   const int h = rgb.height();
 
@@ -155,12 +119,19 @@ ImageU8 taillight_roi_mask(const RgbImage& rgb, const TaillightThresholdParams& 
 
   // OR pooling: each group of `factor` source rows is ORed into one row of
   // hits, then each run of `factor` hits becomes one output pixel.
+  static const detail::MaskRowFn mask_row =
+      cpu_has_avx512() ? detail::mask_row_avx512
+      : cpu_has_avx2() ? detail::mask_row_avx2
+                       : detail::mask_row_sse2;
   ImageU8 out(w / factor, h / factor);
   std::vector<std::uint8_t> hits(static_cast<std::size_t>(w));
   for (int oy = 0; oy < out.height(); ++oy) {
     std::fill(hits.begin(), hits.end(), std::uint8_t{0});
-    for (int dy = 0; dy < factor; ++dy)
-      or_row_hits(rgb, oy * factor + dy, bounds, hits.data());
+    for (int dy = 0; dy < factor; ++dy) {
+      const int y = oy * factor + dy;
+      mask_row(rgb.r().row(y).data(), rgb.g().row(y).data(),
+               rgb.b().row(y).data(), bounds, hits.data(), hits.size());
+    }
     auto o = out.row(oy);
     const std::uint8_t* run = hits.data();
     for (int ox = 0; ox < out.width(); ++ox, run += factor) {

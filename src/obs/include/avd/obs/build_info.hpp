@@ -3,21 +3,25 @@
 // A fleet of shards is only debuggable when every scrape target answers
 // "which build, which mode, since when" the same way everywhere — the
 // Prometheus exposition, /statusz and the flight bundles must agree.
-// The answers live in two default registry series:
+// The answers are two series:
 //
-//   process.uptime_seconds          gauge, refreshed on every publish call
+//   process.uptime_seconds          gauge, as of the scrape
 //   build.info{mode=,version=}      info-style gauge pinned to 1 (the value
 //                                   is meaningless; the labels carry the
 //                                   identity, Prometheus-idiomatically)
 //
-// MetricsRegistry::global() publishes both once at creation so they exist
-// from the first snapshot; every /metricsz and /statusz request republishes
-// so uptime is current at scrape time.
+// MetricsRegistry::global() stores build.info once at creation, so every
+// snapshot of it (telemetry rows, flight bundles) carries the identity, and
+// its creation anchors the uptime clock. The uptime is never stored, since
+// nothing would keep a stored value current: a /metricsz scrape sets both
+// series in the snapshot it renders and writes nothing, and /statusz reads
+// the uptime itself.
 #pragma once
 
 namespace avd::obs {
 
 class MetricsRegistry;
+struct MetricsSnapshot;
 
 /// Version baked in by CMake (AVD_BUILD_VERSION compile definition);
 /// "dev" when built without it.
@@ -31,8 +35,11 @@ class MetricsRegistry;
 /// anchored on first call — MetricsRegistry::global() anchors it early).
 [[nodiscard]] double process_uptime_seconds();
 
-/// Write the default identity series described above into `registry`.
-/// Idempotent; cheap enough to call per scrape.
-void publish_process_metrics(MetricsRegistry& registry);
+/// Store build.info in `registry`. Idempotent.
+void publish_build_info(MetricsRegistry& registry);
+
+/// Set both series, the uptime as of now, in `snapshot`, each in sorted
+/// position (MetricsSnapshot::set_gauge): what a scrape renders.
+void publish_process_metrics(MetricsSnapshot& snapshot);
 
 }  // namespace avd::obs

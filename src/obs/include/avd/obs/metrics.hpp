@@ -191,9 +191,13 @@ class Histogram {
 };
 
 /// Point-in-time copy of every metric in a registry, safe to hold, diff and
-/// serialise after the registry has moved on. Entries are sorted by name,
-/// fold targets included (see MetricsRegistry::snapshot()). This is the unit
-/// a telemetry sample carries.
+/// serialise after the registry has moved on. This is the unit a telemetry
+/// sample carries.
+///
+/// Invariant: each of the three vectors is sorted by name (std::string
+/// order) with no name twice, fold targets included; snapshot() builds them
+/// so from its sorted maps. The lookups below binary-search on it, so code
+/// that edits the vectors directly must keep it (set_gauge() does).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -206,11 +210,19 @@ struct MetricsSnapshot {
                              double fallback = 0.0) const;
   /// The named histogram summary, or nullptr when absent.
   [[nodiscard]] const HistogramSummary* histogram(std::string_view name) const;
+
+  /// Sets gauge `name` to `value`: in place when present, else inserted in
+  /// sorted position.
+  void set_gauge(std::string name, double value);
 };
 
 /// {"counters":{...},"gauges":{...},"histograms":{"name":{"count":...}}}
 /// with names sorted; parses with obs::json.
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snapshot);
+
+/// The Prometheus text exposition of a snapshot (see
+/// MetricsRegistry::to_prometheus()).
+[[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snapshot);
 
 /// Owns named metrics. Lookup is find-or-create by name; the same name
 /// always returns the same object, so components instrumented independently
@@ -265,7 +277,7 @@ class MetricsRegistry {
   /// obs::to_json(snapshot()).
   [[nodiscard]] std::string to_json() const;
 
-  /// Prometheus text exposition format of snapshot(): counters and gauges
+  /// obs::to_prometheus(snapshot()): counters and gauges
   /// as-is, histograms as summaries (quantile series + _sum + _count). Labeled
   /// series (labeled_name renderings) are split back into base name +
   /// label set: the base is sanitised, the label values re-escaped for the

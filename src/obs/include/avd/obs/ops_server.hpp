@@ -124,16 +124,18 @@ class OpsServer {
   std::vector<std::thread> handlers_;
 };
 
-/// The standard Prometheus scrape payload: republished process identity,
-/// then the text exposition of the folded snapshot (fleet view included)
-/// under kPrometheusContentType with guaranteed trailing newline. One
-/// implementation for StreamServer's /metricsz and every test that checks
-/// wire conformance.
-[[nodiscard]] HttpResponse prometheus_response(MetricsRegistry& registry);
+/// The standard Prometheus scrape payload: the text exposition of the
+/// folded snapshot (fleet view included) with the process identity set in
+/// it (publish_process_metrics(MetricsSnapshot&), uptime as of the scrape),
+/// under kPrometheusContentType with guaranteed trailing newline. Reads the
+/// registry and writes nothing to it. One implementation for
+/// StreamServer's /metricsz and every test that checks wire conformance.
+[[nodiscard]] HttpResponse prometheus_response(const MetricsRegistry& registry);
 
-/// The /metricsz.json payload: same refresh, the same folded snapshot as
-/// JSON under application/json.
-[[nodiscard]] HttpResponse metrics_json_response(MetricsRegistry& registry);
+/// The /metricsz.json payload: the same snapshot as JSON under
+/// application/json.
+[[nodiscard]] HttpResponse metrics_json_response(
+    const MetricsRegistry& registry);
 
 /// Minimal blocking HTTP/1.1 GET against 127.0.0.1:`port` (the client half
 /// of OpsServer, for tests/examples/smoke): returns the response, or

@@ -34,12 +34,18 @@ double process_uptime_seconds() {
       .count();
 }
 
-void publish_process_metrics(MetricsRegistry& registry) {
-  registry.gauge("process.uptime_seconds").set(process_uptime_seconds());
+void publish_build_info(MetricsRegistry& registry) {
   registry
       .gauge("build.info",
              {{"mode", build_mode()}, {"version", build_version()}})
       .set(1.0);
+}
+
+void publish_process_metrics(MetricsSnapshot& snapshot) {
+  snapshot.set_gauge("process.uptime_seconds", process_uptime_seconds());
+  snapshot.set_gauge(labeled_name("build.info", {{"mode", build_mode()},
+                                                 {"version", build_version()}}),
+                     1.0);
 }
 
 }  // namespace avd::obs

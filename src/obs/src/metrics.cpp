@@ -329,12 +329,13 @@ void Histogram::reset() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  // The default process-identity series (process.uptime_seconds,
-  // build.info{mode=,version=}) exist from the very first snapshot; ops
-  // scrapes republish to keep uptime current. Leaked like the tracer.
+  // build.info{mode=,version=} exists from the very first snapshot, and
+  // creation anchors the uptime clock (build_info.hpp). Leaked like the
+  // tracer.
   static MetricsRegistry* registry = [] {
+    (void)process_uptime_seconds();
     auto* r = new MetricsRegistry();
-    publish_process_metrics(*r);
+    publish_build_info(*r);
     return r;
   }();
   return *registry;
@@ -495,24 +496,49 @@ void MetricsRegistry::reset_values() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
+namespace {
+
+/// The first entry of one of a snapshot's sorted vectors whose name is not
+/// below `name`.
+template <typename Entries>
+auto lower_bound_by_name(Entries& entries, std::string_view name) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const auto& e, std::string_view n) { return e.first < n; });
+}
+
+/// The value of the entry named `name`, or null.
+template <typename Entries>
+auto find_sorted(const Entries& entries, std::string_view name)
+    -> decltype(&entries.front().second) {
+  const auto it = lower_bound_by_name(entries, name);
+  return it != entries.end() && it->first == name ? &it->second : nullptr;
+}
+
+}  // namespace
+
 std::uint64_t MetricsSnapshot::counter(std::string_view name,
                                        std::uint64_t fallback) const {
-  for (const auto& [n, v] : counters)
-    if (n == name) return v;
-  return fallback;
+  const auto* v = find_sorted(counters, name);
+  return v != nullptr ? *v : fallback;
 }
 
 double MetricsSnapshot::gauge(std::string_view name, double fallback) const {
-  for (const auto& [n, v] : gauges)
-    if (n == name) return v;
-  return fallback;
+  const auto* v = find_sorted(gauges, name);
+  return v != nullptr ? *v : fallback;
 }
 
 const HistogramSummary* MetricsSnapshot::histogram(
     std::string_view name) const {
-  for (const auto& [n, v] : histograms)
-    if (n == name) return &v;
-  return nullptr;
+  return find_sorted(histograms, name);
+}
+
+void MetricsSnapshot::set_gauge(std::string name, double value) {
+  const auto it = lower_bound_by_name(gauges, name);
+  if (it != gauges.end() && it->first == name)
+    it->second = value;
+  else
+    gauges.emplace(it, std::move(name), value);
 }
 
 std::string to_json(const MetricsSnapshot& snapshot) {
@@ -560,7 +586,10 @@ std::string MetricsRegistry::to_json() const {
 }
 
 std::string MetricsRegistry::to_prometheus() const {
-  const MetricsSnapshot snap = snapshot();
+  return obs::to_prometheus(snapshot());
+}
+
+std::string to_prometheus(const MetricsSnapshot& snap) {
   std::ostringstream os;
   FamilyNamer namer;
   std::set<std::string> described;  // family names with # HELP/# TYPE out

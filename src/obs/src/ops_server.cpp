@@ -309,18 +309,28 @@ void OpsServer::serve_connection(int fd) {
   send_all(fd, render_response(res));
 }
 
-HttpResponse prometheus_response(MetricsRegistry& registry) {
-  publish_process_metrics(registry);  // refresh uptime at scrape time
+namespace {
+
+// The registry's folded snapshot with the process identity set in it, uptime
+// as of this scrape; the registry itself is only read.
+MetricsSnapshot scrape(const MetricsRegistry& registry) {
+  MetricsSnapshot snap = registry.snapshot();
+  publish_process_metrics(snap);
+  return snap;
+}
+
+}  // namespace
+
+HttpResponse prometheus_response(const MetricsRegistry& registry) {
   HttpResponse res;
   res.content_type = kPrometheusContentType;
-  res.body = registry.to_prometheus();
+  res.body = to_prometheus(scrape(registry));
   if (res.body.empty() || res.body.back() != '\n') res.body.push_back('\n');
   return res;
 }
 
-HttpResponse metrics_json_response(MetricsRegistry& registry) {
-  publish_process_metrics(registry);
-  return {200, "application/json", registry.to_json()};
+HttpResponse metrics_json_response(const MetricsRegistry& registry) {
+  return {200, "application/json", to_json(scrape(registry))};
 }
 
 std::optional<HttpResponse> http_get(std::uint16_t port,

@@ -113,7 +113,7 @@ OpsSurface::OpsSurface(std::string role, ShardedServerConfig fleet,
   const StreamOpsConfig& ops = fleet_.shard.ops;
   // One scrape answers for the whole fleet: the responses fold the
   // registry first, so shard= marginals and the fleet base are fresh.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   server_.handle("/metricsz", [&registry](const obs::HttpRequest&) {
     return obs::prometheus_response(registry);
   });
@@ -138,7 +138,6 @@ OpsSurface::OpsSurface(std::string role, ShardedServerConfig fleet,
 // Identity, configuration and fleet-wide overload accounting (zero before
 // any serve and while every frame is Full).
 obs::HttpResponse OpsSurface::statusz() const {
-  obs::publish_process_metrics(obs::MetricsRegistry::global());
   AdmissionStats totals;
   int max_level = 0;
   std::ostringstream shards;

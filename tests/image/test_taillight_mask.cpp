@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "../support/pinned_frames.hpp"
+#include "../support/taillight_configs.hpp"
 #include "avd/image/color.hpp"
 #include "avd/image/resize.hpp"
 #include "avd/image/threshold.hpp"
@@ -17,29 +18,7 @@
 namespace avd::img {
 namespace {
 
-/// The default thresholds and the edge configs of each gate: a bound that
-/// passes every byte (luma_min 0, cr_min 0, cb_max 255), the tightest
-/// non-trivial ones (luma_min 1, cb_max 0 and 254) and the strictest
-/// (luma_min 255, cr_min 255).
-std::vector<TaillightThresholdParams> threshold_configs() {
-  std::vector<TaillightThresholdParams> configs{{}};
-  for (const int v : {0, 1, 255}) {
-    TaillightThresholdParams p;
-    p.luma_min = static_cast<std::uint8_t>(v);
-    configs.push_back(p);
-  }
-  for (const int v : {0, 255}) {
-    TaillightThresholdParams p;
-    p.cr_min = static_cast<std::uint8_t>(v);
-    configs.push_back(p);
-  }
-  for (const int v : {0, 254, 255}) {
-    TaillightThresholdParams p;
-    p.cb_max = static_cast<std::uint8_t>(v);
-    configs.push_back(p);
-  }
-  return configs;
-}
+using test_support::threshold_configs;
 
 /// The three-kernel front end the fused pass must reproduce byte for byte.
 ImageU8 unfused_mask(const RgbImage& rgb, const TaillightThresholdParams& p,

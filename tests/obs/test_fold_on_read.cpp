@@ -7,8 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "avd/obs/build_info.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/ops_server.hpp"
 #include "avd/obs/telemetry.hpp"
@@ -277,12 +277,8 @@ TEST(FoldOnRead, MetricszBodiesMatchGolden) {
 
 TEST(FoldOnRead, ScrapesLeaveStoredSeriesUnchanged) {
   MetricsRegistry scraped;
-  MetricsRegistry twin;
   fill_fleet(scraped);
-  fill_fleet(twin);
-  // The refresh of the process-identity series is the one write a scrape
-  // makes, so the never-scraped twin gets it too.
-  publish_process_metrics(twin);
+  const std::string before = to_json(scraped.snapshot());
   (void)prometheus_response(scraped);
   (void)metrics_json_response(scraped);
   TelemetryExporter exporter(scraped);
@@ -291,20 +287,84 @@ TEST(FoldOnRead, ScrapesLeaveStoredSeriesUnchanged) {
   // The directly written base and parent keep what their writers wrote.
   EXPECT_EQ(scraped.counter("runtime.deadline_miss").value(), 99u);
   EXPECT_EQ(scraped.counter("fleet.frames", {{"shard", "2"}}).value(), 1000u);
-  // The view, uptime aside, is the twin's.
-  const auto without_uptime = [](MetricsSnapshot snap) {
-    std::erase_if(snap.gauges, [](const auto& g) {
-      return g.first == "process.uptime_seconds";
-    });
-    return to_json(snap);
-  };
-  EXPECT_EQ(without_uptime(scraped.snapshot()),
-            without_uptime(twin.snapshot()));
+  // The view is the one before the scrapes: they set the process identity
+  // only in the snapshots they render.
+  EXPECT_EQ(to_json(scraped.snapshot()), before);
   // No fold target was stored: looking one up creates it, empty.
   EXPECT_EQ(scraped.counter("runtime.frames").value(), 0u);
   EXPECT_EQ(scraped.counter("fleet.frames", {{"shard", "0"}}).value(), 0u);
   EXPECT_EQ(scraped.gauge("fleet.depth").value(), 0.0);
   EXPECT_EQ(scraped.histogram("runtime.frame.latency_ns").count(), 0u);
+}
+
+TEST(FoldOnRead, SnapshotLookupsMatchALinearScan) {
+  // A folded shard= x stream= snapshot: leaves, shard marginals and fleet
+  // bases of every kind. Each lookup, of every stored name and of names
+  // that fall before, between and after them, agrees with a scan.
+  MetricsRegistry reg;
+  fill_fleet(reg);
+  for (int shard = 0; shard < 4; ++shard) {
+    for (int stream = 0; stream < 12; ++stream) {
+      const Labels labels{{"shard", std::to_string(shard)},
+                          {"stream", std::to_string(stream)}};
+      reg.counter("runtime.frames", labels).inc(shard * 100 + stream);
+      reg.gauge("runtime.queue_depth", labels).set(stream * 0.5);
+      reg.histogram("runtime.frame.latency_ns", labels)
+          .record_ns(1000u * (stream + 1));
+    }
+  }
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_GT(snap.counters.size(), 60u);
+  const auto sorted_unique = [](const auto& entries) {
+    return std::adjacent_find(entries.begin(), entries.end(),
+                              [](const auto& a, const auto& b) {
+                                return !(a.first < b.first);
+                              }) == entries.end();
+  };
+  EXPECT_TRUE(sorted_unique(snap.counters));
+  EXPECT_TRUE(sorted_unique(snap.gauges));
+  EXPECT_TRUE(sorted_unique(snap.histograms));
+
+  std::vector<std::string> probes = {"", "!", "~", "runtime", "zzz"};
+  const auto add_probes = [&](const auto& entries) {
+    for (const auto& [name, v] : entries) {
+      probes.push_back(name);
+      probes.push_back(name + "~");
+      probes.push_back(name.substr(0, name.size() - 1));
+    }
+  };
+  add_probes(snap.counters);
+  add_probes(snap.gauges);
+  add_probes(snap.histograms);
+  const auto scan = [](const auto& entries, const std::string& name) {
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&](const auto& e) { return e.first == name; });
+    return it == entries.end() ? nullptr : &it->second;
+  };
+  for (const std::string& name : probes) {
+    const auto* c = scan(snap.counters, name);
+    EXPECT_EQ(snap.counter(name, 12345u), c != nullptr ? *c : 12345u) << name;
+    const auto* g = scan(snap.gauges, name);
+    EXPECT_EQ(snap.gauge(name, -7.0), g != nullptr ? *g : -7.0) << name;
+    EXPECT_EQ(snap.histogram(name), scan(snap.histograms, name)) << name;
+  }
+}
+
+TEST(FoldOnRead, SetGaugeKeepsTheSnapshotSorted) {
+  MetricsRegistry reg;
+  fill_fleet(reg);
+  MetricsSnapshot snap = reg.snapshot();
+  const std::size_t n = snap.gauges.size();
+  snap.set_gauge("runtime.degrade.level", 9.0);  // present: set in place
+  snap.set_gauge("a.first", 1.0);
+  snap.set_gauge("m.middle", 2.0);
+  snap.set_gauge("zz.last", 3.0);
+  ASSERT_EQ(snap.gauges.size(), n + 3);
+  EXPECT_TRUE(std::is_sorted(snap.gauges.begin(), snap.gauges.end()));
+  EXPECT_EQ(snap.gauge("runtime.degrade.level"), 9.0);
+  EXPECT_EQ(snap.gauge("a.first"), 1.0);
+  EXPECT_EQ(snap.gauge("m.middle"), 2.0);
+  EXPECT_EQ(snap.gauge("zz.last"), 3.0);
 }
 
 }  // namespace
