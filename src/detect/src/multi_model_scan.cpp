@@ -21,12 +21,29 @@ namespace {
 /// timing), so the work a scan does is a pure function of its inputs.
 constexpr int kBandRows = 8;
 
-/// Windows scored per accumulate_lanes call. The per-window double
+/// The most windows one accumulate_lanes call scores. The per-window double
 /// accumulator is a serial FP dependency chain (descriptor-order summation
-/// is what makes scores bit-equal to the scalar reference); scoring 16
+/// is what makes scores bit-equal to the scalar reference); scoring 32
 /// independent windows together lets those chains advance side by side
 /// without changing any per-window operation order.
 constexpr int kLanes = ml::WeightSlices::kLanes;
+
+/// Lanes of the run that scores the next `rest` window positions of a row
+/// of `positions`: kLanes while the rest fills them, then the narrowest of
+/// 1, 8, 16 and kLanes lanes that covers the rest, or, where none of those
+/// the row can hold covers it, the widest the row can hold. A run never
+/// reaches past the row, so a run of more lanes than the rest is pulled
+/// left over positions already scored.
+int run_lanes(int rest, int positions) {
+  int lanes = 1;
+  if (rest <= lanes) return lanes;
+  for (const int tier : {8, 16, kLanes}) {
+    if (tier > positions) break;
+    lanes = tier;
+    if (tier >= rest) break;
+  }
+  return lanes;
+}
 
 /// Every model must be one the scan can index safely: a valid HOG geometry
 /// shared by all models, a cell-aligned window holding at least one block,
@@ -251,9 +268,9 @@ std::vector<Detection> detect_multiscale_multi(
     // it ends by the row's last position, and emits the anchors it covers:
     // all of them at stride_cells 1; at coarser strides the lanes between
     // anchors are scored and dropped, which still costs less than scoring
-    // each anchor alone. Rows with fewer positions than kLanes run eight
-    // lanes, or one column at a time below that. Per-lane arithmetic and
-    // emission order are the scalar path's.
+    // each anchor alone. run_lanes picks each run's width: kLanes while the
+    // rest of the row fills them, then the narrowest that finishes it.
+    // Per-lane arithmetic and emission order are the scalar path's.
     const auto score_row = [&](std::size_t mi, int cy) {
       const HogSvmModel& m = *models[mi];
       const ml::WeightSlices& ws = slices[mi];
@@ -267,24 +284,20 @@ std::vector<Detection> detect_multiscale_multi(
       const std::vector<int>& axs = xs[mi];
       const int n_x = static_cast<int>(axs.size());
       const int last = axs.back();
-      const int lanes = last + 1 >= kLanes       ? kLanes
-                        : last + 1 >= kLanes / 2 ? kLanes / 2
-                                                 : 1;
       for (int xi = 0; xi < n_x;) {
-        const int c0 = std::min(axs[static_cast<std::size_t>(xi)],
-                                last - (lanes - 1));
+        const int next = axs[static_cast<std::size_t>(xi)];
+        const int lanes = run_lanes(last - next + 1, last + 1);
+        const int c0 = std::min(next, last - (lanes - 1));
         double acc[kLanes] = {};
         std::size_t b = 0;
         for (int wby = 0; wby < blocks_y; ++wby) {
           const double* row = block_rows[static_cast<std::size_t>(wby)] + c0;
           for (int wbx = 0; wbx < blocks_x; ++wbx, ++b) {
             const double* lane0 = row + wbx * bstride;
-            if (lanes == kLanes)
-              ws.accumulate_lanes(b, lane0, elem_stride, acc);
-            else if (lanes == kLanes / 2)
-              ws.accumulate_half_lanes(b, lane0, elem_stride, acc);
-            else
+            if (lanes == 1)
               ws.accumulate_column(b, lane0, elem_stride, acc[0]);
+            else
+              ws.accumulate_lanes(lanes, b, lane0, elem_stride, acc);
           }
         }
         for (; xi < n_x && axs[static_cast<std::size_t>(xi)] < c0 + lanes;

@@ -24,8 +24,8 @@
 // Layout: lane-major per row. Element k of the block at anchor ax in row
 // slot y sits at data[(y * block_len + k) * anchors_x + ax], so one element of
 // consecutive anchors is contiguous — the operand order of the scanner's
-// sixteen-window SVM lanes (ml::WeightSlices::accumulate_lanes), which read
-// it in place. Values are stored as doubles, each the exact conversion of
+// SVM lanes of up to 32 windows (ml::WeightSlices::accumulate_lanes), which
+// read it in place. Values are stored as doubles, each the exact conversion of
 // the float l2hys_normalise produced (float -> double and back is lossless),
 // so the scanner needs no second copy to score from.
 //

@@ -46,11 +46,13 @@ struct HogParams {
 class CellGrid {
  public:
   CellGrid() = default;
+  /// cells_x x cells_y histograms, every float +0.0f.
   CellGrid(int cells_x, int cells_y, int bins);
 
-  /// Reshape to cells_x x cells_y zeroed histograms, reusing the storage
-  /// when it is large enough.
-  void reset(int cells_x, int cells_y, int bins);
+  /// Reshape to cells_x x cells_y histograms whose floats are unspecified
+  /// until written, reusing the storage when it is large enough.
+  /// compute_cell_grid writes every cell, so it zeroes nothing first.
+  void reshape(int cells_x, int cells_y, int bins);
 
   [[nodiscard]] int cells_x() const { return cells_x_; }
   [[nodiscard]] int cells_y() const { return cells_y_; }

@@ -1,10 +1,10 @@
 #include "avd/hog/hog.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <numbers>
@@ -34,11 +34,14 @@ CellGrid::CellGrid(int cells_x, int cells_y, int bins)
       bins_(bins),
       data_(static_cast<std::size_t>(cells_x) * cells_y * bins, 0.0f) {}
 
-void CellGrid::reset(int cells_x, int cells_y, int bins) {
+void CellGrid::reshape(int cells_x, int cells_y, int bins) {
   cells_x_ = cells_x;
   cells_y_ = cells_y;
   bins_ = bins;
-  data_.assign(static_cast<std::size_t>(cells_x) * cells_y * bins, 0.0f);
+  // Never shrinks, so a grid reused across pyramid levels and frames zeroes
+  // nothing once it has held the largest level.
+  const std::size_t size = static_cast<std::size_t>(cells_x) * cells_y * bins;
+  if (data_.size() < size) data_.resize(size);
 }
 
 std::span<float> CellGrid::cell(int cx, int cy) {
@@ -53,96 +56,84 @@ std::span<const float> CellGrid::cell(int cx, int cy) const {
           static_cast<std::size_t>(bins_)};
 }
 
-namespace {
-
-using detail::Vote;
-
-/// The whole per-pixel vote, tabulated. A central-difference gradient of a
-/// u8 image is an integer pair (gx, gy) in [-255, 255]^2, and a pixel's two
-/// bins and two magnitude shares depend on that pair and the bin count
-/// alone. Each entry runs, once, the float expressions the per-pixel loop
-/// used to run per pixel (sqrt, atan2, the bin position, floor and wrap),
-/// so a lookup is bit-identical to computing inline. compute_cell_grid's
-/// pass 1 turns each pixel's pair into its entry's index (index(), row
-/// gy + 255, column gx + 255), and pass 2 is one table read and two adds
-/// per pixel. 511^2 entries of 12 bytes, 3 MB per
-/// bin count; natural images cluster around small gradients, so the hot
-/// centre rows stay cached.
-class VoteTable {
- public:
-  static constexpr int kRange = 511;  // gradient values -255..255
+detail::VoteTables::VoteTables(int bins)
+    : bins(bins), votes(static_cast<std::size_t>(511) * 511) {
+  constexpr float kRadToDeg = 180.0f / std::numbers::pi_v<float>;
   static_assert(HogParams::kMaxBins ==
                 std::numeric_limits<std::uint16_t>::max());
-
-  explicit VoteTable(int bins)
-      : votes_(static_cast<std::size_t>(kRange) * kRange) {
-    constexpr float kRadToDeg = 180.0f / std::numbers::pi_v<float>;
-    const float bin_width = 180.0f / static_cast<float>(bins);
-    std::size_t i = 0;
-    for (int dy = -255; dy <= 255; ++dy) {
-      for (int dx = -255; dx <= 255; ++dx, ++i) {
-        // compute_gradients' expressions, kept apart from it so that
-        // function stays an independent oracle for this table.
-        const float gx = static_cast<float>(dx);
-        const float gy = static_cast<float>(dy);
-        const float mag = std::sqrt(gx * gx + gy * gy);
-        float deg = std::atan2(gy, gx) * kRadToDeg;  // [-180, 180]
-        if (deg < 0.0f) deg += 180.0f;               // unsigned orientation
-        if (deg >= 180.0f) deg -= 180.0f;
-        // Linear interpolation between the two nearest orientation bin
-        // CENTRES (centre of bin b sits at (b + 0.5) * bin_width). The
-        // unsigned-orientation wraparound pairs the last bin with bin 0:
-        //   deg in [0, bin_width/2)          -> pos in [-0.5, 0), b0 = -1
-        //     wraps to bins-1; mass splits across {bins-1, 0}.   (deg ~ 0)
-        //   deg in [180 - bin_width/2, 180)  -> b0 = bins-1, b1 = bins
-        //     wraps to 0; the same {bins-1, 0} pair.             (deg ~ 180)
-        // The wrap above guarantees deg < 180 (180 - eps may round up to 180.0f
-        // in float, but its wrap-to-zero runs after the +180 shift), so
-        // pos < bins - 0.5 and b0 <= bins - 1 always. The two weights sum to
-        // 1 whatever the boundary, so per-cell histogram mass equals
-        // per-cell gradient mass exactly — tests/hog/test_cell_grid.cpp
-        // asserts both properties at the exact boundary angles.
-        //
-        // The zero gradient (0, 0) gets magnitude 0, so both its shares are
-        // +0.0f. Histograms only ever hold sums of non-negative floats, and
-        // x + 0.0f == x for every such x, so voting it is the same as
-        // skipping it.
-        const float pos = deg / bin_width - 0.5f;
-        int b0 = static_cast<int>(std::floor(pos));
-        const float w1 = pos - static_cast<float>(b0);
-        int b1 = b0 + 1;
-        if (b0 < 0) b0 += bins;
-        if (b1 >= bins) b1 -= bins;
-        votes_[i] = {mag * (1.0f - w1), mag * w1,
-                     static_cast<std::uint16_t>(b0),
-                     static_cast<std::uint16_t>(b1)};
-      }
+  const float bin_width = 180.0f / static_cast<float>(bins);
+  for (int dy = -255; dy <= 255; ++dy) {
+    for (int dx = -255; dx <= 255; ++dx) {
+      // compute_gradients' expressions, kept apart from it so that
+      // function stays an independent oracle for this table.
+      const float gx = static_cast<float>(dx);
+      const float gy = static_cast<float>(dy);
+      const float mag = std::sqrt(gx * gx + gy * gy);
+      float deg = std::atan2(gy, gx) * kRadToDeg;  // [-180, 180]
+      if (deg < 0.0f) deg += 180.0f;               // unsigned orientation
+      if (deg >= 180.0f) deg -= 180.0f;
+      // Linear interpolation between the two nearest orientation bin
+      // CENTRES (centre of bin b sits at (b + 0.5) * bin_width). The
+      // unsigned-orientation wraparound pairs the last bin with bin 0:
+      //   deg in [0, bin_width/2)          -> pos in [-0.5, 0), b0 = -1
+      //     wraps to bins-1; mass splits across {bins-1, 0}.   (deg ~ 0)
+      //   deg in [180 - bin_width/2, 180)  -> b0 = bins-1, b1 = bins
+      //     wraps to 0; the same {bins-1, 0} pair.             (deg ~ 180)
+      // The wrap above guarantees deg < 180 (180 - eps may round up to 180.0f
+      // in float, but its wrap-to-zero runs after the +180 shift), so
+      // pos < bins - 0.5 and b0 <= bins - 1 always. The two weights sum to
+      // 1 whatever the boundary, so per-cell histogram mass equals
+      // per-cell gradient mass exactly — tests/hog/test_cell_grid.cpp
+      // asserts both properties at the exact boundary angles.
+      //
+      // The zero gradient (0, 0) gets magnitude 0, so both its shares are
+      // +0.0f. Histograms only ever hold sums of non-negative floats, and
+      // x + 0.0f == x for every such x, so voting it is the same as
+      // skipping it.
+      const float pos = deg / bin_width - 0.5f;
+      int b0 = static_cast<int>(std::floor(pos));
+      const float w1 = pos - static_cast<float>(b0);
+      int b1 = b0 + 1;
+      if (b0 < 0) b0 += bins;
+      if (b1 >= bins) b1 -= bins;
+      votes[static_cast<std::size_t>(detail::full_index(dx, dy))] = {
+          mag * (1.0f - w1), mag * w1, static_cast<std::uint16_t>(b0),
+          static_cast<std::uint16_t>(b1)};
     }
   }
-
-  /// Index of the vote of gradient (gx, gy), both in [-255, 255].
-  [[nodiscard]] static constexpr std::int32_t index(int gx, int gy) {
-    return (gy + 255) * kRange + gx + 255;
+  if (bins < 2 || bins > 16) return;
+  constexpr int kSmall = detail::kSmallGradient;
+  registers.resize(static_cast<std::size_t>(2 * kSmall + 1) *
+                   (2 * kSmall + 1));  // every lane +0.0f
+  for (int dy = -kSmall; dy <= kSmall; ++dy) {
+    for (int dx = -kSmall; dx <= kSmall; ++dx) {
+      const detail::Vote& v =
+          votes[static_cast<std::size_t>(detail::full_index(dx, dy))];
+      float* lanes =
+          registers[static_cast<std::size_t>(detail::small_index(dx, dy))].bin;
+      lanes[v.b0] = v.lo;
+      lanes[v.b1] = v.hi;  // b1 != b0 at 2 bins and more
+    }
   }
-
-  /// Entry index(gx, gy) is the vote of gradient (gx, gy).
-  [[nodiscard]] const Vote* data() const { return votes_.data(); }
-
- private:
-  std::vector<Vote> votes_;
-};
-
-/// The vote table for `bins`, built on first use and kept for the process.
-const VoteTable& vote_table(int bins) {
-  static std::mutex mutex;
-  static std::map<int, std::unique_ptr<const VoteTable>> tables;
-  const std::lock_guard lock(mutex);
-  std::unique_ptr<const VoteTable>& table = tables[bins];
-  if (!table) table = std::make_unique<const VoteTable>(bins);
-  return *table;
 }
 
-}  // namespace
+const detail::VoteTables& detail::vote_tables(int bins) {
+  // One slot per bin count, constant-initialised: 512 KB of address space,
+  // of which a process touches the page or two its bin counts index.
+  constinit static std::atomic<const VoteTables*>
+      slots[HogParams::kMaxBins + 1]{};
+  std::atomic<const VoteTables*>& slot = slots[bins];
+  if (const VoteTables* tables = slot.load(std::memory_order_acquire))
+    return *tables;
+  static std::mutex mutex;
+  static std::vector<std::unique_ptr<const VoteTables>> built;
+  const std::lock_guard lock(mutex);
+  if (const VoteTables* tables = slot.load(std::memory_order_relaxed))
+    return *tables;
+  built.push_back(std::make_unique<const VoteTables>(bins));
+  slot.store(built.back().get(), std::memory_order_release);
+  return *built.back();
+}
 
 GradientField compute_gradients(const img::ImageU8& image) {
   GradientField field{img::ImageF32(image.size()), img::ImageF32(image.size())};
@@ -183,47 +174,26 @@ void detail::compute_cell_grid(const img::ImageU8& image,
   if (params.cell_size <= 0 || params.bins <= 0 ||
       params.bins > HogParams::kMaxBins)
     throw std::invalid_argument("HOG: bad params");
-  const int cells_x = image.width() / params.cell_size;
-  const int cells_y = image.height() / params.cell_size;
-  grid.reset(cells_x, cells_y, params.bins);
+  const int cs = params.cell_size;
+  const int cells_x = image.width() / cs;
+  const int cells_y = image.height() / cs;
+  // No zero-fill: vote_row writes every cell of the grid once.
+  grid.reshape(cells_x, cells_y, params.bins);
   if (cells_x == 0 || cells_y == 0) return;
 
-  // Gradient + vote through the vote table instead of sqrt/atan2 and the
-  // interpolation per pixel. Per pixel row, pass 1 writes every pixel's
-  // table index into `idx`: integer work on neighbouring bytes, which the
-  // compiler vectorises. Pass 2 (`vote_row`, one body per ISA) votes them in
-  // pixel order, so votes land in the order of a plain row-major pixel walk
-  // and every histogram float is bit-identical to voting off
-  // compute_gradients() (tests/hog/test_cell_grid.cpp asserts it float for
-  // float).
-  const Vote* votes = vote_table(params.bins).data();
-  const int cs = params.cell_size;
-  const int w = image.width();
-  const int h = image.height();
-  const int usable_w = cells_x * cs;
-  // Columns [1, x_end) read both horizontal neighbours directly. Column 0
-  // and, when the cells reach it, column w - 1 clamp to the border.
-  const int x_end = std::min(usable_w, w - 1);
-  std::vector<std::int32_t> idx(static_cast<std::size_t>(usable_w));
-  for (int y = 0; y < cells_y * cs; ++y) {
-    const std::uint8_t* mid = image.row(y).data();
-    const std::uint8_t* up = image.row(y > 0 ? y - 1 : 0).data();
-    const std::uint8_t* down = image.row(y < h - 1 ? y + 1 : h - 1).data();
-    const auto index = [&](int x, int gx) {
-      return VoteTable::index(
-          gx, static_cast<int>(down[x]) - static_cast<int>(up[x]));
-    };
-    idx[0] = index(0, static_cast<int>(mid[w > 1 ? 1 : 0]) -
-                          static_cast<int>(mid[0]));
-    for (int x = 1; x < x_end; ++x)
-      idx[x] = index(x, static_cast<int>(mid[x + 1]) -
-                            static_cast<int>(mid[x - 1]));
-    if (usable_w == w && w > 1)
-      idx[w - 1] = index(w - 1, static_cast<int>(mid[w - 1]) -
-                                    static_cast<int>(mid[w - 2]));
-    vote_row(votes, idx.data(), cells_x, cs, params.bins,
-             grid.cell(0, y / cs).data());
-  }
+  // Gradient + vote through the vote tables instead of sqrt/atan2 and the
+  // interpolation per pixel, one cell row at a time: pass 1 writes every
+  // pixel's table index for the row's cs pixel rows, pass 2 votes them
+  // cell by cell, each cell's pixels in row-major order. So every bin takes
+  // its votes in the order of a plain row-major pixel walk, and every
+  // histogram float is bit-identical to voting off compute_gradients()
+  // (tests/hog/test_cell_grid.cpp asserts it float for float).
+  const VoteTables& tables = vote_tables(params.bins);
+  // The pass-1 rows (61 KB at 1920 columns) stay with the thread.
+  thread_local std::vector<std::int32_t> idx;
+  idx.resize(static_cast<std::size_t>(cs) * cells_x * cs);
+  for (int cy = 0; cy < cells_y; ++cy)
+    vote_row(tables, image, cy, cs, idx.data(), grid.cell(0, cy).data());
 }
 
 namespace {

@@ -14,21 +14,78 @@
 
 namespace avd::hog::detail {
 
-void vote_row_scalar(const Vote* votes, const std::int32_t* idx, int cells_x,
-                     int cell_size, int bins, float* hist) {
+namespace {
+
+/// The three image rows pass 1 reads for pixel row y: y - 1, y and y + 1,
+/// clamped to the image.
+struct PixelRows {
+  const std::uint8_t* up;
+  const std::uint8_t* mid;
+  const std::uint8_t* down;
+};
+
+PixelRows pixel_rows(const img::ImageU8& image, int y) {
+  const int h = image.height();
+  return {image.row(y > 0 ? y - 1 : 0).data(), image.row(y).data(),
+          image.row(y < h - 1 ? y + 1 : h - 1).data()};
+}
+
+/// Columns [1, interior_end) read both horizontal neighbours directly.
+/// Column 0 and, when the cells reach it, column w - 1 clamp to the border.
+int interior_end(int w, int usable_w) { return std::min(usable_w, w - 1); }
+
+/// Pass 1's border columns, through `encode`.
+template <std::int32_t (*Encode)(int gx, int gy)>
+void index_row_borders(const PixelRows& r, int w, int usable_w,
+                       std::int32_t* idx) {
+  idx[0] = Encode(r.mid[w > 1 ? 1 : 0] - r.mid[0], r.down[0] - r.up[0]);
+  if (usable_w == w && w > 1)
+    idx[w - 1] = Encode(r.mid[w - 1] - r.mid[w - 2],
+                        r.down[w - 1] - r.up[w - 1]);
+}
+
+/// The baseline pass 1: full_index of every pixel of `rows` pixel rows from
+/// y0. Integer work on neighbouring bytes, which the compiler vectorises.
+void index_rows_scalar(const img::ImageU8& image, int y0, int rows,
+                       int usable_w, std::int32_t* idx) {
+  const int w = image.width();
+  const int x_end = interior_end(w, usable_w);
+  for (int k = 0; k < rows; ++k, idx += usable_w) {
+    const PixelRows r = pixel_rows(image, y0 + k);
+    index_row_borders<full_index>(r, w, usable_w, idx);
+    for (int x = 1; x < x_end; ++x)
+      idx[x] = full_index(r.mid[x + 1] - r.mid[x - 1], r.down[x] - r.up[x]);
+  }
+}
+
+}  // namespace
+
+void vote_row_scalar(const VoteTables& tables, const img::ImageU8& image,
+                     int cy, int cell_size, std::int32_t* idx, float* hist) {
+  const int cs = cell_size;
+  const int cells_x = image.width() / cs;
+  const int usable_w = cells_x * cs;
+  const int bins = tables.bins;
+  const Vote* votes = tables.votes.data();
+  index_rows_scalar(image, cy * cs, cs, usable_w, idx);
   for (int cx = 0; cx < cells_x; ++cx, hist += bins) {
-    for (int k = 0; k < cell_size; ++k) {
-      // A copy, so the compiler need not reload it after the first add.
-      const Vote v = votes[*idx++];
-      hist[v.b0] += v.lo;
-      hist[v.b1] += v.hi;
+    std::fill(hist, hist + bins, 0.0f);
+    for (int ky = 0; ky < cs; ++ky) {
+      const std::int32_t* row =
+          idx + static_cast<std::size_t>(ky) * usable_w + cx * cs;
+      for (int kx = 0; kx < cs; ++kx) {
+        // A copy, so the compiler need not reload it after the first add.
+        const Vote v = votes[row[kx]];
+        hist[v.b0] += v.lo;
+        hist[v.b1] += v.hi;
+      }
     }
   }
 }
 
 namespace {
 
-/// The index rows of vote_avx512 for every bin count 2-16: row
+/// The index rows of full_vote_avx512 for every bin count 2-16: row
 /// [bins - 2][b0] sends lane 0 of the loaded pair (lo) to lane b0, lane 1
 /// (hi) to lane b1 = (b0 + 1) % bins, and lane 2, a zero, everywhere else.
 /// Built at compile time, so a call costs no set-up even on a 32x32 patch.
@@ -52,12 +109,24 @@ constexpr VotePermutations make_vote_permutations() {
 
 constexpr VotePermutations kVotePermutations = make_vote_permutations();
 
-/// The vote of table entry `i` as a register: `lo` in lane b0, `hi` in lane
-/// b1 and +0.0f in every other lane. (lo, hi) is one 64-bit load into a
-/// zeroed register, which perm[b0] permutes.
+/// index_rows_avx512's index of gradient (gx, gy): small_index of a small
+/// gradient, ~full_index (negative) of any other.
+constexpr std::int32_t encoded_index(int gx, int gy) {
+  return gx >= -kSmallGradient && gx <= kSmallGradient &&
+                 gy >= -kSmallGradient && gy <= kSmallGradient
+             ? small_index(gx, gy)
+             : ~full_index(gx, gy);
+}
+
+/// The vote of encoded index `e` as a register: lo in lane b0, hi in lane
+/// b1 and +0.0f in every other lane. A small gradient's register is one
+/// aligned load. Any other's (lo, hi) pair is one 64-bit load into a zeroed
+/// register, which perm[b0] permutes.
 __attribute__((target("avx512f"), always_inline)) inline __m512 vote_avx512(
-    const Vote* votes, std::int32_t i, const std::int32_t (*perm)[16]) {
-  const Vote& v = votes[i];
+    const VoteRegister* registers, const Vote* votes, std::int32_t e,
+    const std::int32_t (*perm)[16]) {
+  if (e >= 0) return _mm512_load_ps(registers[e].bin);
+  const Vote& v = votes[~e];
   double pair;  // lo and hi: the entry's first 8 bytes, as one load
   std::memcpy(&pair, &v, sizeof pair);
   const __m128 lanes = _mm_castpd_ps(_mm_load_sd(&pair));
@@ -65,46 +134,113 @@ __attribute__((target("avx512f"), always_inline)) inline __m512 vote_avx512(
                                _mm512_zextps128_ps512(lanes));
 }
 
+/// Sixteen bytes from p, each widened to an int32 lane.
+__attribute__((target("avx512f"), always_inline)) inline __m512i widen_avx512(
+    const std::uint8_t* p) {
+  return _mm512_cvtepu8_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
 }  // namespace
 
-// Lane b of a cell's register is bin b. Each pixel adds its whole vote
-// register, so bins b0 and b1 take lo and hi in pixel order, as in the scalar
-// body, and every other bin adds +0.0f, which leaves it as it was: a
-// histogram float is a sum of non-negative floats that starts at +0.0f.
-// Four cells at a time, so four add chains overlap. Masked loads and stores
-// touch only each cell's `bins` floats.
+// Sixteen pixels per step: the four neighbours widened to int32, then both
+// indices by shifts and adds (gy * 63 = (gy << 6) - gy, gy * 511 =
+// (gy << 9) - gy), and a blend on the small test, |g| <= 31 as the unsigned
+// g + 31 <= 62. The border columns and a row's last few columns take
+// encoded_index one pixel at a time.
+__attribute__((target("avx512f"))) void index_rows_avx512(
+    const img::ImageU8& image, int y0, int rows, int usable_w,
+    std::int32_t* idx) {
+  const int w = image.width();
+  const int x_end = interior_end(w, usable_w);
+  const __m512i small_bias = _mm512_set1_epi32(small_index(0, 0));
+  const __m512i full_bias = _mm512_set1_epi32(full_index(0, 0));
+  const __m512i edge = _mm512_set1_epi32(kSmallGradient);
+  const __m512i span = _mm512_set1_epi32(2 * kSmallGradient);
+  const __m512i ones = _mm512_set1_epi32(-1);
+  for (int k = 0; k < rows; ++k, idx += usable_w) {
+    const PixelRows r = pixel_rows(image, y0 + k);
+    index_row_borders<encoded_index>(r, w, usable_w, idx);
+    int x = 1;
+    for (; x + 16 <= x_end; x += 16) {
+      const __m512i gx = _mm512_sub_epi32(widen_avx512(r.mid + x + 1),
+                                          widen_avx512(r.mid + x - 1));
+      const __m512i gy = _mm512_sub_epi32(widen_avx512(r.down + x),
+                                          widen_avx512(r.up + x));
+      const __mmask16 small =
+          _mm512_cmple_epu32_mask(_mm512_add_epi32(gx, edge), span) &
+          _mm512_cmple_epu32_mask(_mm512_add_epi32(gy, edge), span);
+      const __m512i s = _mm512_add_epi32(
+          _mm512_sub_epi32(_mm512_slli_epi32(gy, 6), gy),
+          _mm512_add_epi32(gx, small_bias));
+      const __m512i f = _mm512_add_epi32(
+          _mm512_sub_epi32(_mm512_slli_epi32(gy, 9), gy),
+          _mm512_add_epi32(gx, full_bias));
+      _mm512_storeu_si512(
+          idx + x,
+          _mm512_mask_blend_epi32(small, _mm512_xor_si512(f, ones), s));
+    }
+    for (; x < x_end; ++x)
+      idx[x] = encoded_index(r.mid[x + 1] - r.mid[x - 1], r.down[x] - r.up[x]);
+  }
+}
+
+// Lane b of a cell's register is bin b. The register starts at +0.0f and
+// each pixel adds its whole vote register, so bins b0 and b1 take lo and hi
+// in row-major pixel order, as in the scalar body, and every other bin adds
+// +0.0f, which leaves it as it was: a histogram float is a sum of
+// non-negative floats that starts at +0.0f. Four cells at a time, so four
+// add chains overlap. One masked store per cell touches only its `bins`
+// floats.
 __attribute__((target("avx512f"))) void vote_row_avx512(
-    const Vote* votes, const std::int32_t* idx, int cells_x, int cell_size,
-    int bins, float* hist) {
+    const VoteTables& tables, const img::ImageU8& image, int cy,
+    int cell_size, std::int32_t* idx, float* hist) {
+  const int bins = tables.bins;
   // Bins 1 adds both shares to one bin, and a register holds 16.
   if (bins < 2 || bins > 16) {
-    vote_row_scalar(votes, idx, cells_x, cell_size, bins, hist);
+    vote_row_scalar(tables, image, cy, cell_size, idx, hist);
     return;
   }
+  const int cs = cell_size;
+  const int cells_x = image.width() / cs;
+  const int usable_w = cells_x * cs;
+  index_rows_avx512(image, cy * cs, cs, usable_w, idx);
+  const VoteRegister* registers = tables.registers.data();
+  const Vote* votes = tables.votes.data();
   const std::int32_t(*perm)[16] = kVotePermutations.rows[bins - 2];
   const auto mask = static_cast<__mmask16>((1u << bins) - 1);
-  const int cs = cell_size;
   int cx = 0;
-  for (; cx + 4 <= cells_x; cx += 4, hist += 4 * bins, idx += 4 * cs) {
-    __m512 h0 = _mm512_maskz_loadu_ps(mask, hist);
-    __m512 h1 = _mm512_maskz_loadu_ps(mask, hist + bins);
-    __m512 h2 = _mm512_maskz_loadu_ps(mask, hist + 2 * bins);
-    __m512 h3 = _mm512_maskz_loadu_ps(mask, hist + 3 * bins);
-    for (int k = 0; k < cs; ++k) {
-      h0 = _mm512_add_ps(h0, vote_avx512(votes, idx[k], perm));
-      h1 = _mm512_add_ps(h1, vote_avx512(votes, idx[cs + k], perm));
-      h2 = _mm512_add_ps(h2, vote_avx512(votes, idx[2 * cs + k], perm));
-      h3 = _mm512_add_ps(h3, vote_avx512(votes, idx[3 * cs + k], perm));
+  for (; cx + 4 <= cells_x; cx += 4, hist += 4 * bins) {
+    __m512 h0 = _mm512_setzero_ps();
+    __m512 h1 = _mm512_setzero_ps();
+    __m512 h2 = _mm512_setzero_ps();
+    __m512 h3 = _mm512_setzero_ps();
+    for (int ky = 0; ky < cs; ++ky) {
+      const std::int32_t* row =
+          idx + static_cast<std::size_t>(ky) * usable_w + cx * cs;
+      for (int kx = 0; kx < cs; ++kx) {
+        h0 = _mm512_add_ps(h0, vote_avx512(registers, votes, row[kx], perm));
+        h1 = _mm512_add_ps(h1,
+                           vote_avx512(registers, votes, row[cs + kx], perm));
+        h2 = _mm512_add_ps(
+            h2, vote_avx512(registers, votes, row[2 * cs + kx], perm));
+        h3 = _mm512_add_ps(
+            h3, vote_avx512(registers, votes, row[3 * cs + kx], perm));
+      }
     }
     _mm512_mask_storeu_ps(hist, mask, h0);
     _mm512_mask_storeu_ps(hist + bins, mask, h1);
     _mm512_mask_storeu_ps(hist + 2 * bins, mask, h2);
     _mm512_mask_storeu_ps(hist + 3 * bins, mask, h3);
   }
-  for (; cx < cells_x; ++cx, hist += bins, idx += cs) {
-    __m512 h = _mm512_maskz_loadu_ps(mask, hist);
-    for (int k = 0; k < cs; ++k)
-      h = _mm512_add_ps(h, vote_avx512(votes, idx[k], perm));
+  for (; cx < cells_x; ++cx, hist += bins) {
+    __m512 h = _mm512_setzero_ps();
+    for (int ky = 0; ky < cs; ++ky) {
+      const std::int32_t* row =
+          idx + static_cast<std::size_t>(ky) * usable_w + cx * cs;
+      for (int kx = 0; kx < cs; ++kx)
+        h = _mm512_add_ps(h, vote_avx512(registers, votes, row[kx], perm));
+    }
     _mm512_mask_storeu_ps(hist, mask, h);
   }
 }

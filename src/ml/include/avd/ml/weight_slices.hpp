@@ -50,40 +50,35 @@ class WeightSlices {
   void accumulate(std::size_t block, std::span<const float> values,
                   double& acc) const;
 
-  /// Windows scored per accumulate_lanes call.
-  static constexpr int kLanes = 16;
+  /// The most windows one accumulate_lanes call scores.
+  static constexpr int kLanes = 32;
 
-  /// Sixteen-window variant over lane-major operands: for each lane j,
-  /// acc[j] += the dot of slice(block) against lane j, whose element i is
-  /// base[i * elem_stride + j]. The operands must be EXACT double
-  /// conversions of the block's floats (float -> double is lossless),
-  /// matching the weights' own pre-converted double copy, so every product
-  /// and sum is bit-equal to accumulate()'s float-operand sequence and lane
-  /// scores stay bit-equal to LinearSvm::decision. The payoff is mechanical,
-  /// not numerical: the sixteen per-window accumulator chains (each serial,
-  /// latency bound on its own) advance together, one weight broadcast
-  /// against every register of lanes per element, and the in-loop
-  /// float -> double conversions are gone. The body is picked once per
-  /// process: AVX2 (four registers of four lanes) where the CPU has it, the
-  /// SSE2 baseline (eight pairs) elsewhere; both give the same bits. No
-  /// length check (hot path).
-  void accumulate_lanes(std::size_t block, const double* base,
+  /// `lanes`-window variant over lane-major operands, for `lanes` = kLanes,
+  /// 16 or 8: for each lane j < lanes, acc[j] += the dot of slice(block)
+  /// against lane j, whose element i is base[i * elem_stride + j]. The
+  /// operands must be EXACT double conversions of the block's floats
+  /// (float -> double is lossless), matching the weights' own pre-converted
+  /// double copy, so every product and sum is bit-equal to accumulate()'s
+  /// float-operand sequence and lane scores stay bit-equal to
+  /// LinearSvm::decision. The payoff is mechanical, not numerical: the
+  /// per-window accumulator chains (each serial, latency bound on its own)
+  /// advance together, one weight broadcast against every register of
+  /// lanes per element, and the in-loop float -> double conversions are
+  /// gone. The bodies are picked once per process, all giving the same
+  /// bits: AVX-512 (registers of eight lanes) where the CPU has AVX-512F
+  /// and BW, else AVX2 (registers of four), else the SSE2 baseline (pairs;
+  /// its 32-lane body runs sixteen lanes twice, since sixteen pairs would
+  /// not fit its registers). No length or lane-count check (hot path).
+  void accumulate_lanes(int lanes, std::size_t block, const double* base,
                         std::size_t elem_stride, double* acc) const {
-    lanes_(weights_d_.data() + block * block_len_, block_len_, base,
-           elem_stride, acc);
-  }
-
-  /// Eight-lane half of accumulate_lanes (acc[0..7] only), for rows with
-  /// fewer window positions than kLanes but at least kLanes / 2.
-  void accumulate_half_lanes(std::size_t block, const double* base,
-                             std::size_t elem_stride, double* acc) const {
-    half_lanes_(weights_d_.data() + block * block_len_, block_len_, base,
-                elem_stride, acc);
+    lanes_[tier(lanes)](weights_d_.data() + block * block_len_, block_len_,
+                        base, elem_stride, acc);
   }
 
   /// One-lane form of accumulate_lanes: acc += the dot of slice(block)
-  /// against base[i * elem_stride]. For rows with fewer window positions
-  /// than kLanes / 2. Identical per-lane arithmetic.
+  /// against base[i * elem_stride]. For rows narrower than eight window
+  /// positions, and for a row's last position when it is left alone.
+  /// Identical per-lane arithmetic.
   void accumulate_column(std::size_t block, const double* base,
                          std::size_t elem_stride, double& acc) const;
 
@@ -96,10 +91,11 @@ class WeightSlices {
   using LaneKernel = void (*)(const double* w, std::size_t len,
                               const double* base, std::size_t elem_stride,
                               double* acc);
-  /// The lane body for `lanes` (kLanes or kLanes / 2) on this CPU.
+  /// Index of the body for 8, 16 or 32 lanes in lanes_.
+  static constexpr int tier(int lanes) { return lanes / 16; }
+  /// The lane body for `lanes` (8, 16 or 32) on this CPU.
   static LaneKernel lane_kernel(int lanes);
-  LaneKernel lanes_ = lane_kernel(kLanes);
-  LaneKernel half_lanes_ = lane_kernel(kLanes / 2);
+  LaneKernel lanes_[3] = {lane_kernel(8), lane_kernel(16), lane_kernel(32)};
 };
 
 }  // namespace avd::ml

@@ -34,6 +34,8 @@ namespace {
 using Pair = double __attribute__((vector_size(16)));
 /// Four doubles, packed: one AVX register.
 using Quad = double __attribute__((vector_size(32)));
+/// Eight doubles, packed: one AVX-512 register.
+using Oct = double __attribute__((vector_size(64)));
 
 /// The loop every lane body runs, over Lanes / width accumulators of vector
 /// type V. Always inlined, so each body compiles it for its own ISA; the
@@ -71,7 +73,15 @@ template <class V, int Lanes>
 template <int Lanes>
 void lanes_sse2(const double* w, std::size_t len, const double* base,
                 std::size_t elem_stride, double* acc) {
-  lane_loop<Pair, Lanes>(w, len, base, elem_stride, acc);
+  if constexpr (Lanes == 32) {
+    // Sixteen pairs would not fit the sixteen XMM registers beside the
+    // weight and the operand: two runs of sixteen lanes, each lane's order
+    // unchanged.
+    lane_loop<Pair, 16>(w, len, base, elem_stride, acc);
+    lane_loop<Pair, 16>(w, len, base + 16, elem_stride, acc + 16);
+  } else {
+    lane_loop<Pair, Lanes>(w, len, base, elem_stride, acc);
+  }
 }
 
 template <int Lanes>
@@ -80,23 +90,47 @@ void lanes_avx2(const double* w, std::size_t len, const double* base,
   lane_loop<Quad, Lanes>(w, len, base, elem_stride, acc);
 }
 
+template <int Lanes>
+void lanes_avx512(const double* w, std::size_t len, const double* base,
+                  std::size_t elem_stride, double* acc) {
+  lane_loop<Oct, Lanes>(w, len, base, elem_stride, acc);
+}
+
 template void lanes_sse2<8>(const double*, std::size_t, const double*,
                             std::size_t, double*);
-template void lanes_sse2<16>(const double*, std::size_t, const double*,
-                             std::size_t, double*);
 template void lanes_avx2<8>(const double*, std::size_t, const double*,
                             std::size_t, double*);
+template void lanes_avx512<8>(const double*, std::size_t, const double*,
+                              std::size_t, double*);
+template void lanes_sse2<16>(const double*, std::size_t, const double*,
+                             std::size_t, double*);
 template void lanes_avx2<16>(const double*, std::size_t, const double*,
                              std::size_t, double*);
+template void lanes_avx512<16>(const double*, std::size_t, const double*,
+                               std::size_t, double*);
+template void lanes_sse2<32>(const double*, std::size_t, const double*,
+                             std::size_t, double*);
+template void lanes_avx2<32>(const double*, std::size_t, const double*,
+                             std::size_t, double*);
+template void lanes_avx512<32>(const double*, std::size_t, const double*,
+                               std::size_t, double*);
 
 }  // namespace detail
 
 WeightSlices::LaneKernel WeightSlices::lane_kernel(int lanes) {
-  const bool avx2 = cpu_has_avx2();
-  if (lanes == kLanes)
-    return avx2 ? detail::lanes_avx2<kLanes> : detail::lanes_sse2<kLanes>;
-  return avx2 ? detail::lanes_avx2<kLanes / 2>
-              : detail::lanes_sse2<kLanes / 2>;
+  using detail::lanes_avx2;
+  using detail::lanes_avx512;
+  using detail::lanes_sse2;
+  static constexpr LaneKernel kAvx512[] = {lanes_avx512<8>, lanes_avx512<16>,
+                                           lanes_avx512<32>};
+  static constexpr LaneKernel kAvx2[] = {lanes_avx2<8>, lanes_avx2<16>,
+                                         lanes_avx2<32>};
+  static constexpr LaneKernel kSse2[] = {lanes_sse2<8>, lanes_sse2<16>,
+                                         lanes_sse2<32>};
+  const LaneKernel* bodies = cpu_has_avx512() ? kAvx512
+                             : cpu_has_avx2() ? kAvx2
+                                              : kSse2;
+  return bodies[tier(lanes)];
 }
 
 void WeightSlices::accumulate_column(std::size_t block, const double* base,

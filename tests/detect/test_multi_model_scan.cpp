@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "../support/pinned_frames.hpp"
 #include "avd/image/color.hpp"
+#include "avd/image/resize.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/runtime/thread_pool.hpp"
 
@@ -382,10 +384,11 @@ TEST_F(MultiModelScanTest, FindsVehicleFlushAgainstFrameBorder) {
 
 TEST_F(MultiModelScanTest, NarrowRowsMatchReferenceAtEveryStride) {
   // Crops of the mixed frame whose level-0 rows hold 1, 8, 15, 16 and 17
-  // window positions: the one-column form, the eight-lane half, and
-  // sixteen-lane runs with and without a pulled-left tail (smaller pyramid
-  // levels add narrower rows still). No threshold and no suppression, so
-  // every window's score is compared bit for bit, pooled and not.
+  // window positions: the one-column form, eight-lane runs with and
+  // without a pulled-left tail, a sixteen-lane run, and one finished by a
+  // column (smaller pyramid levels add narrower rows still). No threshold
+  // and no suppression, so every window's score is compared bit for bit,
+  // pooled and not.
   const img::ImageU8 mixed =
       img::rgb_to_gray(data::render_scene(mixed_scene()));
   const HogSvmModel* models[] = {&vehicle()};
@@ -406,6 +409,59 @@ TEST_F(MultiModelScanTest, NarrowRowsMatchReferenceAtEveryStride) {
       ASSERT_FALSE(reference.empty());
       SCOPED_TRACE(testing::Message() << positions << " positions, stride "
                                       << stride);
+      expect_identical(detect_multiscale_multi(gray, models, params),
+                       reference);
+      params.pool = &pool;
+      expect_identical(detect_multiscale_multi(gray, models, params),
+                       reference);
+    }
+  }
+}
+
+TEST_F(MultiModelScanTest, EveryLaneTierMatchesReference) {
+  // Rows score in runs of 32 lanes, finished by the narrowest run of 1, 8,
+  // 16 or 32 lanes that covers the rest. The mixed frame scaled to 416x320
+  // and 400x300, scanned over eight levels, has rows of 45, 34, 26, 19, 14,
+  // 10, 6 and 3 window positions, and of 43, 33, 25, 18, 13, 9 and 6: every
+  // tier, as a whole row and as a finishing run, a one-column finish (33)
+  // included. No threshold and no suppression, so every window's score is
+  // compared bit for bit, at stride_cells 1 and 2, pooled and not.
+  const img::ImageU8 mixed =
+      img::rgb_to_gray(data::render_scene(mixed_scene()));
+  const HogSvmModel* models[] = {&vehicle()};
+  const int cell = vehicle().hog.cell_size;
+  const int window_cells = vehicle().window.width / cell;
+  runtime::ThreadPool pool(4);
+  SlidingWindowParams params;
+  params.score_threshold = -std::numeric_limits<double>::infinity();
+  params.nms_iou = 1.0;
+  params.max_levels = 8;
+  for (const img::Size size : {img::Size{416, 320}, img::Size{400, 300}}) {
+    const img::ImageU8 gray = img::resize_bilinear(mixed, size);
+    // The tiers the levels' rows fall in: 32 or more positions, 16-31,
+    // 8-15 and fewer than 8.
+    bool tiers[4] = {};
+    double scale = 1.0;
+    for (int level = 0; level < params.max_levels;
+         ++level, scale *= params.scale_step) {
+      const long width = std::lround(size.width / scale);
+      const long height = std::lround(size.height / scale);
+      if (width < vehicle().window.width || height < vehicle().window.height)
+        break;
+      const long positions = width / cell - window_cells + 1;
+      tiers[positions >= 32 ? 0 : positions >= 16 ? 1 : positions >= 8 ? 2
+                                                                        : 3] =
+          true;
+    }
+    for (int t = 0; t < 4; ++t) EXPECT_TRUE(tiers[t]) << "tier " << t;
+    for (const int stride : {1, 2}) {
+      params.stride_cells = stride;
+      params.pool = nullptr;
+      const auto reference =
+          detect_multiscale_multi_reference(gray, models, params);
+      ASSERT_FALSE(reference.empty());
+      SCOPED_TRACE(testing::Message() << size.width << "x" << size.height
+                                      << ", stride " << stride);
       expect_identical(detect_multiscale_multi(gray, models, params),
                        reference);
       params.pool = &pool;

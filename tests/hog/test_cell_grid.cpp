@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <ostream>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "../../src/hog/src/hog_kernels.hpp"
 #include "../support/pinned_frames.hpp"
@@ -265,7 +268,7 @@ TEST(CellGrid, FusedLutGridMatchesGradientFieldVotePath) {
   }
 }
 
-/// One pass-2 body of the cell grid, run directly whatever this host's
+/// One cell-row body of the cell grid, run directly whatever this host's
 /// dispatch picked.
 struct CellGridBody {
   const char* name;
@@ -329,6 +332,111 @@ TEST_P(CellGridBodies, MatchGradientFieldVotePathOnPyramidSizes) {
                                 std::to_string(size.width) + "x" +
                                     std::to_string(size.height));
     }
+  }
+}
+
+/// Central-difference magnitudes either side of the AVX-512 body's
+/// small-gradient table (|gx|, |gy| <= 31) and at the far end of the range.
+constexpr int kTableEdgeDiffs[] = {30, 31, 32, 33, 255};
+
+/// The clamped central differences of compute_gradients at (x, y).
+std::pair<int, int> central_differences(const img::ImageU8& im, int x, int y) {
+  return {im.at_clamped(x + 1, y) - im.at_clamped(x - 1, y),
+          im.at_clamped(x, y + 1) - im.at_clamped(x, y - 1)};
+}
+
+/// Pixels drawn from levels whose differences are the kTableEdgeDiffs, and
+/// border lines set so the clamped differences at every border take each
+/// of them: column 0 against column 1, column w - 1 against w - 2, and the
+/// same for the top and bottom rows.
+img::ImageU8 table_edge_image(int w, int h, std::uint32_t seed) {
+  static constexpr std::uint8_t kLevels[] = {0, 30, 31, 32, 33, 255};
+  img::ImageU8 im(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      seed = seed * 1664525u + 1013904223u;
+      im(x, y) = kLevels[(seed >> 24) % 6];
+    }
+  for (int y = 0; y < h; ++y) {
+    const auto d = static_cast<std::uint8_t>(kTableEdgeDiffs[y % 5]);
+    im(0, y) = 0;
+    im(1, y) = d;
+    im(w - 2, y) = d;
+    im(w - 1, y) = 0;
+  }
+  for (int x = 2; x < w - 2; ++x) {
+    const auto d = static_cast<std::uint8_t>(kTableEdgeDiffs[x % 5]);
+    im(x, 0) = d;
+    im(x, 1) = 0;
+    im(x, h - 2) = 0;
+    im(x, h - 1) = d;
+  }
+  return im;
+}
+
+TEST_P(CellGridBodies, MatchGradientFieldVotePathAtTheSmallTableEdge) {
+  // The AVX-512 body reads a small gradient's vote as a ready register and
+  // any other's through the full table; pass 1 picks per pixel, in vector
+  // steps and in its scalar border and tail columns. Differences of 30-33
+  // sit either side of that edge, 255 at the far end. The images' interior
+  // columns leave pass 1 vector tails of 14, 2, 9, 1 and 0 columns, and
+  // each cell size divides its width, so the clamped last column is voted.
+  for (const auto& [w, h, cell] :
+       {std::tuple{96, 80, 8}, std::tuple{100, 60, 4}, std::tuple{91, 70, 7},
+        std::tuple{51, 50, 1}, std::tuple{66, 40, 2}}) {
+    const img::ImageU8 im =
+        table_edge_image(w, h, static_cast<std::uint32_t>(w * 31 + h));
+    // Every pairing of the edge magnitudes somewhere, and every one of
+    // them at each border, so the image tests what it claims to.
+    std::set<std::pair<int, int>> pairs;
+    std::set<int> left, right, top, bottom;
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        const auto [gx, gy] = central_differences(im, x, y);
+        pairs.insert({std::abs(gx), std::abs(gy)});
+        if (x == 0) left.insert(std::abs(gx));
+        if (x == w - 1) right.insert(std::abs(gx));
+        if (y == 0) top.insert(std::abs(gy));
+        if (y == h - 1) bottom.insert(std::abs(gy));
+      }
+    for (const int a : kTableEdgeDiffs) {
+      EXPECT_TRUE(left.count(a) && right.count(a) && top.count(a) &&
+                  bottom.count(a))
+          << w << "x" << h << " border |g| " << a;
+      for (const int b : kTableEdgeDiffs)
+        EXPECT_TRUE(pairs.count({a, b}))
+            << w << "x" << h << " |gx| " << a << " |gy| " << b;
+    }
+    for (const int bins : {2, 9, 16}) {
+      HogParams params;
+      params.bins = bins;
+      params.cell_size = cell;
+      expect_body_equals_oracle(im, params,
+                                std::to_string(w) + "x" + std::to_string(h) +
+                                    " bins " + std::to_string(bins));
+    }
+  }
+}
+
+TEST_P(CellGridBodies, ReusedGridKeepsNoStaleCell) {
+  // The grid is not zero-filled before a scan: each body writes every cell
+  // once. One grid reused from a 1080p frame to a 333x197 level (partial
+  // cells) and back to a different 1080p frame must hold, every time,
+  // exactly the oracle's histograms.
+  const img::ImageU8 dark =
+      img::rgb_to_gray(test_support::pinned_dark_frame_1080());
+  img::ImageU8 inverted = dark;
+  for (int y = 0; y < inverted.height(); ++y)
+    for (int x = 0; x < inverted.width(); ++x)
+      inverted(x, y) = static_cast<std::uint8_t>(255 - inverted(x, y));
+  const img::ImageU8 frames[] = {dark, img::resize_bilinear(dark, {333, 197}),
+                                 inverted};
+  CellGrid grid;
+  for (const img::ImageU8& frame : frames) {
+    detail::compute_cell_grid(frame, HogParams{}, grid, GetParam().vote_row);
+    expect_grid_equals_oracle(grid, frame, HogParams{},
+                              std::to_string(frame.width()) + "x" +
+                                  std::to_string(frame.height()));
   }
 }
 

@@ -57,6 +57,10 @@ TEST(WeightSlices, StreamedAccumulationIsBitExactDecision) {
   EXPECT_EQ(streamed, svm.decision(x));
 }
 
+/// An element-row stride wider than kLanes and no multiple of it: the rows
+/// of a block grid that holds more anchors than one call scores.
+constexpr std::size_t kWideStride = WeightSlices::kLanes + 5;
+
 /// kLanes windows' descriptors and their lane-major double copy: lane j,
 /// element i at flat[i * elem_stride + j], as the block grid stores them.
 struct LaneMajorWindows {
@@ -83,17 +87,17 @@ using ScoreLanes =
     std::function<void(const WeightSlices& slices, std::size_t block,
                        const double* base, std::size_t stride, double* acc)>;
 
-const ScoreLanes kDispatchedLanes = [](const WeightSlices& slices,
-                                       std::size_t block, const double* base,
-                                       std::size_t stride, double* acc) {
-  slices.accumulate_lanes(block, base, stride, acc);
-};
-const ScoreLanes kDispatchedHalfLanes = [](const WeightSlices& slices,
-                                           std::size_t block,
-                                           const double* base,
-                                           std::size_t stride, double* acc) {
-  slices.accumulate_half_lanes(block, base, stride, acc);
-};
+/// WeightSlices::accumulate_lanes at `lanes` lanes: the body this host
+/// picked.
+ScoreLanes dispatched(int lanes) {
+  return [lanes](const WeightSlices& slices, std::size_t block,
+                 const double* base, std::size_t stride, double* acc) {
+    slices.accumulate_lanes(lanes, block, base, stride, acc);
+  };
+}
+const ScoreLanes kDispatchedLanes = dispatched(WeightSlices::kLanes);
+const ScoreLanes kDispatchedHalfLanes = dispatched(WeightSlices::kLanes / 2);
+const ScoreLanes kDispatchedQuarterLanes = dispatched(WeightSlices::kLanes / 4);
 
 using LaneFn = void (*)(const double*, std::size_t, const double*,
                         std::size_t, double*);
@@ -144,14 +148,16 @@ void expect_signed_zeros_kept(const ScoreLanes& score, int lanes) {
 }
 
 TEST(WeightSlices, LaneAccumulationBitExactPerLane) {
-  // accumulate_lanes scores sixteen windows at once so their accumulator
+  // accumulate_lanes scores up to 32 windows at once so their accumulator
   // chains overlap, and it reads exact double conversions of the float
   // operands in place from lane-major rows; each lane must still produce
   // the scalar path's result — lane j's streamed score equals decision(x_j)
-  // bit for bit. Same for the eight-lane half.
+  // bit for bit. Same at sixteen and eight lanes.
   expect_lanes_bit_exact(kDispatchedLanes, WeightSlices::kLanes,
                          WeightSlices::kLanes, 0.5f);
   expect_lanes_bit_exact(kDispatchedHalfLanes, WeightSlices::kLanes / 2,
+                         WeightSlices::kLanes, 0.5f);
+  expect_lanes_bit_exact(kDispatchedQuarterLanes, WeightSlices::kLanes / 4,
                          WeightSlices::kLanes, 0.5f);
 }
 
@@ -159,9 +165,12 @@ TEST(WeightSlices, StridedLaneAccumulationBitExactPerLane) {
   // Element rows wider than the lanes, as in a block grid whose anchor rows
   // hold more anchors than one call scores: same bits, and the columns
   // past the lanes stay unread.
-  expect_lanes_bit_exact(kDispatchedLanes, WeightSlices::kLanes, 21, -0.125f);
-  expect_lanes_bit_exact(kDispatchedHalfLanes, WeightSlices::kLanes / 2, 21,
+  expect_lanes_bit_exact(kDispatchedLanes, WeightSlices::kLanes, kWideStride,
                          -0.125f);
+  expect_lanes_bit_exact(kDispatchedHalfLanes, WeightSlices::kLanes / 2,
+                         kWideStride, -0.125f);
+  expect_lanes_bit_exact(kDispatchedQuarterLanes, WeightSlices::kLanes / 4,
+                         kWideStride, -0.125f);
 }
 
 TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
@@ -169,7 +178,7 @@ TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
   // positions: each column of lane-major data scores its own window exactly.
   const LinearSvm svm = make_svm(36 * 49, -0.125f);
   const WeightSlices slices(svm, 36);
-  const std::size_t stride = 21;
+  const std::size_t stride = kWideStride;
   const LaneMajorWindows data(svm.dimension(), stride, 5);
   for (int j = 0; j < WeightSlices::kLanes; ++j) {
     double acc = 0.0;
@@ -184,6 +193,7 @@ TEST(WeightSlices, ColumnAccumulationBitExactPerLane) {
 TEST(WeightSlices, LaneFormsKeepSignedZeros) {
   expect_signed_zeros_kept(kDispatchedLanes, WeightSlices::kLanes);
   expect_signed_zeros_kept(kDispatchedHalfLanes, WeightSlices::kLanes / 2);
+  expect_signed_zeros_kept(kDispatchedQuarterLanes, WeightSlices::kLanes / 4);
   const ScoreLanes column = [](const WeightSlices& slices, std::size_t block,
                                const double* base, std::size_t stride,
                                double* acc) {
@@ -199,6 +209,7 @@ struct LaneBody {
   const char* name;
   int lanes;
   bool needs_avx2;
+  bool needs_avx512;
   LaneFn fn;
 };
 
@@ -212,6 +223,8 @@ class LaneBodies : public ::testing::TestWithParam<LaneBody> {
   void SetUp() override {
     if (GetParam().needs_avx2 && !cpu_has_avx2())
       GTEST_SKIP() << "this CPU has no AVX2, so its lane body cannot run";
+    if (GetParam().needs_avx512 && !cpu_has_avx512())
+      GTEST_SKIP() << "this CPU has no AVX-512, so its lane body cannot run";
   }
 };
 
@@ -221,8 +234,8 @@ TEST_P(LaneBodies, BitExactPerLane) {
 }
 
 TEST_P(LaneBodies, StridedBitExactPerLane) {
-  expect_lanes_bit_exact(body_form(GetParam().fn), GetParam().lanes, 21,
-                         -0.125f);
+  expect_lanes_bit_exact(body_form(GetParam().fn), GetParam().lanes,
+                         kWideStride, -0.125f);
 }
 
 TEST_P(LaneBodies, KeepSignedZeros) {
@@ -232,10 +245,15 @@ TEST_P(LaneBodies, KeepSignedZeros) {
 INSTANTIATE_TEST_SUITE_P(
     EveryIsa, LaneBodies,
     ::testing::Values(
-        LaneBody{"Sse2x16", 16, false, detail::lanes_sse2<16>},
-        LaneBody{"Sse2x8", 8, false, detail::lanes_sse2<8>},
-        LaneBody{"Avx2x16", 16, true, detail::lanes_avx2<16>},
-        LaneBody{"Avx2x8", 8, true, detail::lanes_avx2<8>}),
+        LaneBody{"Sse2x32", 32, false, false, detail::lanes_sse2<32>},
+        LaneBody{"Sse2x16", 16, false, false, detail::lanes_sse2<16>},
+        LaneBody{"Sse2x8", 8, false, false, detail::lanes_sse2<8>},
+        LaneBody{"Avx2x32", 32, true, false, detail::lanes_avx2<32>},
+        LaneBody{"Avx2x16", 16, true, false, detail::lanes_avx2<16>},
+        LaneBody{"Avx2x8", 8, true, false, detail::lanes_avx2<8>},
+        LaneBody{"Avx512x32", 32, false, true, detail::lanes_avx512<32>},
+        LaneBody{"Avx512x16", 16, false, true, detail::lanes_avx512<16>},
+        LaneBody{"Avx512x8", 8, false, true, detail::lanes_avx512<8>}),
     [](const ::testing::TestParamInfo<LaneBody>& info) {
       return std::string(info.param.name);
     });
